@@ -340,20 +340,10 @@ int main(int argc, char** argv) {
                  "re-audit rounds...\n",
                  fleet.hosts.size(), rounds);
     service.run_rounds(static_cast<std::uint64_t>(rounds));
-    auto sr = service.report();
-    report.grid = sr.grid;
-    report.rows = std::move(sr.rows);
-    report.eta = sr.eta;
-    for (const auto& r : report.rows)
-      report.campaign_totals.merge(r.campaign);
-    report.plan_cache = sr.plan_cache;
-    report.telemetry = std::move(sr.telemetry);
-    report.suspicion = std::move(sr.suspicion);
-    report.drift = std::move(sr.drift);
-    report.drift_flagged = std::move(sr.drift_flagged);
-    report.suspicious_landmarks = std::move(sr.suspicious_landmarks);
+    serve::ServiceReport sr = service.report();
     serve_epoch = sr.epoch;
     serve_stats = sr.stats;
+    report = std::move(sr);
   } else {
     assess::Auditor auditor(bed, ac);
     report = auditor.run(fleet);

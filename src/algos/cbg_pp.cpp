@@ -200,196 +200,12 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::locate_detailed(
   return detail;
 }
 
-void CbgPlusPlusGeolocator::locate_batch(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const BatchLocateItem> batch, const grid::Region* mask) const {
-  // The landmark-major path needs the plan cache (the shared touch IS
-  // the point), the subset filter's fast-path shape, and flat solves;
-  // every other configuration degrades to per-item locate().
-  const bool refined = refine_ && refine_->applies_to(g, mask);
-  if (batch.size() <= 1 || plan_cache_ == nullptr ||
-      !options_.use_subset_filter || refined) {
-    Geolocator::locate_batch(g, store, batch, mask);
-    return;
-  }
-  AGEO_SPAN("algos", "cbg_pp.locate_batch");
-  AGEO_COUNT("algos.cbg_pp.locate_batches");
-  AGEO_COUNTER_ADD("algos.cbg_pp.batched_proxies", batch.size());
-  if (mask)
-    detail::require(mask->grid() == &g,
-                          "CBG++ locate_batch: mask grid mismatch");
-
-  grid::Scratch* scratch = &grid::Scratch::tls();
-  const double pad = mlat::conservative_pad_km(g);
-  const calib::CbgModel physics = calib::cbg_baseline();
-  const std::size_t nb = batch.size();
-
-  // Per-proxy state. `live` means the proxy is still riding the batched
-  // fast path; a proxy that drops out (its padded intersection emptied,
-  // so the scalar solve would enter the general coverage sweep) is
-  // re-run through locate() at the end — same bits, serial cost.
-  struct Slot {
-    std::vector<mlat::DiskConstraint> bestline, baseline;
-    std::vector<std::uint8_t> retained;  // stage-2 verdict per observation
-    std::size_t n_retained = 0;
-    std::size_t discarded = 0;
-    grid::Region* region = nullptr;
-    bool live = true;
-  };
-  std::vector<Slot> slots(nb);
-  std::vector<grid::Scratch::RegionLease> leases;
-  leases.reserve(nb);
-
-  // Landmark-major index, first-seen order across the batch: for each
-  // distinct landmark, the (slot, observation) pairs that reference it.
-  struct Touch {
-    std::uint32_t slot, obs;
-  };
-  constexpr std::uint32_t kNone = 0xffffffffu;
-  std::vector<std::uint32_t> lm_of(store.size(), kNone);
-  std::vector<geo::LatLon> lm_pos;
-  std::vector<std::vector<Touch>> touches;
-
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::span<const Observation> obs = batch[b].observations;
-    detail::require(batch[b].out != nullptr,
-                          "CBG++ locate_batch: null output slot");
-    validate(store, obs);
-    Slot& s = slots[b];
-    s.bestline.reserve(obs.size());
-    s.baseline.reserve(obs.size());
-    for (std::size_t j = 0; j < obs.size(); ++j) {
-      const Observation& ob = obs[j];
-      const auto& model = options_.use_slowline
-                              ? store.cbg_slowline(ob.landmark_id)
-                              : store.cbg(ob.landmark_id);
-      s.bestline.push_back(
-          {ob.landmark, model.max_distance_km(ob.one_way_delay_ms)});
-      s.baseline.push_back(
-          {ob.landmark, physics.max_distance_km(ob.one_way_delay_ms)});
-      std::uint32_t& li = lm_of[ob.landmark_id];
-      if (li == kNone) {
-        li = static_cast<std::uint32_t>(lm_pos.size());
-        lm_pos.push_back(ob.landmark);
-        touches.emplace_back();
-      }
-      touches[li].push_back({static_cast<std::uint32_t>(b),
-                             static_cast<std::uint32_t>(j)});
-    }
-    leases.push_back(grid::Scratch::region(scratch, g));
-    s.region = &leases.back().ref();
-  }
-
-  const auto reset_regions = [&] {
-    for (Slot& s : slots) {
-      if (!s.live) continue;
-      if (mask)
-        *s.region = *mask;
-      else
-        s.region->fill();
-    }
-  };
-
-  // One landmark's plan applied to every live proxy's region before the
-  // next plan is touched. The fused intersects are commuting ANDs of
-  // per-cell membership values computed independently of the region's
-  // contents, so landmark-major order produces the same final bits as
-  // the scalar per-proxy constraint order (and a region that empties
-  // here empties there).
-  const auto apply_landmark_major = [&](auto&& radius_km, auto&& active) {
-    for (std::size_t li = 0; li < lm_pos.size(); ++li) {
-      std::shared_ptr<const grid::CapScanPlan> plan;
-      for (const Touch& t : touches[li]) {
-        Slot& s = slots[t.slot];
-        if (!s.live || !active(s, t) || s.region->empty()) continue;
-        if (!plan) plan = plan_cache_->plan(g, lm_pos[li]);
-        plan->intersect_annulus_into(0.0, radius_km(s, t) + pad, *s.region);
-      }
-    }
-  };
-
-  // Stage 1: baseline regions, batched.
-  reset_regions();
-  apply_landmark_major(
-      [](const Slot& s, const Touch& t) { return s.baseline[t.obs].max_km; },
-      [](const Slot&, const Touch&) { return true; });
-
-  // Stage 2: per-proxy baseline filter — the same single region pass and
-  // max-dot fold as the scalar path.
-  for (Slot& s : slots) {
-    if (s.region->empty()) {
-      s.live = false;
-      continue;
-    }
-    std::vector<geo::Vec3> disk_vecs;
-    disk_vecs.reserve(s.bestline.size());
-    for (const auto& d : s.bestline) disk_vecs.push_back(geo::to_vec3(d.center));
-    std::vector<double> disk_dots(s.bestline.size(), -2.0);
-    s.region->for_each_cell([&](std::size_t idx) {
-      const geo::Vec3& c = g.center_vec(idx);
-      for (std::size_t j = 0; j < disk_vecs.size(); ++j) {
-        const double d = disk_vecs[j].dot(c);
-        if (d > disk_dots[j]) disk_dots[j] = d;
-      }
-    });
-    s.retained.assign(s.bestline.size(), 0);
-    for (std::size_t j = 0; j < s.bestline.size(); ++j) {
-      const auto& d = s.bestline[j];
-      double dist_km = 0.0;
-      if (!s.region->test(g.cell_at(d.center))) {
-        const double bd = std::min(1.0, std::max(-1.0, disk_dots[j]));
-        dist_km = geo::kEarthRadiusKm * std::acos(bd);
-      }
-      if (dist_km <= d.max_km) {
-        s.retained[j] = 1;
-        ++s.n_retained;
-      } else {
-        ++s.discarded;
-      }
-    }
-  }
-
-  // Stage 3: bestline regions over the retained disks, batched.
-  reset_regions();
-  apply_landmark_major(
-      [](const Slot& s, const Touch& t) { return s.bestline[t.obs].max_km; },
-      [](const Slot& s, const Touch& t) { return s.retained[t.obs] != 0; });
-
-  std::size_t fallbacks = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    Slot& s = slots[b];
-    if (s.live && s.n_retained > 0 && s.region->empty()) s.live = false;
-    if (!s.live) {
-      // Full scalar solve (deterministic, so re-running from the
-      // observations reproduces exactly what locate() would have done).
-      *batch[b].out = locate(g, store, batch[b].observations, mask);
-      ++fallbacks;
-      continue;
-    }
-    const std::size_t nobs = batch[b].observations.size();
-    GeoEstimate est;
-    est.region = *s.region;
-    est.constraints_total = nobs;
-    est.constraints_used = s.n_retained;
-    // Fast-path provenance: a nonempty stage-1 intersection means the
-    // scalar largest-consistent-subset would keep every baseline disk.
-    est.prov.batched_fast_path = true;
-    est.prov.baseline_subset = nobs;
-    est.prov.discarded_by_baseline = s.discarded;
-    est.used.assign(nobs, false);
-    for (std::size_t j = 0; j < nobs; ++j)
-      if (s.retained[j]) est.used[j] = true;
-    *batch[b].out = std::move(est);
-  }
-  AGEO_COUNTER_ADD("algos.cbg_pp.batch_fallbacks", fallbacks);
-}
-
 namespace {
 
 /// Stage-2 distance of one bestline disk from the baseline region,
 /// given the max center-dot folded over the region's cells — exactly
-/// the arithmetic of the scalar and batched stage-2 passes, so the
-/// retention verdicts derived from it are bit-identical to theirs.
+/// the arithmetic of the scalar stage-2 pass, so the retention verdicts
+/// derived from it are bit-identical to its.
 double stage2_distance_km(const grid::Grid& g, const grid::Region& base,
                           const mlat::DiskConstraint& d, double max_dot) {
   if (base.test(g.cell_at(d.center))) return 0.0;
@@ -424,9 +240,8 @@ std::unique_ptr<LocatorMemo> CbgPlusPlusGeolocator::locate_memo(
     const grid::Grid& g, const calib::CalibrationStore& store,
     std::span<const Observation> observations, const grid::Region* mask,
     GeoEstimate& out) const {
-  // Same gate as the batched fast path: the memo caches fused plan
-  // intersections, so it needs the cache, subset semantics, and flat
-  // solves. Everything else answers through the plain scalar path.
+  // The memo caches fused plan intersections, so it needs the cache,
+  // subset semantics, and flat solves. Everything else answers through the plain scalar path.
   const bool refined = refine_ && refine_->applies_to(g, mask);
   if (plan_cache_ == nullptr || !options_.use_subset_filter || refined) {
     out = locate(g, store, observations, mask);

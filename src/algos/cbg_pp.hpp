@@ -39,23 +39,10 @@ class CbgPlusPlusGeolocator final : public Geolocator {
                      std::span<const Observation> observations,
                      const grid::Region* mask = nullptr) const override;
 
-  /// Landmark-major batched locate: every landmark's scan plan is
-  /// fetched once per batch and its fused intersect applied to all
-  /// proxies' running regions before moving to the next landmark — the
-  /// plan's row geometry stays hot in cache across the whole batch.
-  /// Covers the flat subset-filter path (the audit default); refined,
-  /// cache-less, and ablation configs fall back to per-item locate().
-  /// A proxy whose fast-path intersection empties is re-run through the
-  /// full scalar solve, so results are bit-identical to locate() for
-  /// every item (pinned by audit_parallel_test).
-  void locate_batch(const grid::Grid& g, const calib::CalibrationStore& store,
-                    std::span<const BatchLocateItem> batch,
-                    const grid::Region* mask = nullptr) const override;
-
   /// Full solve + resumable state for the streaming service: captures
   /// the baseline/bestline regions and per-disk retention verdicts when
   /// the solve stayed on the consistent fast path (stage-1 and stage-3
-  /// intersections nonempty — the same condition as the batched fast
+  /// intersections nonempty — the subset engine's intersect-first fast
   /// path), so locate_update can absorb one more observation with two
   /// fused annulus intersects instead of 2k. Returns null — with `out`
   /// still correct — for ablation configs (no subset filter), cache-less

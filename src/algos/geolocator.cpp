@@ -44,17 +44,6 @@ bool Geolocator::locate_update(LocatorMemo& /*memo*/, const grid::Grid& /*g*/,
   return false;
 }
 
-void Geolocator::locate_batch(const grid::Grid& g,
-                              const calib::CalibrationStore& store,
-                              std::span<const BatchLocateItem> batch,
-                              const grid::Region* mask) const {
-  for (const BatchLocateItem& item : batch) {
-    detail::require(item.out != nullptr,
-                    "Geolocator::locate_batch: null output slot");
-    *item.out = locate(g, store, item.observations, mask);
-  }
-}
-
 std::vector<std::unique_ptr<Geolocator>> make_all_geolocators() {
   std::vector<std::unique_ptr<Geolocator>> out;
   out.push_back(std::make_unique<CbgGeolocator>());

@@ -47,16 +47,14 @@ struct RefineLevelTrace {
 
 /// How an estimate was produced — execution-schedule provenance carried
 /// alongside the result for the verdict journal (obs/journal.hpp).
-/// The subset fields are schedule-invariant; `batched_fast_path`,
-/// `refined`, and `ladder` describe the path actually taken.
+/// The subset fields are schedule-invariant; `incremental`, `refined`,
+/// and `ladder` describe the path actually taken.
 struct LocateProvenance {
   /// Baseline disks in the stage-1 consistent coalition (subset-filter
   /// locators only; 0 elsewhere).
   std::size_t baseline_subset = 0;
   /// Bestline disks discarded for missing the baseline region.
   std::size_t discarded_by_baseline = 0;
-  /// Solved by the landmark-major batched fast path.
-  bool batched_fast_path = false;
   /// Solved by an incremental memo update (locate_update) rather than a
   /// full constraint solve.
   bool incremental = false;
@@ -110,13 +108,6 @@ struct GeoEstimate {
   double area_km2() const noexcept { return region.area_km2(); }
 };
 
-/// One proxy's slot in a batched locate: its observations in, its
-/// estimate out. The spans/pointers must stay valid for the call.
-struct BatchLocateItem {
-  std::span<const Observation> observations;
-  GeoEstimate* out = nullptr;
-};
-
 /// Opaque per-proxy solver state cached between locates of the SAME
 /// target with a GROWING observation list (the always-on audit
 /// service's streaming re-localization, src/serve). Concrete locators
@@ -144,17 +135,6 @@ class Geolocator {
                              const calib::CalibrationStore& store,
                              std::span<const Observation> observations,
                              const grid::Region* mask = nullptr) const = 0;
-
-  /// Locate a batch of proxies against one grid/store/mask. The default
-  /// runs locate() per item; algorithms with landmark-major batched
-  /// paths (CBG++) override it to touch each landmark's scan plan once
-  /// per batch instead of once per proxy, with bit-identical results —
-  /// batching is purely a memory-locality lever. Every item's `out` is
-  /// written exactly once.
-  virtual void locate_batch(const grid::Grid& g,
-                            const calib::CalibrationStore& store,
-                            std::span<const BatchLocateItem> batch,
-                            const grid::Region* mask = nullptr) const;
 
   /// Full solve that ALSO captures resumable solver state: `out` gets
   /// exactly locate()'s estimate, and the returned memo — when the

@@ -32,16 +32,15 @@ std::unique_ptr<algos::Geolocator> make_geolocator(const AuditConfig& c) {
   return std::make_unique<algos::CbgPlusPlusGeolocator>(c.cbg_pp);
 }
 
-namespace {
-
-/// Independent per-proxy seed: the audit seed xor a mixed host index.
-/// The golden-ratio multiply spreads the index across all 64 bits; a
-/// bare xor would only flip low bits, leaving neighbouring proxies'
-/// streams (and the network's own seed-derived streams) correlated.
 std::uint64_t proxy_seed(std::uint64_t seed, std::size_t host_index) {
+  // The golden-ratio multiply spreads the index across all 64 bits; a
+  // bare xor would only flip low bits, leaving neighbouring proxies'
+  // streams (and the network's own seed-derived streams) correlated.
   return seed ^ ((static_cast<std::uint64_t>(host_index) + 1) *
                  0x9e3779b97f4a7c15ULL);
 }
+
+namespace {
 
 /// "2:134 0.5:17" — one cell_deg:survivors pair per refine-ladder level
 /// pass, for the journal's refine event.
@@ -138,36 +137,283 @@ std::span<const double> Auditor::country_landmark_km(world::CountryId id) {
   return table;
 }
 
+// ---- pipeline stages ----
+
+netsim::HostId Auditor::register_client() {
+  netsim::HostProfile p;
+  p.location = config_.client_location;
+  p.net_quality = 0.95;
+  return bed_->add_host(p);
+}
+
+netsim::ProxySession Auditor::open_tunnel(netsim::HostId client,
+                                          const world::ProxyHost& h) {
+  netsim::HostProfile p;
+  p.location = h.true_location;
+  p.net_quality = 0.8;
+  p.icmp_responds = h.pingable;
+  p.tcp_port80_open = true;
+  p.filters_uncommon_ports = true;
+  p.sends_time_exceeded = !h.drops_time_exceeded;
+  const netsim::HostId id = bed_->add_host(p);
+  netsim::ProxyBehavior behavior;
+  behavior.icmp_responds = h.pingable;
+  behavior.gateway_pingable = h.gateway_pingable;
+  behavior.drops_time_exceeded = h.drops_time_exceeded;
+  return netsim::ProxySession(bed_->net(), client, id, behavior);
+}
+
+ProxyAuditRow Auditor::new_row(std::size_t index,
+                               const world::ProxyHost& host) const {
+  ProxyAuditRow row;
+  row.host_index = index;
+  row.provider = host.provider;
+  row.claimed = host.claimed_country;
+  row.claimed_continent = bed_->world().continent_of(host.claimed_country);
+  row.true_country = host.true_country;
+  return row;
+}
+
+void Auditor::warm_countries(std::span<const world::CountryId> ids) {
+  AGEO_SPAN("assess", "audit.warm_countries");
+  // All missing regions are built in ONE raster pass (the lazy path pays
+  // a full-grid scan per country); per-country bits are identical either
+  // way, since both set exactly the raster-match cells plus the capital.
+  std::vector<std::uint8_t> pending(country_regions_.size(), 0);
+  bool any_pending = false;
+  for (const world::CountryId id : ids) {
+    detail::require(id < country_regions_.size(),
+                    "Auditor: bad claimed country id");
+    if (!country_regions_[id] && !pending[id]) {
+      pending[id] = 1;
+      any_pending = true;
+      country_regions_[id].emplace(*grid_);
+    }
+  }
+  if (any_pending) {
+    for (std::size_t c = 0; c < grid_->size(); ++c) {
+      const world::CountryId id = raster_.at(c);
+      if (id < pending.size() && pending[id]) country_regions_[id]->set(c);
+    }
+    for (std::size_t id = 0; id < pending.size(); ++id)
+      if (pending[id])
+        country_regions_[id]->set(
+            grid_->cell_at(bed_->world().country(id).capital));
+  }
+  for (const world::CountryId id : ids) country_landmark_km(id);
+}
+
+world::Continent Auditor::measure_proxy(ProxyAuditRow& row,
+                                        measure::ProxyProber& prober,
+                                        netsim::Lane& lane,
+                                        measure::BreakerBoard* board,
+                                        std::uint32_t* jseq) const {
+  measure::CampaignEngine engine(prober.as_rich_probe_fn(), config_.campaign,
+                                 board);
+  engine.set_round_hook(
+      [this, lane = &lane] { bed_->net().advance_round(1, lane); });
+  engine.attach_tunnel(prober);
+  Rng rng(proxy_seed(config_.seed, row.host_index), "audit");
+  auto tp = measure::two_phase_measure(*bed_, engine, rng, config_.two_phase);
+  // A copy, not a move: the copy is sized exactly, while the campaign's
+  // vector keeps its growth slack for as long as the row lives.
+  row.observations = tp.observations;
+  row.campaign = tp.stats;
+  row.tunnel_flagged = engine.tunnel_flagged();
+  // Registry-backed view of this campaign's stats. The engine is fresh
+  // per proxy, so each row publishes exactly once; the TLS shard merge
+  // makes the totals thread-count independent.
+  measure::publish_campaign_stats(row.campaign);
+  if (jseq) {
+    const measure::CampaignStats& st = row.campaign;
+    obs::Event(row.host_index, (*jseq)++, obs::Scope::kVerdict, "campaign")
+        .text("provider", row.provider)
+        .num("claimed_country", row.claimed)
+        .num("observations", row.observations.size())
+        .num("probes_sent", st.probes_sent)
+        .num("ok", st.ok)
+        .num("refused_measured", st.refused_measured)
+        .num("timeouts", st.timeouts)
+        .num("dropped", st.dropped)
+        .num("retries", st.retries)
+        .num("retry_exhausted", st.retry_exhausted)
+        .num("breaker_trips", st.breaker_trips)
+        .num("breaker_skips", st.breaker_skips)
+        .num("replacements", st.replacements)
+        .num("tunnel_drops", st.tunnel_drops)
+        .num("rounds", st.rounds)
+        .flag("tunnel_flagged", row.tunnel_flagged)
+        .emit();
+  }
+  return tp.continent;
+}
+
+void Auditor::record_estimate(ProxyAuditRow& row, algos::GeoEstimate est,
+                              std::uint32_t* jseq) const {
+  const bool solved = !row.observations.empty();
+  if (!solved) est.region = grid::Region(*grid_);
+  row.region = std::move(est.region);
+  row.constraints_total = est.constraints_total;
+  row.constraints_used = est.constraints_used;
+  row.landmark_used = std::move(est.used);
+  // Byzantine verdict (DESIGN.md §11): the winning coalition left out
+  // too many constraints. Honest campaigns on this testbed are fully
+  // consistent (agreement 1.0 via the subset fast path), so a small
+  // coalition means somebody — landmarks or the proxy — lied.
+  row.byzantine = row.constraints_total >= config_.byzantine_min_constraints &&
+                  row.agreement() < config_.byzantine_min_agreement;
+  if (!jseq || !solved) return;
+  const std::size_t pid = row.host_index;
+  for (std::size_t j = 0; j < row.observations.size(); ++j) {
+    const algos::Observation& ob = row.observations[j];
+    obs::Event(pid, (*jseq)++, obs::Scope::kVerdict, "constraint")
+        .num("idx", j)
+        .num("landmark", ob.landmark_id)
+        .real("lat", ob.landmark.lat_deg)
+        .real("lon", ob.landmark.lon_deg)
+        .real("delay_ms", ob.one_way_delay_ms)
+        .flag("used", j < row.landmark_used.size()
+                          ? static_cast<bool>(row.landmark_used[j])
+                          : true)
+        .emit();
+  }
+  // Subset facts are execution-schedule invariant (refined and memoised
+  // solves are pinned bit-identical to flat ones), so the lcs event is
+  // kVerdict; the path actually taken is kSchedule by nature.
+  obs::Event(pid, (*jseq)++, obs::Scope::kVerdict, "lcs")
+      .num("total", row.constraints_total)
+      .num("used", row.constraints_used)
+      .num("baseline_subset", est.prov.baseline_subset)
+      .num("discarded_by_baseline", est.prov.discarded_by_baseline)
+      .real("agreement", row.agreement())
+      .num("margin", row.constraints_total - row.constraints_used)
+      .flag("byzantine", row.byzantine)
+      .emit();
+  obs::Event(pid, (*jseq)++, obs::Scope::kSchedule, "refine")
+      .flag("refined", est.prov.refined)
+      .num("levels", est.prov.ladder.size())
+      .text("ladder", ladder_string(est.prov))
+      .emit();
+}
+
+void Auditor::assess_row(ProxyAuditRow& row, std::uint32_t* jseq) {
+  ClaimAssessment base =
+      assess_claim(bed_->world(), raster_, row.region, row.claimed);
+  row.verdict_raw = base.country;
+  row.continent_verdict = base.continent;
+  row.empty_prediction = base.empty_prediction || row.observations.empty();
+  row.candidates = base.covered_countries;
+  if (config_.use_data_centers) {
+    Disambiguated d = disambiguate_by_data_centers(bed_->world(), row.region,
+                                                   row.claimed, base);
+    row.verdict_dc = d.verdict;
+    row.candidates = d.candidates;
+  } else {
+    row.verdict_dc = base.country;
+  }
+  // AS//24 grouping is a cross-proxy join over a whole report; run()
+  // applies it after every row is assessed (DESIGN.md §15).
+  row.verdict_final = row.verdict_dc;
+
+  row.area_km2 = row.region.area_km2();
+  row.centroid = row.region.centroid();
+  if (row.centroid) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& ob : row.observations)
+      best = std::min(best, geo::distance_km(ob.landmark, *row.centroid));
+    row.nearest_landmark_km = best;
+  }
+  row.iclab_accepted =
+      !row.observations.empty() &&
+      iclab_.accepts(row.observations, country_landmark_km(row.claimed));
+  if (jseq) {
+    obs::Event ev(row.host_index, (*jseq)++, obs::Scope::kVerdict, "assess");
+    ev.text("verdict_raw", to_string(row.verdict_raw))
+        .text("verdict_dc", to_string(row.verdict_dc))
+        .text("continent", to_string(row.continent_verdict))
+        .flag("empty_prediction", row.empty_prediction)
+        .real("area_km2", row.area_km2)
+        .num("candidates", row.candidates.size())
+        .flag("iclab_accepted", row.iclab_accepted);
+    if (row.centroid) {
+      ev.real("centroid_lat", row.centroid->lat_deg)
+          .real("centroid_lon", row.centroid->lon_deg)
+          .real("nearest_landmark_km", row.nearest_landmark_km);
+    }
+    ev.emit();
+  }
+}
+
+void Auditor::journal_verdict(const ProxyAuditRow& row,
+                              std::uint32_t& jseq) const {
+  obs::Event(row.host_index, jseq++, obs::Scope::kVerdict, "verdict")
+      .text("final", to_string(row.verdict_final))
+      .flag("byzantine", row.byzantine)
+      .flag("tunnel_flagged", row.tunnel_flagged)
+      .real("area_km2", row.area_km2)
+      .emit();
+}
+
+void Auditor::summarize(AuditReport& report) const {
+  report.grid = grid_;
+  report.plan_cache = plan_cache_.stats();
+  for (const auto& row : report.rows)
+    report.campaign_totals.merge(row.campaign);
+
+  // Suspicion fold (DESIGN.md §11): tally, per landmark, how often the
+  // subset engine excluded it from a winning coalition. Folded in row
+  // order, so the table is thread-count independent.
+  std::vector<std::size_t> ids;
+  for (const auto& row : report.rows) {
+    if (row.landmark_used.empty()) continue;
+    ids.clear();
+    ids.reserve(row.observations.size());
+    for (const auto& ob : row.observations) ids.push_back(ob.landmark_id);
+    report.suspicion.record(ids, row.landmark_used);
+  }
+  std::vector<std::size_t> suspicious = report.suspicion.flagged(
+      config_.suspicion_min_score, config_.suspicion_min_solves);
+
+  // Drift watchdogs (DESIGN.md §14): per-landmark EWMA of the residual
+  // between each observed delay and what the landmark's own bestline
+  // predicts at the distance to the verdict centroid. Honest bestline
+  // residuals sit at or above zero (the fit is a lower envelope), so a
+  // strongly negative EWMA means impossible-fast replies — a deflating
+  // landmark — while a far-positive one means the landmark's path has
+  // degraded since calibration. Fed serially in row order.
+  measure::DriftWatchdog dog(bed_->landmarks().size(), config_.drift);
+  for (const auto& row : report.rows) {
+    if (!row.centroid) continue;
+    for (const auto& ob : row.observations) {
+      const calib::CbgModel& m = bed_->store().cbg(ob.landmark_id);
+      const double dist = geo::distance_km(ob.landmark, *row.centroid);
+      dog.observe(ob.landmark_id,
+                  ob.one_way_delay_ms -
+                      (m.intercept_ms() + m.slope_ms_per_km() * dist));
+    }
+  }
+  report.drift = dog.entries();
+  report.drift_flagged = dog.flagged();
+  // The suspicious set is the union of both signals, sorted ascending.
+  suspicious.insert(suspicious.end(), report.drift_flagged.begin(),
+                    report.drift_flagged.end());
+  std::sort(suspicious.begin(), suspicious.end());
+  suspicious.erase(std::unique(suspicious.begin(), suspicious.end()),
+                   suspicious.end());
+  report.suspicious_landmarks = std::move(suspicious);
+}
+
 AuditReport Auditor::run(const world::Fleet& fleet) {
   AGEO_SPAN("assess", "audit.run");
   AGEO_COUNT("assess.audit.runs");
   AGEO_COUNTER_ADD("assess.audit.proxies", fleet.hosts.size());
+  const std::size_t n = fleet.hosts.size();
   AuditReport report;
-  report.grid = grid_;
 
-  // Register the client and every proxy on the simulated network.
-  netsim::HostProfile client_profile;
-  client_profile.location = config_.client_location;
-  client_profile.net_quality = 0.95;
-  netsim::HostId client = bed_->add_host(client_profile);
-
+  const netsim::HostId client = register_client();
   std::vector<netsim::ProxySession> sessions;
-  sessions.reserve(fleet.hosts.size());
-  for (const auto& h : fleet.hosts) {
-    netsim::HostProfile p;
-    p.location = h.true_location;
-    p.net_quality = 0.8;
-    p.icmp_responds = h.pingable;
-    p.tcp_port80_open = true;
-    p.filters_uncommon_ports = true;
-    p.sends_time_exceeded = !h.drops_time_exceeded;
-    netsim::HostId id = bed_->add_host(p);
-    netsim::ProxyBehavior behavior;
-    behavior.icmp_responds = h.pingable;
-    behavior.gateway_pingable = h.gateway_pingable;
-    behavior.drops_time_exceeded = h.drops_time_exceeded;
-    sessions.emplace_back(bed_->net(), client, id, behavior);
-  }
+  sessions.reserve(n);
+  for (const auto& h : fleet.hosts) sessions.push_back(open_tunnel(client, h));
 
   // Fleet-wide eta from the pingable minority (paper Fig. 13). Serial,
   // on the network's default lane, before any fan-out.
@@ -177,37 +423,13 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   }
   AGEO_GAUGE_SET("assess.audit.eta", report.eta.eta);
 
-  // Warm the lazily-cached country regions and their per-landmark
-  // distance tables while still single-threaded; the workers below only
-  // read them. All missing regions are built in ONE raster pass (the
-  // lazy path pays a full-grid scan per country); per-country bits are
-  // identical either way, since both set exactly the raster-match cells
-  // plus the capital.
+  // Warm the country caches while still single-threaded; the workers
+  // below only read them.
   {
-    AGEO_SPAN("assess", "audit.warm_countries");
-    std::vector<std::uint8_t> pending(country_regions_.size(), 0);
-    bool any_pending = false;
-    for (const auto& h : fleet.hosts) {
-      const world::CountryId id = h.claimed_country;
-      detail::require(id < country_regions_.size(),
-                      "Auditor: bad claimed country id");
-      if (!country_regions_[id] && !pending[id]) {
-        pending[id] = 1;
-        any_pending = true;
-        country_regions_[id].emplace(*grid_);
-      }
-    }
-    if (any_pending) {
-      for (std::size_t c = 0; c < grid_->size(); ++c) {
-        const world::CountryId id = raster_.at(c);
-        if (id < pending.size() && pending[id]) country_regions_[id]->set(c);
-      }
-      for (std::size_t id = 0; id < pending.size(); ++id)
-        if (pending[id])
-          country_regions_[id]->set(
-              grid_->cell_at(bed_->world().country(id).capital));
-    }
-    for (const auto& h : fleet.hosts) country_landmark_km(h.claimed_country);
+    std::vector<world::CountryId> claimed;
+    claimed.reserve(n);
+    for (const auto& h : fleet.hosts) claimed.push_back(h.claimed_country);
+    warm_countries(claimed);
   }
 
   // Per-proxy fan-out. Every campaign is self-contained: its own RNG
@@ -216,8 +438,7 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   // host index, never on scheduling — threads=1 and threads=N produce
   // bit-identical reports, and the serial path IS the parallel path run
   // on one worker.
-  const std::size_t n = fleet.hosts.size();
-
+  //
   // Verdict provenance journal (obs/journal.hpp). Each proxy gets its
   // own event sequence counter; the phases are barrier-separated and
   // exactly one worker touches a proxy within a phase, so the counters
@@ -225,10 +446,12 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   // collected journal thread-count independent.
   const bool journal = obs::journal_runtime_on();
   std::vector<std::uint32_t> jseq(journal ? n : 0, 0);
+  const auto cursor = [&](std::size_t i) -> std::uint32_t* {
+    return journal ? &jseq[i] : nullptr;
+  };
   // Wall-clock verdict latency per proxy, accumulated across the three
-  // phases (phase B attributes its block's elapsed time evenly to the
-  // block members). Clocks are read only when telemetry wants them, so
-  // the runtime-off path stays free.
+  // phases. Clocks are read only when telemetry wants them, so the
+  // runtime-off path stays free.
   const bool timing = obs::metrics_enabled() || journal;
   std::vector<double> lat_us(timing ? n : 0, 0.0);
 
@@ -240,148 +463,32 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   for (std::size_t i = 0; i < n; ++i)
     lanes.push_back(bed_->net().make_lane(proxy_seed(config_.seed, i)));
 
-  // Phase A: measurement campaigns. Each proxy's campaign is entirely
-  // self-contained (own RNG streams, lane, breaker board).
+  // Phase A: measurement campaigns.
   parallel_for(n, config_.threads, [&](std::size_t i) {
     AGEO_SPAN("assess", "audit.proxy");
     AGEO_TIMED_US("assess.audit.proxy_us", 10.0, 1e8);
     std::chrono::steady_clock::time_point t0;
     if (timing) t0 = std::chrono::steady_clock::now();
-    const auto& host = fleet.hosts[i];
-    ProxyAuditRow row;
-    row.host_index = i;
-    row.provider = host.provider;
-    row.claimed = host.claimed_country;
-    row.claimed_continent = bed_->world().continent_of(host.claimed_country);
-    row.true_country = host.true_country;
-
+    rows[i] = new_row(i, fleet.hosts[i]);
     sessions[i].set_lane(&lanes[i]);
     measure::ProxyProber prober(*bed_, sessions[i], report.eta.eta,
                                 config_.self_ping_samples);
-    measure::CampaignEngine engine(prober.as_rich_probe_fn(),
-                                   config_.campaign, &boards[i]);
-    engine.set_round_hook(
-        [this, lane = &lanes[i]] { bed_->net().advance_round(1, lane); });
-    engine.attach_tunnel(prober);
-    Rng rng(proxy_seed(config_.seed, i), "audit");
-    auto tp = measure::two_phase_measure(*bed_, engine, rng,
-                                         config_.two_phase);
-    row.observations = tp.observations;
-    row.campaign = tp.stats;
-    row.tunnel_flagged = engine.tunnel_flagged();
-    // Registry-backed view of this campaign's stats. The engine is
-    // fresh per proxy, so each row publishes exactly once; the TLS
-    // shard merge makes the totals thread-count independent.
-    measure::publish_campaign_stats(row.campaign);
-    if (journal) {
-      const measure::CampaignStats& st = row.campaign;
-      obs::Event(i, jseq[i]++, obs::Scope::kVerdict, "campaign")
-          .text("provider", row.provider)
-          .num("claimed_country", row.claimed)
-          .num("observations", row.observations.size())
-          .num("probes_sent", st.probes_sent)
-          .num("ok", st.ok)
-          .num("refused_measured", st.refused_measured)
-          .num("timeouts", st.timeouts)
-          .num("dropped", st.dropped)
-          .num("retries", st.retries)
-          .num("retry_exhausted", st.retry_exhausted)
-          .num("breaker_trips", st.breaker_trips)
-          .num("breaker_skips", st.breaker_skips)
-          .num("replacements", st.replacements)
-          .num("tunnel_drops", st.tunnel_drops)
-          .num("rounds", st.rounds)
-          .flag("tunnel_flagged", row.tunnel_flagged)
-          .emit();
-    }
-    rows[i] = std::move(row);
+    measure_proxy(rows[i], prober, lanes[i], &boards[i], cursor(i));
     if (timing) lat_us[i] = elapsed_us(t0);
   });
 
-  // Phase B: localization, in contiguous host-index blocks of
-  // config_.locate_batch proxies handed to the locator's batched entry
-  // point. Block composition depends only on host order, and each
-  // block's result depends only on its own observations, so reports are
-  // bit-identical across both thread counts and batch sizes.
-  std::vector<std::size_t> to_locate;
-  to_locate.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rows[i].observations.empty()) {
-      rows[i].empty_prediction = true;
-      rows[i].region = grid::Region(*grid_);
-    } else {
-      to_locate.push_back(i);
-    }
-  }
-  const std::size_t bsz = std::max<std::size_t>(1, config_.locate_batch);
-  const std::size_t nblocks = (to_locate.size() + bsz - 1) / bsz;
-  parallel_for(nblocks, config_.threads, [&](std::size_t blk) {
-    AGEO_SPAN("assess", "audit.locate_block");
+  // Phase B: localization, one locate() per proxy. Each row's solve
+  // depends only on its own observations.
+  parallel_for(n, config_.threads, [&](std::size_t i) {
+    AGEO_SPAN("assess", "audit.locate");
     std::chrono::steady_clock::time_point t0;
     if (timing) t0 = std::chrono::steady_clock::now();
-    const std::size_t lo = blk * bsz;
-    const std::size_t hi = std::min(lo + bsz, to_locate.size());
-    std::vector<algos::GeoEstimate> ests(hi - lo);
-    std::vector<algos::BatchLocateItem> items(hi - lo);
-    for (std::size_t k = 0; k < hi - lo; ++k)
-      items[k] = {rows[to_locate[lo + k]].observations, &ests[k]};
-    locator_->locate_batch(*grid_, bed_->store(), items, &mask_);
-    for (std::size_t k = 0; k < hi - lo; ++k) {
-      const std::size_t pid = to_locate[lo + k];
-      ProxyAuditRow& row = rows[pid];
-      algos::GeoEstimate& est = ests[k];
-      row.region = std::move(est.region);
-      row.constraints_total = est.constraints_total;
-      row.constraints_used = est.constraints_used;
-      row.landmark_used = std::move(est.used);
-      // Byzantine verdict (DESIGN.md §11): the winning coalition left
-      // out too many constraints. Honest campaigns on this testbed are
-      // fully consistent (agreement 1.0 via the subset fast path), so a
-      // small coalition means somebody — landmarks or the proxy — lied.
-      row.byzantine =
-          row.constraints_total >= config_.byzantine_min_constraints &&
-          row.agreement() < config_.byzantine_min_agreement;
-      if (journal) {
-        std::uint32_t& sq = jseq[pid];
-        for (std::size_t j = 0; j < row.observations.size(); ++j) {
-          const algos::Observation& ob = row.observations[j];
-          obs::Event(pid, sq++, obs::Scope::kVerdict, "constraint")
-              .num("idx", j)
-              .num("landmark", ob.landmark_id)
-              .real("lat", ob.landmark.lat_deg)
-              .real("lon", ob.landmark.lon_deg)
-              .real("delay_ms", ob.one_way_delay_ms)
-              .flag("used", j < row.landmark_used.size()
-                                ? static_cast<bool>(row.landmark_used[j])
-                                : true)
-              .emit();
-        }
-        // Subset facts are execution-schedule invariant (the batched
-        // fast path and refined solves are pinned bit-identical to the
-        // scalar flat ones), so the lcs event is kVerdict; the path
-        // actually taken is kSchedule by nature.
-        obs::Event(pid, sq++, obs::Scope::kVerdict, "lcs")
-            .num("total", row.constraints_total)
-            .num("used", row.constraints_used)
-            .num("baseline_subset", est.prov.baseline_subset)
-            .num("discarded_by_baseline", est.prov.discarded_by_baseline)
-            .real("agreement", row.agreement())
-            .num("margin", row.constraints_total - row.constraints_used)
-            .flag("byzantine", row.byzantine)
-            .emit();
-        obs::Event(pid, sq++, obs::Scope::kSchedule, "refine")
-            .flag("refined", est.prov.refined)
-            .flag("batched", est.prov.batched_fast_path)
-            .num("levels", est.prov.ladder.size())
-            .text("ladder", ladder_string(est.prov))
-            .emit();
-      }
-    }
-    if (timing && hi > lo) {
-      const double per = elapsed_us(t0) / static_cast<double>(hi - lo);
-      for (std::size_t k = 0; k < hi - lo; ++k)
-        lat_us[to_locate[lo + k]] += per;
-    }
+    ProxyAuditRow& row = rows[i];
+    algos::GeoEstimate est;
+    if (!row.observations.empty())
+      est = locator_->locate(*grid_, bed_->store(), row.observations, &mask_);
+    record_estimate(row, std::move(est), cursor(i));
+    if (timing) lat_us[i] += elapsed_us(t0);
   });
 
   // Phase C: per-proxy claim assessment and disambiguation (read-only
@@ -390,117 +497,21 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
     AGEO_SPAN("assess", "audit.assess");
     std::chrono::steady_clock::time_point t0;
     if (timing) t0 = std::chrono::steady_clock::now();
-    ProxyAuditRow& row = rows[i];
-    ClaimAssessment base =
-        assess_claim(bed_->world(), raster_, row.region, row.claimed);
-    row.verdict_raw = base.country;
-    row.continent_verdict = base.continent;
-    row.empty_prediction = base.empty_prediction || row.empty_prediction;
-    row.candidates = base.covered_countries;
-
-    if (config_.use_data_centers) {
-      Disambiguated d = disambiguate_by_data_centers(
-          bed_->world(), row.region, row.claimed, base);
-      row.verdict_dc = d.verdict;
-      row.candidates = d.candidates;
-    } else {
-      row.verdict_dc = base.country;
-    }
-    row.verdict_final = row.verdict_dc;
-
-    row.area_km2 = row.region.area_km2();
-    row.centroid = row.region.centroid();
-    if (row.centroid) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto& ob : row.observations)
-        best = std::min(best,
-                        geo::distance_km(ob.landmark, *row.centroid));
-      row.nearest_landmark_km = best;
-    }
-    row.iclab_accepted =
-        !row.observations.empty() &&
-        iclab_.accepts(row.observations, country_landmark_km(row.claimed));
-    if (journal) {
-      obs::Event ev(i, jseq[i]++, obs::Scope::kVerdict, "assess");
-      ev.text("verdict_raw", to_string(row.verdict_raw))
-          .text("verdict_dc", to_string(row.verdict_dc))
-          .text("continent", to_string(row.continent_verdict))
-          .flag("empty_prediction", row.empty_prediction)
-          .real("area_km2", row.area_km2)
-          .num("candidates", row.candidates.size())
-          .flag("iclab_accepted", row.iclab_accepted);
-      if (row.centroid) {
-        ev.real("centroid_lat", row.centroid->lat_deg)
-            .real("centroid_lon", row.centroid->lon_deg)
-            .real("nearest_landmark_km", row.nearest_landmark_km);
-      }
-      ev.emit();
-    }
+    assess_row(rows[i], cursor(i));
     if (timing) lat_us[i] += elapsed_us(t0);
   });
 
-  // Deterministic joins: fold per-proxy stats and breaker boards in
-  // host-index order, regardless of which worker ran what.
+  // Deterministic joins: fold per-proxy breaker boards in host-index
+  // order, regardless of which worker ran what.
   measure::BreakerBoard merged(config_.campaign.breaker);
   for (std::size_t i = 0; i < n; ++i) {
-    report.campaign_totals.merge(rows[i].campaign);
     merged.merge(boards[i]);
     sessions[i].set_lane(nullptr);  // lanes die with this scope
   }
   run_board_ = std::move(merged);
   report.rows = std::move(rows);
-  report.plan_cache = plan_cache_.stats();
-
   if (config_.use_as_grouping) apply_as_grouping(report.rows, fleet);
-
-  // Suspicion fold (DESIGN.md §11): tally, per landmark, how often the
-  // subset engine excluded it from a winning coalition. Folded from the
-  // rows in host-index order so the table is thread-count independent.
-  {
-    std::vector<std::size_t> ids;
-    for (const auto& row : report.rows) {
-      if (row.landmark_used.empty()) continue;
-      ids.clear();
-      ids.reserve(row.observations.size());
-      for (const auto& ob : row.observations) ids.push_back(ob.landmark_id);
-      report.suspicion.record(ids, row.landmark_used);
-    }
-    report.suspicious_landmarks = report.suspicion.flagged(
-        config_.suspicion_min_score, config_.suspicion_min_solves);
-  }
-
-  // Drift watchdogs (DESIGN.md §14): per-landmark EWMA of the residual
-  // between each observed delay and what the landmark's own bestline
-  // predicts at the distance to the verdict centroid. Honest bestline
-  // residuals sit at or above zero (the fit is a lower envelope), so a
-  // strongly negative EWMA means impossible-fast replies — a deflating
-  // landmark — while a far-positive one means the landmark's path has
-  // degraded since calibration. Fed serially in host-index order so the
-  // entries and flag set are thread-count independent.
-  {
-    measure::DriftWatchdog dog(bed_->landmarks().size(), config_.drift);
-    for (const auto& row : report.rows) {
-      if (!row.centroid) continue;
-      for (const auto& ob : row.observations) {
-        const calib::CbgModel& m = bed_->store().cbg(ob.landmark_id);
-        const double dist = geo::distance_km(ob.landmark, *row.centroid);
-        dog.observe(ob.landmark_id,
-                    ob.one_way_delay_ms -
-                        (m.intercept_ms() + m.slope_ms_per_km() * dist));
-      }
-    }
-    report.drift = dog.entries();
-    report.drift_flagged = dog.flagged();
-    // The report's suspicious set is the union of both signals —
-    // exclusion frequency and drift — sorted ascending.
-    std::vector<std::size_t> merged_ids = report.suspicious_landmarks;
-    merged_ids.insert(merged_ids.end(), report.drift_flagged.begin(),
-                      report.drift_flagged.end());
-    std::sort(merged_ids.begin(), merged_ids.end());
-    merged_ids.erase(std::unique(merged_ids.begin(), merged_ids.end()),
-                     merged_ids.end());
-    report.suspicious_landmarks = std::move(merged_ids);
-  }
+  summarize(report);
 
   // Serial epilogue: verdict tallies and run-level gauges, then the
   // run's telemetry snapshot. Everything here is counted exactly once
@@ -523,7 +534,7 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
       if (row.byzantine) AGEO_COUNT("assess.audit.byzantine_rows");
       AGEO_HIST("assess.audit.region_area_km2", row.area_km2, 1e3, 1e9);
     }
-    // SLO view of per-proxy verdict latency (campaign + locate share +
+    // SLO view of per-proxy verdict latency (campaign + locate +
     // assess). Wall-clock by nature, so it lives outside determinism
     // diffs; the exporters surface p50/p90/p99 from the histogram.
     for (const auto& row : report.rows)
@@ -566,12 +577,7 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   if (journal) {
     for (const auto& row : report.rows) {
       std::uint32_t& sq = jseq[row.host_index];
-      obs::Event(row.host_index, sq++, obs::Scope::kVerdict, "verdict")
-          .text("final", to_string(row.verdict_final))
-          .flag("byzantine", row.byzantine)
-          .flag("tunnel_flagged", row.tunnel_flagged)
-          .real("area_km2", row.area_km2)
-          .emit();
+      journal_verdict(row, sq);
       obs::Event(row.host_index, sq++, obs::Scope::kWall, "latency")
           .real("verdict_us", lat_us[row.host_index])
           .emit();

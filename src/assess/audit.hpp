@@ -96,20 +96,15 @@ struct AuditConfig {
   /// bit-identical reports: every proxy's campaign draws from its own
   /// (seed xor host-index)-derived RNG streams and network lane.
   int threads = 1;
-  /// Proxies per locate_batch() call in run()'s localization phase
-  /// (blocks are contiguous in host-index order, so the composition is
-  /// thread-count independent). 1 = per-proxy locate(); larger values
-  /// let batch-aware locators (CBG++) touch each landmark's scan plan
-  /// once per block instead of once per proxy. Any value yields
-  /// bit-identical reports.
-  std::size_t locate_batch = 8;
 };
 
 /// Build the geolocator an AuditConfig selects (plan cache and refine
-/// context not yet attached). Shared by the Auditor and the always-on
-/// audit service (src/serve), so both resolve an AuditConfig to the
-/// same algorithm and options.
+/// context not yet attached).
 std::unique_ptr<algos::Geolocator> make_geolocator(const AuditConfig& c);
+
+/// Independent per-proxy seed: the audit seed xor a mixed host index.
+/// Seeds each proxy's campaign RNG and its epoch-0 network lane.
+std::uint64_t proxy_seed(std::uint64_t seed, std::size_t host_index);
 
 struct ProxyAuditRow {
   std::size_t host_index = 0;  // into Fleet::hosts
@@ -197,19 +192,31 @@ struct AuditReport {
   std::vector<std::size_t> suspicious_landmarks;
 };
 
+/// The §6 audit pipeline. run() audits a fleet once; the stages it runs
+/// are public so the always-on service (src/serve) drives the same
+/// implementation from its bootstrap, streaming rounds and restore.
 class Auditor {
  public:
   Auditor(measure::Testbed& bed, AuditConfig config = {});
 
-  /// Audit every host of the fleet.
+  /// Audit every host of the fleet: register → eta → warm → campaign →
+  /// locate → assess, then the batch-only AS//24 grouping join and the
+  /// run-level ledgers.
   AuditReport run(const world::Fleet& fleet);
 
   const grid::Grid& grid() const noexcept { return *grid_; }
   const grid::Region& plausibility_mask() const noexcept { return mask_; }
+  /// Built from the config's algorithm, with the plan cache and (when the
+  /// schedule is enabled) the refine context attached. Shared read-only
+  /// across worker threads.
+  const algos::Geolocator& locator() const noexcept { return *locator_; }
+  const grid::CapPlanCache& plan_cache() const noexcept {
+    return plan_cache_;
+  }
 
-  /// Region of one country on the audit grid (cached lazily; run()
-  /// pre-warms every claimed country before fanning out, after which
-  /// worker threads only read the cache).
+  /// Region of one country on the audit grid (cached lazily;
+  /// warm_countries() builds every claimed country before a fan-out,
+  /// after which worker threads only read the cache).
   const grid::Region& country_region(world::CountryId id);
 
   /// Per-landmark minimum distances from the country's region, indexed
@@ -224,6 +231,50 @@ class Auditor {
   const measure::BreakerBoard& run_board() const noexcept {
     return run_board_;
   }
+
+  // ---- pipeline stages ----
+  // Journaling stages take the proxy's event-sequence cursor; null means
+  // the stage emits nothing.
+
+  /// Register the measurement client on the simulated network. The
+  /// network deals host ids (and per-host RNG streams) in registration
+  /// order, so the client goes first and proxies follow in index order.
+  netsim::HostId register_client();
+  /// Register one proxy host and open its tunnel from `client`.
+  netsim::ProxySession open_tunnel(netsim::HostId client,
+                                   const world::ProxyHost& host);
+  /// A fresh row carrying host `index`'s identity and claim.
+  ProxyAuditRow new_row(std::size_t index,
+                        const world::ProxyHost& host) const;
+  /// Build the country caches for these claimed countries in one raster
+  /// pass. Call single-threaded before any fan-out that assesses them.
+  void warm_countries(std::span<const world::CountryId> ids);
+  /// Campaign stage: the two-phase measurement of `row`'s proxy through
+  /// `prober`, whose session rides `lane`. Fills the row's observations,
+  /// campaign stats and tunnel flag, publishes the stats, journals the
+  /// campaign event, and returns the continent phase 1 settled on.
+  world::Continent measure_proxy(ProxyAuditRow& row,
+                                 measure::ProxyProber& prober,
+                                 netsim::Lane& lane,
+                                 measure::BreakerBoard* board,
+                                 std::uint32_t* jseq) const;
+  /// Locate stage, row side: move a solve of `row.observations` into the
+  /// row (region, constraint counts, used mask, Byzantine flag) and
+  /// journal its constraint, lcs and refine events. A row without
+  /// observations gets an empty region and journals nothing.
+  void record_estimate(ProxyAuditRow& row, algos::GeoEstimate est,
+                       std::uint32_t* jseq) const;
+  /// Assess stage: classify the claim against the row's region, narrow
+  /// it with data centers, and fill area, centroid, nearest landmark and
+  /// the ICLab check; journals the assess event. Leaves verdict_final ==
+  /// verdict_dc. The claimed country must be warm.
+  void assess_row(ProxyAuditRow& row, std::uint32_t* jseq);
+  /// Journal the row's final verdict event.
+  void journal_verdict(const ProxyAuditRow& row, std::uint32_t& jseq) const;
+  /// Report stage: grid, plan-cache counters, campaign totals, and the
+  /// landmark suspicion and drift ledgers, folded over `report.rows` in
+  /// row order.
+  void summarize(AuditReport& report) const;
 
  private:
   measure::Testbed* bed_;

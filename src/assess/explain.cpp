@@ -121,8 +121,6 @@ std::string explain_proxy(const obs::JournalDump& dump,
                                                       field_q(*ev, "levels") +
                                                       " level pass(es)"
                                                 : "off (flat solve)") +
-                      (flag_set(*ev, "batched") ? ", batched fast path"
-                                                : "") +
                       (ladder.empty()
                            ? ""
                            : " [cell_deg:survivors " + ladder + "]"));

@@ -113,8 +113,8 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
 
 /// AND one more conservatively-padded disk into `region` using the
 /// landmark's cached scan plan — the same fused
-/// `intersect_annulus_into(0, max_km + pad)` call the batched CBG++
-/// fast path issues, so `B ∩ disk` here equals rebuilding the
+/// `intersect_annulus_into(0, max_km + pad)` call CBG++'s locate_memo
+/// issues per disk, so `B ∩ disk` here equals rebuilding the
 /// intersection from scratch. Returns false when the region emptied
 /// (the caller must fall back to a full re-solve: the scalar path
 /// would enter the general coverage sweep).

@@ -12,11 +12,11 @@
 //
 // Determinism is scoped per event:
 //  - Scope::kVerdict   — facts invariant under every execution schedule
-//    (threads, locate_batch, refine levels). The kVerdict view of a
-//    journal is byte-identical across all of them.
-//  - Scope::kSchedule  — facts that depend on the batching/refinement
-//    schedule (ladder survivor counts, fast-path flags) but not on
-//    thread count.
+//    (threads, refine levels, memoised vs from-scratch solves). The
+//    kVerdict view of a journal is byte-identical across all of them,
+//    and between a batch audit and a service bootstrap of one fleet.
+//  - Scope::kSchedule  — facts that depend on the refinement schedule
+//    (ladder survivor counts) but not on thread count.
 //  - Scope::kWall      — wall-clock timings; never compared.
 // The seq key is assigned per proxy by the (single) worker that owns it
 // in each barrier-separated phase and is *not* serialized, so a

@@ -1,18 +1,13 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "geo/geodesy.hpp"
-#include "geo/units.hpp"
-#include "geo/vec3.hpp"
 #include "grid/scratch.hpp"
-#include "measure/drift.hpp"
 #include "obs/journal.hpp"
 #include "obs/obs.hpp"
 
@@ -20,26 +15,18 @@ namespace ageo::serve {
 
 namespace {
 
-/// Independent per-entry seed (same golden-ratio mix as the batch
-/// Auditor): the service seed xor a spread entry id.
-std::uint64_t entry_seed(std::uint64_t seed, std::size_t id) {
-  return seed ^
-         ((static_cast<std::uint64_t>(id) + 1) * 0x9e3779b97f4a7c15ULL);
-}
-
 /// Fresh network lane per (entry, epoch): each streaming round draws
 /// from its own stream, so a round's measurements depend only on
 /// (config seed, entry id, epoch) — never on which other entries were
 /// scheduled, in what order, or on how many worker threads ran them.
 /// Restore determinism hangs on this: a resumed service regenerates the
 /// exact lane a continued original would have used. Streaming epochs
-/// count from 1; bootstrap (epoch 0) uses entry_seed directly, which is
-/// exactly the batch Auditor's campaign lane seed — that is what makes
-/// bootstrap rows bit-identical to Auditor::run on the same fleet.
+/// count from 1; bootstrap (epoch 0) uses the batch Auditor's own
+/// campaign lane seed, which is what makes bootstrap rows bit-identical
+/// to Auditor::run on the same fleet.
 std::uint64_t round_lane_seed(std::uint64_t seed, std::size_t id,
                               std::uint64_t epoch) {
-  if (epoch == 0) return entry_seed(seed, id);
-  return entry_seed(seed, id) + epoch * 0xd1b54a32d192ed03ULL;
+  return assess::proxy_seed(seed, id) + epoch * 0xd1b54a32d192ed03ULL;
 }
 
 double elapsed_us(std::chrono::steady_clock::time_point t0) {
@@ -53,118 +40,28 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
 AuditService::AuditService(measure::Testbed& bed, ServiceConfig config)
     : bed_(&bed),
       config_(config),
-      grid_(std::make_shared<grid::Grid>(config.audit.grid_cell_deg)),
-      mask_(bed.world().plausibility_mask(*grid_)),
-      raster_(bed.world().country_raster(*grid_)),
-      country_regions_(bed.world().country_count()),
-      country_landmark_km_(bed.world().country_count()),
-      plan_cache_(config.audit.plan_cache_capacity != 0
-                      ? config.audit.plan_cache_capacity
-                      // Same auto-sizing as the batch Auditor: one slot
-                      // per landmark and refinement level, so steady-
-                      // state solves never thrash the cache.
-                      : std::max<std::size_t>(
-                            512, bed.landmarks().size() *
-                                     (1 + config.audit.refine.levels.size()))),
-      locator_(assess::make_geolocator(config.audit)),
-      iclab_(config.audit.iclab),
-      pool_(config.shards, config.shard_capacity) {
-  locator_->set_plan_cache(&plan_cache_);
-  if (config_.audit.refine.enabled()) {
-    refine_ctx_.emplace(*grid_, config_.audit.refine);
-    refine_ctx_->prepare_mask(mask_);
-    locator_->set_refine(&*refine_ctx_);
-  }
-}
-
-const grid::Region& AuditService::country_region(world::CountryId id) {
-  detail::require(id < country_regions_.size(),
-                  "AuditService::country_region: bad country id");
-  if (!country_regions_[id]) {
-    grid::Region r(*grid_);
-    for (std::size_t c = 0; c < grid_->size(); ++c)
-      if (raster_.at(c) == id) r.set(c);
-    r.set(grid_->cell_at(bed_->world().country(id).capital));
-    country_regions_[id] = std::move(r);
-  }
-  return *country_regions_[id];
-}
-
-std::span<const double> AuditService::country_landmark_km(
-    world::CountryId id) {
-  detail::require(id < country_landmark_km_.size(),
-                  "AuditService::country_landmark_km: bad country id");
-  std::vector<double>& table = country_landmark_km_[id];
-  if (table.empty()) {
-    const grid::Region& region = country_region(id);
-    const auto& landmarks = bed_->landmarks();
-    std::vector<geo::Vec3> vecs;
-    vecs.reserve(landmarks.size());
-    for (const auto& lm : landmarks) vecs.push_back(geo::to_vec3(lm.location));
-    std::vector<double> dots(landmarks.size(), -2.0);
-    region.for_each_cell([&](std::size_t idx) {
-      const geo::Vec3& c = grid_->center_vec(idx);
-      for (std::size_t j = 0; j < vecs.size(); ++j) {
-        const double d = vecs[j].dot(c);
-        if (d > dots[j]) dots[j] = d;
-      }
-    });
-    table.resize(landmarks.size());
-    for (std::size_t j = 0; j < landmarks.size(); ++j) {
-      if (region.test(grid_->cell_at(landmarks[j].location))) {
-        table[j] = 0.0;
-        continue;
-      }
-      const double b = std::min(1.0, std::max(-1.0, dots[j]));
-      table[j] = geo::kEarthRadiusKm * std::acos(b);
-    }
-  }
-  return table;
-}
-
-void AuditService::warm_country(world::CountryId id) {
-  country_landmark_km(id);
-}
-
-netsim::HostId AuditService::ensure_client() {
-  if (!client_) {
-    netsim::HostProfile p;
-    p.location = config_.audit.client_location;
-    p.net_quality = 0.95;
-    client_ = bed_->add_host(p);
-  }
-  return *client_;
-}
+      auditor_(bed, config.audit),
+      pool_(config.shards, config.shard_capacity) {}
 
 void AuditService::open_tunnel(ProxyEntry& e) {
   detail::require(e.state == nullptr,
                   "AuditService::open_tunnel: tunnel already open");
-  // Client first: the simulated network deals host ids (and their
-  // per-host RNG streams) in registration order, and the batch Auditor
-  // registers its client before any proxy — bootstrap bit-identity
-  // depends on dealing the same ids.
-  const netsim::HostId client = ensure_client();
-  const world::ProxyHost& h = e.host;
-  netsim::HostProfile p;
-  p.location = h.true_location;
-  p.net_quality = 0.8;
-  p.icmp_responds = h.pingable;
-  p.tcp_port80_open = true;
-  p.filters_uncommon_ports = true;
-  p.sends_time_exceeded = !h.drops_time_exceeded;
-  const netsim::HostId id = bed_->add_host(p);
-  netsim::ProxyBehavior behavior;
-  behavior.icmp_responds = h.pingable;
-  behavior.gateway_pingable = h.gateway_pingable;
-  behavior.drops_time_exceeded = h.drops_time_exceeded;
+  // Client first, as the batch Auditor registers it: the simulated
+  // network deals host ids (and their per-host RNG streams) in
+  // registration order, and bootstrap bit-identity depends on dealing
+  // the same ids.
+  if (!client_) client_ = auditor_.register_client();
   e.state = std::make_unique<ActiveState>(
-      netsim::ProxySession(bed_->net(), client, id, behavior));
-  assess::ProxyAuditRow& row = e.state->row;
-  row.host_index = e.id;
-  row.provider = h.provider;
-  row.claimed = h.claimed_country;
-  row.claimed_continent = bed_->world().continent_of(h.claimed_country);
-  row.true_country = h.true_country;
+      auditor_.open_tunnel(*client_, e.host));
+  e.state->row = auditor_.new_row(e.id, e.host);
+}
+
+void AuditService::warm_countries(std::span<const std::size_t> ids) {
+  std::vector<world::CountryId> claimed;
+  claimed.reserve(ids.size());
+  for (std::size_t id : ids)
+    claimed.push_back(pool_.find(id)->host.claimed_country);
+  auditor_.warm_countries(claimed);
 }
 
 void AuditService::auto_size_runtime() {
@@ -181,7 +78,7 @@ void AuditService::auto_size_runtime() {
   AGEO_GAUGE_SET("serve.scratch_store_capacity",
                  static_cast<double>(per_kind));
   AGEO_GAUGE_SET("serve.plan_cache_capacity",
-                 static_cast<double>(plan_cache_.capacity()));
+                 static_cast<double>(auditor_.plan_cache().capacity()));
 }
 
 std::size_t AuditService::admit(const world::Fleet& fleet) {
@@ -223,9 +120,7 @@ void AuditService::bootstrap(std::size_t limit) {
     AGEO_GAUGE_SET("serve.eta", eta_.eta);
   }
 
-  // Warm the country caches while single-threaded.
-  for (std::size_t id : ids) warm_country(pool_.find(id)->host.claimed_country);
-
+  warm_countries(ids);
   auto_size_runtime();
 
   const bool journal = obs::journal_runtime_on();
@@ -236,122 +131,38 @@ void AuditService::bootstrap(std::size_t limit) {
     lanes.push_back(
         bed_->net().make_lane(round_lane_seed(config_.audit.seed, id, 0)));
 
-  // Phase A: per-proxy two-phase measurement campaigns.
+  // Campaign stage, per entry. The prober stays with the entry: the
+  // streaming rounds keep measuring through it.
   parallel_for(n, config_.audit.threads, [&](std::size_t k) {
     AGEO_SPAN("serve", "bootstrap.campaign");
-    ProxyEntry& e = *pool_.find(ids[k]);
-    ActiveState& st = *e.state;
+    ActiveState& st = *pool_.find(ids[k])->state;
     st.session.set_lane(&lanes[k]);
     st.prober.emplace(*bed_, st.session, eta_.eta,
                       config_.audit.self_ping_samples);
-    measure::CampaignEngine engine(st.prober->as_rich_probe_fn(),
-                                   config_.audit.campaign);
-    engine.set_round_hook(
-        [this, lane = &lanes[k]] { bed_->net().advance_round(1, lane); });
-    engine.attach_tunnel(*st.prober);
-    Rng rng(entry_seed(config_.audit.seed, e.id), "audit");
-    auto tp = measure::two_phase_measure(*bed_, engine, rng,
-                                         config_.audit.two_phase);
-    st.observations = std::move(tp.observations);
-    st.continent = tp.continent;
-    st.probe_pool = measure::continent_landmarks(*bed_, tp.continent);
+    st.continent =
+        auditor_.measure_proxy(st.row, *st.prober, lanes[k], nullptr,
+                               journal ? &st.jseq : nullptr);
+    st.session.set_lane(nullptr);
+    st.probe_pool = measure::continent_landmarks(*bed_, st.continent);
+    st.observations = st.row.observations;
     st.observed.assign(bed_->landmarks().size(), false);
     for (const auto& ob : st.observations) st.observed[ob.landmark_id] = true;
-    st.row.observations = st.observations;
-    st.row.campaign = tp.stats;
-    st.row.tunnel_flagged = engine.tunnel_flagged();
-    measure::publish_campaign_stats(st.row.campaign);
-    if (journal) {
-      const measure::CampaignStats& cs = st.row.campaign;
-      obs::Event(e.id, st.jseq++, obs::Scope::kVerdict, "campaign")
-          .text("provider", st.row.provider)
-          .num("claimed_country", st.row.claimed)
-          .num("observations", st.observations.size())
-          .num("probes_sent", cs.probes_sent)
-          .num("timeouts", cs.timeouts)
-          .num("retries", cs.retries)
-          .num("replacements", cs.replacements)
-          .num("tunnel_drops", cs.tunnel_drops)
-          .flag("tunnel_flagged", st.row.tunnel_flagged)
-          .emit();
-    }
-    st.session.set_lane(nullptr);
   });
 
-  // Phase B: localization in contiguous blocks of locate_batch entries
-  // (block composition depends only on id order, so reports are bit-
-  // identical across thread counts and batch sizes). Each entry's solve
-  // goes through locate_memo so the streaming rounds start with a
-  // cached incremental state.
-  std::vector<std::size_t> to_locate;
-  to_locate.reserve(n);
+  solve_and_assess(ids, journal);
+
+  std::size_t solved = 0;
   for (std::size_t id : ids) {
     ProxyEntry& e = *pool_.find(id);
-    if (e.state->observations.empty()) {
-      e.state->row.empty_prediction = true;
-      e.state->row.region = grid::Region(*grid_);
-    } else {
-      to_locate.push_back(id);
-    }
-  }
-  const std::size_t bsz = std::max<std::size_t>(1, config_.audit.locate_batch);
-  const std::size_t nblocks = (to_locate.size() + bsz - 1) / bsz;
-  parallel_for(nblocks, config_.audit.threads, [&](std::size_t blk) {
-    AGEO_SPAN("serve", "bootstrap.locate");
-    const std::size_t lo = blk * bsz;
-    const std::size_t hi = std::min(lo + bsz, to_locate.size());
-    for (std::size_t k = lo; k < hi; ++k) {
-      ProxyEntry& e = *pool_.find(to_locate[k]);
-      ActiveState& st = *e.state;
-      algos::GeoEstimate est;
-      st.memo = locator_->locate_memo(*grid_, bed_->store(),
-                                      st.observations, &mask_, est);
-      st.memo_solved = st.observations.size();
-      assess::ProxyAuditRow& row = st.row;
-      row.region = std::move(est.region);
-      row.constraints_total = est.constraints_total;
-      row.constraints_used = est.constraints_used;
-      row.landmark_used = std::move(est.used);
-      row.byzantine =
-          row.constraints_total >= config_.audit.byzantine_min_constraints &&
-          row.agreement() < config_.audit.byzantine_min_agreement;
-      if (journal) {
-        obs::Event(e.id, st.jseq++, obs::Scope::kVerdict, "lcs")
-            .num("total", row.constraints_total)
-            .num("used", row.constraints_used)
-            .num("baseline_subset", est.prov.baseline_subset)
-            .num("discarded_by_baseline", est.prov.discarded_by_baseline)
-            .real("agreement", row.agreement())
-            .flag("byzantine", row.byzantine)
-            .emit();
-      }
-    }
-  });
-
-  // Phase C: claim assessment (read-only shared state, warmed above).
-  parallel_for(n, config_.audit.threads, [&](std::size_t k) {
-    AGEO_SPAN("serve", "bootstrap.assess");
-    ProxyEntry& e = *pool_.find(ids[k]);
-    assess_entry(e);
     e.history.push(e.state->row.verdict_final);
     e.last_solve_epoch = 0;
     e.status = EntryStatus::kActive;
-    if (journal) {
-      const assess::ProxyAuditRow& row = e.state->row;
-      obs::Event(e.id, e.state->jseq++, obs::Scope::kVerdict, "assess")
-          .text("verdict", assess::to_string(row.verdict_final))
-          .text("continent", assess::to_string(row.continent_verdict))
-          .flag("empty_prediction", row.empty_prediction)
-          .real("area_km2", row.area_km2)
-          .flag("iclab_accepted", row.iclab_accepted)
-          .emit();
-    }
-  });
-
+    solved += !e.state->observations.empty();
+  }
   stats_.solves += n;
-  stats_.full_resolves += to_locate.size();
+  stats_.full_resolves += solved;
   AGEO_COUNTER_ADD("serve.bootstrap.proxies", n);
-  AGEO_COUNTER_ADD("serve.full_resolves", to_locate.size());
+  AGEO_COUNTER_ADD("serve.full_resolves", solved);
   std::size_t active = 0;
   pool_.for_each(
       [&](ProxyEntry& e) { active += e.status == EntryStatus::kActive; });
@@ -359,37 +170,42 @@ void AuditService::bootstrap(std::size_t limit) {
   bootstrapped_ = true;
 }
 
-void AuditService::assess_entry(ProxyEntry& e) {
-  ActiveState& st = *e.state;
-  assess::ProxyAuditRow& row = st.row;
-  assess::ClaimAssessment base =
-      assess::assess_claim(bed_->world(), raster_, row.region, row.claimed);
-  row.verdict_raw = base.country;
-  row.continent_verdict = base.continent;
-  row.empty_prediction = base.empty_prediction || st.observations.empty();
-  row.candidates = base.covered_countries;
-  if (config_.audit.use_data_centers) {
-    assess::Disambiguated d = assess::disambiguate_by_data_centers(
-        bed_->world(), row.region, row.claimed, base);
-    row.verdict_dc = d.verdict;
-    row.candidates = d.candidates;
-  } else {
-    row.verdict_dc = base.country;
+void AuditService::locate_and_assess(ActiveState& st, std::uint32_t* jseq,
+                                     SolveOutcome& out) {
+  algos::GeoEstimate est;
+  if (!st.observations.empty()) {
+    const algos::Geolocator& loc = auditor_.locator();
+    const grid::Grid& g = auditor_.grid();
+    const grid::Region* mask = &auditor_.plausibility_mask();
+    if (st.memo && !st.needs_full &&
+        st.observations.size() > st.memo_solved) {
+      out.incremental = loc.locate_update(*st.memo, g, bed_->store(),
+                                          st.observations, st.memo_solved,
+                                          mask, est);
+      out.fell_back = !out.incremental;
+    }
+    if (!out.incremental)
+      st.memo = loc.locate_memo(g, bed_->store(), st.observations, mask, est);
   }
-  // The service assesses per proxy as verdicts stream in; cross-proxy
-  // AS//24 grouping is a batch-only join (DESIGN.md §15).
-  row.verdict_final = row.verdict_dc;
-  row.area_km2 = row.region.area_km2();
-  row.centroid = row.region.centroid();
-  if (row.centroid) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& ob : st.observations)
-      best = std::min(best, geo::distance_km(ob.landmark, *row.centroid));
-    row.nearest_landmark_km = best;
-  }
-  row.iclab_accepted =
-      !st.observations.empty() &&
-      iclab_.accepts(st.observations, country_landmark_km(row.claimed));
+  // A refresh that edited the solved prefix is absorbed by a full solve,
+  // so the flag is consumed either way.
+  st.memo_solved = st.observations.size();
+  st.needs_full = false;
+  st.row.observations = st.observations;
+  auditor_.record_estimate(st.row, std::move(est), jseq);
+  auditor_.assess_row(st.row, jseq);
+}
+
+void AuditService::solve_and_assess(std::span<const std::size_t> ids,
+                                    bool journal) {
+  parallel_for(ids.size(), config_.audit.threads, [&](std::size_t k) {
+    AGEO_SPAN("serve", "solve_and_assess");
+    ActiveState& st = *pool_.find(ids[k])->state;
+    std::uint32_t* jseq = journal ? &st.jseq : nullptr;
+    SolveOutcome out;
+    locate_and_assess(st, jseq, out);
+    if (jseq) auditor_.journal_verdict(st.row, *jseq);
+  });
 }
 
 AuditService::ProbeTally AuditService::probe_entry(ProxyEntry& e,
@@ -482,37 +298,13 @@ AuditService::SolveOutcome AuditService::solve_entry(ProxyEntry& e) {
   const bool timing = obs::metrics_enabled() || obs::journal_runtime_on();
   if (timing) t0 = std::chrono::steady_clock::now();
 
-  algos::GeoEstimate est;
-  bool incremental = false;
-  if (st.memo && !st.needs_full && st.observations.size() > st.memo_solved) {
-    incremental =
-        locator_->locate_update(*st.memo, *grid_, bed_->store(),
-                                st.observations, st.memo_solved, &mask_, est);
-    if (!incremental) out.fell_back = true;
-  }
-  if (!incremental) {
-    st.memo = locator_->locate_memo(*grid_, bed_->store(), st.observations,
-                                    &mask_, est);
-  }
-  st.memo_solved = st.observations.size();
-  st.needs_full = false;
-
-  assess::ProxyAuditRow& row = st.row;
-  row.observations = st.observations;
-  row.region = std::move(est.region);
-  row.constraints_total = est.constraints_total;
-  row.constraints_used = est.constraints_used;
-  row.landmark_used = std::move(est.used);
-  row.byzantine =
-      row.constraints_total >= config_.audit.byzantine_min_constraints &&
-      row.agreement() < config_.audit.byzantine_min_agreement;
   const std::optional<assess::Verdict> prev = e.history.latest();
-  assess_entry(e);
+  locate_and_assess(st, nullptr, out);
+  const assess::ProxyAuditRow& row = st.row;
   out.verdict_changed = prev && *prev != row.verdict_final;
   e.history.push(row.verdict_final);
   e.last_solve_epoch = static_cast<std::int64_t>(epoch_);
   out.solved = true;
-  out.incremental = incremental;
   if (timing) out.solve_us = elapsed_us(t0);
 
   if (obs::journal_runtime_on()) {
@@ -521,7 +313,7 @@ AuditService::SolveOutcome AuditService::solve_entry(ProxyEntry& e) {
         .num("observations", st.observations.size())
         .num("total", row.constraints_total)
         .num("used", row.constraints_used)
-        .flag("incremental", incremental)
+        .flag("incremental", out.incremental)
         .flag("fallback", out.fell_back)
         .text("verdict", assess::to_string(row.verdict_final))
         .flag("changed", out.verdict_changed)
@@ -641,54 +433,13 @@ void AuditService::run_rounds(std::uint64_t n) {
 ServiceReport AuditService::report() {
   AGEO_SPAN("serve", "report");
   ServiceReport r;
-  r.grid = grid_;
   r.eta = eta_;
   r.epoch = epoch_;
   r.stats = stats_;
   pool_.for_each([&](ProxyEntry& e) {
     if (e.status == EntryStatus::kActive) r.rows.push_back(e.state->row);
   });
-
-  // Suspicion: rebuilt from each proxy's LATEST used-mask in id order —
-  // the table reflects the current solves, not a mixture of every epoch
-  // a landmark ever participated in.
-  {
-    std::vector<std::size_t> ids;
-    for (const auto& row : r.rows) {
-      if (row.landmark_used.empty()) continue;
-      ids.clear();
-      ids.reserve(row.observations.size());
-      for (const auto& ob : row.observations) ids.push_back(ob.landmark_id);
-      r.suspicion.record(ids, row.landmark_used);
-    }
-    r.suspicious_landmarks = r.suspicion.flagged(
-        config_.audit.suspicion_min_score, config_.audit.suspicion_min_solves);
-  }
-
-  // Drift watchdogs over the latest rows, same fold as the batch audit.
-  {
-    measure::DriftWatchdog dog(bed_->landmarks().size(), config_.audit.drift);
-    for (const auto& row : r.rows) {
-      if (!row.centroid) continue;
-      for (const auto& ob : row.observations) {
-        const calib::CbgModel& m = bed_->store().cbg(ob.landmark_id);
-        const double dist = geo::distance_km(ob.landmark, *row.centroid);
-        dog.observe(ob.landmark_id,
-                    ob.one_way_delay_ms -
-                        (m.intercept_ms() + m.slope_ms_per_km() * dist));
-      }
-    }
-    r.drift = dog.entries();
-    r.drift_flagged = dog.flagged();
-    std::vector<std::size_t> merged = r.suspicious_landmarks;
-    merged.insert(merged.end(), r.drift_flagged.begin(),
-                  r.drift_flagged.end());
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    r.suspicious_landmarks = std::move(merged);
-  }
-
-  r.plan_cache = plan_cache_.stats();
+  auditor_.summarize(r);
   if (obs::metrics_enabled())
     r.telemetry = obs::Registry::global().snapshot();
 
@@ -749,30 +500,82 @@ EpochSnapshot AuditService::snapshot() const {
   return s;
 }
 
+void AuditService::check_snapshot(const EpochSnapshot& snap) const {
+  // The probers' own precondition, checked here so no entry is half
+  // resumed when it fails.
+  detail::require(snap.eta.eta > 0.0 && snap.eta.eta < 1.0,
+                  "AuditService::restore: eta must lie in (0, 1)");
+  std::array<std::size_t, world::kContinentCount> pool_size{};
+  for (std::size_t c = 0; c < pool_size.size(); ++c)
+    pool_size[c] = measure::continent_landmarks(
+                       *bed_, static_cast<world::Continent>(c))
+                       .size();
+  const std::size_t n_landmarks = bed_->landmarks().size();
+  std::vector<std::size_t> ids;
+  ids.reserve(snap.entries.size());
+  for (const EntrySnapshot& es : snap.entries) {
+    detail::require(ids.empty() || es.id > ids.back(),
+                    "AuditService::restore: entries must ascend by id");
+    const ProxyEntry* e = pool_.find(es.id);
+    detail::require(e != nullptr && e->status == EntryStatus::kAdmitted,
+                    "AuditService::restore: snapshot entry not admitted");
+    detail::require(es.continent < world::kContinentCount,
+                    "AuditService::restore: bad continent");
+    detail::require(es.pool_cursor <= pool_size[es.continent],
+                    "AuditService::restore: pool cursor past the probe pool");
+    detail::require(
+        es.refresh_cursor < std::max<std::size_t>(1, es.observations.size()),
+        "AuditService::restore: refresh cursor past the observations");
+    detail::require(std::isfinite(es.tunnel_rtt_ms) && es.tunnel_rtt_ms >= 0.0,
+                    "AuditService::restore: bad tunnel RTT");
+    for (std::uint8_t v : es.history)
+      detail::require(v <= static_cast<std::uint8_t>(assess::Verdict::kFalse),
+                      "AuditService::restore: bad verdict in history");
+    for (const ObservationSnapshot& ob : es.observations) {
+      detail::require(ob.landmark_id < n_landmarks,
+                      "AuditService::restore: bad landmark id");
+      detail::require(
+          std::isfinite(ob.one_way_delay_ms) && ob.one_way_delay_ms >= 0.0,
+          "AuditService::restore: delays must be finite and non-negative");
+    }
+    ids.push_back(es.id);
+  }
+  // The pending FIFO holds exactly the queued entries, each once: a
+  // repeated id would hand one entry to two solver workers in a round.
+  std::vector<std::uint8_t> pending(ids.size(), 0);
+  for (std::size_t id : snap.pending) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    detail::require(it != ids.end() && *it == id,
+                    "AuditService::restore: pending id names no entry");
+    const auto k = static_cast<std::size_t>(it - ids.begin());
+    detail::require(!pending[k], "AuditService::restore: repeated pending id");
+    pending[k] = 1;
+  }
+  for (std::size_t k = 0; k < ids.size(); ++k)
+    detail::require(snap.entries[k].queued == (pending[k] != 0),
+                    "AuditService::restore: queued flags disagree with the "
+                    "pending queue");
+}
+
 void AuditService::restore(const EpochSnapshot& snap) {
   AGEO_SPAN("serve", "restore");
   AGEO_COUNT("serve.restores");
   detail::require(!bootstrapped_,
                   "AuditService::restore: restore onto a freshly admitted "
                   "service, not a bootstrapped one");
+  check_snapshot(snap);
   eta_ = snap.eta;
   epoch_ = snap.epoch;
 
   // Serial: re-register tunnels in snapshot (== id) order, matching the
   // registration order bootstrap used, so the simulated network deals
   // the same host ids and streams as the original run.
-  std::size_t prev_id = 0;
-  bool first = true;
+  std::vector<std::size_t> ids;
+  ids.reserve(snap.entries.size());
   for (const EntrySnapshot& es : snap.entries) {
-    detail::require(first || es.id > prev_id,
-                    "AuditService::restore: entries must ascend by id");
-    first = false;
-    prev_id = es.id;
-    ProxyEntry* e = pool_.find(es.id);
-    detail::require(e != nullptr && e->status == EntryStatus::kAdmitted,
-                    "AuditService::restore: snapshot entry not admitted");
-    open_tunnel(*e);
-    ActiveState& st = *e->state;
+    ProxyEntry& e = *pool_.find(es.id);
+    open_tunnel(e);
+    ActiveState& st = *e.state;
     st.prober.emplace(measure::ProxyProber::resume(
         *bed_, st.session, eta_.eta, es.tunnel_rtt_ms));
     st.continent = static_cast<world::Continent>(es.continent);
@@ -785,76 +588,37 @@ void AuditService::restore(const EpochSnapshot& snap) {
     st.observed.assign(bed_->landmarks().size(), false);
     st.observations.reserve(es.observations.size());
     for (const ObservationSnapshot& ob : es.observations) {
-      detail::require(ob.landmark_id < bed_->landmarks().size(),
-                      "AuditService::restore: bad landmark id");
       st.observations.push_back({ob.landmark_id,
                                  bed_->landmarks()[ob.landmark_id].location,
                                  ob.one_way_delay_ms});
       st.observed[ob.landmark_id] = true;
     }
-    st.row.observations = st.observations;
-    e->last_solve_epoch = es.last_solve_epoch;
-    e->probe_failures = es.probe_failures;
-    e->tunnel_drops = es.tunnel_drops;
+    e.last_solve_epoch = es.last_solve_epoch;
+    e.probe_failures = es.probe_failures;
+    e.tunnel_drops = es.tunnel_drops;
     for (std::uint8_t v : es.history)
-      e->history.push(static_cast<assess::Verdict>(v));
-    e->status = EntryStatus::kActive;
+      e.history.push(static_cast<assess::Verdict>(v));
+    e.status = EntryStatus::kActive;
+    ids.push_back(es.id);
   }
   pending_.assign(snap.pending.begin(), snap.pending.end());
 
-  for (const EntrySnapshot& es : snap.entries)
-    warm_country(pool_.find(es.id)->host.claimed_country);
+  warm_countries(ids);
   auto_size_runtime();
 
   // Rebuild regions, verdicts, and solver memos by re-solving — they
   // are deterministic functions of the observations, so the restored
   // rows are bit-identical to the snapshotted run's. History and
-  // last_solve_epoch came from the snapshot and are NOT touched here.
-  std::vector<std::size_t> to_solve;
-  for (const EntrySnapshot& es : snap.entries) {
-    ProxyEntry& e = *pool_.find(es.id);
-    if (e.state->observations.empty()) {
-      e.state->row.empty_prediction = true;
-      e.state->row.region = grid::Region(*grid_);
-    } else {
-      to_solve.push_back(es.id);
-    }
-  }
-  const std::size_t bsz = std::max<std::size_t>(1, config_.audit.locate_batch);
-  const std::size_t nblocks = (to_solve.size() + bsz - 1) / bsz;
-  parallel_for(nblocks, config_.audit.threads, [&](std::size_t blk) {
-    const std::size_t lo = blk * bsz;
-    const std::size_t hi = std::min(lo + bsz, to_solve.size());
-    for (std::size_t k = lo; k < hi; ++k) {
-      ProxyEntry& e = *pool_.find(to_solve[k]);
-      ActiveState& st = *e.state;
-      algos::GeoEstimate est;
-      st.memo = locator_->locate_memo(*grid_, bed_->store(),
-                                      st.observations, &mask_, est);
-      // A refresh edited the solved prefix before the snapshot: the
-      // rebuilt memo has absorbed the edit, so the flag is consumed.
-      st.memo_solved = st.observations.size();
-      st.needs_full = false;
-      assess::ProxyAuditRow& row = st.row;
-      row.region = std::move(est.region);
-      row.constraints_total = est.constraints_total;
-      row.constraints_used = est.constraints_used;
-      row.landmark_used = std::move(est.used);
-      row.byzantine =
-          row.constraints_total >= config_.audit.byzantine_min_constraints &&
-          row.agreement() < config_.audit.byzantine_min_agreement;
-    }
-  });
-  const std::size_t n = snap.entries.size();
-  parallel_for(n, config_.audit.threads, [&](std::size_t k) {
-    assess_entry(*pool_.find(snap.entries[k].id));
-  });
-  AGEO_COUNTER_ADD("serve.restore.resolves", to_solve.size());
+  // last_solve_epoch came from the snapshot and are NOT touched here,
+  // and nothing is journaled per entry: the snapshotted run already
+  // journaled these verdicts.
+  solve_and_assess(ids, /*journal=*/false);
+  AGEO_COUNTER_ADD("serve.restore.resolves", ids.size());
 
   if (obs::journal_runtime_on()) {
     obs::Event(obs::kRunEvent, run_jseq_++, obs::Scope::kSchedule, "restore")
         .num("epoch", epoch_)
-        .num("entries", n)
+        .num("entries", ids.size())
         .num("pending", pending_.size())
         .emit();
   }

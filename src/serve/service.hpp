@@ -4,10 +4,10 @@
 // rounds instead of one-shot batch audits. Lifecycle:
 //
 //   admit(fleet)   — metadata into the pool; nothing touches the network
-//   bootstrap()    — mirror of the batch Auditor's three phases:
-//                    per-proxy two-phase campaigns, block-parallel
-//                    localization (capturing a solver memo per proxy),
-//                    claim assessment
+//   bootstrap()    — the batch Auditor's stages, run through the
+//                    service's own assess::Auditor: per-proxy two-phase
+//                    campaigns, localization (capturing a solver memo
+//                    per proxy), claim assessment
 //   run_round()*N  — the streaming steady state: a staleness x verdict-
 //                    confidence scheduler picks proxies, each probes a
 //                    few more continent landmarks through its tunnel,
@@ -40,8 +40,10 @@
 namespace ageo::serve {
 
 struct ServiceConfig {
-  /// The underlying audit pipeline configuration (grid, algorithm,
-  /// campaign policies, Byzantine thresholds, threads, locate_batch).
+  /// Configuration of the assess::Auditor whose stages the service runs
+  /// (grid, algorithm, campaign policies, Byzantine thresholds,
+  /// threads). use_as_grouping is ignored: AS//24 grouping is a join
+  /// over a whole batch report.
   assess::AuditConfig audit;
 
   // --- pool geometry ---
@@ -83,24 +85,15 @@ struct ServiceStats {
   std::uint64_t reconnects = 0;
 };
 
-struct ServiceReport {
-  std::shared_ptr<const grid::Grid> grid;
-  /// One row per ACTIVE pool entry, ascending by id. Same shape as the
-  /// batch Auditor's rows; verdict_final == verdict_dc (the service
-  /// assesses per proxy — cross-proxy AS-grouping is a batch-only
-  /// join, see DESIGN.md §15).
-  std::vector<assess::ProxyAuditRow> rows;
-  measure::EtaEstimate eta;
+/// The batch report, one row per ACTIVE pool entry in ascending id
+/// order, plus the service's epoch and counters. verdict_final ==
+/// verdict_dc: the service assesses per proxy, and cross-proxy AS
+/// grouping is a batch-only join (DESIGN.md §15). The suspicion and
+/// drift ledgers fold every proxy's latest solve, not a running mixture
+/// of epochs.
+struct ServiceReport : assess::AuditReport {
   std::uint64_t epoch = 0;
   ServiceStats stats;
-  /// Rebuilt from the rows' final used-masks in id order, so the table
-  /// reflects the latest solve of every proxy, not a running mixture.
-  mlat::SuspicionTable suspicion;
-  std::vector<measure::DriftEntry> drift;
-  std::vector<std::size_t> drift_flagged;
-  std::vector<std::size_t> suspicious_landmarks;
-  grid::CapPlanCache::Stats plan_cache;
-  obs::Snapshot telemetry;
 };
 
 class AuditService {
@@ -132,6 +125,8 @@ class AuditService {
   /// verdicts, and solver memos. Probers resume the snapshotted tunnel
   /// RTT estimate, so subsequent corrected measurements — and therefore
   /// all future rounds — are bit-identical to the run that snapshotted.
+  /// The snapshot is untrusted input: it is checked in full first, and
+  /// a bad one throws ageo::Error with the service untouched.
   void restore(const EpochSnapshot& snap);
 
   const ProxyPool& pool() const noexcept { return pool_; }
@@ -139,7 +134,7 @@ class AuditService {
   std::uint64_t epoch() const noexcept { return epoch_; }
   const ServiceStats& stats() const noexcept { return stats_; }
   const ServiceConfig& config() const noexcept { return config_; }
-  const grid::Grid& grid() const noexcept { return *grid_; }
+  const grid::Grid& grid() const noexcept { return auditor_.grid(); }
   const measure::EtaEstimate& eta() const noexcept { return eta_; }
   std::size_t pending() const noexcept { return pending_.size(); }
   bool bootstrapped() const noexcept { return bootstrapped_; }
@@ -164,15 +159,9 @@ class AuditService {
 
   measure::Testbed* bed_;
   ServiceConfig config_;
-  std::shared_ptr<grid::Grid> grid_;
-  grid::Region mask_;
-  world::CountryRaster raster_;
-  std::vector<std::optional<grid::Region>> country_regions_;
-  std::vector<std::vector<double>> country_landmark_km_;
-  grid::CapPlanCache plan_cache_;
-  std::unique_ptr<algos::Geolocator> locator_;
-  std::optional<mlat::RefineContext> refine_ctx_;
-  algos::IclabChecker iclab_;
+  /// Runs every pipeline stage and owns the grid, mask, country caches,
+  /// plan cache, geolocator and refine context.
+  assess::Auditor auditor_;
 
   ProxyPool pool_;
   std::optional<netsim::HostId> client_;
@@ -183,20 +172,28 @@ class AuditService {
   std::deque<std::size_t> pending_;
   std::uint32_t run_jseq_ = 0;
 
-  netsim::HostId ensure_client();
   /// Register the proxy host + tunnel session for one admitted entry
   /// (serial, id order — network registration order is part of the
   /// deterministic contract).
   void open_tunnel(ProxyEntry& e);
-  void warm_country(world::CountryId id);
-  std::span<const double> country_landmark_km(world::CountryId id);
-  const grid::Region& country_region(world::CountryId id);
+  void warm_countries(std::span<const std::size_t> ids);
   /// Probe one scheduled entry for this round (own lane, own cursors).
   ProbeTally probe_entry(ProxyEntry& e, netsim::Lane& lane);
-  /// Solve + assess one entry; returns what happened for the serial
-  /// stats fold.
+  /// The locate and assess stages for one entry: an incremental memo
+  /// update when the memo can absorb the appended observations,
+  /// otherwise a full solve capturing a fresh memo; then the Auditor's
+  /// row fill and claim assessment, journaled through `jseq` when
+  /// non-null.
+  void locate_and_assess(ActiveState& st, std::uint32_t* jseq,
+                         SolveOutcome& out);
+  /// Streaming re-solve of one entry; returns what happened for the
+  /// serial stats fold.
   SolveOutcome solve_entry(ProxyEntry& e);
-  void assess_entry(ProxyEntry& e);
+  /// Full solve and assessment of `ids` in parallel — shared by
+  /// bootstrap (journaled) and restore (not journaled).
+  void solve_and_assess(std::span<const std::size_t> ids, bool journal);
+  /// Throw unless `snap` can be restored onto this service as is.
+  void check_snapshot(const EpochSnapshot& snap) const;
   /// Size the plan cache and the scratch-arena donation store for this
   /// pool geometry (called once, before the first solve).
   void auto_size_runtime();

@@ -19,9 +19,16 @@
 // Doubles are written with obs::format_double (shortest string that
 // strtod parses back to the same bits), so snapshot -> text -> parse ->
 // snapshot is lossless and a restored service replays bit-identically.
+//
+// The text is untrusted: integers are plain decimal digits within their
+// field's range, flags are 0 or 1, and no count reserves more slots
+// than the remaining text could fill.
 #include "serve/snapshot.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -45,22 +52,23 @@ class Tokens {
     return text_.substr(start, pos_ - start);
   }
 
-  std::uint64_t next_u64() {
-    const std::string tok(next());
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    detail::require(end != nullptr && *end == '\0',
-                    "parse_snapshot_text: bad integer");
-    return static_cast<std::uint64_t>(v);
+  /// Decimal digits only (no sign), at most `max`.
+  std::uint64_t next_u64(
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+    return next_int<std::uint64_t>(max);
   }
 
+  /// Optional leading '-', then decimal digits.
   std::int64_t next_i64() {
-    const std::string tok(next());
-    char* end = nullptr;
-    const long long v = std::strtoll(tok.c_str(), &end, 10);
-    detail::require(end != nullptr && *end == '\0',
-                    "parse_snapshot_text: bad integer");
-    return static_cast<std::int64_t>(v);
+    return next_int<std::int64_t>(std::numeric_limits<std::int64_t>::max());
+  }
+
+  bool next_flag() { return next_u64(1) != 0; }
+
+  /// Upper bound on the items left: each takes at least one character
+  /// and a separator. Caps every reserve() on a parsed count.
+  std::uint64_t max_items() const noexcept {
+    return (text_.size() - pos_) / 2 + 1;
   }
 
   double next_double() {
@@ -78,6 +86,17 @@ class Tokens {
   }
 
  private:
+  template <typename T>
+  T next_int(T max) {
+    const std::string_view tok = next();
+    const char* end = tok.data() + tok.size();
+    T v{};
+    const auto [p, ec] = std::from_chars(tok.data(), end, v);
+    detail::require(ec == std::errc() && p == end && v <= max,
+                    "parse_snapshot_text: bad integer");
+    return v;
+  }
+
   static bool is_space(char c) noexcept {
     return c == ' ' || c == '\n' || c == '\r' || c == '\t';
   }
@@ -123,6 +142,9 @@ std::string snapshot_to_text(const EpochSnapshot& s) {
 }
 
 EpochSnapshot parse_snapshot_text(std::string_view text) {
+  constexpr std::uint64_t kU8 = std::numeric_limits<std::uint8_t>::max();
+  constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kSize = std::numeric_limits<std::size_t>::max();
   Tokens t(text);
   t.expect("ageo-serve-snapshot");
   t.expect("v1");
@@ -132,37 +154,37 @@ EpochSnapshot parse_snapshot_text(std::string_view text) {
   t.expect("eta");
   s.eta.eta = t.next_double();
   s.eta.r_squared = t.next_double();
-  s.eta.n_proxies = static_cast<std::size_t>(t.next_u64());
+  s.eta.n_proxies = static_cast<std::size_t>(t.next_u64(kSize));
   s.eta.eta_ci_low = t.next_double();
   s.eta.eta_ci_high = t.next_double();
   t.expect("entries");
   const std::uint64_t n = t.next_u64();
-  s.entries.reserve(n);
+  s.entries.reserve(std::min(n, t.max_items()));
   for (std::uint64_t i = 0; i < n; ++i) {
     t.expect("entry");
     EntrySnapshot e;
-    e.id = static_cast<std::size_t>(t.next_u64());
+    e.id = static_cast<std::size_t>(t.next_u64(kSize));
     e.last_solve_epoch = t.next_i64();
-    e.probe_failures = static_cast<std::uint32_t>(t.next_u64());
-    e.tunnel_drops = static_cast<std::uint32_t>(t.next_u64());
-    e.jseq = static_cast<std::uint32_t>(t.next_u64());
+    e.probe_failures = static_cast<std::uint32_t>(t.next_u64(kU32));
+    e.tunnel_drops = static_cast<std::uint32_t>(t.next_u64(kU32));
+    e.jseq = static_cast<std::uint32_t>(t.next_u64(kU32));
     e.tunnel_rtt_ms = t.next_double();
-    e.continent = static_cast<std::uint8_t>(t.next_u64());
-    e.pool_cursor = static_cast<std::size_t>(t.next_u64());
-    e.refresh_cursor = static_cast<std::size_t>(t.next_u64());
-    e.needs_full = t.next_u64() != 0;
-    e.queued = t.next_u64() != 0;
+    e.continent = static_cast<std::uint8_t>(t.next_u64(kU8));
+    e.pool_cursor = static_cast<std::size_t>(t.next_u64(kSize));
+    e.refresh_cursor = static_cast<std::size_t>(t.next_u64(kSize));
+    e.needs_full = t.next_flag();
+    e.queued = t.next_flag();
     t.expect("history");
     const std::uint64_t nh = t.next_u64();
-    e.history.reserve(nh);
+    e.history.reserve(std::min(nh, t.max_items()));
     for (std::uint64_t h = 0; h < nh; ++h)
-      e.history.push_back(static_cast<std::uint8_t>(t.next_u64()));
+      e.history.push_back(static_cast<std::uint8_t>(t.next_u64(kU8)));
     t.expect("obs");
     const std::uint64_t no = t.next_u64();
-    e.observations.reserve(no);
+    e.observations.reserve(std::min(no, t.max_items()));
     for (std::uint64_t o = 0; o < no; ++o) {
       ObservationSnapshot ob;
-      ob.landmark_id = static_cast<std::size_t>(t.next_u64());
+      ob.landmark_id = static_cast<std::size_t>(t.next_u64(kSize));
       ob.one_way_delay_ms = t.next_double();
       e.observations.push_back(ob);
     }
@@ -170,9 +192,9 @@ EpochSnapshot parse_snapshot_text(std::string_view text) {
   }
   t.expect("pending");
   const std::uint64_t np = t.next_u64();
-  s.pending.reserve(np);
+  s.pending.reserve(std::min(np, t.max_items()));
   for (std::uint64_t p = 0; p < np; ++p)
-    s.pending.push_back(static_cast<std::size_t>(t.next_u64()));
+    s.pending.push_back(static_cast<std::size_t>(t.next_u64(kSize)));
   t.expect("end");
   return s;
 }

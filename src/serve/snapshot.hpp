@@ -58,8 +58,10 @@ struct EpochSnapshot {
 /// comment for the grammar).
 std::string snapshot_to_text(const EpochSnapshot& s);
 
-/// Parse snapshot_to_text output. Throws common::Error on malformed
-/// input (bad magic, truncated sections, unparseable numbers).
+/// Parse snapshot_to_text output. Throws ageo::Error on malformed input
+/// (bad magic, truncated sections, unparseable or out-of-range numbers).
+/// Field values are range-checked here only as far as their types go;
+/// AuditService::restore checks them against the service.
 EpochSnapshot parse_snapshot_text(std::string_view text);
 
 }  // namespace ageo::serve

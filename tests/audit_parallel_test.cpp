@@ -226,63 +226,6 @@ TEST(ParallelAudit, ByzantineAuditParallelBitIdenticalToSerial) {
   EXPECT_GT(excluded, 0u);
 }
 
-TEST(ParallelAudit, BatchedLocateBitIdenticalAcrossBatchSizes) {
-  // locate_batch routes CBG++ through the landmark-major batched path;
-  // every batch size (including the degenerate 1 = per-proxy locate())
-  // must produce bit-identical reports, threads varied too so batching
-  // and the fan-out compose.
-  measure::Testbed bed_scalar(small_bed_config());
-  measure::Testbed bed_batched(small_bed_config());
-  measure::Testbed bed_odd(small_bed_config());
-  auto fleet = small_fleet(bed_scalar.world());
-
-  AuditConfig scalar_cfg = audit_config(1);
-  scalar_cfg.locate_batch = 1;
-  AuditConfig batched_cfg = audit_config(4);
-  batched_cfg.locate_batch = 8;
-  AuditConfig odd_cfg = audit_config(2);
-  odd_cfg.locate_batch = 3;  // blocks that do not divide the fleet
-
-  Auditor scalar(bed_scalar, scalar_cfg);
-  Auditor batched(bed_batched, batched_cfg);
-  Auditor odd(bed_odd, odd_cfg);
-  auto a = scalar.run(fleet);
-  auto b = batched.run(fleet);
-  auto c = odd.run(fleet);
-  expect_reports_identical(a, b);
-  expect_reports_identical(a, c);
-}
-
-TEST(ParallelAudit, BatchedLocateFallbackBitIdenticalUnderByzantine) {
-  // Deflating landmarks push some proxies off the batched fast path
-  // (their padded intersection empties), exercising the per-proxy
-  // scalar fallback inside locate_batch; reports must still match the
-  // locate_batch=1 run bit for bit.
-  auto compromise = [](measure::Testbed& bed) {
-    std::vector<netsim::HostId> hosts;
-    for (std::size_t i = 0; i < bed.landmarks().size(); ++i)
-      hosts.push_back(bed.landmark_host(i));
-    return netsim::attach_adversaries(bed.net(), hosts, 0.25, "deflate",
-                                      2024, geo::LatLon{40.0, -100.0});
-  };
-  measure::Testbed bed_scalar(small_bed_config());
-  measure::Testbed bed_batched(small_bed_config());
-  auto fleet = small_fleet(bed_scalar.world());
-  auto c1 = compromise(bed_scalar);
-  auto c2 = compromise(bed_batched);
-  ASSERT_EQ(c1, c2);
-
-  AuditConfig scalar_cfg = audit_config(1);
-  scalar_cfg.locate_batch = 1;
-  AuditConfig batched_cfg = audit_config(4);
-  batched_cfg.locate_batch = 8;
-  Auditor scalar(bed_scalar, scalar_cfg);
-  Auditor batched(bed_batched, batched_cfg);
-  auto a = scalar.run(fleet);
-  auto b = batched.run(fleet);
-  expect_reports_identical(a, b);
-}
-
 TEST(ParallelAudit, HardwareThreadsModeRuns) {
   measure::Testbed bed(small_bed_config());
   auto fleet = small_fleet(bed.world());
@@ -600,7 +543,7 @@ TEST(ParallelAudit, JournalByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, threaded);
 }
 
-TEST(ParallelAudit, JournalVerdictViewInvariantAcrossBatchAndRefine) {
+TEST(ParallelAudit, JournalVerdictViewInvariantAcrossThreadsAndRefine) {
   {
     obs::set_journal_enabled(true);
     const bool on = obs::journal_runtime_on();
@@ -608,22 +551,17 @@ TEST(ParallelAudit, JournalVerdictViewInvariantAcrossBatchAndRefine) {
     if (!on) GTEST_SKIP() << "observability compiled out";
   }
   // The kVerdict view records only execution-schedule-invariant facts,
-  // so changing the locate batch size AND the refinement ladder (both
-  // bit-identical performance levers) must not move a byte.
-  AuditConfig scalar_cfg = audit_config(1);
-  scalar_cfg.locate_batch = 1;
-  scalar_cfg.refine = {};
-  AuditConfig batched_cfg = audit_config(4);
-  batched_cfg.locate_batch = 8;
-  AuditConfig refined_cfg = refined_audit_config(2);
-  refined_cfg.locate_batch = 3;
-  const std::string flat = journaled_run(scalar_cfg, obs::Scope::kVerdict);
-  const std::string batched =
-      journaled_run(batched_cfg, obs::Scope::kVerdict);
+  // so changing the thread count AND the refinement ladder (a
+  // bit-identical performance lever) must not move a byte.
+  AuditConfig flat_cfg = audit_config(1);
+  flat_cfg.refine = {};
+  const std::string flat = journaled_run(flat_cfg, obs::Scope::kVerdict);
+  const std::string threaded =
+      journaled_run(audit_config(4), obs::Scope::kVerdict);
   const std::string refined =
-      journaled_run(refined_cfg, obs::Scope::kVerdict);
+      journaled_run(refined_audit_config(2), obs::Scope::kVerdict);
   ASSERT_FALSE(flat.empty());
-  EXPECT_EQ(flat, batched);
+  EXPECT_EQ(flat, threaded);
   EXPECT_EQ(flat, refined);
 }
 

@@ -1,20 +1,25 @@
 // The always-on audit service (src/serve): pool mechanics, scheduler
 // ranking, bootstrap bit-identity against the batch Auditor oracle,
 // streaming incremental re-localization vs full-solve oracles, thread
-// and locate_batch invariance, Byzantine fleets, epoch snapshots, and
+// invariance, Byzantine fleets, epoch snapshots (and hostile ones), and
 // the auto-sized runtime (plan cache + scratch donation store).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "assess/audit.hpp"
+#include "assess/explain.hpp"
 #include "common/error.hpp"
 #include "grid/scratch.hpp"
 #include "measure/testbed.hpp"
 #include "netsim/adversary.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "serve/pool.hpp"
 #include "serve/service.hpp"
@@ -51,11 +56,10 @@ world::Fleet tiny_fleet(const world::WorldModel& w) {
   return world::generate_fleet(w, specs, 77);
 }
 
-serve::ServiceConfig service_config(int threads, std::size_t locate_batch) {
+serve::ServiceConfig service_config(int threads) {
   serve::ServiceConfig cfg;
   cfg.audit.grid_cell_deg = 2.0;
   cfg.audit.threads = threads;
-  cfg.audit.locate_batch = locate_batch;
   // The service has no cross-proxy AS-grouping join; disable it on the
   // shared audit config so batch-oracle comparisons see the same
   // verdict_final semantics.
@@ -286,15 +290,15 @@ TEST(ProxyPool, RankQuotaKeepsHighestScores) {
 // ---- bootstrap: the batch Auditor is the oracle ----
 
 TEST(AuditService, BootstrapBitIdenticalToBatchAuditor) {
-  // The service's bootstrap mirrors Auditor::run phase by phase, seeds
-  // included, so on the same fleet every row field the service produces
+  // The service's bootstrap runs Auditor::run's stages with the same
+  // seeds, so on the same fleet every row field the service produces
   // must match the batch report bit for bit (AS-grouping off on both:
   // the service's streaming assessment has no cross-proxy join).
   measure::Testbed bed_batch(small_bed_config());
   measure::Testbed bed_serve(small_bed_config());
   auto fleet = small_fleet(bed_batch.world());
 
-  serve::ServiceConfig cfg = service_config(2, 8);
+  serve::ServiceConfig cfg = service_config(2);
   assess::Auditor auditor(bed_batch, cfg.audit);
   auto batch = auditor.run(fleet);
 
@@ -314,29 +318,113 @@ TEST(AuditService, BootstrapBitIdenticalToBatchAuditor) {
   EXPECT_EQ(rep.stats.solves, fleet.hosts.size());
 }
 
+namespace {
+
+bool journal_compiled_in() {
+  obs::set_journal_enabled(true);
+  const bool on = obs::journal_runtime_on();
+  obs::set_journal_enabled(false);
+  return on;
+}
+
+/// Journal of `run` (which audits into a fresh testbed), collected and
+/// reset around it.
+obs::JournalDump journal_of(const std::function<void(measure::Testbed&)>& run) {
+  measure::Testbed bed(small_bed_config());
+  obs::reset_journal();
+  obs::set_journal_enabled(true);
+  run(bed);
+  obs::set_journal_enabled(false);
+  obs::JournalDump dump = obs::collect_journal();
+  obs::reset_journal();
+  EXPECT_EQ(dump.dropped, 0u);
+  return dump;
+}
+
+/// The kVerdict JSONL view of the per-proxy events (run-level events —
+/// batch ledgers, service summaries — differ by design and are dropped).
+std::string proxy_verdict_view(obs::JournalDump dump) {
+  std::erase_if(dump.events, [](const obs::JournalEvent& ev) {
+    return ev.proxy == obs::kRunEvent;
+  });
+  return obs::journal_to_jsonl(dump, obs::Scope::kVerdict);
+}
+
+}  // namespace
+
+TEST(AuditService, BootstrapJournalMatchesBatchAuditor) {
+  if (!journal_compiled_in()) GTEST_SKIP() << "observability compiled out";
+  // One pipeline: bootstrap and the batch audit run the same stages, so
+  // every proxy's verdict-scope provenance is byte-identical, whatever
+  // the thread count.
+  std::string batch_view;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const serve::ServiceConfig cfg = service_config(threads);
+    const std::string batch = proxy_verdict_view(journal_of([&](auto& bed) {
+      assess::Auditor auditor(bed, cfg.audit);
+      (void)auditor.run(small_fleet(bed.world()));
+    }));
+    const std::string boot = proxy_verdict_view(journal_of([&](auto& bed) {
+      serve::AuditService service(bed, cfg);
+      service.admit(small_fleet(bed.world()));
+      service.bootstrap();
+    }));
+    ASSERT_FALSE(batch.empty());
+    EXPECT_EQ(batch, boot);
+    if (batch_view.empty()) batch_view = batch;
+    EXPECT_EQ(batch, batch_view);
+  }
+}
+
+TEST(AuditService, ExplainRendersBootstrapJournalCompletely) {
+  if (!journal_compiled_in()) GTEST_SKIP() << "observability compiled out";
+  std::vector<assess::ProxyAuditRow> rows;
+  const obs::JournalDump dump = obs::parse_journal_jsonl(
+      obs::journal_to_jsonl(journal_of([&](measure::Testbed& bed) {
+        serve::AuditService service(bed, service_config(2));
+        service.admit(small_fleet(bed.world()));
+        service.bootstrap();
+        rows = service.report().rows;
+      })));
+  ASSERT_FALSE(rows.empty());
+  for (const auto& row : rows) {
+    SCOPED_TRACE("proxy " + std::to_string(row.host_index));
+    const std::string text = assess::explain_proxy(dump, row.host_index);
+    // Every slot the narrative reads is journaled: no "?" placeholder.
+    EXPECT_EQ(text.find('?'), std::string::npos) << text;
+    EXPECT_NE(text.find("  constraints:"), std::string::npos);
+    std::size_t listed = 0;
+    for (std::size_t p = text.find("] landmark "); p != std::string::npos;
+         p = text.find("] landmark ", p + 1))
+      ++listed;
+    EXPECT_EQ(listed, row.observations.size());
+    EXPECT_NE(text.find(std::string("verdict: ") +
+                        assess::to_string(row.verdict_final)),
+              std::string::npos);
+  }
+}
+
 // ---- streaming rounds ----
 
-TEST(AuditService, ReportInvariantAcrossThreadsAndLocateBatch) {
+TEST(AuditService, ReportInvariantAcrossThreads) {
   const std::uint64_t rounds = serve_rounds(6);
   std::optional<serve::ServiceReport> base;
   for (int threads : {1, 4}) {
-    for (std::size_t lb : {std::size_t{1}, std::size_t{8}}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " locate_batch " +
-                   std::to_string(lb));
-      measure::Testbed bed(small_bed_config());
-      auto fleet = small_fleet(bed.world());
-      serve::AuditService service(bed, service_config(threads, lb));
-      service.admit(fleet);
-      service.bootstrap();
-      service.run_rounds(rounds);
-      auto rep = service.report();
-      EXPECT_EQ(rep.epoch, rounds);
-      ASSERT_EQ(rep.rows.size(), fleet.hosts.size());
-      if (!base) {
-        base = std::move(rep);
-      } else {
-        expect_service_reports_identical(*base, rep);
-      }
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    measure::Testbed bed(small_bed_config());
+    auto fleet = small_fleet(bed.world());
+    serve::AuditService service(bed, service_config(threads));
+    service.admit(fleet);
+    service.bootstrap();
+    service.run_rounds(rounds);
+    auto rep = service.report();
+    EXPECT_EQ(rep.epoch, rounds);
+    ASSERT_EQ(rep.rows.size(), fleet.hosts.size());
+    if (!base) {
+      base = std::move(rep);
+    } else {
+      expect_service_reports_identical(*base, rep);
     }
   }
   // The streaming steady state actually exercised the incremental path.
@@ -350,7 +438,7 @@ TEST(AuditService, IncrementalSolvesMatchFullOracle) {
   // list — the incremental memo path is bit-transparent.
   measure::Testbed bed(small_bed_config());
   auto fleet = small_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(4, 8);
+  serve::ServiceConfig cfg = service_config(4);
   serve::AuditService service(bed, cfg);
   service.admit(fleet);
   service.bootstrap();
@@ -376,7 +464,7 @@ TEST(AuditService, IncrementalSolvesMatchFullOracle) {
 TEST(AuditService, SpotterStreamingMatchesFullOracle) {
   measure::Testbed bed(small_bed_config());
   auto fleet = tiny_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(2, 4);
+  serve::ServiceConfig cfg = service_config(2);
   cfg.audit.algorithm = assess::AuditAlgorithm::kSpotter;
   serve::AuditService service(bed, cfg);
   service.admit(fleet);
@@ -412,7 +500,7 @@ TEST(AuditService, ByzantineFleetStreamingInvariant) {
     auto attackers = compromise_landmarks(bed, 0.25, "deflate");
     ASSERT_EQ(attackers.size(), bed.landmarks().size() / 4);
     auto fleet = small_fleet(bed.world());
-    serve::AuditService service(bed, service_config(threads, 8));
+    serve::AuditService service(bed, service_config(threads));
     service.admit(fleet);
     service.bootstrap();
     service.run_rounds(rounds);
@@ -431,7 +519,7 @@ TEST(AuditService, ByzantineFleetStreamingInvariant) {
     any_excluded |= row.constraints_used < row.constraints_total;
   EXPECT_TRUE(any_excluded);
 
-  serve::ServiceConfig cfg = service_config(1, 8);
+  serve::ServiceConfig cfg = service_config(1);
   auto oracle = assess::make_geolocator(cfg.audit);
   grid::CapPlanCache oracle_cache(1024);
   oracle->set_plan_cache(&oracle_cache);
@@ -500,7 +588,7 @@ TEST(AuditService, SnapshotRestoreRoundTrip) {
   // the restored service replays the original bit for bit (campaign
   // fault telemetry is bootstrap-only and outside the snapshot).
   const std::uint64_t pre = 3, post = serve_rounds(3);
-  serve::ServiceConfig cfg = service_config(2, 8);
+  serve::ServiceConfig cfg = service_config(2);
 
   measure::Testbed bed_a(small_bed_config());
   auto fleet = small_fleet(bed_a.world());
@@ -539,14 +627,152 @@ TEST(AuditService, SnapshotRestoreRoundTrip) {
 TEST(AuditService, RestoreRequiresFreshService) {
   measure::Testbed bed(small_bed_config());
   auto fleet = tiny_fleet(bed.world());
-  serve::AuditService service(bed, service_config(1, 8));
+  serve::AuditService service(bed, service_config(1));
   service.admit(fleet);
   service.bootstrap();
   auto snap = service.snapshot();
   EXPECT_THROW(service.restore(snap), ageo::InvalidArgument);
   // And rounds require a bootstrapped (or restored) service.
-  serve::AuditService fresh(bed, service_config(1, 8));
+  serve::AuditService fresh(bed, service_config(1));
   EXPECT_THROW(fresh.run_round(), ageo::InvalidArgument);
+}
+
+// ---- hostile snapshots ----
+
+namespace {
+
+/// A streamed service's snapshot: bootstrap plus a few rounds. Every
+/// needs_full flag is cleared (restore consumes it), so restoring this
+/// snapshot re-snapshots to the same text.
+serve::EpochSnapshot streamed_snapshot() {
+  measure::Testbed bed(small_bed_config());
+  serve::AuditService service(bed, service_config(2));
+  service.admit(small_fleet(bed.world()));
+  service.bootstrap();
+  service.run_rounds(3);
+  serve::EpochSnapshot snap = service.snapshot();
+  for (auto& e : snap.entries) e.needs_full = false;
+  return snap;
+}
+
+/// `corrupt` breaks one field of a valid snapshot. restore() must throw
+/// ageo::Error and leave the service untouched, so restoring the valid
+/// snapshot onto the same service afterwards still succeeds exactly.
+void expect_restore_rejects(
+    const std::function<void(serve::EpochSnapshot&)>& corrupt) {
+  static const serve::EpochSnapshot good = streamed_snapshot();
+  serve::EpochSnapshot bad = good;
+  corrupt(bad);
+  measure::Testbed bed(small_bed_config());
+  serve::AuditService service(bed, service_config(2));
+  service.admit(small_fleet(bed.world()));
+  EXPECT_THROW(service.restore(bad), ageo::Error);
+  EXPECT_FALSE(service.bootstrapped());
+  EXPECT_EQ(service.epoch(), 0u);
+  EXPECT_EQ(service.pending(), 0u);
+  service.restore(good);
+  EXPECT_EQ(service.epoch(), good.epoch);
+  EXPECT_EQ(serve::snapshot_to_text(service.snapshot()),
+            serve::snapshot_to_text(good));
+}
+
+}  // namespace
+
+TEST(SnapshotRestore, RejectsEtaOutsideUnitInterval) {
+  for (double bad : {0.0, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    expect_restore_rejects([bad](serve::EpochSnapshot& s) { s.eta.eta = bad; });
+  }
+}
+
+TEST(SnapshotRestore, RejectsEntriesOutOfIdOrder) {
+  expect_restore_rejects([](serve::EpochSnapshot& s) {
+    ASSERT_GE(s.entries.size(), 2u);
+    std::swap(s.entries[0], s.entries[1]);
+  });
+}
+
+TEST(SnapshotRestore, RejectsEntryNotAdmitted) {
+  expect_restore_rejects(
+      [](serve::EpochSnapshot& s) { s.entries.back().id = 1000000; });
+}
+
+TEST(SnapshotRestore, RejectsPendingIdWithoutEntry) {
+  // Used to dereference null on the next round's solve.
+  expect_restore_rejects([](serve::EpochSnapshot& s) {
+    s.pending.push_back(s.entries.back().id + 1);
+  });
+}
+
+TEST(SnapshotRestore, RejectsBadContinent) {
+  expect_restore_rejects(
+      [](serve::EpochSnapshot& s) { s.entries[0].continent = 200; });
+}
+
+TEST(SnapshotRestore, RejectsBadVerdictInHistory) {
+  expect_restore_rejects(
+      [](serve::EpochSnapshot& s) { s.entries[0].history.push_back(77); });
+}
+
+TEST(SnapshotRestore, RejectsLandmarkIdOutOfRange) {
+  expect_restore_rejects([](serve::EpochSnapshot& s) {
+    ASSERT_FALSE(s.entries[0].observations.empty());
+    s.entries[0].observations[0].landmark_id = 1000000;
+  });
+}
+
+TEST(SnapshotRestore, RejectsNonFiniteOrNegativeDelay) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE(bad);
+    expect_restore_rejects([bad](serve::EpochSnapshot& s) {
+      ASSERT_FALSE(s.entries[0].observations.empty());
+      s.entries[0].observations.back().one_way_delay_ms = bad;
+    });
+  }
+}
+
+TEST(SnapshotRestore, RejectsRefreshCursorPastObservations) {
+  expect_restore_rejects([](serve::EpochSnapshot& s) {
+    s.entries[0].refresh_cursor = s.entries[0].observations.size();
+  });
+}
+
+TEST(SnapshotRestore, RejectsPoolCursorPastProbePool) {
+  expect_restore_rejects([](serve::EpochSnapshot& s) {
+    s.entries[0].pool_cursor = std::numeric_limits<std::size_t>::max();
+  });
+}
+
+TEST(Snapshot, ParserRejectsHugeCountsSignsAndOverflow) {
+  const std::string good =
+      "ageo-serve-snapshot v1\nepoch 3\neta 0.5 0.9 2 0.4 0.6\n"
+      "entries 1\nentry 5 -1 0 0 0 1.5 2 0 0 0 0\nhistory 1 2\n"
+      "obs 1\n7 2.5\npending 0\nend\n";
+  const serve::EpochSnapshot s = serve::parse_snapshot_text(good);
+  ASSERT_EQ(s.entries.size(), 1u);
+  EXPECT_EQ(s.entries[0].last_solve_epoch, -1);
+  EXPECT_EQ(serve::snapshot_to_text(s), good);
+
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::string huge = "100000000000000";
+  for (const std::string& bad :
+       {with("entries 1", "entries " + huge),
+        with("history 1", "history " + huge), with("obs 1", "obs " + huge),
+        with("pending 0", "pending " + huge), with("epoch 3", "epoch -1"),
+        with("epoch 3", "epoch +3"),
+        with("epoch 3", "epoch 18446744073709551616"),
+        with("entry 5 -1", "entry 5 -99999999999999999999"),
+        with("1.5 2 0", "1.5 256 0"), with("history 1 2", "history 1 -2"),
+        with("0 0 0 0\n", "0 0 2 0\n"), with("7 2.5", "-7 2.5")}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(serve::parse_snapshot_text(bad), ageo::Error);
+  }
 }
 
 // ---- runtime auto-sizing and backpressure ----
@@ -554,7 +780,7 @@ TEST(AuditService, RestoreRequiresFreshService) {
 TEST(AuditService, AutoSizesPlanCacheAndScratchStore) {
   measure::Testbed bed(small_bed_config());
   auto fleet = small_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(4, 8);
+  serve::ServiceConfig cfg = service_config(4);
   cfg.shard_capacity = 4096;
   serve::AuditService service(bed, cfg);
   service.admit(fleet);
@@ -580,7 +806,7 @@ TEST(AuditService, AutoSizesPlanCacheAndScratchStore) {
 TEST(AuditService, BackpressureBoundsPendingQueue) {
   measure::Testbed bed(small_bed_config());
   auto fleet = small_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(2, 8);
+  serve::ServiceConfig cfg = service_config(2);
   cfg.round_quota = 8;
   cfg.solver_budget = 1;
   cfg.max_pending = 4;
@@ -609,7 +835,7 @@ TEST(AuditService, RefreshRotationSpendsMemoAndFallsBackToFull) {
   // full_resolves).
   measure::Testbed bed(small_bed_config());
   auto fleet = tiny_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(2, 8);
+  serve::ServiceConfig cfg = service_config(2);
   cfg.round_quota = fleet.hosts.size();
   cfg.probes_per_round = 16;
   serve::AuditService service(bed, cfg);
@@ -639,7 +865,7 @@ TEST(AuditService, RefreshRotationSpendsMemoAndFallsBackToFull) {
 
 TEST(AuditService, EmptyBootstrapIsANoOp) {
   measure::Testbed bed(small_bed_config());
-  serve::AuditService service(bed, service_config(1, 8));
+  serve::AuditService service(bed, service_config(1));
   service.bootstrap();
   EXPECT_TRUE(service.bootstrapped());
   auto rep = service.report();
