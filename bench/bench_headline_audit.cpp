@@ -11,15 +11,8 @@
 // the threads=1/2/4/8 scaling of the standard 1.0-degree audit, and the
 // flat vs coarse-to-fine refined audit at 0.25-degree final resolution
 // (schedule from AGEO_REFINE, default 2.0,0.5), with the refined rows
-// checked bit-identical against the flat oracle. A third section covers
-// the SIMD story, recorded to BENCH_simd.json (AGEO_BENCH_JSON_SIMD=FILE):
-// direct scalar-vs-AVX2 A/B rows of the dispatched kernels (annulus
-// intersect, ring multiply, exp, popcount) with bit-identity checks, and
-// the 0.25-degree flat audit with the dispatch pinned to scalar vs AVX2.
-// On AVX2 machines the SIMD rows are gated: every kernel must agree
-// bit-for-bit, ring-multiply and annulus must be strictly faster, and at
-// least one kernel must clear 2x — a regression exits non-zero.
-// AGEO_PERF_SECTION=off skips all the perf curves (the obs-overhead CI
+// checked bit-identical against the flat oracle (a mismatch exits
+// non-zero). AGEO_PERF_SECTION=off skips all the perf curves (the obs-overhead CI
 // job only needs the headline).
 #include <algorithm>
 #include <chrono>
@@ -28,18 +21,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "grid/grid.hpp"
-#include "grid/simd.hpp"
 #include "obs/metrics.hpp"
 
 using namespace ageo;
-namespace simd = ageo::grid::simd;
 
 namespace {
 
@@ -151,194 +140,6 @@ void write_refine_json(const std::string& path, double scale,
   append_perf_cells(out, threads_curve);
   out << "  ],\n  \"refinement\": [\n";
   append_perf_cells(out, refine_curve);
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-}
-
-// ---- SIMD kernel A/B rows ----------------------------------------------
-
-struct KernelRow {
-  std::string label;
-  std::size_t n = 0;        // elements per timed pass
-  double scalar_ms = 0.0;   // best-of-reps single-pass wall clock
-  double simd_ms = 0.0;
-  double speedup = 1.0;     // scalar_ms / simd_ms
-  bool identical = true;    // scalar and AVX2 outputs agree bit-for-bit
-};
-
-// Best-of-`reps` wall clock of one kernel pass; `reset` runs untimed
-// before each pass so multiplicative kernels see identical input state
-// every time.
-template <typename Reset, typename Pass>
-double best_pass_ms(int reps, Reset&& reset, Pass&& pass) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    reset();
-    const auto t0 = std::chrono::steady_clock::now();
-    pass();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
-// Direct A/B of the kernel tables (no dispatch-global tampering): each
-// row runs the scalar and the AVX2 entry point on the same operands,
-// checks the outputs bit-for-bit, and reports best-of-reps pass times.
-// On machines without AVX2 the "simd" column rebenches the scalar table,
-// so speedups hover around 1x and the perf gates are skipped.
-std::vector<KernelRow> run_kernel_rows() {
-  const simd::KernelTable& sc = simd::scalar_kernels();
-  const simd::KernelTable* vp = simd::avx2_kernels();
-  const simd::KernelTable& vx = vp ? *vp : sc;
-  const int reps = 7;
-  std::vector<KernelRow> rows;
-
-  // The audit's own operand layout: a 0.25-degree grid's ~1M precomputed
-  // cell-center unit vectors.
-  grid::Grid g(0.25);
-  const std::size_t n = g.size();
-  const geo::Vec3* centers = &g.center_vec(0);
-  const std::size_t nwords = (n + 63) / 64;
-
-  {
-    // Fused annulus dot-test over the whole grid (a band reaching roughly
-    // 810..1570 km from the probe point).
-    const geo::Vec3 v = g.center_vec(g.cell_at({46.0, 8.0}));
-    const double cos_outer = 0.97, cos_inner = 0.99;
-    std::vector<std::uint64_t> ws(nwords, ~0ull), wv(nwords, ~0ull);
-    KernelRow row;
-    row.label = "annulus-intersect";
-    row.n = n;
-    sc.annulus_intersect(centers, 0, n, v, cos_outer, cos_inner, ws.data());
-    vx.annulus_intersect(centers, 0, n, v, cos_outer, cos_inner, wv.data());
-    row.identical = ws == wv;
-    // Re-running on the already-intersected words repeats the identical
-    // dot-test work, so no reset is needed between passes.
-    row.scalar_ms = best_pass_ms(reps, [] {}, [&] {
-      sc.annulus_intersect(centers, 0, n, v, cos_outer, cos_inner, ws.data());
-    });
-    row.simd_ms = best_pass_ms(reps, [] {}, [&] {
-      vx.annulus_intersect(centers, 0, n, v, cos_outer, cos_inner, wv.data());
-    });
-    row.speedup = row.simd_ms > 0.0 ? row.scalar_ms / row.simd_ms : 1.0;
-    rows.push_back(std::move(row));
-  }
-
-  {
-    // Gaussian ring multiply: every live cell's weight goes through the
-    // shared fast-exp core (distances stay inside the hard-support band,
-    // so the polynomial — not the a>=746 early-out — is what is timed).
-    std::vector<double> dist(n), init(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dist[i] = static_cast<double>((i * 97) % 20000);
-      init[i] = (i % 16 == 0) ? 0.0 : 1.0;  // exercise the zero-skip path
-    }
-    const double mu = 3000.0, inv_2s2 = 1.0 / (2.0 * 500.0 * 500.0);
-    std::vector<double> ds = init, dv = init;
-    KernelRow row;
-    row.label = "ring-multiply";
-    row.n = n;
-    sc.ring_multiply_span(ds.data(), dist.data(), n, mu, inv_2s2);
-    vx.ring_multiply_span(dv.data(), dist.data(), n, mu, inv_2s2);
-    row.identical =
-        std::memcmp(ds.data(), dv.data(), n * sizeof(double)) == 0;
-    row.scalar_ms = best_pass_ms(reps, [&] { ds = init; }, [&] {
-      sc.ring_multiply_span(ds.data(), dist.data(), n, mu, inv_2s2);
-    });
-    row.simd_ms = best_pass_ms(reps, [&] { ds = init; }, [&] {
-      vx.ring_multiply_span(ds.data(), dist.data(), n, mu, inv_2s2);
-    });
-    row.speedup = row.simd_ms > 0.0 ? row.scalar_ms / row.simd_ms : 1.0;
-    rows.push_back(std::move(row));
-  }
-
-  {
-    // Bulk exp(-a) across both hard cutoffs (a in [-30, 770)).
-    std::vector<double> a(n), os(n), ov(n);
-    for (std::size_t i = 0; i < n; ++i)
-      a[i] = -30.0 + static_cast<double>((i * 131) % 8000) / 10.0;
-    KernelRow row;
-    row.label = "exp-neg";
-    row.n = n;
-    sc.exp_neg(a.data(), os.data(), n);
-    vx.exp_neg(a.data(), ov.data(), n);
-    row.identical =
-        std::memcmp(os.data(), ov.data(), n * sizeof(double)) == 0;
-    row.scalar_ms = best_pass_ms(reps, [] {},
-                                 [&] { sc.exp_neg(a.data(), os.data(), n); });
-    row.simd_ms = best_pass_ms(reps, [] {},
-                               [&] { vx.exp_neg(a.data(), ov.data(), n); });
-    row.speedup = row.simd_ms > 0.0 ? row.scalar_ms / row.simd_ms : 1.0;
-    rows.push_back(std::move(row));
-  }
-
-  {
-    // Multi-plane popcount sweep, shaped like the sparse LCS engine's
-    // max-coverage scan: 24 constraint planes over the grid's word array.
-    const std::size_t planes = 24, stride = nwords;
-    std::vector<std::uint64_t> cover(planes * stride);
-    std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    for (auto& w : cover) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      w = x;
-    }
-    std::vector<std::uint32_t> ps(nwords), pv(nwords);
-    KernelRow row;
-    row.label = "popcount-cells";
-    row.n = planes * nwords;
-    sc.popcount_cells(cover.data(), stride, planes, 0, nwords, ps.data());
-    vx.popcount_cells(cover.data(), stride, planes, 0, nwords, pv.data());
-    row.identical = ps == pv;
-    row.scalar_ms = best_pass_ms(reps, [] {}, [&] {
-      sc.popcount_cells(cover.data(), stride, planes, 0, nwords, ps.data());
-    });
-    row.simd_ms = best_pass_ms(reps, [] {}, [&] {
-      vx.popcount_cells(cover.data(), stride, planes, 0, nwords, pv.data());
-    });
-    row.speedup = row.simd_ms > 0.0 ? row.scalar_ms / row.simd_ms : 1.0;
-    rows.push_back(std::move(row));
-  }
-
-  return rows;
-}
-
-void print_kernel_row(const KernelRow& r) {
-  std::printf("%-24s %9zu %11.3f %11.3f %8.2fx  %s\n", r.label.c_str(), r.n,
-              r.scalar_ms, r.simd_ms, r.speedup,
-              r.identical ? "" : "MISMATCH");
-}
-
-void write_simd_json(const std::string& path, double scale,
-                     const std::vector<PerfCell>& threads_curve,
-                     const std::vector<PerfCell>& simd_curve,
-                     const std::vector<KernelRow>& kernel_rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"scale\": " << scale << ",\n  \"algorithm\": \""
-      << bench::audit_algorithm_name() << "\",\n  \"simd\": {\"compiled\": "
-      << (simd::compiled() ? "true" : "false") << ", \"cpu_supported\": "
-      << (simd::cpu_supported() ? "true" : "false") << ", \"dispatch\": \""
-      << (simd::active_level() == simd::Level::kAvx2 ? "avx2" : "scalar")
-      << "\"},\n  \"thread_scaling\": [\n";
-  append_perf_cells(out, threads_curve);
-  out << "  ],\n  \"simd_audit\": [\n";
-  append_perf_cells(out, simd_curve);
-  out << "  ],\n  \"kernels\": [\n";
-  for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-    const KernelRow& r = kernel_rows[i];
-    out << "    {\"label\":\"" << r.label << "\",\"n\":" << r.n
-        << ",\"scalar_ms\":" << r.scalar_ms << ",\"simd_ms\":" << r.simd_ms
-        << ",\"speedup\":" << r.speedup << ",\"identical\":"
-        << (r.identical ? "true" : "false") << "}"
-        << (i + 1 < kernel_rows.size() ? "," : "") << "\n";
-  }
   out << "  ]\n}\n";
   std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
@@ -493,67 +294,5 @@ int main() {
   if (const char* path = std::getenv("AGEO_BENCH_JSON"))
     write_refine_json(path, scale, threads_curve, refine_curve);
 
-  // ---- SIMD: kernel A/B rows + audit-level on/off at 0.25 degrees ----
-  std::printf("\n=== SIMD kernels (BENCH_simd.json) ===\n\n");
-  const simd::Level entry_level = simd::active_level();
-  std::printf("simd: compiled=%s cpu=%s dispatch=%s\n\n",
-              simd::compiled() ? "yes" : "no",
-              simd::cpu_supported() ? "yes" : "no",
-              entry_level == simd::Level::kAvx2 ? "avx2" : "scalar");
-
-  std::printf("%-24s %9s %11s %11s %9s\n", "kernel", "n", "scalar ms",
-              "simd ms", "speedup");
-  const std::vector<KernelRow> kernel_rows = run_kernel_rows();
-  bool kernels_identical = true;
-  for (const auto& r : kernel_rows) {
-    print_kernel_row(r);
-    kernels_identical = kernels_identical && r.identical;
-  }
-
-  // Audit-level A/B: the same 0.25-degree flat audit with the dispatch
-  // pinned to scalar, then to AVX2 (force_level clamps to scalar on
-  // machines without it), reports checked bit-identical.
-  std::printf("\n");
-  std::vector<PerfCell> simd_curve;
-  assess::AuditReport off_report, on_report;
-  simd::force_level(simd::Level::kScalar);
-  PerfCell simd_off =
-      run_perf_cell("simd-off-0.25deg", scale, 0.25, "off", 1, &off_report);
-  print_perf_row(simd_off);
-  simd_curve.push_back(simd_off);
-  simd::force_level(simd::Level::kAvx2);
-  PerfCell simd_on =
-      run_perf_cell("simd-on-0.25deg", scale, 0.25, "off", 1, &on_report);
-  simd_on.speedup = simd_off.audit_ms / simd_on.audit_ms;
-  simd_on.identical_to_flat = reports_match(off_report, on_report);
-  print_perf_row(simd_on);
-  simd_curve.push_back(simd_on);
-  simd::force_level(entry_level);
-
-  bool simd_ok = kernels_identical && simd_on.identical_to_flat;
-  if (simd::avx2_kernels() != nullptr) {
-    double best_speedup = 0.0;
-    bool ring_faster = false, annulus_faster = false;
-    for (const auto& r : kernel_rows) {
-      best_speedup = std::max(best_speedup, r.speedup);
-      if (r.label == "ring-multiply") ring_faster = r.speedup > 1.0;
-      if (r.label == "annulus-intersect") annulus_faster = r.speedup > 1.0;
-    }
-    const bool perf_ok = ring_faster && annulus_faster && best_speedup >= 2.0;
-    std::printf("\nsimd == scalar bit-identity: %s;  audit speedup at 0.25 "
-                "degrees: %.2fx;  perf gates (ring>1x, annulus>1x, "
-                "best>=2x): %s (best %.2fx)\n",
-                simd_ok ? "PASS" : "FAIL", simd_on.speedup,
-                perf_ok ? "PASS" : "FAIL", best_speedup);
-    simd_ok = simd_ok && perf_ok;
-  } else {
-    std::printf("\nsimd == scalar bit-identity: %s (AVX2 unavailable; perf "
-                "gates skipped)\n",
-                simd_ok ? "PASS" : "FAIL");
-  }
-
-  if (const char* path = std::getenv("AGEO_BENCH_JSON_SIMD"))
-    write_simd_json(path, scale, threads_curve, simd_curve, kernel_rows);
-
-  return (refined.identical_to_flat && simd_ok) ? 0 : 1;
+  return refined.identical_to_flat ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 #include "grid/field.hpp"
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
-#include "grid/simd.hpp"
 #include "mlat/multilateration.hpp"
 #include "obs/metrics.hpp"
 
@@ -518,101 +517,5 @@ static void BM_CredibleRegion(benchmark::State& state) {
   state.SetLabel("cell_deg=" + std::to_string(state.range(0) / 100.0));
 }
 BENCHMARK(BM_CredibleRegion)->Arg(100)->Arg(25);
-
-// ---- SIMD kernel tables: scalar (Arg 0) vs AVX2 (Arg 1) A/B -----------
-// Direct table calls (grid/simd.hpp), no dispatch-global tampering, so
-// the two rows of each pair time exactly the same operands through the
-// two code paths. The AVX2 rows report a skip on machines without it —
-// the row still appears in the output, which is what the smoke runner's
-// under-reporting check keys on.
-
-static const grid::simd::KernelTable* simd_bench_table(
-    benchmark::State& state) {
-  if (state.range(0) == 0) return &grid::simd::scalar_kernels();
-  const grid::simd::KernelTable* t = grid::simd::avx2_kernels();
-  if (t == nullptr) state.SkipWithError("AVX2 kernels unavailable");
-  return t;
-}
-
-static void BM_SimdAnnulusIntersect(benchmark::State& state) {
-  const grid::simd::KernelTable* kt = simd_bench_table(state);
-  if (kt == nullptr) return;
-  grid::Grid g(0.25);
-  const std::size_t n = g.size();
-  std::vector<std::uint64_t> words((n + 63) / 64, ~0ull);
-  const geo::Vec3 v = g.center_vec(g.cell_at({46.0, 8.0}));
-  for (auto _ : state) {
-    kt->annulus_intersect(&g.center_vec(0), 0, n, v, 0.97, 0.99,
-                          words.data());
-    benchmark::DoNotOptimize(words.data());
-  }
-  state.SetLabel(state.range(0) ? "avx2" : "scalar");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimdAnnulusIntersect)->Arg(0)->Arg(1);
-
-static void BM_SimdRingMultiplySpan(benchmark::State& state) {
-  const grid::simd::KernelTable* kt = simd_bench_table(state);
-  if (kt == nullptr) return;
-  const std::size_t n = 1u << 20;
-  std::vector<double> dist(n), init(n), density(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dist[i] = static_cast<double>((i * 97) % 20000);
-    init[i] = (i % 16 == 0) ? 0.0 : 1.0;
-  }
-  const double inv_2s2 = 1.0 / (2.0 * 500.0 * 500.0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    density = init;
-    state.ResumeTiming();
-    kt->ring_multiply_span(density.data(), dist.data(), n, 3000.0, inv_2s2);
-    benchmark::DoNotOptimize(density.data());
-  }
-  state.SetLabel(state.range(0) ? "avx2" : "scalar");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimdRingMultiplySpan)->Arg(0)->Arg(1);
-
-static void BM_SimdExpNeg(benchmark::State& state) {
-  const grid::simd::KernelTable* kt = simd_bench_table(state);
-  if (kt == nullptr) return;
-  const std::size_t n = 1u << 20;
-  std::vector<double> a(n), out(n);
-  for (std::size_t i = 0; i < n; ++i)
-    a[i] = -30.0 + static_cast<double>((i * 131) % 8000) / 10.0;
-  for (auto _ : state) {
-    kt->exp_neg(a.data(), out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetLabel(state.range(0) ? "avx2" : "scalar");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimdExpNeg)->Arg(0)->Arg(1);
-
-static void BM_SimdPopcountCells(benchmark::State& state) {
-  const grid::simd::KernelTable* kt = simd_bench_table(state);
-  if (kt == nullptr) return;
-  const std::size_t planes = 24, stride = 1u << 14;
-  std::vector<std::uint64_t> cover(planes * stride);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (auto& w : cover) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    w = x;
-  }
-  std::vector<std::uint32_t> pc(stride);
-  for (auto _ : state) {
-    kt->popcount_cells(cover.data(), stride, planes, 0, stride, pc.data());
-    benchmark::DoNotOptimize(pc.data());
-  }
-  state.SetLabel(state.range(0) ? "avx2" : "scalar");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(planes * stride));
-}
-BENCHMARK(BM_SimdPopcountCells)->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

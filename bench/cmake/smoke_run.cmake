@@ -1,11 +1,10 @@
 # Smoke-run one bench binary and fail the build loudly when it exits
 # non-zero OR when a required output row is missing. The second check is
 # the point: a google-benchmark binary whose rows were silently dropped
-# (a bad --benchmark_filter, a registration that never ran, a skipped
-# SIMD row) still exits 0, and a plain POST_BUILD command would let it
-# sail through CI. Skipped-with-error rows still print their name, so
-# an AVX2-less machine passes the presence check while a binary that
-# lost the row entirely does not.
+# (a bad --benchmark_filter, a registration that never ran) still exits
+# 0, and a plain POST_BUILD command would let it sail through CI. The
+# same check pins figures: an expected substring can be a whole result
+# line, so a changed number fails the smoke run too.
 #
 # Usage:
 #   cmake -DBIN=<exe>

@@ -16,16 +16,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "obs/obs.hpp"
 
@@ -51,30 +45,6 @@ struct alignas(64) WorkStripe {
   std::atomic<std::size_t> next{0};
   std::size_t end = 0;
 };
-
-/// Affinity pinning is on by default and disabled by AGEO_AFFINITY=0
-/// (or "off"). Pinning keeps a worker's working set — scratch arenas,
-/// plan-cache shards — hot in one core's private caches instead of
-/// migrating with the scheduler.
-inline bool affinity_enabled() noexcept {
-  const char* e = std::getenv("AGEO_AFFINITY");
-  if (e == nullptr || e[0] == '\0') return true;
-  return !(e[0] == '0' || e[0] == 'o' || e[0] == 'O');
-}
-
-/// Best-effort: pin the calling thread to one CPU. Failures (cgroup
-/// masks, exotic topologies) are ignored — pinning is an optimisation,
-/// never a correctness requirement.
-inline void pin_self_to_cpu(unsigned cpu) noexcept {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % CPU_SETSIZE, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
 
 }  // namespace detail
 
@@ -116,8 +86,6 @@ void parallel_for(std::size_t n, int threads, F&& f) {
   std::atomic<bool> failed{false};
   std::exception_ptr error;
   std::mutex error_mu;
-  const bool pin = detail::affinity_enabled();
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   auto work = [&](std::size_t self) noexcept {
     AGEO_SPAN("common", "parallel_for.worker");
@@ -157,14 +125,10 @@ void parallel_for(std::size_t n, int threads, F&& f) {
     std::vector<std::jthread> pool;
     pool.reserve(static_cast<std::size_t>(workers) - 1);
     for (int t = 1; t < workers; ++t) {
-      pool.emplace_back([&work, pin, hw, t]() noexcept {
-        if (pin) detail::pin_self_to_cpu(static_cast<unsigned>(t) % hw);
-        work(static_cast<std::size_t>(t));
-      });
+      pool.emplace_back(
+          [&work, t]() noexcept { work(static_cast<std::size_t>(t)); });
     }
-    // The calling thread runs stripe 0 and is never re-pinned — its
-    // affinity belongs to the caller.
-    work(0);
+    work(0);  // the calling thread runs stripe 0
   }  // jthreads join on scope exit
   if (error) std::rethrow_exception(error);
 }

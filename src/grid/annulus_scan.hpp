@@ -15,12 +15,19 @@
 // floating-point error in the zone computation; tested cells evaluate the
 // exact same clamped-dot expression as the naive scan, so the pruned scan
 // is bit-for-bit identical to it (pinned by raster_equivalence_test).
+//
+// Boundary-band cells are tested in contiguous runs by annulus_fold,
+// which folds the pass bits straight into a Region's words. It has two
+// implementations, a scalar loop and an AVX2 loop that performs the same
+// floating-point operations in the same order; one cached CPUID check
+// picks between them.
 #pragma once
 
 #include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <numbers>
 #include <tuple>
 
@@ -158,7 +165,7 @@ inline void emit_zones(const RowZones& z, TestO&& test, FillO&& fill) {
 
 /// Same walk as emit_zones, but boundary-band offsets are grouped into
 /// maximal inclusive runs handed to `run(o_lo, o_hi)` instead of one
-/// callback per offset — the shape the SIMD dot-test kernels consume.
+/// callback per offset — the shape annulus_fold consumes.
 /// The set of offsets visited (and the fills emitted) is identical to
 /// emit_zones by construction.
 template <typename RunO, typename FillO>
@@ -209,6 +216,114 @@ inline void for_col_spans(long c_round, long o_lo, long o_hi, long ncols,
   } else {
     fn(c0, ncols);
     fn(long{0}, c0 + len - ncols);
+  }
+}
+
+// ---- boundary-run dot tests ---------------------------------------------
+
+/// The exact per-cell membership test: clamp the dot product of unit
+/// vectors (guards the acos domain at the callers that derive cos bounds)
+/// and compare against the closed [cos_outer, cos_inner] band.
+inline bool annulus_pass(const geo::Vec3& c, const geo::Vec3& v,
+                         double cos_outer, double cos_inner) noexcept {
+  double d = v.dot(c);
+  if (d > 1.0) d = 1.0;
+  if (d < -1.0) d = -1.0;
+  return d >= cos_outer && d <= cos_inner;
+}
+
+/// Pass bits (at positions idx & 63) for cells [lo, hi) within one
+/// 64-cell word.
+inline std::uint64_t annulus_pass_bits(const geo::Vec3* centers,
+                                       std::size_t lo, std::size_t hi,
+                                       const geo::Vec3& v, double cos_outer,
+                                       double cos_inner) noexcept {
+  std::uint64_t pass = 0;
+  for (std::size_t idx = lo; idx < hi; ++idx) {
+    pass |= static_cast<std::uint64_t>(
+                annulus_pass(centers[idx], v, cos_outer, cos_inner))
+            << (idx & 63);
+  }
+  return pass;
+}
+
+/// Bit mask for positions [lo, hi) of a 64-bit word (lo < hi <= 64).
+inline std::uint64_t word_run_mask(unsigned lo, unsigned hi) noexcept {
+  const std::uint64_t upper = (hi == 64) ? ~0ull : ((1ull << hi) - 1ull);
+  return upper & ~((1ull << lo) - 1ull);
+}
+
+/// How a run's pass bits combine with the region word:
+///   set:       bit |= pass
+///   intersect: bit &= pass   (bits outside the run untouched)
+///   subtract:  bit &= !pass  (bits outside the run untouched)
+enum class AnnulusOp { kSet, kIntersect, kSubtract };
+
+/// Fold one word's pass bits into the region word. `rm` masks the
+/// positions actually covered by the run; pass bits are zero outside it
+/// by construction, so only intersect needs the mask explicitly.
+template <AnnulusOp Op>
+inline void fold_word(std::uint64_t& w, std::uint64_t pass,
+                      std::uint64_t rm) noexcept {
+  if constexpr (Op == AnnulusOp::kSet) {
+    w |= pass;
+  } else if constexpr (Op == AnnulusOp::kIntersect) {
+    w &= pass | ~rm;
+  } else {
+    w &= ~pass;
+  }
+}
+
+/// Test cells [begin, end) (contiguous global indices) against the band
+/// and fold the pass bits into `words` by Op, one word at a time.
+template <AnnulusOp Op>
+inline void annulus_fold_scalar(const geo::Vec3* centers, std::size_t begin,
+                                std::size_t end, const geo::Vec3& v,
+                                double cos_outer, double cos_inner,
+                                std::uint64_t* words) noexcept {
+  if (begin >= end) return;
+  for (std::size_t wi = begin >> 6; wi <= (end - 1) >> 6; ++wi) {
+    const std::size_t lo = std::max(begin, wi << 6);
+    const std::size_t hi = std::min(end, (wi << 6) + 64);
+    const std::uint64_t pass =
+        annulus_pass_bits(centers, lo, hi, v, cos_outer, cos_inner);
+    fold_word<Op>(words[wi], pass,
+                  word_run_mask(static_cast<unsigned>(lo - (wi << 6)),
+                                static_cast<unsigned>(hi - (wi << 6))));
+  }
+}
+
+/// The same fold four cells at a time (annulus_avx2.cpp, the only file
+/// built with -mavx2). Bit-for-bit equal to annulus_fold_scalar; call it
+/// only when cpu_has_avx2().
+template <AnnulusOp Op>
+void annulus_fold_avx2(const geo::Vec3* centers, std::size_t begin,
+                       std::size_t end, const geo::Vec3& v, double cos_outer,
+                       double cos_inner, std::uint64_t* words) noexcept;
+
+/// True when the running CPU supports AVX2 (always false off x86-64).
+/// Resolved once per process.
+inline bool cpu_has_avx2() noexcept {
+#if defined(__x86_64__)
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has;
+#else
+  return false;
+#endif
+}
+
+/// The fold every boundary run goes through: the AVX2 loop when the CPU
+/// has it, the scalar loop otherwise.
+template <AnnulusOp Op>
+inline void annulus_fold(const geo::Vec3* centers, std::size_t begin,
+                         std::size_t end, const geo::Vec3& v,
+                         double cos_outer, double cos_inner,
+                         std::uint64_t* words) noexcept {
+  if (cpu_has_avx2()) {
+    annulus_fold_avx2<Op>(centers, begin, end, v, cos_outer, cos_inner, words);
+  } else {
+    annulus_fold_scalar<Op>(centers, begin, end, v, cos_outer, cos_inner,
+                            words);
   }
 }
 

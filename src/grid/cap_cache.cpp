@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "geo/units.hpp"
 #include "grid/annulus_scan.hpp"
-#include "grid/simd.hpp"
 #include "grid/window.hpp"
 #include "obs/obs.hpp"
 
@@ -152,11 +151,9 @@ void CapScanPlan::rasterize_annulus(double inner_km, double outer_km,
   if (s.empty) return;
   const long ncols = static_cast<long>(g.cols());
   const std::size_t cols = g.cols();
-  // Boundary-band cells go through the dot-test kernel as contiguous
-  // runs (SIMD lanes when dispatched); the kernel evaluates the same
-  // clamped-dot pass test as scan()'s per-cell path, in the same
-  // operation order, so the result is bit-identical.
-  const simd::KernelTable& kt = simd::kernels();
+  // Boundary-band cells go through annulus_fold as contiguous runs; it
+  // evaluates the same clamped-dot pass test as scan()'s per-cell path,
+  // in the same operation order, so the result is bit-identical.
   const geo::Vec3* centers = &g.center_vec(0);
   std::uint64_t* words = out.words().data();
 
@@ -165,8 +162,8 @@ void CapScanPlan::rasterize_annulus(double inner_km, double outer_km,
     const std::size_t base = g.index(r, 0);
     switch (classify_row(s, r, z)) {
       case RowClass::kNaive:  // ill-conditioned window: test the whole row
-        kt.annulus_set(centers, base, base + cols, s.v, s.cos_outer,
-                       s.cos_inner, words);
+        detail::annulus_fold<detail::AnnulusOp::kSet>(
+            centers, base, base + cols, s.v, s.cos_outer, s.cos_inner, words);
         continue;
       case RowClass::kOutside:
         continue;
@@ -178,11 +175,11 @@ void CapScanPlan::rasterize_annulus(double inner_km, double outer_km,
         [&](long o_lo, long o_hi) {
           detail::for_col_spans(c_round_, o_lo, o_hi, ncols,
                                 [&](long b0, long b1) {
-                                  kt.annulus_set(centers,
-                                                 base + static_cast<std::size_t>(b0),
-                                                 base + static_cast<std::size_t>(b1),
-                                                 s.v, s.cos_outer, s.cos_inner,
-                                                 words);
+                                  detail::annulus_fold<detail::AnnulusOp::kSet>(
+                                      centers,
+                                      base + static_cast<std::size_t>(b0),
+                                      base + static_cast<std::size_t>(b1),
+                                      s.v, s.cos_outer, s.cos_inner, words);
                                 });
         },
         [&](long o_lo, long o_hi) {
@@ -224,7 +221,6 @@ void CapScanPlan::intersect_rows(const detail::AnnulusScan& s, std::size_t lo,
     double d = std::clamp(s.v.dot(g.center_vec(idx)), -1.0, 1.0);
     return d >= s.cos_outer && d <= s.cos_inner;
   };
-  const simd::KernelTable& kt = simd::kernels();
   const geo::Vec3* centers = &g.center_vec(0);
   std::uint64_t* words = out.words().data();
 
@@ -273,7 +269,7 @@ void CapScanPlan::intersect_rows(const detail::AnnulusScan& s, std::size_t lo,
                                              base + static_cast<std::size_t>(b1));
                             });
     }
-    // Boundary runs AND pass bits into the surviving words (the kernel
+    // Boundary runs AND pass bits into the surviving words (the fold
     // tests every run cell; a clear bit stays clear either way, so this
     // matches the old test-surviving-bits-only walk exactly).
     detail::emit_zone_runs(
@@ -281,10 +277,10 @@ void CapScanPlan::intersect_rows(const detail::AnnulusScan& s, std::size_t lo,
         [&](long o_lo, long o_hi) {
           detail::for_col_spans(
               c_round_, o_lo, o_hi, ncols, [&](long b0, long b1) {
-                kt.annulus_intersect(centers,
-                                     base + static_cast<std::size_t>(b0),
-                                     base + static_cast<std::size_t>(b1), s.v,
-                                     s.cos_outer, s.cos_inner, words);
+                detail::annulus_fold<detail::AnnulusOp::kIntersect>(
+                    centers, base + static_cast<std::size_t>(b0),
+                    base + static_cast<std::size_t>(b1), s.v, s.cos_outer,
+                    s.cos_inner, words);
               });
         },
         // Guaranteed-inside fill spans: AND with 1 — leave untouched.
@@ -343,7 +339,6 @@ void CapScanPlan::subtract_annulus_into(double inner_km, double outer_km,
     double d = std::clamp(s.v.dot(g.center_vec(idx)), -1.0, 1.0);
     return d >= s.cos_outer && d <= s.cos_inner;
   };
-  const simd::KernelTable& kt = simd::kernels();
   const geo::Vec3* centers = &g.center_vec(0);
   std::uint64_t* words = out.words().data();
 
@@ -368,10 +363,10 @@ void CapScanPlan::subtract_annulus_into(double inner_km, double outer_km,
         [&](long o_lo, long o_hi) {
           detail::for_col_spans(
               c_round_, o_lo, o_hi, ncols, [&](long b0, long b1) {
-                kt.annulus_subtract(centers,
-                                    base + static_cast<std::size_t>(b0),
-                                    base + static_cast<std::size_t>(b1), s.v,
-                                    s.cos_outer, s.cos_inner, words);
+                detail::annulus_fold<detail::AnnulusOp::kSubtract>(
+                    centers, base + static_cast<std::size_t>(b0),
+                    base + static_cast<std::size_t>(b1), s.v, s.cos_outer,
+                    s.cos_inner, words);
               });
         },
         // Guaranteed-inside fill spans are removed wholesale; the core

@@ -11,7 +11,6 @@
 #include "grid/credible_select.hpp"
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
-#include "grid/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::grid {
@@ -181,82 +180,11 @@ void Field::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
   AGEO_COUNT("grid.ring_multiply.plan_served");
   AGEO_TIMED_NS("grid.ring_multiply_ns", 100.0, 1e9);
   const double* dist = plan.cell_distances_km().data();
-  if (simd::exp_mode() == simd::ExpMode::kFast) {
-    multiply_ring_fast(dist, mu_km, sigma_km,
-                       [&](double inner, double outer, Region& out) {
-                         plan.rasterize_annulus(inner, outer, out);
-                       });
-    return;
-  }
   multiply_ring_windowed(
       mu_km, sigma_km, [dist](std::size_t i) { return dist[i]; },
       [&](double inner, double outer, Region& out) {
         plan.rasterize_annulus(inner, outer, out);
       });
-}
-
-template <typename SupportF>
-void Field::multiply_ring_fast(const double* dist, double mu_km,
-                               double sigma_km, SupportF&& support) {
-  mass_valid_ = false;
-  const double inv_2s2 = 1.0 / (2.0 * sigma_km * sigma_km);
-  const simd::KernelTable& kt = simd::kernels();
-
-  if (live_valid_) {
-    // The live list indexes both the density and the distance table by
-    // global cell id, so one gathered kernel call covers the whole pass;
-    // stale zeros fall out in the compaction sweep (the kernel leaves a
-    // zero cell at zero: 0 * w == 0 for every ring weight w in [0, 1]).
-    kt.ring_multiply_gather(density_.data(), live_.data(), dist, live_.data(),
-                            live_.size(), mu_km, inv_2s2);
-    std::size_t keep = 0;
-    for (const std::uint32_t i : live_)
-      if (density_[i] != 0.0) live_[keep++] = i;
-    live_.resize(keep);
-    return;
-  }
-
-  // Same support windowing as the exact dense path: full support words go
-  // through the contiguous span kernel, partial words gather their set
-  // bits, the complement is zeroed wholesale.
-  const double w = detail::gaussian_support_halfwidth_km(sigma_km);
-  Scratch::RegionLease slease = Scratch::region(scratch_, *grid_);
-  Region& s = slease.ref();
-  support(std::max(0.0, mu_km - w), mu_km + w, s);
-  live_.clear();
-  live_.reserve(s.count());
-  const std::vector<std::uint64_t>& words = s.words();
-  const std::size_t n = density_.size();
-  std::uint32_t idxbuf[64];
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    const std::size_t base = wi << 6;
-    const std::size_t lim = std::min<std::size_t>(64, n - base);
-    const std::uint64_t bits = words[wi];
-    if (bits == 0) {
-      for (std::size_t j = 0; j < lim; ++j) density_[base + j] *= 0.0;
-      continue;
-    }
-    if (lim == 64 && bits == ~0ull) {
-      kt.ring_multiply_span(density_.data() + base, dist + base, 64, mu_km,
-                            inv_2s2);
-    } else {
-      unsigned cnt = 0;
-      for (std::size_t j = 0; j < lim; ++j) {
-        if ((bits >> j) & 1u) {
-          idxbuf[cnt++] = static_cast<std::uint32_t>(base + j);
-        } else {
-          density_[base + j] *= 0.0;
-        }
-      }
-      kt.ring_multiply_gather(density_.data(), idxbuf, dist, idxbuf, cnt,
-                              mu_km, inv_2s2);
-    }
-    for (std::size_t j = 0; j < lim; ++j) {
-      if (density_[base + j] != 0.0)
-        live_.push_back(static_cast<std::uint32_t>(base + j));
-    }
-  }
-  live_valid_ = true;
 }
 
 void Field::apply_mask(const Region& mask) {

@@ -165,14 +165,6 @@ class Field {
   void multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
                               SupportF&& support);
 
-  /// Opt-in vectorized-exp multiply (simd::ExpMode::kFast with a plan's
-  /// distance table). Same support windowing and live-list maintenance
-  /// as the exact path; the per-cell weight comes from the SIMD fast
-  /// exponential (ULP bound pinned by simd_test) instead of std::exp.
-  template <typename SupportF>
-  void multiply_ring_fast(const double* dist, double mu_km, double sigma_km,
-                          SupportF&& support);
-
   const Grid* grid_ = nullptr;
   Scratch* scratch_ = nullptr;
   std::vector<double> density_;

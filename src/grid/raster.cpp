@@ -9,7 +9,6 @@
 #include "geo/units.hpp"
 #include "geo/vec3.hpp"
 #include "grid/annulus_scan.hpp"
-#include "grid/simd.hpp"
 
 namespace ageo::grid {
 
@@ -43,7 +42,7 @@ void scan_annulus_naive(const Grid& g, const geo::LatLon& center,
 /// cells are emitted as spans via `fs(begin, end)` (word fills downstream);
 /// boundary-band cells are emitted as contiguous half-open index runs via
 /// `fr(begin, end, s)` — each run cell still needs the exact per-cell test
-/// (the SIMD kernels evaluate it four lanes at a time). The cells visited
+/// (annulus_fold evaluates it, four lanes at a time on AVX2). The cells visited
 /// are the same as the per-cell scan_annulus below, which is bit-for-bit
 /// identical to scan_annulus_naive; see annulus_scan.hpp for the error
 /// budget.
@@ -150,13 +149,13 @@ void rasterize_cap_into(const Grid& g, const geo::Cap& cap, Region& out) {
   ageo::detail::require(geo::is_valid(cap.center), "rasterize_cap: invalid center");
   ageo::detail::require(out.grid() == &g,
                         "rasterize_cap_into: region on a different grid");
-  const simd::KernelTable& kt = simd::kernels();
   const geo::Vec3* centers = &g.center_vec(0);
   std::uint64_t* words = out.words().data();
   scan_annulus_runs(
       g, cap.center, 0.0, cap.radius_km,
       [&](std::size_t b, std::size_t e, const AnnulusScan& s) {
-        kt.annulus_set(centers, b, e, s.v, s.cos_outer, s.cos_inner, words);
+        detail::annulus_fold<detail::AnnulusOp::kSet>(
+            centers, b, e, s.v, s.cos_outer, s.cos_inner, words);
       },
       [&](std::size_t b, std::size_t e) { out.set_span(b, e); });
 }
@@ -166,13 +165,13 @@ void rasterize_ring_into(const Grid& g, const geo::Ring& ring, Region& out) {
                   "rasterize_ring: invalid center");
   ageo::detail::require(out.grid() == &g,
                         "rasterize_ring_into: region on a different grid");
-  const simd::KernelTable& kt = simd::kernels();
   const geo::Vec3* centers = &g.center_vec(0);
   std::uint64_t* words = out.words().data();
   scan_annulus_runs(
       g, ring.center, ring.inner_km, ring.outer_km,
       [&](std::size_t b, std::size_t e, const AnnulusScan& s) {
-        kt.annulus_set(centers, b, e, s.v, s.cos_outer, s.cos_inner, words);
+        detail::annulus_fold<detail::AnnulusOp::kSet>(
+            centers, b, e, s.v, s.cos_outer, s.cos_inner, words);
       },
       [&](std::size_t b, std::size_t e) { out.set_span(b, e); });
 }

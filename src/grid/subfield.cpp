@@ -8,7 +8,6 @@
 #include "grid/cap_cache.hpp"
 #include "grid/credible_select.hpp"
 #include "grid/field.hpp"
-#include "grid/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::grid {
@@ -145,56 +144,7 @@ void SubField::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
   AGEO_COUNT("grid.ring_multiply.sub_plan_served");
   AGEO_TIMED_NS("grid.ring_multiply_ns", 100.0, 1e9);
   const double* dist = plan.cell_distances_km().data();
-  if (simd::exp_mode() == simd::ExpMode::kFast) {
-    multiply_ring_fast(dist, mu_km, sigma_km);
-    return;
-  }
   multiply_ring(mu_km, sigma_km, [dist](std::size_t i) { return dist[i]; });
-}
-
-void SubField::multiply_ring_fast(const double* dist, double mu_km,
-                                  double sigma_km) {
-  mass_valid_ = false;
-  const double inv_2s2 = 1.0 / (2.0 * sigma_km * sigma_km);
-  const simd::KernelTable& kt = simd::kernels();
-  std::vector<double>& density = density_.vec();
-  const std::vector<std::uint32_t>& global = global_.vec();
-  std::vector<std::uint32_t>& live = live_.vec();
-  // The gather kernel reads the density by window-local index and the
-  // distance table by global index, so the two index streams differ;
-  // block buffers keep the kernel calls allocation-free.
-  constexpr std::size_t kBlock = 256;
-  std::uint32_t buf[kBlock];
-
-  if (live_valid_) {
-    const std::size_t nlive = live.size();
-    for (std::size_t b0 = 0; b0 < nlive; b0 += kBlock) {
-      const std::size_t m = std::min(kBlock, nlive - b0);
-      for (std::size_t j = 0; j < m; ++j) buf[j] = global[live[b0 + j]];
-      kt.ring_multiply_gather(density.data(), live.data() + b0, dist, buf, m,
-                              mu_km, inv_2s2);
-    }
-    std::size_t keep = 0;
-    for (const std::uint32_t l : live)
-      if (density[l] != 0.0) live[keep++] = l;
-    live.resize(keep);
-    return;
-  }
-
-  live.clear();
-  const std::size_t n = density.size();
-  for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
-    const std::size_t m = std::min(kBlock, n - b0);
-    for (std::size_t j = 0; j < m; ++j)
-      buf[j] = static_cast<std::uint32_t>(b0 + j);
-    kt.ring_multiply_gather(density.data(), buf, dist, global.data() + b0, m,
-                            mu_km, inv_2s2);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (density[b0 + j] != 0.0)
-        live.push_back(static_cast<std::uint32_t>(b0 + j));
-    }
-  }
-  live_valid_ = true;
 }
 
 double SubField::total_mass() const noexcept {

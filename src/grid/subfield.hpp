@@ -85,10 +85,6 @@ class SubField {
   template <typename DistF>
   void multiply_ring(double mu_km, double sigma_km, DistF&& dist);
 
-  /// Opt-in vectorized-exp multiply (simd::ExpMode::kFast with a plan's
-  /// distance table); see Field::multiply_ring_fast.
-  void multiply_ring_fast(const double* dist, double mu_km, double sigma_km);
-
   const Grid* grid_;
   Window win_;
   Scratch* scratch_;

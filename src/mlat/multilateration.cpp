@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "grid/raster.hpp"
-#include "grid/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::mlat {
@@ -358,28 +357,13 @@ std::size_t lcs_annuli_into(const grid::Grid& g, std::size_t n,
     for (std::size_t w = 0; w < planes; ++w)
       ormask[w] |= cover[w * size + idx];
   };
-  // Multi-plane coverage counts go through the SIMD popcount kernel in
-  // fixed-size chunks (integer counts — trivially identical to the
-  // scalar loop); the single-plane case stays a one-word popcount.
-  const grid::simd::KernelTable& kt = grid::simd::kernels();
-  constexpr std::size_t kPcChunk = 256;
-  std::uint32_t pcbuf[kPcChunk];
   for_each_row_run(rowmap, rows, [&](std::size_t ra, std::size_t rb) {
-    const std::size_t lo = ra * cols, hi = rb * cols;
-    if (planes == 1) {
-      for (std::size_t idx = lo; idx < hi; ++idx) {
-        if (!candidate(idx)) continue;
-        consider(idx, static_cast<std::size_t>(std::popcount(cover[idx])));
-      }
-      return;
-    }
-    for (std::size_t b0 = lo; b0 < hi; b0 += kPcChunk) {
-      const std::size_t m = std::min(kPcChunk, hi - b0);
-      kt.popcount_cells(cover, size, planes, b0, m, pcbuf);
-      for (std::size_t j = 0; j < m; ++j) {
-        if (!candidate(b0 + j)) continue;
-        consider(b0 + j, pcbuf[j]);
-      }
+    for (std::size_t idx = ra * cols; idx < rb * cols; ++idx) {
+      if (!candidate(idx)) continue;
+      std::size_t pc = 0;
+      for (std::size_t w = 0; w < planes; ++w)
+        pc += static_cast<std::size_t>(std::popcount(cover[w * size + idx]));
+      consider(idx, pc);
     }
   });
   if (best == 0) {

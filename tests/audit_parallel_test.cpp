@@ -267,6 +267,10 @@ TEST(ParallelAudit, HybridAuditRuns) {
   auto fleet = small_fleet(bed.world());
   AuditConfig cfg = audit_config(2);
   cfg.algorithm = AuditAlgorithm::kHybrid;
+  // Flat solves even under the refine CI hook: a 4-degree level on this
+  // 2-degree grid is small enough for the per-cell sparse tail, which
+  // never looks up a plan.
+  cfg.refine = {};
   Auditor auditor(bed, cfg);
   auto report = auditor.run(fleet);
   EXPECT_EQ(report.rows.size(), fleet.hosts.size());
@@ -700,8 +704,9 @@ TEST(ParallelAudit, ExplainRendersProvenanceFromJournalAlone) {
       attacked = &row;
   ASSERT_NE(attacked, nullptr) << "deflate attack discarded nothing";
   const std::string attacked_text = verify(*attacked);
-  if (attacked->byzantine)
+  if (attacked->byzantine) {
     EXPECT_NE(attacked_text.find("BYZANTINE"), std::string::npos);
+  }
 
   // Suspicion evidence: fleet-wide flagged landmarks that constrained a
   // proxy must show up in its narrative with their tallies.

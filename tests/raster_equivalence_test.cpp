@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <random>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "geo/geodesy.hpp"
 #include "geo/units.hpp"
+#include "grid/annulus_scan.hpp"
 #include "grid/cap_cache.hpp"
 #include "grid/grid.hpp"
 #include "grid/raster.hpp"
@@ -192,6 +194,79 @@ TEST(RasterEquivalence, TinyCapOnExactCellCenterIsNotEmpty) {
     EXPECT_TRUE(fast.test(g.cell_at(on_center)))
         << "pruned scan lost the center cell at radius " << r;
     EXPECT_EQ(fast, ref);
+  }
+}
+
+// ---- boundary-run folds: scalar vs AVX2 on the same operands ----------
+
+using Fold = void (*)(const geo::Vec3*, std::size_t, std::size_t,
+                      const geo::Vec3&, double, double, std::uint64_t*);
+
+struct FoldPair {
+  Fold scalar;
+  Fold avx2;
+};
+
+template <detail::AnnulusOp Op>
+FoldPair folds() {
+  return {&detail::annulus_fold_scalar<Op>, &detail::annulus_fold_avx2<Op>};
+}
+
+TEST(SimdKernels, AnnulusOpsMatchScalarBitForBit) {
+  if (!detail::cpu_has_avx2()) GTEST_SKIP() << "AVX2 not available";
+  const Grid g(2.0);
+  const geo::Vec3* centers = &g.center_vec(0);
+  const FoldPair ops[3] = {folds<detail::AnnulusOp::kSet>(),
+                           folds<detail::AnnulusOp::kIntersect>(),
+                           folds<detail::AnnulusOp::kSubtract>()};
+
+  std::mt19937_64 rng(20260809);
+  std::uniform_real_distribution<double> lat(-90.0, 90.0), lon(-180.0, 180.0);
+  std::uniform_real_distribution<double> cosw(-1.0, 1.0);
+  std::uniform_int_distribution<std::size_t> pick(0, g.size() - 65);
+  std::uniform_int_distribution<std::size_t> len(1, 300);
+  std::uniform_int_distribution<std::uint64_t> word;
+
+  for (int trial = 0; trial < 200; ++trial) {
+    const geo::Vec3 v = geo::to_vec3(geo::LatLon{lat(rng), lon(rng)});
+    const double a = cosw(rng), b = cosw(rng);
+    const double cos_outer = std::min(a, b), cos_inner = std::max(a, b);
+    const std::size_t begin = pick(rng);
+    const std::size_t end = std::min(begin + len(rng), g.size());
+    const std::size_t nwords = (g.size() + 63) / 64;
+    std::vector<std::uint64_t> ws(nwords), wv(nwords);
+    for (std::size_t i = 0; i < nwords; ++i) ws[i] = wv[i] = word(rng);
+    const FoldPair& op = ops[trial % 3];
+    op.scalar(centers, begin, end, v, cos_outer, cos_inner, ws.data());
+    op.avx2(centers, begin, end, v, cos_outer, cos_inner, wv.data());
+    EXPECT_EQ(ws, wv) << "trial " << trial << " [" << begin << "," << end
+                      << ")";
+  }
+}
+
+TEST(SimdKernels, AnnulusOpsTouchOnlyTheRun) {
+  const Grid g(2.0);
+  const geo::Vec3* centers = &g.center_vec(0);
+  const std::size_t nwords = (g.size() + 63) / 64;
+  const geo::Vec3 v = geo::to_vec3(geo::LatLon{10.0, 20.0});
+  const FoldPair intersect = folds<detail::AnnulusOp::kIntersect>();
+  const FoldPair subtract = folds<detail::AnnulusOp::kSubtract>();
+  for (const bool avx2 : {false, true}) {
+    if (avx2 && !detail::cpu_has_avx2()) continue;
+    // A run [70, 130) may only alter bits 70..129; everything else of the
+    // prefilled pattern must survive intersect and subtract untouched.
+    std::vector<std::uint64_t> w(nwords, 0xAAAAAAAAAAAAAAAAull);
+    (avx2 ? intersect.avx2 : intersect.scalar)(centers, 70, 130, v, -0.5, 0.5,
+                                               w.data());
+    (avx2 ? subtract.avx2 : subtract.scalar)(centers, 70, 130, v, -0.5, 0.5,
+                                             w.data());
+    EXPECT_EQ(w[0], 0xAAAAAAAAAAAAAAAAull);
+    // Bits of word 1 below position 6 (cells 64..69) are outside the run.
+    EXPECT_EQ(w[1] & 0x3Full, 0xAAAAAAAAAAAAAAAAull & 0x3Full);
+    // Word 2: cells 128..129 are inside the run, 130+ outside.
+    EXPECT_EQ(w[2] & ~0x3ull, 0xAAAAAAAAAAAAAAAAull & ~0x3ull);
+    for (std::size_t i = 3; i < nwords; ++i)
+      EXPECT_EQ(w[i], 0xAAAAAAAAAAAAAAAAull) << i;
   }
 }
 
