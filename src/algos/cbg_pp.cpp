@@ -41,171 +41,10 @@ struct CbgMemo final : LocatorMemo {
   std::size_t discarded = 0;
 };
 
-}  // namespace
-
-CbgPlusPlusGeolocator::CbgPlusPlusGeolocator(CbgPlusPlusOptions options)
-    : options_(options) {}
-
-GeoEstimate CbgPlusPlusGeolocator::locate(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
-  return locate_detailed(g, store, observations, mask).estimate;
-}
-
-CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::locate_detailed(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
-  AGEO_SPAN("algos", "cbg_pp.locate");
-  AGEO_COUNT("algos.cbg_pp.locates");
-  validate(store, observations);
-  Detail detail;
-  grid::Scratch* scratch = &grid::Scratch::tls();
-  // Coarse-to-fine driver, when configured for this grid and mask; the
-  // refined solves are pinned bit-identical to the flat ones.
-  const mlat::RefineContext* rc =
-      refine_ && refine_->applies_to(g, mask) ? refine_ : nullptr;
-
-  // Ladder provenance for the journal: per-level survivor counts,
-  // recorded only while a journal is live (a disarmed hook is one TLS
-  // load per level).
-  mlat::RefineTrace rtrace;
-  mlat::ScopedRefineTrace trace_guard(
-      obs::journal_runtime_on() && rc ? &rtrace : nullptr);
-
-  std::vector<mlat::DiskConstraint> bestline, baseline;
-  bestline.reserve(observations.size());
-  baseline.reserve(observations.size());
-  const calib::CbgModel physics = calib::cbg_baseline();
-  for (const auto& ob : observations) {
-    const auto& model = options_.use_slowline
-                            ? store.cbg_slowline(ob.landmark_id)
-                            : store.cbg(ob.landmark_id);
-    bestline.push_back(
-        {ob.landmark, model.max_distance_km(ob.one_way_delay_ms)});
-    baseline.push_back(
-        {ob.landmark, physics.max_distance_km(ob.one_way_delay_ms)});
-  }
-
-  if (!options_.use_subset_filter) {
-    detail.estimate = GeoEstimate{
-        rc ? mlat::refine_intersect_disks(*rc, bestline, mask, plan_cache_,
-                                          scratch)
-           : mlat::intersect_disks(g, bestline, mask, plan_cache_, scratch)};
-    detail.bestline_subset_size = observations.size();
-    detail.baseline_subset_size = observations.size();
-    // Plain-CBG mode has no subset semantics: every constraint is
-    // demanded, none is ever excluded.
-    detail.estimate.constraints_total = observations.size();
-    detail.estimate.constraints_used = observations.size();
-    detail.estimate.used.assign(observations.size(), true);
-    detail.estimate.prov.baseline_subset = observations.size();
-    detail.estimate.prov.refined = rc != nullptr;
-    fill_ladder(detail.estimate, rtrace);
-    return detail;
-  }
-
-  // Stage 1: baseline region — largest consistent subset of the
-  // physics-only disks. The region is a pooled temporary: it only feeds
-  // the stage-2 distance queries and never escapes. Under refinement the
-  // paired driver also walks the bestline ladder alongside the baseline
-  // one (the disk lists share landmark centers, so each level's plans
-  // are fetched once for both) and parks it for stage 3.
-  auto base_lease = grid::Scratch::region(scratch, g);
-  grid::Region& base_region = base_lease.ref();
-  std::vector<bool> base_used;
-  mlat::PairLadder pair;
-  detail.baseline_subset_size =
-      rc ? mlat::refine_pair_primary(*rc, baseline, bestline, mask,
-                                     plan_cache_, scratch, base_region,
-                                     base_used, pair)
-         : mlat::largest_consistent_subset_into(
-               g, baseline, mask, plan_cache_, scratch, base_region, base_used);
-
-  // Stage 2: drop bestline disks that do not overlap the baseline region.
-  // One pass over the region computes, per disk center, the same max-dot
-  // fold Region::distance_from_km performs — max is order-independent,
-  // so the distances (and the filter) are bit-identical to the per-disk
-  // scans at one region traversal instead of one per disk.
-  const bool base_empty = base_region.empty();
-  std::vector<geo::Vec3> disk_vecs;
-  std::vector<double> disk_dots;
-  if (!base_empty) {
-    disk_vecs.reserve(bestline.size());
-    for (const auto& d : bestline) disk_vecs.push_back(geo::to_vec3(d.center));
-    disk_dots.assign(bestline.size(), -2.0);
-    base_region.for_each_cell([&](std::size_t idx) {
-      const geo::Vec3& c = g.center_vec(idx);
-      for (std::size_t j = 0; j < disk_vecs.size(); ++j) {
-        const double d = disk_vecs[j].dot(c);
-        if (d > disk_dots[j]) disk_dots[j] = d;
-      }
-    });
-  }
-  std::vector<mlat::DiskConstraint> retained;
-  std::vector<std::size_t> retained_idx;  // retained -> observation index
-  retained.reserve(bestline.size());
-  retained_idx.reserve(bestline.size());
-  for (std::size_t i = 0; i < bestline.size(); ++i) {
-    const auto& d = bestline[i];
-    double dist_km = 0.0;
-    if (!base_empty && !base_region.test(g.cell_at(d.center))) {
-      const double b = std::min(1.0, std::max(-1.0, disk_dots[i]));
-      dist_km = geo::kEarthRadiusKm * std::acos(b);
-    }
-    if (base_empty || dist_km <= d.max_km) {
-      retained.push_back(d);
-      retained_idx.push_back(i);
-    } else {
-      ++detail.disks_discarded_by_baseline;
-    }
-  }
-
-  // Stage 3: bestline region — largest consistent subset of the rest.
-  // The subset engine now takes any number of constraints (multi-word
-  // coverage masks), so a full 250-anchor scan runs through it directly —
-  // no tightest-64 truncation, no lossy fold of the loose tail.
-  // When the baseline filter discarded nothing, `retained` is exactly
-  // the bestline list the paired driver already laddered — reuse parks
-  // the whole coarse recompute. Any discard invalidates the parked
-  // ladder (different constraint set), so those solves run fresh.
-  mlat::SubsetResult bestr{grid::Region(g), {}, 0};
-  bestr.n_used =
-      rc ? (retained.size() == bestline.size()
-                ? mlat::refine_pair_secondary(*rc, pair, retained, mask,
-                                              plan_cache_, scratch,
-                                              bestr.region, bestr.used)
-                : mlat::refine_largest_consistent_subset_into(
-                      *rc, retained, mask, plan_cache_, scratch, bestr.region,
-                      bestr.used))
-         : mlat::largest_consistent_subset_into(g, retained, mask, plan_cache_,
-                                                scratch, bestr.region,
-                                                bestr.used);
-  detail.bestline_subset_size = bestr.n_used;
-  detail.estimate = GeoEstimate{std::move(bestr.region)};
-  // Byzantine diagnostics: a landmark participates iff its disk survived
-  // the baseline filter AND joined the winning coalition; the margin is
-  // therefore baseline discards plus subset exclusions.
-  detail.estimate.constraints_total = observations.size();
-  detail.estimate.constraints_used = bestr.n_used;
-  detail.estimate.used.assign(observations.size(), false);
-  for (std::size_t j = 0; j < retained_idx.size(); ++j)
-    if (bestr.used[j]) detail.estimate.used[retained_idx[j]] = true;
-  detail.estimate.prov.baseline_subset = detail.baseline_subset_size;
-  detail.estimate.prov.discarded_by_baseline =
-      detail.disks_discarded_by_baseline;
-  detail.estimate.prov.refined = rc != nullptr;
-  fill_ladder(detail.estimate, rtrace);
-  return detail;
-}
-
-namespace {
-
 /// Stage-2 distance of one bestline disk from the baseline region,
-/// given the max center-dot folded over the region's cells — exactly
-/// the arithmetic of the scalar stage-2 pass, so the retention verdicts
-/// derived from it are bit-identical to its.
+/// given the max center-dot folded over the region's cells — the same
+/// arithmetic as Region::distance_from_km, so every stage-2 verdict
+/// (full solve or incremental update) comes from this one expression.
 double stage2_distance_km(const grid::Grid& g, const grid::Region& base,
                           const mlat::DiskConstraint& d, double max_dot) {
   if (base.test(g.cell_at(d.center))) return 0.0;
@@ -216,7 +55,8 @@ double stage2_distance_km(const grid::Grid& g, const grid::Region& base,
 /// One region pass folding, for each listed observation index, the max
 /// dot of that disk's center against the region's cell centers. The max
 /// is order-independent, so folding a subset of centers yields the same
-/// per-center values as the full-list folds elsewhere.
+/// per-center values as folding the full list, at one region traversal
+/// instead of one per disk.
 void fold_max_dots(const grid::Grid& g, const grid::Region& base,
                    std::span<const mlat::DiskConstraint> disks,
                    std::span<const std::size_t> which,
@@ -236,106 +76,174 @@ void fold_max_dots(const grid::Grid& g, const grid::Region& base,
 
 }  // namespace
 
+CbgPlusPlusGeolocator::CbgPlusPlusGeolocator(CbgPlusPlusOptions options)
+    : options_(options) {}
+
+GeoEstimate CbgPlusPlusGeolocator::locate(
+    const grid::Grid& g, const calib::CalibrationStore& store,
+    std::span<const Observation> observations,
+    const grid::Region* mask) const {
+  return solve(g, store, observations, mask, nullptr).estimate;
+}
+
+CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::locate_detailed(
+    const grid::Grid& g, const calib::CalibrationStore& store,
+    std::span<const Observation> observations,
+    const grid::Region* mask) const {
+  return solve(g, store, observations, mask, nullptr);
+}
+
 std::unique_ptr<LocatorMemo> CbgPlusPlusGeolocator::locate_memo(
     const grid::Grid& g, const calib::CalibrationStore& store,
     std::span<const Observation> observations, const grid::Region* mask,
     GeoEstimate& out) const {
-  // The memo caches fused plan intersections, so it needs the cache,
-  // subset semantics, and flat solves. Everything else answers through the plain scalar path.
-  const bool refined = refine_ && refine_->applies_to(g, mask);
-  if (plan_cache_ == nullptr || !options_.use_subset_filter || refined) {
-    out = locate(g, store, observations, mask);
-    return nullptr;
-  }
-  AGEO_COUNT("algos.cbg_pp.memo_captures");
-  validate(store, observations);
-  if (mask)
-    detail::require(mask->grid() == &g,
-                    "CBG++ locate_memo: mask grid mismatch");
+  std::unique_ptr<LocatorMemo> memo;
+  out = solve(g, store, observations, mask, &memo).estimate;
+  return memo;
+}
 
-  const double pad = mlat::conservative_pad_km(g);
+CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
+    const grid::Grid& g, const calib::CalibrationStore& store,
+    std::span<const Observation> observations, const grid::Region* mask,
+    std::unique_ptr<LocatorMemo>* memo) const {
+  AGEO_SPAN("algos", "cbg_pp.locate");
+  AGEO_COUNT("algos.cbg_pp.locates");
+  validate(store, observations);
+  Detail detail;
+  grid::Scratch* scratch = &grid::Scratch::tls();
+  // Coarse-to-fine driver, when configured for this grid and mask; the
+  // refined solves are pinned bit-identical to the flat ones.
+  const mlat::RefineContext* rc =
+      refine_ && refine_->applies_to(g, mask) ? refine_ : nullptr;
+  // The memo resumes fused plan intersections, so it needs the cache,
+  // subset semantics and flat solves.
+  const bool capture = memo != nullptr && plan_cache_ != nullptr &&
+                       options_.use_subset_filter && rc == nullptr;
+  if (capture) AGEO_COUNT("algos.cbg_pp.memo_captures");
+
+  // Ladder provenance for the journal: per-level survivor counts,
+  // recorded only while a journal is live (a disarmed hook is one TLS
+  // load per level).
+  mlat::RefineTrace rtrace;
+  mlat::ScopedRefineTrace trace_guard(
+      obs::journal_runtime_on() && rc ? &rtrace : nullptr);
+
+  const std::size_t n = observations.size();
+  std::vector<mlat::DiskConstraint> bestline, baseline;
+  bestline.reserve(n);
+  baseline.reserve(n);
   const calib::CbgModel physics = calib::cbg_baseline();
-  auto memo = std::make_unique<CbgMemo>();
-  memo->best_disks.reserve(observations.size());
-  std::vector<mlat::DiskConstraint> baseline;
-  baseline.reserve(observations.size());
   for (const auto& ob : observations) {
     const auto& model = options_.use_slowline
                             ? store.cbg_slowline(ob.landmark_id)
                             : store.cbg(ob.landmark_id);
-    memo->best_disks.push_back(
+    bestline.push_back(
         {ob.landmark, model.max_distance_km(ob.one_way_delay_ms)});
     baseline.push_back(
         {ob.landmark, physics.max_distance_km(ob.one_way_delay_ms)});
   }
 
-  // Stage 1, intersect-first: a nonempty global intersection is exactly
-  // the scalar LCS fast path (every baseline disk in the coalition). An
-  // empty one means the scalar solve runs the general coverage sweep —
-  // no resumable shape, answer via locate().
-  memo->baseline = grid::Region(g);
-  if (mask)
-    memo->baseline = *mask;
-  else
-    memo->baseline.fill();
-  for (const auto& d : baseline) {
-    plan_cache_->plan(g, d.center)
-        ->intersect_annulus_into(0.0, d.max_km + pad, memo->baseline);
-    if (memo->baseline.empty()) break;
-  }
-  if (memo->baseline.empty()) {
-    AGEO_COUNT("algos.cbg_pp.memo_fallbacks");
-    out = locate(g, store, observations, mask);
-    return nullptr;
+  // Subset solve of `disks` into `region`/`used`, refined when the
+  // context applies.
+  const auto subset = [&](std::span<const mlat::DiskConstraint> disks,
+                          grid::Region& region, std::vector<bool>& used) {
+    return rc ? mlat::refine_largest_consistent_subset_into(
+                    *rc, disks, mask, plan_cache_, scratch, region, used)
+              : mlat::largest_consistent_subset_into(
+                    g, disks, mask, plan_cache_, scratch, region, used);
+  };
+
+  if (!options_.use_subset_filter) {
+    detail.estimate = GeoEstimate{
+        rc ? mlat::refine_intersect_disks(*rc, bestline, mask, plan_cache_,
+                                          scratch)
+           : mlat::intersect_disks(g, bestline, mask, plan_cache_, scratch)};
+    detail.bestline_subset_size = n;
+    detail.baseline_subset_size = n;
+    // Plain-CBG mode has no subset semantics: every constraint is
+    // demanded, none is ever excluded.
+    detail.estimate.constraints_total = n;
+    detail.estimate.constraints_used = n;
+    detail.estimate.used.assign(n, true);
+    detail.estimate.prov.baseline_subset = n;
+    detail.estimate.prov.refined = rc != nullptr;
+    fill_ladder(detail.estimate, rtrace);
+    return detail;
   }
 
-  // Stage 2: retention verdicts against the baseline region.
-  std::vector<std::size_t> all(observations.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
+  // Stage 1: baseline region — largest consistent subset of the
+  // physics-only disks. The region is a pooled temporary: it feeds the
+  // stage-2 distance queries and escapes only as a memo copy.
+  auto base_lease = grid::Scratch::region(scratch, g);
+  grid::Region& base_region = base_lease.ref();
+  std::vector<bool> base_used;
+  detail.baseline_subset_size = subset(baseline, base_region, base_used);
+
+  // Stage 2: drop bestline disks that do not overlap the baseline region
+  // (an empty baseline region filters nothing).
+  const bool base_empty = base_region.empty();
   std::vector<double> dots;
-  fold_max_dots(g, memo->baseline, memo->best_disks, all, dots);
-  memo->retained.assign(observations.size(), 0);
-  for (std::size_t j = 0; j < observations.size(); ++j) {
-    const auto& d = memo->best_disks[j];
-    if (stage2_distance_km(g, memo->baseline, d, dots[j]) <= d.max_km) {
-      memo->retained[j] = 1;
-      ++memo->n_retained;
+  if (!base_empty) {
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    fold_max_dots(g, base_region, bestline, all, dots);
+  }
+  std::vector<mlat::DiskConstraint> retained;
+  std::vector<std::size_t> retained_idx;  // retained -> observation index
+  retained.reserve(n);
+  retained_idx.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& d = bestline[i];
+    if (base_empty ||
+        stage2_distance_km(g, base_region, d, dots[i]) <= d.max_km) {
+      retained.push_back(d);
+      retained_idx.push_back(i);
     } else {
-      ++memo->discarded;
+      ++detail.disks_discarded_by_baseline;
     }
   }
 
-  // Stage 3, intersect-first over the retained disks. Zero retained
-  // disks leave the region at the clipped mask — the LCS of an empty
-  // constraint list.
-  memo->bestline = grid::Region(g);
-  if (mask)
-    memo->bestline = *mask;
-  else
-    memo->bestline.fill();
-  for (std::size_t j = 0; j < memo->best_disks.size(); ++j) {
-    if (!memo->retained[j]) continue;
-    const auto& d = memo->best_disks[j];
-    plan_cache_->plan(g, d.center)
-        ->intersect_annulus_into(0.0, d.max_km + pad, memo->bestline);
-    if (memo->bestline.empty()) break;
-  }
-  if (memo->n_retained > 0 && memo->bestline.empty()) {
-    AGEO_COUNT("algos.cbg_pp.memo_fallbacks");
-    out = locate(g, store, observations, mask);
-    return nullptr;
-  }
+  // Stage 3: bestline region — largest consistent subset of the rest.
+  // The subset engine takes any number of constraints (multi-word
+  // coverage masks), so a full 250-anchor scan runs through it directly.
+  mlat::SubsetResult bestr{grid::Region(g), {}, 0};
+  bestr.n_used = subset(retained, bestr.region, bestr.used);
+  detail.bestline_subset_size = bestr.n_used;
+  detail.estimate = GeoEstimate{std::move(bestr.region)};
+  // Byzantine diagnostics: a landmark participates iff its disk survived
+  // the baseline filter AND joined the winning coalition; the margin is
+  // therefore baseline discards plus subset exclusions.
+  detail.estimate.constraints_total = n;
+  detail.estimate.constraints_used = bestr.n_used;
+  detail.estimate.used.assign(n, false);
+  for (std::size_t j = 0; j < retained_idx.size(); ++j)
+    if (bestr.used[j]) detail.estimate.used[retained_idx[j]] = true;
+  detail.estimate.prov.baseline_subset = detail.baseline_subset_size;
+  detail.estimate.prov.discarded_by_baseline =
+      detail.disks_discarded_by_baseline;
+  detail.estimate.prov.refined = rc != nullptr;
+  fill_ladder(detail.estimate, rtrace);
 
-  out = GeoEstimate{};
-  out.region = memo->bestline;
-  out.constraints_total = observations.size();
-  out.constraints_used = memo->n_retained;
-  out.used.assign(observations.size(), false);
-  for (std::size_t j = 0; j < observations.size(); ++j)
-    if (memo->retained[j]) out.used[j] = true;
-  out.prov.baseline_subset = observations.size();
-  out.prov.discarded_by_baseline = memo->discarded;
-  return memo;
+  if (!capture) return detail;
+  // Resumable only on the all-used fast path of both subset solves
+  // (zero retained disks included): then each region is the plain
+  // intersection of its disks, which locate_update can extend one disk
+  // at a time. Otherwise the general coverage sweep ran — no resumable
+  // shape.
+  if (detail.baseline_subset_size != n || bestr.n_used != retained.size()) {
+    AGEO_COUNT("algos.cbg_pp.memo_fallbacks");
+    return detail;
+  }
+  auto m = std::make_unique<CbgMemo>();
+  m->baseline = base_region;
+  m->bestline = detail.estimate.region;
+  m->retained.assign(n, 0);
+  for (std::size_t i : retained_idx) m->retained[i] = 1;
+  m->n_retained = retained.size();
+  m->discarded = detail.disks_discarded_by_baseline;
+  m->best_disks = std::move(bestline);
+  *memo = std::move(m);
+  return detail;
 }
 
 bool CbgPlusPlusGeolocator::locate_update(

@@ -39,15 +39,15 @@ class CbgPlusPlusGeolocator final : public Geolocator {
                      std::span<const Observation> observations,
                      const grid::Region* mask = nullptr) const override;
 
-  /// Full solve + resumable state for the streaming service: captures
-  /// the baseline/bestline regions and per-disk retention verdicts when
-  /// the solve stayed on the consistent fast path (stage-1 and stage-3
-  /// intersections nonempty — the subset engine's intersect-first fast
-  /// path), so locate_update can absorb one more observation with two
-  /// fused annulus intersects instead of 2k. Returns null — with `out`
-  /// still correct — for ablation configs (no subset filter), cache-less
-  /// locators, or campaigns whose constraints were already mutually
-  /// inconsistent.
+  /// locate() plus resumable state for the streaming service: the same
+  /// three-stage solve, which also hands back the baseline/bestline
+  /// regions and per-disk retention verdicts when both subset solves
+  /// took the all-used fast path (every baseline disk and every retained
+  /// bestline disk in the coalition), so locate_update can absorb one
+  /// more observation with two fused annulus intersects instead of 2k.
+  /// Returns null — with `out` still correct — for ablation configs (no
+  /// subset filter), cache-less or refined locators, or campaigns whose
+  /// constraints were already mutually inconsistent.
   std::unique_ptr<LocatorMemo> locate_memo(
       const grid::Grid& g, const calib::CalibrationStore& store,
       std::span<const Observation> observations, const grid::Region* mask,
@@ -89,16 +89,25 @@ class CbgPlusPlusGeolocator final : public Geolocator {
     plan_cache_ = cache;
   }
 
-  /// Route both subset solves (baseline and bestline) through the
-  /// multi-resolution driver — as one paired ladder when the baseline
-  /// filter discards nothing, so stage 3 reuses the coarse levels stage
-  /// 1 already walked; bit-identical results, flat fallback when the
-  /// context does not apply to a call.
+  /// Route both subset solves (stage 1 over the baseline disks, stage 3
+  /// over the retained bestline disks) through the multi-resolution
+  /// driver, one refined solve each; bit-identical results, flat
+  /// fallback when the context does not apply to a call.
   void set_refine(const mlat::RefineContext* ctx) noexcept override {
     refine_ = ctx;
   }
 
  private:
+  /// The one three-stage body behind locate, locate_detailed and
+  /// locate_memo. With a non-null `memo` it also captures resumable
+  /// state when the solve is memoisable (plan cache, subset filter, flat
+  /// solve) and both subset solves took the all-used fast path; `*memo`
+  /// stays null otherwise.
+  Detail solve(const grid::Grid& g, const calib::CalibrationStore& store,
+               std::span<const Observation> observations,
+               const grid::Region* mask,
+               std::unique_ptr<LocatorMemo>* memo) const;
+
   CbgPlusPlusOptions options_;
   grid::CapPlanCache* plan_cache_ = nullptr;
   const mlat::RefineContext* refine_ = nullptr;

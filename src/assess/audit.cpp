@@ -537,7 +537,7 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
     // SLO view of per-proxy verdict latency (campaign + locate +
     // assess). Wall-clock by nature, so it lives outside determinism
     // diffs; the exporters surface p50/p90/p99 from the histogram.
-    for (const auto& row : report.rows)
+    for ([[maybe_unused]] const auto& row : report.rows)
       AGEO_HIST_WALL("assess.audit.verdict_latency_us",
                      lat_us[row.host_index], 10.0, 1e8);
     {

@@ -57,7 +57,7 @@ void CampaignStats::merge(const CampaignStats& other) noexcept {
   rounds += other.rounds;
 }
 
-void publish_campaign_stats(const CampaignStats& stats) {
+void publish_campaign_stats([[maybe_unused]] const CampaignStats& stats) {
   AGEO_COUNTER_ADD("measure.campaign.probes_sent", stats.probes_sent);
   AGEO_COUNTER_ADD("measure.campaign.ok", stats.ok);
   AGEO_COUNTER_ADD("measure.campaign.refused_measured",

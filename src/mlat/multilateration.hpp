@@ -113,11 +113,12 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
 
 /// AND one more conservatively-padded disk into `region` using the
 /// landmark's cached scan plan — the same fused
-/// `intersect_annulus_into(0, max_km + pad)` call CBG++'s locate_memo
-/// issues per disk, so `B ∩ disk` here equals rebuilding the
-/// intersection from scratch. Returns false when the region emptied
-/// (the caller must fall back to a full re-solve: the scalar path
-/// would enter the general coverage sweep).
+/// `intersect_annulus_into(0, max_km + pad)` call the subset engine's
+/// fast path issues per disk (the intersections CBG++'s locate_memo
+/// keeps), so `B ∩ disk` here equals rebuilding the intersection from
+/// scratch. Returns false when the region emptied (the caller must fall
+/// back to a full re-solve: the scalar path would enter the general
+/// coverage sweep).
 bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
                          grid::CapPlanCache& cache, grid::Region& region);
 

@@ -235,82 +235,6 @@ std::optional<LadderResult> coarse_window(const RefineContext& ctx,
   return LadderResult{win, std::move(*prev), prev_grid};
 }
 
-/// Paired ladder: track A is bit-for-bit the computation coarse_window
-/// performs for atA; track B runs the identical per-level steps for atB
-/// interleaved at each level, with its own window, survivors and pads.
-/// The two constraint lists share landmark centers, so B's level pass
-/// re-touches the plans A's pass just brought into the cache — one plan
-/// fetch per landmark per level serves both tracks. Either track may
-/// die (some level empties) independently; a dead output is nullopt.
-template <typename AnnulusAtA, typename AnnulusAtB>
-void coarse_window_pair(const RefineContext& ctx, std::size_t n,
-                        AnnulusAtA&& atA, AnnulusAtB&& atB,
-                        const grid::Region* fine_mask,
-                        grid::CapPlanCache* cache, grid::Scratch* scratch,
-                        std::optional<LadderResult>& outA,
-                        std::optional<LadderResult>& outB) {
-  AGEO_SPAN("mlat", "refine_pair_window");
-  AGEO_TIMED_US("mlat.refine.window_us", 1.0, 1e7);
-  struct Track {
-    grid::Window win;
-    std::optional<grid::Scratch::RegionLease> prev;
-    const grid::Grid* prev_grid = nullptr;
-    bool alive = true;
-  };
-  Track ta, tb;
-  ta.win = tb.win = grid::full_window(ctx.level(0));
-  const auto level_pass = [&](Track& t, auto&& at, std::size_t lvl) {
-    if (!t.alive) return;
-    const grid::Grid& cg = ctx.level(lvl);
-    const double pad = conservative_pad_km(cg);
-    auto lease = grid::Scratch::region(scratch, cg);
-    grid::Region& region = lease.ref();
-    const grid::Region* lmask = ctx.level_mask(lvl, fine_mask);
-    if (!t.prev) {
-      grid::window_region_into(cg, t.win, lmask, region);
-    } else {
-      upsample_into(t.prev->ref(), *t.prev_grid, cg, region);
-      if (lmask)
-        region.intersect_with_in(*lmask, t.win.r0 * cg.cols(),
-                                 t.win.r1 * cg.cols());
-    }
-    const auto padded = [&](std::size_t i) {
-      const Annulus a = at(i);
-      return Annulus{a.center, std::max(0.0, a.inner_km - pad),
-                     a.outer_km + pad};
-    };
-    if (!intersect_window_constraints(cg, t.win, n, padded, cache, scratch,
-                                      region)) {
-      AGEO_COUNT("mlat.refine.coarse_empty");
-      if (t_refine_trace)
-        t_refine_trace->levels.push_back({cg.cell_deg(), 0});
-      t.alive = false;
-      return;
-    }
-    if (t_refine_trace)
-      t_refine_trace->levels.push_back({cg.cell_deg(), region.count()});
-    const std::optional<grid::Window> bw =
-        grid::bounding_window(region, scratch);
-    const grid::Window grown =
-        grid::expand_window(*bw, cg, ctx.schedule().margin_cells);
-    const grid::Grid& next =
-        lvl + 1 < ctx.levels() ? ctx.level(lvl + 1) : ctx.fine();
-    t.win = grid::map_window(grown, cg, next);
-    AGEO_COUNTER_ADD("mlat.refine.window_cells", t.win.cells());
-    t.prev.emplace(std::move(lease));
-    t.prev_grid = &cg;
-  };
-  for (std::size_t lvl = 0; lvl < ctx.levels(); ++lvl) {
-    level_pass(ta, atA, lvl);
-    level_pass(tb, atB, lvl);
-    if (!ta.alive && !tb.alive) break;
-  }
-  if (ta.alive) outA.emplace(LadderResult{ta.win, std::move(*ta.prev),
-                                          ta.prev_grid});
-  if (tb.alive) outB.emplace(LadderResult{tb.win, std::move(*tb.prev),
-                                          tb.prev_grid});
-}
-
 /// Fine-grid pass: out := upsampled last-level survivors (clipped by
 /// mask), then AND in every fine-padded annulus. The seed contains the
 /// whole flat result (its ancestor survived every level), so the
@@ -664,40 +588,9 @@ std::size_t refine_lcs_sweep(const RefineContext& ctx, std::size_t n,
   return best;
 }
 
-/// Post-ladder half of a refined LCS solve: windowed fast path when the
-/// ladder is alive and the full intersection holds, coverage sweep
-/// otherwise. Split out so paired solves can feed a ladder computed
-/// elsewhere (coarse_window_pair) through the identical finish.
-template <typename AnnulusAt>
-std::size_t refine_lcs_finish(const RefineContext& ctx, std::size_t n,
-                              AnnulusAt&& at,
-                              std::optional<LadderResult>& lad,
-                              const grid::Region* mask,
-                              grid::CapPlanCache* cache,
-                              grid::Scratch* scratch, grid::Region& region,
-                              std::vector<bool>& used) {
-  const grid::Grid& g = ctx.fine();
-  if (lad) {
-    if (windowed_intersect(g, *lad, n, at, mask, cache, scratch, region)) {
-      // All constraints admit a common cell: the maximum subset is the
-      // full set and the region is the plain intersection — the same
-      // answer (bit for bit) the flat engine returns, via either its
-      // own fast path or the coverage sweep.
-      used.assign(n, true);
-      AGEO_COUNT("mlat.refine.fast_path_hits");
-      return n;
-    }
-  }
-  // Inconsistent constraint set (or coarse-empty, which implies it): a
-  // window sized for the full set would be unsound for subset search,
-  // so run the branch-and-bound sweep over the coarse ladder instead.
-  // The failed windowed intersection left `region` all-zero — the same
-  // empty-region precondition the flat engine's sweep starts from.
-  AGEO_COUNT("mlat.refine.lcs_fallbacks");
-  return refine_lcs_sweep(ctx, n, at, mask, cache, scratch, region, used);
-}
-
-/// Shared refined-LCS core: windowed fast path, flat fallback.
+/// Shared refined-LCS core: windowed fast path when the coarse ladder
+/// survives and the full intersection holds, branch-and-bound coverage
+/// sweep otherwise; the flat engine answers the trivial empty list.
 template <typename AnnulusAt, typename Fallback>
 std::size_t refine_lcs(const RefineContext& ctx, std::size_t n, AnnulusAt&& at,
                        Fallback&& flat, const grid::Region* mask,
@@ -715,8 +608,22 @@ std::size_t refine_lcs(const RefineContext& ctx, std::size_t n, AnnulusAt&& at,
 
   std::optional<LadderResult> lad =
       coarse_window(ctx, n, at, mask, cache, scratch);
-  return refine_lcs_finish(ctx, n, at, lad, mask, cache, scratch, region,
-                           used);
+  if (lad && windowed_intersect(g, *lad, n, at, mask, cache, scratch, region)) {
+    // All constraints admit a common cell: the maximum subset is the
+    // full set and the region is the plain intersection — the same
+    // answer (bit for bit) the flat engine returns, via either its own
+    // fast path or the coverage sweep.
+    used.assign(n, true);
+    AGEO_COUNT("mlat.refine.fast_path_hits");
+    return n;
+  }
+  // Inconsistent constraint set (or coarse-empty, which implies it): a
+  // window sized for the full set would be unsound for subset search,
+  // so run the branch-and-bound sweep over the coarse ladder instead.
+  // The failed windowed intersection left `region` all-zero — the same
+  // empty-region precondition the flat engine's sweep starts from.
+  AGEO_COUNT("mlat.refine.lcs_fallbacks");
+  return refine_lcs_sweep(ctx, n, at, mask, cache, scratch, region, used);
 }
 
 }  // namespace
@@ -757,92 +664,6 @@ std::size_t refine_largest_consistent_subset_into(
                                               scratch, region, used);
       },
       mask, cache, scratch, region, used);
-}
-
-namespace detail {
-
-/// The parked secondary track. nullopt means the track died on some
-/// coarse level — refine_pair_secondary then runs the same coverage
-/// sweep a fresh refined solve would.
-struct PairLadderState {
-  std::optional<LadderResult> lad;
-};
-
-void PairLadderStateDeleter::operator()(PairLadderState* p) const noexcept {
-  delete p;
-}
-
-}  // namespace detail
-
-std::size_t refine_pair_primary(
-    const RefineContext& ctx, std::span<const DiskConstraint> primary,
-    std::span<const DiskConstraint> secondary, const grid::Region* mask,
-    grid::CapPlanCache* cache, grid::Scratch* scratch, grid::Region& region,
-    std::vector<bool>& used, PairLadder& out) {
-  AGEO_SPAN("mlat", "refine_pair_primary");
-  AGEO_COUNT("mlat.refine.solves");
-  const grid::Grid& g = ctx.fine();
-  if (mask)
-    ageo::detail::require(mask->grid() == &g,
-                          "refine_pair: mask grid mismatch");
-  ageo::detail::require(region.grid() == &g,
-                        "refine_pair: region grid mismatch");
-  ageo::detail::require(primary.size() == secondary.size(),
-                        "refine_pair: the disk lists must be element-parallel "
-                        "(one primary and one secondary disk per landmark)");
-  out.state.reset();
-  const std::size_t n = primary.size();
-  if (n == 0)  // trivial: flat engine handles it directly, nothing to park
-    return largest_consistent_subset_into(g, primary, mask, cache, scratch,
-                                          region, used);
-  const double pad = conservative_pad_km(g);
-  const auto at_a = [&](std::size_t i) {
-    return Annulus{primary[i].center, 0.0, primary[i].max_km + pad};
-  };
-  const auto at_b = [&](std::size_t i) {
-    return Annulus{secondary[i].center, 0.0, secondary[i].max_km + pad};
-  };
-  std::optional<LadderResult> lad_a, lad_b;
-  coarse_window_pair(ctx, n, at_a, at_b, mask, cache, scratch, lad_a, lad_b);
-  out.state.reset(new detail::PairLadderState{std::move(lad_b)});
-  return refine_lcs_finish(ctx, n, at_a, lad_a, mask, cache, scratch, region,
-                           used);
-}
-
-std::size_t refine_pair_secondary(
-    const RefineContext& ctx, PairLadder& lad,
-    std::span<const DiskConstraint> disks, const grid::Region* mask,
-    grid::CapPlanCache* cache, grid::Scratch* scratch, grid::Region& region,
-    std::vector<bool>& used) {
-  AGEO_SPAN("mlat", "refine_pair_secondary");
-  AGEO_COUNT("mlat.refine.solves");
-  const grid::Grid& g = ctx.fine();
-  if (mask)
-    ageo::detail::require(mask->grid() == &g,
-                          "refine_pair: mask grid mismatch");
-  ageo::detail::require(region.grid() == &g,
-                        "refine_pair: region grid mismatch");
-  const std::size_t n = disks.size();
-  if (n == 0)
-    return largest_consistent_subset_into(g, disks, mask, cache, scratch,
-                                          region, used);
-  ageo::detail::require(lad.armed(),
-                        "refine_pair_secondary: ladder was not armed (run "
-                        "refine_pair_primary first)");
-  // The parked ladder is bit-for-bit the one a fresh solve over `disks`
-  // would compute (track B mirrors coarse_window exactly, and the
-  // caller guarantees `disks` == the primary call's secondary list), so
-  // feeding it through the shared finish reproduces the fresh refined
-  // solve — without re-running a single coarse level.
-  std::optional<LadderResult> parked = std::move(lad.state->lad);
-  lad.state.reset();
-  AGEO_COUNT("mlat.refine.pair_reuses");
-  const double pad = conservative_pad_km(g);
-  const auto at = [&](std::size_t i) {
-    return Annulus{disks[i].center, 0.0, disks[i].max_km + pad};
-  };
-  return refine_lcs_finish(ctx, n, at, parked, mask, cache, scratch, region,
-                           used);
 }
 
 grid::Region refine_spotter_credible(const RefineContext& ctx,

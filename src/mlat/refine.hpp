@@ -146,8 +146,9 @@ class RefineContext {
 /// Per-level survivor counts of a refined solve, for the verdict
 /// journal (obs/journal.hpp). Arm a pointer with set_refine_trace on
 /// the solving thread before the solve; every coarse-ladder level pass
-/// appends one (cell_deg, survivors) entry — a paired ladder appends
-/// both tracks' passes in level order. Disarm with nullptr. The hook is
+/// appends one (cell_deg, survivors) entry, so a locator that runs
+/// several refined solves (CBG++'s stage 1 and stage 3) records each
+/// solve's ladder in turn. Disarm with nullptr. The hook is
 /// thread-local and costs one TLS load per level when disarmed; it
 /// never affects the solve itself.
 struct RefineTrace {
@@ -208,58 +209,6 @@ std::size_t refine_largest_consistent_subset_into(
     const RefineContext& ctx, std::span<const RingConstraint> rings,
     const grid::Region* mask, grid::CapPlanCache* cache,
     grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used);
-
-namespace detail {
-struct PairLadderState;
-struct PairLadderStateDeleter {
-  void operator()(PairLadderState*) const noexcept;
-};
-}  // namespace detail
-
-/// Opaque carrier of the secondary coarse ladder between the two
-/// largest-consistent-subset stages of a paired locate:
-/// refine_pair_primary arms it, refine_pair_secondary consumes it. It
-/// holds scratch leases, so it must not outlive the Scratch arena the
-/// primary call drew from. Movable, not copyable.
-class PairLadder {
- public:
-  /// An armed ladder has a parked secondary track for
-  /// refine_pair_secondary to consume.
-  bool armed() const noexcept { return state != nullptr; }
-
-  std::unique_ptr<detail::PairLadderState, detail::PairLadderStateDeleter>
-      state;
-};
-
-/// Stage-1 solve of a paired CBG++ refined locate. Runs the coarse
-/// ladders of `primary` (the baseline disks) and `secondary` (the
-/// bestline disks — element-parallel, same landmark centers) through
-/// one interleaved level loop: the secondary pass re-touches exactly
-/// the scan plans the primary pass just fetched, so each landmark's
-/// rasterization geometry is looked up once per level and serves two
-/// intersects. Solves the primary largest-consistent-subset into
-/// `region`/`used` — bit-identical to
-/// refine_largest_consistent_subset_into on `primary` — and parks the
-/// secondary track's ladder in `out` so the stage-3 solve can skip
-/// recomputing it.
-std::size_t refine_pair_primary(
-    const RefineContext& ctx, std::span<const DiskConstraint> primary,
-    std::span<const DiskConstraint> secondary, const grid::Region* mask,
-    grid::CapPlanCache* cache, grid::Scratch* scratch, grid::Region& region,
-    std::vector<bool>& used, PairLadder& out);
-
-/// Stage-3 solve reusing the parked secondary ladder — bit-identical to
-/// refine_largest_consistent_subset_into(ctx, disks, ...) PROVIDED
-/// `disks` is element-for-element the `secondary` span given to
-/// refine_pair_primary (i.e. the stage-2 filter discarded nothing; the
-/// caller must check and take the fresh refined solve otherwise).
-/// Consumes the ladder; a dead secondary track (some coarse level
-/// emptied) routes to the same coverage sweep the fresh solve would run.
-std::size_t refine_pair_secondary(
-    const RefineContext& ctx, PairLadder& lad,
-    std::span<const DiskConstraint> disks, const grid::Region* mask,
-    grid::CapPlanCache* cache, grid::Scratch* scratch, grid::Region& region,
-    std::vector<bool>& used);
 
 /// Refined Spotter: the credible region of the fused Gaussian-ring
 /// posterior at `credible_mass`, bit-identical to building the flat

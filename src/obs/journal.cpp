@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <system_error>
 
 #include "obs/metrics.hpp"  // format_double
 
@@ -294,14 +296,13 @@ JournalDump parse_journal_jsonl(std::string_view text) {
     if (consume(line, "\"run\"")) {
       ev.proxy = kRunEvent;
     } else {
+      // An id that overflows, or spells the run sentinel, is hostile:
+      // skip the line rather than file it under some other proxy.
       std::uint64_t p = 0;
-      std::size_t digits = 0;
-      while (!line.empty() && line[0] >= '0' && line[0] <= '9') {
-        p = p * 10 + static_cast<std::uint64_t>(line[0] - '0');
-        line.remove_prefix(1);
-        ++digits;
-      }
-      if (!digits) continue;
+      const char* end = line.data() + line.size();
+      const auto [next, ec] = std::from_chars(line.data(), end, p);
+      if (ec != std::errc() || p == kRunEvent) continue;
+      line.remove_prefix(static_cast<std::size_t>(next - line.data()));
       ev.proxy = p;
     }
     if (!consume(line, ",\"kind\":\"")) continue;

@@ -14,10 +14,20 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "geo/geodesy.hpp"
+#include "grid/cap_cache.hpp"
 #include "grid/raster.hpp"
+#include "mlat/refine.hpp"
 
 namespace ageo::algos {
 namespace {
+
+/// One CBG++ scenario per shape of the three-stage solve: all disks
+/// agree; the baseline disks share no cell; the baseline filter discards
+/// bestline disks; a retained bestline disk disagrees with the rest.
+struct CbgPpCase {
+  const char* name;
+  std::vector<Observation> obs;
+};
 
 class AlgosTest : public ::testing::Test {
  protected:
@@ -57,6 +67,22 @@ class AlgosTest : public ::testing::Test {
                      d / kSpeed + kIntercept + rng.exponential(noise_mean)});
     }
     return obs;
+  }
+
+  std::vector<CbgPpCase> cbgpp_cases() {
+    std::vector<CbgPpCase> cases;
+    cases.push_back({"consistent", observe(5)});
+    auto split = observe(13, /*noise_mean=*/1.0);
+    split[0].one_way_delay_ms = 0.5;  // Paris and Berlin, each < 100 km
+    split[1].one_way_delay_ms = 0.5;
+    cases.push_back({"baseline_empty", split});
+    auto forged = observe(12, /*noise_mean=*/1.0);
+    forged[0].one_way_delay_ms = 0.5;  // baseline region pinned to Paris
+    cases.push_back({"stage2_discards", forged});
+    auto under = observe(6, /*noise_mean=*/1.0);
+    under[0].one_way_delay_ms = 5.5;  // bestline underestimate (§5.1)
+    cases.push_back({"retained_inconsistent", under});
+    return cases;
   }
 };
 
@@ -161,6 +187,126 @@ TEST_F(AlgosTest, AblationOptionsChangeBehaviour) {
   CbgPlusPlusOptions with_filter;
   CbgPlusPlusGeolocator full(with_filter);
   EXPECT_TRUE(full.locate(g, store, obs).region.contains(truth));
+}
+
+TEST_F(AlgosTest, CbgPlusPlusMemoSolveMatchesLocate) {
+  grid::CapPlanCache cache(64);
+  CbgPlusPlusGeolocator pp;
+  pp.set_plan_cache(&cache);
+  bool resumed = false;
+  for (const auto& c : cbgpp_cases()) {
+    const std::size_t n = c.obs.size();
+    const auto detail = pp.locate_detailed(g, store, c.obs);
+    // Each case exercises the path its name says.
+    const std::string name = c.name;
+    if (name == "consistent") {
+      EXPECT_EQ(detail.bestline_subset_size, n) << name;
+    } else if (name == "baseline_empty") {
+      EXPECT_LT(detail.baseline_subset_size, n) << name;
+    } else if (name == "stage2_discards") {
+      EXPECT_EQ(detail.baseline_subset_size, n) << name;
+      EXPECT_GT(detail.disks_discarded_by_baseline, 0u) << name;
+      EXPECT_EQ(detail.bestline_subset_size,
+                n - detail.disks_discarded_by_baseline)
+          << name;
+    } else {
+      EXPECT_EQ(detail.baseline_subset_size, n) << name;
+      EXPECT_LT(detail.bestline_subset_size,
+                n - detail.disks_discarded_by_baseline)
+          << name;
+    }
+    const bool fast_path =
+        detail.baseline_subset_size == n &&
+        detail.bestline_subset_size == n - detail.disks_discarded_by_baseline;
+    EXPECT_EQ(fast_path, name == "consistent" || name == "stage2_discards")
+        << name;
+
+    const GeoEstimate ref = pp.locate(g, store, c.obs);
+    GeoEstimate est;
+    const auto memo = pp.locate_memo(g, store, c.obs, nullptr, est);
+    EXPECT_EQ(memo != nullptr, fast_path) << name;
+    EXPECT_EQ(ref.region.words(), est.region.words()) << name;
+    EXPECT_EQ(ref.used, est.used) << name;
+    EXPECT_EQ(ref.constraints_used, est.constraints_used) << name;
+    EXPECT_EQ(ref.constraints_total, est.constraints_total) << name;
+    EXPECT_EQ(ref.prov.baseline_subset, est.prov.baseline_subset) << name;
+    EXPECT_EQ(ref.prov.discarded_by_baseline, est.prov.discarded_by_baseline)
+        << name;
+
+    // A captured memo resumes to the same answer as a full solve: rebuild
+    // it on all but the last observation and absorb that one.
+    const std::span<const Observation> all(c.obs);
+    GeoEstimate prefix_est;
+    auto prefix_memo =
+        pp.locate_memo(g, store, all.first(n - 1), nullptr, prefix_est);
+    GeoEstimate upd;
+    if (prefix_memo &&
+        pp.locate_update(*prefix_memo, g, store, all, n - 1, nullptr, upd)) {
+      resumed = true;
+      EXPECT_EQ(ref.region.words(), upd.region.words()) << name;
+      EXPECT_EQ(ref.used, upd.used) << name;
+      EXPECT_EQ(ref.constraints_used, upd.constraints_used) << name;
+    }
+  }
+  EXPECT_TRUE(resumed);
+
+  // No plan cache, or no subset filter: no memo, same estimate.
+  CbgPlusPlusGeolocator uncached;
+  CbgPlusPlusOptions plain_opts;
+  plain_opts.use_subset_filter = false;
+  CbgPlusPlusGeolocator plain(plain_opts);
+  plain.set_plan_cache(&cache);
+  const auto obs = observe(5);
+  for (const CbgPlusPlusGeolocator* loc : {&uncached, &plain}) {
+    GeoEstimate est;
+    EXPECT_EQ(loc->locate_memo(g, store, obs, nullptr, est), nullptr);
+    EXPECT_EQ(loc->locate(g, store, obs).region.words(), est.region.words());
+  }
+}
+
+TEST_F(AlgosTest, CbgPlusPlusRefinedMatchesFlat) {
+  grid::CapPlanCache cache(64);
+  const grid::Region mask = grid::rasterize_lat_band(g, 30.0, 65.0);
+  CbgPlusPlusGeolocator flat;
+  flat.set_plan_cache(&cache);
+  bool saw_discards = false;
+  for (const char* sched : {"2", "4,2"}) {
+    mlat::RefineContext ctx(g, mlat::RefineSchedule::parse(sched));
+    ctx.prepare_mask(mask);
+    CbgPlusPlusGeolocator refined;
+    refined.set_plan_cache(&cache);
+    refined.set_refine(&ctx);
+    for (const auto& c : cbgpp_cases()) {
+      for (const grid::Region* m :
+           {static_cast<const grid::Region*>(nullptr), &mask}) {
+        const auto want = flat.locate_detailed(g, store, c.obs, m);
+        const auto got = refined.locate_detailed(g, store, c.obs, m);
+        const std::string where =
+            std::string(sched) + " " + c.name + (m ? " masked" : "");
+        EXPECT_TRUE(got.estimate.prov.refined) << where;
+        EXPECT_EQ(want.estimate.region.words(), got.estimate.region.words())
+            << where;
+        EXPECT_EQ(want.estimate.used, got.estimate.used) << where;
+        EXPECT_EQ(want.estimate.constraints_used,
+                  got.estimate.constraints_used)
+            << where;
+        EXPECT_EQ(want.baseline_subset_size, got.baseline_subset_size)
+            << where;
+        EXPECT_EQ(want.bestline_subset_size, got.bestline_subset_size)
+            << where;
+        EXPECT_EQ(want.disks_discarded_by_baseline,
+                  got.disks_discarded_by_baseline)
+            << where;
+        saw_discards |= got.disks_discarded_by_baseline > 0;
+        // A refined solve never hands out a memo.
+        GeoEstimate est;
+        EXPECT_EQ(refined.locate_memo(g, store, c.obs, m, est), nullptr)
+            << where;
+        EXPECT_EQ(want.estimate.region.words(), est.region.words()) << where;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_discards);
 }
 
 TEST_F(AlgosTest, MaskIsRespected) {

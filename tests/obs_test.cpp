@@ -570,6 +570,33 @@ TEST(ObsJournal, JsonlParseRoundTrip) {
   EXPECT_EQ(parsed.events[1].proxy, obs::kRunEvent);
 }
 
+TEST(ObsJournal, ParseSkipsOverflowingProxyIds) {
+  // Hostile ids: one past UINT64_MAX (would wrap to proxy 0), the run
+  // sentinel spelled as a number, and a far longer digit run. Each line
+  // is dropped; the honest lines around them parse unchanged.
+  const std::string jsonl =
+      "{\"proxy\":0,\"kind\":\"constraint\",\"scope\":\"verdict\","
+      "\"idx\":0}\n"
+      "{\"proxy\":18446744073709551616,\"kind\":\"constraint\","
+      "\"scope\":\"verdict\",\"idx\":1}\n"
+      "{\"proxy\":18446744073709551615,\"kind\":\"constraint\","
+      "\"scope\":\"verdict\",\"idx\":2}\n"
+      "{\"proxy\":999999999999999999999999999999,\"kind\":\"constraint\","
+      "\"scope\":\"verdict\",\"idx\":3}\n"
+      "{\"proxy\":18446744073709551614,\"kind\":\"constraint\","
+      "\"scope\":\"verdict\",\"idx\":4}\n"
+      "{\"proxy\":\"run\",\"kind\":\"summary\",\"scope\":\"verdict\","
+      "\"proxies\":1}\n";
+  const auto parsed = obs::parse_journal_jsonl(jsonl);
+  ASSERT_EQ(parsed.events.size(), 3u);
+  EXPECT_EQ(parsed.events[0].proxy, 0u);
+  EXPECT_EQ(*obs::journal_field(parsed.events[0], "idx"), "0");
+  EXPECT_EQ(parsed.events[1].proxy, 18446744073709551614ull);
+  EXPECT_EQ(*obs::journal_field(parsed.events[1], "idx"), "4");
+  EXPECT_EQ(parsed.events[2].proxy, obs::kRunEvent);
+  EXPECT_EQ(parsed.events[2].kind, "summary");
+}
+
 TEST(ObsJournal, DisabledEmitsNothing) {
   obs::reset_journal();
   obs::set_journal_enabled(false);

@@ -448,149 +448,6 @@ TEST(RefinedLcs, InconsistentSetsFallBackToTheFlatSolver) {
   }
 }
 
-// ---------------------------------------------------------------------
-// 4b. Paired ladder (CBG++ stage-1/stage-3 sharing)
-// ---------------------------------------------------------------------
-
-TEST(PairLadder, PairedSolvesMatchFreshRefinedSolves) {
-  grid::Grid fine(0.5);
-  grid::CapPlanCache cache(256);
-  grid::Scratch* arena = &grid::Scratch::tls();
-  Rng rng(20260809, "pair_ladder");
-  const grid::Region mask = grid::rasterize_lat_band(fine, -60.0, 85.0);
-  for (const char* sched : {"2", "4,2"}) {
-    RefineContext ctx(fine, RefineSchedule::parse(sched));
-    ctx.prepare_mask(mask);
-    for (int iter = 0; iter < 5; ++iter) {
-      const geo::LatLon target = random_point(rng);
-      // Element-parallel lists sharing centers, the secondary tighter —
-      // the shape CBG++ hands the driver (baseline vs bestline disks).
-      std::vector<DiskConstraint> primary, secondary;
-      for (int i = 0; i < 8; ++i) {
-        const geo::LatLon lm = random_point(rng);
-        const double d = geo::distance_km(lm, target);
-        primary.push_back({lm, d + rng.uniform(400.0, 900.0)});
-        secondary.push_back({lm, d + rng.uniform(50.0, 350.0)});
-      }
-      for (const grid::Region* m :
-           {static_cast<const grid::Region*>(nullptr), &mask}) {
-        grid::Region fresh_p(fine), fresh_s(fine);
-        std::vector<bool> fresh_pu, fresh_su;
-        const std::size_t fresh_pn = refine_largest_consistent_subset_into(
-            ctx, primary, m, &cache, arena, fresh_p, fresh_pu);
-        const std::size_t fresh_sn = refine_largest_consistent_subset_into(
-            ctx, secondary, m, &cache, arena, fresh_s, fresh_su);
-
-        PairLadder pair;
-        grid::Region pair_p(fine), pair_s(fine);
-        std::vector<bool> pair_pu, pair_su;
-        const std::size_t pair_pn = refine_pair_primary(
-            ctx, primary, secondary, m, &cache, arena, pair_p, pair_pu, pair);
-        EXPECT_TRUE(pair.armed());
-        const std::size_t pair_sn = refine_pair_secondary(
-            ctx, pair, secondary, m, &cache, arena, pair_s, pair_su);
-        EXPECT_FALSE(pair.armed());
-
-        EXPECT_EQ(fresh_pn, pair_pn) << sched << " iter=" << iter;
-        EXPECT_EQ(fresh_pu, pair_pu) << sched << " iter=" << iter;
-        EXPECT_EQ(fresh_p.words(), pair_p.words()) << sched << " iter=" << iter;
-        EXPECT_EQ(fresh_sn, pair_sn) << sched << " iter=" << iter;
-        EXPECT_EQ(fresh_su, pair_su) << sched << " iter=" << iter;
-        EXPECT_EQ(fresh_s.words(), pair_s.words()) << sched << " iter=" << iter;
-      }
-    }
-  }
-}
-
-TEST(PairLadder, InconsistentSecondaryRoutesThroughTheSameSweep) {
-  grid::Grid fine(1.0);
-  grid::CapPlanCache cache(128);
-  grid::Scratch* arena = &grid::Scratch::tls();
-  Rng rng(20260809, "pair_ladder_sweep");
-  RefineContext ctx(fine, RefineSchedule::parse("4"));
-  for (int iter = 0; iter < 4; ++iter) {
-    const geo::LatLon a{rng.uniform(-60.0, 60.0), rng.uniform(-170.0, -10.0)};
-    const geo::LatLon b{-a.lat_deg, a.lon_deg + 150.0};
-    // Secondary: two tight rival clusters (inconsistent as a set, so the
-    // parked ladder's windowed intersection fails and the coverage sweep
-    // must run). Primary: huge disks around the same landmarks
-    // (consistent — the stage the ladder is armed by succeeds).
-    std::vector<DiskConstraint> primary, secondary;
-    const auto add_cluster = [&](const geo::LatLon& c, std::size_t n) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const geo::LatLon lm{c.lat_deg + rng.uniform(-3.0, 3.0),
-                             c.lon_deg + rng.uniform(-3.0, 3.0)};
-        secondary.push_back(
-            {lm, geo::distance_km(lm, c) + rng.uniform(100.0, 400.0)});
-        primary.push_back({lm, 11000.0});
-      }
-    };
-    add_cluster(a, 6);
-    add_cluster(b, 3);
-
-    grid::Region fresh_s(fine);
-    std::vector<bool> fresh_su;
-    const std::size_t fresh_sn = refine_largest_consistent_subset_into(
-        ctx, secondary, nullptr, &cache, arena, fresh_s, fresh_su);
-    EXPECT_LT(fresh_sn, secondary.size()) << "workload not inconsistent";
-
-    PairLadder pair;
-    grid::Region pair_p(fine), pair_s(fine);
-    std::vector<bool> pair_pu, pair_su;
-    refine_pair_primary(ctx, primary, secondary, nullptr, &cache, arena,
-                        pair_p, pair_pu, pair);
-    const std::size_t pair_sn = refine_pair_secondary(
-        ctx, pair, secondary, nullptr, &cache, arena, pair_s, pair_su);
-    EXPECT_EQ(fresh_sn, pair_sn) << iter;
-    EXPECT_EQ(fresh_su, pair_su) << iter;
-    EXPECT_EQ(fresh_s.words(), pair_s.words()) << iter;
-  }
-}
-
-TEST(PairLadder, ContractViolationsThrowAndEmptyListsDegradeToFlat) {
-  grid::Grid fine(1.0);
-  RefineContext ctx(fine, RefineSchedule::parse("4"));
-  grid::Scratch* arena = &grid::Scratch::tls();
-  const std::vector<DiskConstraint> one = {{{40.0, -100.0}, 2000.0}};
-
-  // Lists of different lengths cannot be element-parallel.
-  {
-    PairLadder pair;
-    grid::Region r(fine);
-    std::vector<bool> u;
-    EXPECT_THROW(refine_pair_primary(ctx, one, {}, nullptr, nullptr, arena, r,
-                                     u, pair),
-                 InvalidArgument);
-  }
-  // A secondary solve with constraints needs an armed ladder.
-  {
-    PairLadder pair;
-    grid::Region r(fine);
-    std::vector<bool> u;
-    EXPECT_THROW(refine_pair_secondary(ctx, pair, one, nullptr, nullptr, arena,
-                                       r, u),
-                 InvalidArgument);
-  }
-  // Empty lists: both halves defer to the flat engine (full region, no
-  // constraints used) and never arm the ladder.
-  {
-    PairLadder pair;
-    grid::Region r1(fine), r2(fine);
-    std::vector<bool> u1, u2;
-    EXPECT_EQ(0u, refine_pair_primary(ctx, {}, {}, nullptr, nullptr, arena,
-                                      r1, u1, pair));
-    EXPECT_FALSE(pair.armed());
-    EXPECT_EQ(0u, refine_pair_secondary(ctx, pair, {}, nullptr, nullptr,
-                                        arena, r2, u2));
-    grid::Region flat(fine);
-    std::vector<bool> flat_used;
-    largest_consistent_subset_into(fine, std::span<const DiskConstraint>{},
-                                   nullptr, nullptr, arena, flat, flat_used);
-    EXPECT_EQ(flat.words(), r1.words());
-    EXPECT_EQ(flat.words(), r2.words());
-  }
-}
-
 TEST(RefinedSpotter, CredibleRegionMatchesFlatPosterior) {
   grid::Grid fine(0.5);
   grid::CapPlanCache cache(256);
