@@ -19,12 +19,14 @@
 // pool, bootstrapped, then streamed through --rounds re-audit rounds
 // of incremental memoised localization before the report is rendered.
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -107,9 +109,16 @@ double parse_double(const char* flag, const char* text) {
 
 long long parse_int(const char* flag, const char* text) {
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0') {
     std::fprintf(stderr, "%s: '%s' is not an integer\n", flag, text);
+    std::exit(2);
+  }
+  // strtoll saturates on overflow; without this check a too-long seed
+  // would silently become LLONG_MAX.
+  if (errno == ERANGE) {
+    std::fprintf(stderr, "%s: '%s' is out of range\n", flag, text);
     std::exit(2);
   }
   return v;
@@ -175,8 +184,15 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--refine")) {
       refine_spec = need_value("--refine");
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads =
-          static_cast<int>(parse_int("--threads", need_value("--threads")));
+      // Range-check before narrowing: a cast first would wrap
+      // 4294967297 to 1 and 2147483648 to a negative count.
+      const long long t = parse_int("--threads", need_value("--threads"));
+      if (t < 0 || t > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "--threads must be in [0, %d], got %lld\n",
+                     std::numeric_limits<int>::max(), t);
+        return 2;
+      }
+      threads = static_cast<int>(t);
     } else if (!std::strcmp(argv[i], "--algo")) {
       algo = need_value("--algo");
     } else if (!std::strcmp(argv[i], "--serve")) {
@@ -225,10 +241,6 @@ int main(int argc, char** argv) {
                  "--grid: %g does not evenly divide the 180x360 degree "
                  "globe (try 0.25, 0.5, 1.0, or 2.0)\n",
                  grid_deg);
-    return 2;
-  }
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0, got %d\n", threads);
     return 2;
   }
   if (rounds < 0) {

@@ -21,6 +21,15 @@ struct SpotterMemo final : LocatorMemo {
   grid::Field product;
   grid::Field work;
   std::size_t n_rings = 0;
+
+  /// Refresh `work` from `product` and cut the credible region. Both
+  /// fields carry live lists after the first refresh, so the copy
+  /// touches only the two lists' cells, not the grid.
+  grid::Region estimate(double credible_mass) {
+    work.copy_from(product);
+    work.normalize();
+    return work.credible_region(credible_mass);
+  }
 };
 
 }  // namespace
@@ -61,10 +70,10 @@ GeoEstimate SpotterGeolocator::locate(
     return est;
   }
   // Pooled posterior: the Field (and its internal temporaries, via the
-  // attached arena) comes from the thread's scratch pool; only the
-  // credible region escapes.
-  auto posterior = grid::Scratch::field(&grid::Scratch::tls(), g);
-  mlat::fuse_gaussian_rings_into(g, rings, posterior.ref(), mask,
+  // attached arena) comes from the thread's scratch pool, already masked
+  // in the same pass that resets it; only the credible region escapes.
+  auto posterior = grid::Scratch::field(&grid::Scratch::tls(), g, mask);
+  mlat::fuse_gaussian_rings_into(g, rings, posterior.ref(), nullptr,
                                  plan_cache_);
   return GeoEstimate{posterior.ref().credible_region(credible_mass_)};
 }
@@ -86,8 +95,7 @@ std::unique_ptr<LocatorMemo> SpotterGeolocator::locate_memo(
     detail::require(mask->grid() == &g,
                     "Spotter locate_memo: mask grid mismatch");
   auto memo = std::make_unique<SpotterMemo>();
-  memo->product = grid::Field(g);
-  if (mask) memo->product.apply_mask(*mask);
+  memo->product.rebind(g, mask);
   const auto& model = store.spotter();
   for (const auto& ob : observations) {
     mlat::multiply_ring_into(g,
@@ -98,9 +106,7 @@ std::unique_ptr<LocatorMemo> SpotterGeolocator::locate_memo(
   }
   // Normalise a copy: the running product must stay unnormalised so the
   // next update appends to the same factor sequence the oracle fuses.
-  memo->work = memo->product;
-  memo->work.normalize();
-  out = GeoEstimate{memo->work.credible_region(credible_mass_)};
+  out = GeoEstimate{memo->estimate(credible_mass_)};
   return memo;
 }
 
@@ -127,9 +133,7 @@ bool SpotterGeolocator::locate_update(
                              plan_cache_, memo->product);
     ++memo->n_rings;
   }
-  memo->work = memo->product;
-  memo->work.normalize();
-  out = GeoEstimate{memo->work.credible_region(credible_mass_)};
+  out = GeoEstimate{memo->estimate(credible_mass_)};
   out.prov.incremental = true;
   return true;
 }

@@ -557,6 +557,8 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
                      report.suspicious_landmarks.size());
     AGEO_GAUGE_SET("grid.plan_cache.size",
                    static_cast<double>(plan_cache_.size()));
+    AGEO_GAUGE_SET("grid.plan_cache.table_bytes",
+                   static_cast<double>(plan_cache_.table_bytes()));
     // Arena occupancy depends on thread count and pool reuse, so these
     // gauges are wall-clock-only (excluded from determinism diffs).
     const grid::Scratch::Stats arena = grid::Scratch::aggregate();

@@ -384,6 +384,7 @@ void CapScanPlan::subtract_annulus_into(double inner_km, double outer_km,
 
 const std::vector<double>& CapScanPlan::cell_distances_km() const {
   std::call_once(dist_once_, [this] {
+    AGEO_SPAN("grid", "plan.distance_table");
     AGEO_COUNT("grid.plan_cache.distance_tables_built");
     AGEO_TIMED_US("grid.plan_cache.distance_table_us", 1.0, 1e6);
     const Grid& g = *g_;
@@ -396,6 +397,8 @@ const std::vector<double>& CapScanPlan::cell_distances_km() const {
       table[i] = geo::kEarthRadiusKm * ang;
     }
     dist_km_ = std::move(table);
+    dist_bytes_.store(dist_km_.capacity() * sizeof(double),
+                      std::memory_order_release);
   });
   return dist_km_;
 }
@@ -452,6 +455,13 @@ CapPlanCache::Stats CapPlanCache::stats() const {
 std::size_t CapPlanCache::size() const {
   std::lock_guard lock(mu_);
   return lru_.size();
+}
+
+std::size_t CapPlanCache::table_bytes() const {
+  std::lock_guard lock(mu_);
+  std::size_t bytes = 0;
+  for (const Entry& e : lru_) bytes += e.second->distance_table_bytes();
+  return bytes;
 }
 
 }  // namespace ageo::grid

@@ -15,6 +15,7 @@
 // for its lifetime and shares it across its worker threads.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -95,6 +96,11 @@ class CapScanPlan {
   /// trigger the build. Thread-safe (call_once).
   const std::vector<double>& cell_distances_km() const;
 
+  /// Bytes held by the distance table: 0 until it is built.
+  std::size_t distance_table_bytes() const noexcept {
+    return dist_bytes_.load(std::memory_order_acquire);
+  }
+
  private:
   /// How one grid row relates to an annulus being scanned.
   enum class RowClass {
@@ -132,6 +138,7 @@ class CapScanPlan {
   /// Lazily-built distance table (cell_distances_km).
   mutable std::once_flag dist_once_;
   mutable std::vector<double> dist_km_;
+  mutable std::atomic<std::size_t> dist_bytes_{0};
 };
 
 /// Thread-safe LRU cache of CapScanPlans keyed by (grid, center).
@@ -157,6 +164,8 @@ class CapPlanCache {
   };
   Stats stats() const;
   std::size_t size() const;
+  /// Bytes of distance tables held by the resident plans.
+  std::size_t table_bytes() const;
   std::size_t capacity() const noexcept { return capacity_; }
 
  private:

@@ -51,20 +51,45 @@ void multiply_gaussian_ring(Field& f, const geo::LatLon& center, double mu_km,
 
 }  // namespace reference
 
-Field::Field(const Grid& g) : grid_(&g), density_(g.size(), 1.0) {
-  ageo::detail::require(g.size() <= 0xffffffffULL,
-                  "Field: grid too large for the live-cell index");
-}
+Field::Field(const Grid& g) { rebind(g); }
 
-void Field::rebind(const Grid& g) {
+void Field::rebind(const Grid& g, const Region* mask) {
   ageo::detail::require(g.size() <= 0xffffffffULL,
                   "Field: grid too large for the live-cell index");
+  if (mask)
+    ageo::detail::require(mask->grid() == &g,
+                          "Field: mask must share the field's grid");
   grid_ = &g;
+  mass_valid_ = false;
+  mass_ = 0.0;
+  if (mask) {
+    density_.resize(g.size());
+    mask_pass<true>(*mask);
+    return;
+  }
   density_.assign(g.size(), 1.0);
   live_.clear();
   live_valid_ = false;
-  mass_valid_ = false;
-  mass_ = 0.0;
+}
+
+void Field::copy_from(const Field& src) {
+  if (this == &src) return;
+  if (live_valid_ && src.live_valid_ && grid_ == src.grid_ &&
+      density_.size() == src.density_.size()) {
+    // Both fields are zero off their live lists, so after these two
+    // writes every cell equals src's: src's live cells by copy, this
+    // field's former live cells by zeroing (src holds +0.0 there unless
+    // they are also src-live), and all other cells were +0.0 in both.
+    for (const std::uint32_t i : live_) density_[i] = 0.0;
+    for (const std::uint32_t i : src.live_) density_[i] = src.density_[i];
+  } else {
+    density_ = src.density_;
+  }
+  grid_ = src.grid_;
+  live_ = src.live_;
+  live_valid_ = src.live_valid_;
+  mass_ = src.mass_;
+  mass_valid_ = src.mass_valid_;
 }
 
 template <typename DistF, typename SupportF>
@@ -187,30 +212,49 @@ void Field::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
       });
 }
 
-void Field::apply_mask(const Region& mask) {
-  ageo::detail::require(grid_ != nullptr && mask.grid() == grid_,
-                  "Field: mask must share the field's grid");
+template <bool Uniform>
+void Field::mask_pass(const Region& mask) {
   mass_valid_ = false;
   live_.clear();
-  for (std::size_t i = 0; i < density_.size(); ++i) {
-    if (!mask.test(i)) {
-      density_[i] = 0.0;
-    } else if (density_[i] != 0.0) {
-      live_.push_back(static_cast<std::uint32_t>(i));
+  const std::vector<std::uint64_t>& words = mask.words();
+  double* density = density_.data();
+  const std::size_t n = density_.size();
+  for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    const std::size_t base = wi << 6;
+    const std::size_t lim = std::min<std::size_t>(64, n - base);
+    const std::uint64_t bits = words[wi];
+    if (bits == 0) {
+      std::fill_n(density + base, lim, 0.0);
+      continue;
+    }
+    for (std::size_t j = 0; j < lim; ++j) {
+      double& d = density[base + j];
+      if (((bits >> j) & 1u) == 0) {
+        d = 0.0;
+        continue;
+      }
+      if constexpr (Uniform) d = 1.0;
+      if (d != 0.0) live_.push_back(static_cast<std::uint32_t>(base + j));
     }
   }
   live_valid_ = true;
 }
 
+void Field::apply_mask(const Region& mask) {
+  ageo::detail::require(grid_ != nullptr && mask.grid() == grid_,
+                  "Field: mask must share the field's grid");
+  mask_pass<false>(mask);
+}
+
 double Field::total_mass() const noexcept {
   if (!grid_) return 0.0;
   if (mass_valid_) return mass_;
-  double m = 0.0;
-  for (std::size_t i = 0; i < density_.size(); ++i)
-    m += density_[i] * grid_->cell_area_km2(i);
-  mass_ = m;
+  const Grid& g = *grid_;
+  mass_ = detail::fold_mass(
+      density_.size(), live_cells(),
+      [&](std::size_t i) { return density_[i] * g.cell_area_km2(i); });
   mass_valid_ = true;
-  return m;
+  return mass_;
 }
 
 bool Field::normalize() noexcept {
@@ -218,13 +262,14 @@ bool Field::normalize() noexcept {
   if (!(m > 0.0) || !std::isfinite(m)) return false;
   // Divide and re-accumulate in one pass. The running sum reads the
   // stored (rounded) quotients in index order, so the cached mass is
-  // bit-identical to what a fresh total_mass() scan would return.
-  double post = 0.0;
-  for (std::size_t i = 0; i < density_.size(); ++i) {
+  // bit-identical to what a fresh total_mass() scan would return. Cells
+  // off the live list are zero and zero / m is the same zero, so the
+  // live fold leaves every cell a dense pass would.
+  const Grid& g = *grid_;
+  mass_ = detail::fold_mass(density_.size(), live_cells(), [&](std::size_t i) {
     density_[i] /= m;
-    post += density_[i] * grid_->cell_area_km2(i);
-  }
-  mass_ = post;
+    return density_[i] * g.cell_area_km2(i);
+  });
   mass_valid_ = true;
   // Survivor indices are unchanged by a positive rescale (a quotient that
   // underflows to zero merely leaves a stale — harmless — live entry).

@@ -13,6 +13,13 @@
 // trigonometry. The original full-grid scan is retained verbatim under
 // grid::reference as the oracle; the fast path is bit-for-bit identical to
 // it (pinned by field_equivalence_test).
+//
+// Once a field has a live-cell list (after the mask or the first ring),
+// every later pass walks only that list: the ring multiplies,
+// total_mass(), normalize(), credible_region() and copy_from().
+// Construction, rebind(), apply_mask() and mode() still touch every
+// cell. The list's invariant (on live_ below) is what makes the skipped
+// cells contribute nothing to any of the live passes.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +75,26 @@ inline constexpr double kSupportSlackKm = 4.0;
 /// both window the same annulus [mu - w, mu + w].
 double gaussian_support_halfwidth_km(double sigma_km) noexcept;
 
+/// The one mass fold behind Field's and SubField's total_mass() and
+/// normalize(): the sum of term(i) over ascending i, where i runs over
+/// `live` when it is non-null and over [0, n) otherwise. `term` may
+/// rewrite cell i before returning its area-weighted mass (normalize
+/// divides there). Under the live-list invariant every skipped cell is
+/// zero, so the dense sum would add only zero terms for it, and x + 0.0
+/// is x for every sum a non-negative field produces; the live fold is
+/// therefore bit-identical to the dense one.
+template <typename TermF>
+double fold_mass(std::size_t n, const std::vector<std::uint32_t>* live,
+                 TermF&& term) {
+  double m = 0.0;
+  if (live) {
+    for (const std::uint32_t i : *live) m += term(i);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) m += term(i);
+  }
+  return m;
+}
+
 }  // namespace detail
 
 class Field {
@@ -106,7 +133,8 @@ class Field {
   void multiply_gaussian_ring_unchecked(const CapScanPlan& plan, double mu_km,
                                         double sigma_km);
 
-  /// Zero out density outside `mask` (e.g. the land mask).
+  /// Zero out density outside `mask` (e.g. the land mask). One pass over
+  /// the mask's words; builds the live list from the surviving cells.
   void apply_mask(const Region& mask);
 
   /// Normalise so the area-weighted integral is 1. Returns false (leaving
@@ -131,8 +159,17 @@ class Field {
 
   /// Re-attach to `g` as a fresh uniform field, reusing the density and
   /// live-list capacity. Arena support (grid/scratch.hpp): equivalent to
-  /// `*this = Field(g)` minus the allocations.
-  void rebind(const Grid& g);
+  /// `*this = Field(g)` minus the allocations. With a `mask` (on `g`),
+  /// the result is the uniform field after apply_mask(*mask), built in
+  /// one pass over the mask's words: 1.0 on the mask, +0.0 elsewhere,
+  /// and the mask's cells as the live list.
+  void rebind(const Grid& g, const Region* mask = nullptr);
+
+  /// Make this field equal to `src`, bit for bit (the arena binding is
+  /// kept). When both fields hold a live list on the same grid, only the
+  /// two lists' cells are written: this field's live cells are zeroed,
+  /// then `src`'s are copied. Otherwise a full copy.
+  void copy_from(const Field& src);
 
   /// Arena used for internal temporaries (the support Region of the
   /// first windowed multiply, the credible-region ordering). Null — the
@@ -141,6 +178,11 @@ class Field {
   /// FieldLease resets it to null on release so a pooled Field never
   /// carries a stale arena across threads.
   void set_scratch(Scratch* s) noexcept { scratch_ = s; }
+
+  /// The live-cell list (see live_), or null while there is none.
+  const std::vector<std::uint32_t>* live_cells() const noexcept {
+    return live_valid_ ? &live_ : nullptr;
+  }
 
   /// Bytes of heap capacity currently retained (arena accounting).
   std::size_t capacity_bytes() const noexcept {
@@ -165,14 +207,26 @@ class Field {
   void multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
                               SupportF&& support);
 
+  /// One pass over `mask`'s words shared by apply_mask and the masked
+  /// rebind: cells off the mask become +0.0 (a whole word at a time when
+  /// it is empty), cells on it keep their density (Uniform: become 1.0),
+  /// and the nonzero ones form the new live list.
+  template <bool Uniform>
+  void mask_pass(const Region& mask);
+
   const Grid* grid_ = nullptr;
   Scratch* scratch_ = nullptr;
   std::vector<double> density_;
 
-  /// Indices of cells that may be nonzero, in increasing order — a
-  /// superset of the true nonzero set is allowed (stale zeros are
-  /// harmless and get compacted on the next multiply). Maintained by the
-  /// ring multiplies and apply_mask so later rings only touch survivors.
+  /// Indices of cells that may be nonzero. Invariant, while live_valid_
+  /// holds: live_ is strictly ascending and every cell not in it is
+  /// zero — +0.0 for the non-negative densities the public passes build
+  /// (only a negative written through at() could leave a -0.0 behind,
+  /// and at() drops the list). A superset of the nonzero set is allowed:
+  /// a quotient that underflows in normalize() stays as a stale entry
+  /// until the next multiply compacts it. Built by apply_mask, the masked
+  /// rebind and the first ring multiply; every pass after that walks
+  /// only this list (see the file comment).
   std::vector<std::uint32_t> live_;
   bool live_valid_ = false;
 

@@ -369,17 +369,18 @@ void Scratch::give_field(FieldLease& lease) {
   fields_.push_back(std::move(lease.field_));
 }
 
-Scratch::FieldLease Scratch::field(Scratch* arena, const Grid& g) {
+Scratch::FieldLease Scratch::field(Scratch* arena, const Grid& g,
+                                   const Region* mask) {
   AGEO_COUNT("mlat.scratch.field_acquires");
   FieldLease lease;
   if (arena) {
     lease.field_ = arena->take_field();
     lease.owner_ = arena;
     lease.bytes_at_acquire_ = lease.field_.capacity_bytes();
-    lease.field_.rebind(g);
+    lease.field_.rebind(g, mask);
     lease.field_.set_scratch(arena);
   } else {
-    lease.field_.rebind(g);
+    lease.field_.rebind(g, mask);
     lease.bytes_at_acquire_ = lease.field_.capacity_bytes();
   }
   return lease;

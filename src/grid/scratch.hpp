@@ -104,7 +104,8 @@ class Scratch {
     std::size_t bytes_at_acquire_ = 0;
   };
 
-  /// Pooled Field, handed out uniform (all ones) on `g`.
+  /// Pooled Field, handed out uniform (all ones) on `g`, or as the
+  /// masked start when a mask is given (Field::rebind).
   class FieldLease {
    public:
     Field& ref() noexcept { return field_; }
@@ -169,8 +170,10 @@ class Scratch {
   static WordsLease word_buf(Scratch* arena);
   /// Empty region on `g`.
   static RegionLease region(Scratch* arena, const Grid& g);
-  /// Uniform all-ones field on `g`.
-  static FieldLease field(Scratch* arena, const Grid& g);
+  /// Uniform all-ones field on `g`; with `mask`, the masked start (one
+  /// pass, see Field::rebind).
+  static FieldLease field(Scratch* arena, const Grid& g,
+                          const Region* mask = nullptr);
   /// Empty index vector.
   static IndexLease indices(Scratch* arena);
   /// Empty double vector.

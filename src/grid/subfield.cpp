@@ -150,15 +150,15 @@ void SubField::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
 double SubField::total_mass() const noexcept {
   if (mass_valid_) return mass_;
   // Ascending global order; the cells the flat scan visits and this one
-  // skips are all zero there and add bit-exact +0.0.
+  // skips (outside the window or off the live list) are all zero there
+  // and add bit-exact +0.0.
   const std::vector<double>& density = density_.vec();
   const std::vector<std::uint32_t>& global = global_.vec();
-  double m = 0.0;
-  for (std::size_t l = 0; l < density.size(); ++l)
-    m += density[l] * grid_->cell_area_km2(global[l]);
-  mass_ = m;
+  mass_ = detail::fold_mass(density.size(), live_cells(), [&](std::size_t l) {
+    return density[l] * grid_->cell_area_km2(global[l]);
+  });
   mass_valid_ = true;
-  return m;
+  return mass_;
 }
 
 bool SubField::normalize() noexcept {
@@ -166,12 +166,10 @@ bool SubField::normalize() noexcept {
   if (!(m > 0.0) || !std::isfinite(m)) return false;
   std::vector<double>& density = density_.vec();
   const std::vector<std::uint32_t>& global = global_.vec();
-  double post = 0.0;
-  for (std::size_t l = 0; l < density.size(); ++l) {
+  mass_ = detail::fold_mass(density.size(), live_cells(), [&](std::size_t l) {
     density[l] /= m;
-    post += density[l] * grid_->cell_area_km2(global[l]);
-  }
-  mass_ = post;
+    return density[l] * grid_->cell_area_km2(global[l]);
+  });
   mass_valid_ = true;
   return true;
 }

@@ -55,6 +55,16 @@ class SubField {
   const Grid& grid() const noexcept { return *grid_; }
   const Window& window() const noexcept { return win_; }
   std::size_t cells() const noexcept { return global_.vec().size(); }
+  /// Density of window cell `l` (window-local, ascending global order).
+  double at(std::size_t l) const noexcept { return density_.vec()[l]; }
+  /// Global grid index of window cell `l`.
+  std::size_t global_index(std::size_t l) const noexcept {
+    return global_.vec()[l];
+  }
+  /// Window-local live list (see live_), or null while there is none.
+  const std::vector<std::uint32_t>* live_cells() const noexcept {
+    return live_valid_ ? &live_.vec() : nullptr;
+  }
 
   /// Zero density outside `mask` (cells outside the window are not
   /// represented and already count as zero).
@@ -70,11 +80,12 @@ class SubField {
                                         double sigma_km);
 
   /// Area-weighted mass over the window (== the flat field's total when
-  /// the window covers its support). Cached between mutations.
+  /// the window covers its support). Cached between mutations. Shares
+  /// Field's fold (detail::fold_mass), over the live list when valid.
   double total_mass() const noexcept;
 
   /// Normalise to unit mass; false (unchanged) on zero mass. Same
-  /// accumulation order as Field::normalize.
+  /// accumulation order as Field::normalize, over the same fold.
   bool normalize() noexcept;
 
   /// Highest-density region reaching `mass`, as a full-grid Region.
@@ -93,8 +104,10 @@ class SubField {
   /// Global cell index of each window cell (same order).
   Scratch::IndexLease global_;
   /// Window-local indices of cells that may be nonzero, ascending; a
-  /// superset of the true nonzero set is allowed (same contract as
-  /// Field::live_).
+  /// superset of the true nonzero set is allowed, and every window cell
+  /// off the list is +0.0 (same invariant as Field::live_). While it is
+  /// valid, the ring multiplies, total_mass(), normalize() and
+  /// credible_region() walk only this list.
   Scratch::IndexLease live_;
   bool live_valid_ = false;
 

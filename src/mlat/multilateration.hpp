@@ -91,7 +91,9 @@ grid::Field fuse_gaussian_rings(const grid::Grid& g,
 /// Allocation-free variant: fuse into `posterior`, which must be a fresh
 /// uniform (all-ones) field on `g` — typically a pooled one from
 /// grid::Scratch::field, which also threads the arena through the
-/// field's internal temporaries. Same bits as fuse_gaussian_rings.
+/// field's internal temporaries. Same bits as fuse_gaussian_rings. A
+/// posterior that already is the masked start (Scratch::field(arena, g,
+/// mask)) is fused with `mask` null: the mask is in, in one pass.
 void fuse_gaussian_rings_into(const grid::Grid& g,
                               std::span<const GaussianConstraint> rings,
                               grid::Field& posterior,

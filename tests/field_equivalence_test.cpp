@@ -26,6 +26,8 @@
 #include "grid/grid.hpp"
 #include "grid/raster.hpp"
 #include "grid/region.hpp"
+#include "grid/subfield.hpp"
+#include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
 
 namespace ageo::grid {
@@ -350,6 +352,271 @@ TEST(FieldCredibleRegion, MaskedFieldMatches) {
   ASSERT_TRUE(f.normalize());
   for (double mass : {0.5, 0.95}) {
     EXPECT_EQ(f.credible_region(mass), credible_fullsort(f, mass));
+  }
+}
+
+// ---- live-cell list invariant ----
+//
+// While a field holds a live list, the list is strictly ascending and
+// every cell off it is +0.0; total_mass(), normalize() and the memo
+// refresh (copy_from) walk only the list. These tests check the
+// invariant after every kind of pass, and that each live-list pass is
+// bit-identical to its dense counterpart.
+
+constexpr std::uint64_t kPlusZeroBits = 0;
+
+/// The dense oracle for a live-list field: a copy whose list is dropped
+/// (writing a cell back through at() invalidates it), so every later
+/// pass on the copy walks the whole grid.
+Field dense_copy(const Field& f) {
+  Field d = f;
+  d.at(0) = f.at(0);
+  EXPECT_EQ(d.live_cells(), nullptr);
+  return d;
+}
+
+/// Checks the invariant on `f` and that its (possibly cached) mass is
+/// the dense index-order scan to the bit. Returns the number of stale
+/// entries: live cells whose density is zero.
+std::size_t expect_live_invariant(const Field& f, const std::string& what) {
+  const std::vector<std::uint32_t>* live = f.live_cells();
+  EXPECT_NE(live, nullptr) << what;
+  if (!live) return 0;
+  const Grid& g = *f.grid();
+  std::vector<bool> listed(g.size(), false);
+  std::size_t stale = 0;
+  for (std::size_t k = 0; k < live->size(); ++k) {
+    const std::uint32_t i = (*live)[k];
+    if (k > 0) {
+      EXPECT_LT((*live)[k - 1], i) << what << ": not ascending";
+    }
+    listed[i] = true;
+    if (f.at(i) == 0.0) ++stale;
+  }
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    if (listed[i]) continue;
+    if (std::bit_cast<std::uint64_t>(f.at(i)) != kPlusZeroBits) {
+      ADD_FAILURE() << what << ": cell " << i << " off the live list holds "
+                    << f.at(i);
+      break;
+    }
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(f.total_mass()),
+            std::bit_cast<std::uint64_t>(fresh_mass_scan(f)))
+      << what << ": total_mass differs from the dense scan";
+  return stale;
+}
+
+const std::vector<RingSpec>& live_test_rings() {
+  static const std::vector<RingSpec> rings = {
+      {{48.0, 10.0}, 900.0, 150.0},
+      {{40.0, -3.0}, 1400.0, 200.0},
+      {{52.0, 20.0}, 1100.0, 180.0},
+      {{45.0, 2.0}, 300.0, 120.0},
+  };
+  return rings;
+}
+
+TEST(FieldLiveList, InvariantHoldsAfterEveryPass) {
+  Grid g(1.0);
+  const Region mask = rasterize_cap(g, {{46.0, 8.0}, 4000.0});
+  for (const bool planned : {false, true}) {
+    const std::string path = planned ? "plan-served" : "windowed";
+    Field f(g);
+    f.apply_mask(mask);
+    expect_live_invariant(f, path + " after apply_mask");
+    for (const RingSpec& r : live_test_rings()) {
+      if (planned) {
+        CapScanPlan plan(g, r.center);
+        f.multiply_gaussian_ring(plan, r.mu_km, r.sigma_km);
+      } else {
+        f.multiply_gaussian_ring(r.center, r.mu_km, r.sigma_km);
+      }
+      expect_live_invariant(f, path + " after ring " + spec_str(r));
+    }
+    Field dense = dense_copy(f);
+    ASSERT_TRUE(f.normalize());
+    ASSERT_TRUE(dense.normalize());
+    expect_live_invariant(f, path + " after normalize");
+    expect_fields_identical(f, dense, path + " live vs dense normalize");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.total_mass()),
+              std::bit_cast<std::uint64_t>(dense.total_mass()));
+  }
+}
+
+TEST(FieldLiveList, UnmaskedFirstRingBuildsTheList) {
+  Grid g(2.0);
+  Field f(g);
+  EXPECT_EQ(f.live_cells(), nullptr);
+  f.multiply_gaussian_ring({-30.0, 150.0}, 2000.0, 250.0);
+  expect_live_invariant(f, "first windowed ring");
+  CapScanPlan plan(g, {-20.0, 140.0});
+  f.multiply_gaussian_ring(plan, 1500.0, 200.0);
+  expect_live_invariant(f, "plan-served ring");
+}
+
+TEST(FieldLiveList, MaskedRebindEqualsUniformThenApplyMask) {
+  Grid g(1.0);
+  const Region mask = rasterize_cap(g, {{-10.0, 179.0}, 2500.0});
+  Field want(g);
+  want.apply_mask(mask);
+  // A reused field with stale contents, the way a pooled lease arrives.
+  Field got(g);
+  got.multiply_gaussian_ring({0.0, 0.0}, 1000.0, 100.0);
+  got.rebind(g, &mask);
+  expect_fields_identical(got, want, "masked rebind");
+  ASSERT_NE(got.live_cells(), nullptr);
+  EXPECT_EQ(*got.live_cells(), *want.live_cells());
+  expect_live_invariant(got, "masked rebind");
+}
+
+TEST(FieldLiveList, NormalizeUnderflowLeavesStaleEntriesAndStaysExact) {
+  // The ring's support edge leaves subnormal densities; dividing them by
+  // the field's large total mass underflows to zero, which leaves stale
+  // live entries behind.
+  Grid g(1.0);
+  Field f(g);
+  f.multiply_gaussian_ring({10.0, 20.0}, 1500.0, 200.0);
+  Field dense = dense_copy(f);
+  ASSERT_GT(f.total_mass(), 1e6);
+  ASSERT_TRUE(f.normalize());
+  ASSERT_TRUE(dense.normalize());
+  const std::size_t stale = expect_live_invariant(f, "underflowing normalize");
+  EXPECT_GT(stale, 0u) << "no quotient underflowed; the case is not covered";
+  expect_fields_identical(f, dense, "underflowing normalize");
+  for (const double mass : {0.5, 0.95, 1.0}) {
+    EXPECT_EQ(f.credible_region(mass), dense.credible_region(mass)) << mass;
+  }
+  // The next ring compacts the stale entries away.
+  f.multiply_gaussian_ring({12.0, 25.0}, 1200.0, 220.0);
+  EXPECT_EQ(expect_live_invariant(f, "ring after underflow"), 0u);
+}
+
+/// SubField counterpart of expect_live_invariant (window-local indices).
+std::size_t expect_live_invariant(const SubField& f, const std::string& what) {
+  const std::vector<std::uint32_t>* live = f.live_cells();
+  EXPECT_NE(live, nullptr) << what;
+  if (!live) return 0;
+  std::vector<bool> listed(f.cells(), false);
+  std::size_t stale = 0;
+  for (std::size_t k = 0; k < live->size(); ++k) {
+    const std::uint32_t l = (*live)[k];
+    if (k > 0) {
+      EXPECT_LT((*live)[k - 1], l) << what << ": not ascending";
+    }
+    listed[l] = true;
+    if (f.at(l) == 0.0) ++stale;
+  }
+  double scan = 0.0;
+  for (std::size_t l = 0; l < f.cells(); ++l) {
+    scan += f.at(l) * f.grid().cell_area_km2(f.global_index(l));
+    if (!listed[l] && std::bit_cast<std::uint64_t>(f.at(l)) != kPlusZeroBits) {
+      ADD_FAILURE() << what << ": window cell " << l
+                    << " off the live list holds " << f.at(l);
+      break;
+    }
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(f.total_mass()),
+            std::bit_cast<std::uint64_t>(scan))
+      << what << ": total_mass differs from the dense scan";
+  return stale;
+}
+
+/// Every window cell equals the flat field's cell, to the bit.
+void expect_subfield_matches(const SubField& sf, const Field& flat,
+                             const std::string& what) {
+  for (std::size_t l = 0; l < sf.cells(); ++l) {
+    const std::size_t i = sf.global_index(l);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(sf.at(l)),
+              std::bit_cast<std::uint64_t>(flat.at(i)))
+        << what << ": window cell " << l << " (global " << i << ")";
+  }
+}
+
+TEST(SubFieldLiveList, InvariantHoldsAfterEveryPass) {
+  Grid g(1.0);
+  const Region mask = rasterize_cap(g, {{46.0, 8.0}, 4000.0});
+  for (const bool planned : {false, true}) {
+    const std::string path = planned ? "plan-served" : "windowed";
+    SubField sf(g, full_window(g), nullptr);
+    Field flat(g);
+    sf.apply_mask(mask);
+    flat.apply_mask(mask);
+    expect_live_invariant(sf, path + " after apply_mask");
+    for (const RingSpec& r : live_test_rings()) {
+      if (planned) {
+        CapScanPlan plan(g, r.center);
+        sf.multiply_gaussian_ring_unchecked(plan, r.mu_km, r.sigma_km);
+        flat.multiply_gaussian_ring(plan, r.mu_km, r.sigma_km);
+      } else {
+        sf.multiply_gaussian_ring_unchecked(r.center, r.mu_km, r.sigma_km);
+        flat.multiply_gaussian_ring(r.center, r.mu_km, r.sigma_km);
+      }
+      expect_live_invariant(sf, path + " after ring " + spec_str(r));
+    }
+    ASSERT_TRUE(sf.normalize());
+    ASSERT_TRUE(flat.normalize());
+    expect_live_invariant(sf, path + " after normalize");
+    expect_subfield_matches(sf, flat, path + " normalized");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sf.total_mass()),
+              std::bit_cast<std::uint64_t>(flat.total_mass()));
+  }
+}
+
+TEST(SubFieldLiveList, NormalizeUnderflowLeavesStaleEntriesAndStaysExact) {
+  Grid g(1.0);
+  SubField sf(g, full_window(g), nullptr);
+  Field flat(g);
+  // The first ring on an unmasked SubField takes the dense branch and
+  // builds the list that normalize() then walks.
+  sf.multiply_gaussian_ring_unchecked({10.0, 20.0}, 1500.0, 200.0);
+  flat.multiply_gaussian_ring({10.0, 20.0}, 1500.0, 200.0);
+  ASSERT_TRUE(sf.normalize());
+  ASSERT_TRUE(flat.normalize());
+  EXPECT_GT(expect_live_invariant(sf, "underflowing normalize"), 0u);
+  expect_subfield_matches(sf, flat, "underflowing normalize");
+  EXPECT_EQ(sf.credible_region(0.95), flat.credible_region(0.95));
+}
+
+TEST(FieldLiveList, SparseMemoRefreshMatchesFullCopyThenNormalize) {
+  // The Spotter memo keeps the unnormalised product and refreshes `work`
+  // from it per estimate; after the first refresh both fields carry live
+  // lists and copy_from writes only their cells. Each round must leave
+  // `work` exactly where `work = product; work.normalize()` would.
+  Grid g(1.0);
+  const Region mask = rasterize_cap(g, {{46.0, 8.0}, 4000.0});
+  const std::vector<RingSpec> rounds[] = {
+      {{{48.0, 10.0}, 900.0, 150.0}},
+      {{{40.0, -3.0}, 1400.0, 200.0}, {{52.0, 20.0}, 1100.0, 180.0}},
+      {{{45.0, 2.0}, 300.0, 120.0}},
+      {{{47.0, 6.0}, 250.0, 100.0}},
+  };
+  for (const bool masked : {true, false}) {
+    const std::string what = masked ? "masked" : "unmasked";
+    Field product;
+    product.rebind(g, masked ? &mask : nullptr);
+    Field work;
+    int round = 0;
+    for (const auto& rings : rounds) {
+      for (const RingSpec& r : rings) {
+        CapScanPlan plan(g, r.center);
+        product.multiply_gaussian_ring(plan, r.mu_km, r.sigma_km);
+      }
+      work.copy_from(product);
+      work.normalize();
+      Field oracle = product;
+      oracle.normalize();
+      const std::string at = what + " round " + std::to_string(round++);
+      expect_fields_identical(work, oracle, at);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(work.total_mass()),
+                std::bit_cast<std::uint64_t>(oracle.total_mass()))
+          << at;
+      ASSERT_NE(work.live_cells(), nullptr) << at;
+      EXPECT_EQ(*work.live_cells(), *oracle.live_cells()) << at;
+      expect_live_invariant(work, at);
+      EXPECT_EQ(work.credible_region(0.95), oracle.credible_region(0.95))
+          << at;
+    }
   }
 }
 
