@@ -243,6 +243,16 @@ int main(int argc, char** argv) {
                  grid_deg);
     return 2;
   }
+  // In double: the cell count of a tiny cell size overflows any integer.
+  if (const double cells =
+          std::round(180.0 / grid_deg) * std::round(360.0 / grid_deg);
+      cells > static_cast<double>(grid::Grid::kMaxCells)) {
+    std::fprintf(stderr,
+                 "--grid: %g makes %.0f cells, beyond the 32-bit cell index "
+                 "(at most %zu)\n",
+                 grid_deg, cells, grid::Grid::kMaxCells);
+    return 2;
+  }
   if (rounds < 0) {
     std::fprintf(stderr, "--rounds must be >= 0, got %lld\n", rounds);
     return 2;

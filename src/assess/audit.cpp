@@ -70,6 +70,9 @@ Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
       raster_(bed.world().country_raster(*grid_)),
       country_regions_(bed.world().country_count()),
       country_landmark_km_(bed.world().country_count()),
+      // Every posterior a locate builds on the audit grid starts from
+      // mask_, so its ring multiplies only read mask cells: the distance
+      // tables of plans on that grid cover the mask and nothing else.
       plan_cache_(config.plan_cache_capacity != 0
                       ? config.plan_cache_capacity
                       // Auto-size: one slot per landmark AND per
@@ -77,7 +80,8 @@ Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
                       // plans), so refined audits never thrash either.
                       : std::max<std::size_t>(
                             512, bed.landmarks().size() *
-                                     (1 + config.refine.levels.size()))),
+                                     (1 + config.refine.levels.size())),
+                  mask_),
       run_board_(config.campaign.breaker),
       locator_(make_geolocator(config)),
       iclab_(config.iclab) {
@@ -558,7 +562,8 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
     AGEO_GAUGE_SET("grid.plan_cache.size",
                    static_cast<double>(plan_cache_.size()));
     AGEO_GAUGE_SET("grid.plan_cache.table_bytes",
-                   static_cast<double>(plan_cache_.table_bytes()));
+                   static_cast<double>(plan_cache_.table_bytes() +
+                                       plan_cache_.domain_bytes()));
     // Arena occupancy depends on thread count and pool reuse, so these
     // gauges are wall-clock-only (excluded from determinism diffs).
     const grid::Scratch::Stats arena = grid::Scratch::aggregate();

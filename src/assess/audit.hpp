@@ -60,7 +60,9 @@ struct AuditConfig {
   /// testbed landmark (min 512), so the cache never thrashes — with
   /// fewer slots than landmarks the LRU evicts every plan once per
   /// proxy, and Spotter audits rebuild each landmark's distance table
-  /// (~0.5 MB at 1 degree) thousands of times instead of once.
+  /// thousands of times instead of once. The Auditor's tables cover
+  /// only the plausibility-mask cells (~165 KB per landmark at 1
+  /// degree); see grid::CapPlanCache.
   std::size_t plan_cache_capacity = 0;
   algos::CbgPlusPlusOptions cbg_pp;
   /// Posterior mass of the prediction region when algorithm == kSpotter.
@@ -285,7 +287,8 @@ class Auditor {
   std::vector<std::optional<grid::Region>> country_regions_;
   std::vector<std::vector<double>> country_landmark_km_;
   /// Per-landmark rasterization plans shared by every proxy's locate();
-  /// internally synchronized, persists across runs.
+  /// internally synchronized, persists across runs. Its table domain is
+  /// mask_, so it must be declared after it.
   grid::CapPlanCache plan_cache_;
   measure::BreakerBoard run_board_;
   /// Built from config_.algorithm; shared (const) across the worker

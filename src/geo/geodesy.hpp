@@ -5,6 +5,8 @@
 // paper's own precision target is ~1000 km^2 regions).
 #pragma once
 
+#include <cmath>
+
 #include "geo/latlon.hpp"
 #include "geo/units.hpp"
 #include "geo/vec3.hpp"
@@ -17,6 +19,14 @@ double distance_km(const LatLon& a, const LatLon& b) noexcept;
 
 /// Central angle between two points, radians in [0, pi].
 double central_angle_rad(const LatLon& a, const LatLon& b) noexcept;
+
+/// Great-circle distance in km between two unit vectors:
+/// kEarthRadiusKm * atan2(|a x b|, a . b). The one expression behind every
+/// per-cell distance (Grid::distance_to_cell_km, the ring multiplies and
+/// the scan plans' distance tables), so all of them agree bit for bit.
+inline double arc_distance_km(const Vec3& a, const Vec3& b) noexcept {
+  return kEarthRadiusKm * std::atan2(a.cross(b).norm(), a.dot(b));
+}
 
 /// Initial bearing from `from` towards `to`, degrees clockwise from north
 /// in [0, 360). Undefined (returns 0) when the points coincide or are

@@ -13,9 +13,22 @@
 
 namespace ageo::grid {
 
-CapScanPlan::CapScanPlan(const Grid& g, const geo::LatLon& center)
-    : g_(&g), center_(center), v_(geo::to_vec3(center)) {
+TableDomain::TableDomain(const Region& domain) : g_(domain.grid()) {
+  ageo::detail::require(g_ != nullptr, "TableDomain: region has no grid");
+  rank_.assign(g_->size(), kOffDomain);
+  std::uint32_t next = 0;
+  for (std::size_t i = 0; i < rank_.size(); ++i)
+    if (domain.test(i)) rank_[i] = next++;
+  cells_ = next;
+}
+
+CapScanPlan::CapScanPlan(const Grid& g, const geo::LatLon& center,
+                         std::shared_ptr<const TableDomain> domain)
+    : g_(&g), center_(center), v_(geo::to_vec3(center)),
+      domain_(std::move(domain)) {
   ageo::detail::require(geo::is_valid(center), "CapScanPlan: invalid center");
+  ageo::detail::require(!domain_ || &domain_->grid() == &g,
+                        "CapScanPlan: table domain on a different grid");
   const double cell = g.cell_deg();
   const double lat0 = geo::deg_to_rad(center.lat_deg);
   const double sin0 = std::sin(lat0), cos0 = std::cos(lat0);
@@ -387,15 +400,17 @@ const std::vector<double>& CapScanPlan::cell_distances_km() const {
     AGEO_SPAN("grid", "plan.distance_table");
     AGEO_COUNT("grid.plan_cache.distance_tables_built");
     AGEO_TIMED_US("grid.plan_cache.distance_table_us", 1.0, 1e6);
+    // Exactly the reference multiply's expression, so serving distances
+    // from this table cannot perturb a single bit of the posterior. A
+    // domain table holds the domain's cells in ascending order, which is
+    // the order their ranks count.
     const Grid& g = *g_;
-    std::vector<double> table(g.size());
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      const geo::Vec3& u = g.center_vec(i);
-      // Exactly the reference multiply's expression, so serving distances
-      // from this table cannot perturb a single bit of the posterior.
-      double ang = std::atan2(v_.cross(u).norm(), v_.dot(u));
-      table[i] = geo::kEarthRadiusKm * ang;
-    }
+    const std::uint32_t* rank = domain_ ? domain_->ranks() : nullptr;
+    std::vector<double> table;
+    table.reserve(domain_ ? domain_->cells() : g.size());
+    for (std::size_t i = 0; i < g.size(); ++i)
+      if (!rank || rank[i] != TableDomain::kOffDomain)
+        table.push_back(geo::arc_distance_km(v_, g.center_vec(i)));
     dist_km_ = std::move(table);
     dist_bytes_.store(dist_km_.capacity() * sizeof(double),
                       std::memory_order_release);
@@ -403,10 +418,20 @@ const std::vector<double>& CapScanPlan::cell_distances_km() const {
   return dist_km_;
 }
 
+CellDistances CapScanPlan::distances() const {
+  const double* table = cell_distances_km().data();
+  return CellDistances(table, domain_ ? domain_->ranks() : nullptr, g_, v_);
+}
+
 // ---- CapPlanCache ----
 
 CapPlanCache::CapPlanCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
+
+CapPlanCache::CapPlanCache(std::size_t capacity, const Region& table_domain)
+    : CapPlanCache(capacity) {
+  domain_ = std::make_shared<const TableDomain>(table_domain);
+}
 
 std::size_t CapPlanCache::KeyHash::operator()(const Key& k) const noexcept {
   auto mix = [](std::size_t h, std::uint64_t v) {
@@ -435,7 +460,8 @@ std::shared_ptr<const CapScanPlan> CapPlanCache::plan(
   // Building while holding the lock keeps concurrent lookups of the same
   // landmark from duplicating the (microseconds of) construction work.
   AGEO_TIMED_US("grid.plan_cache.build_us", 1.0, 1e6);
-  auto built = std::make_shared<const CapScanPlan>(g, center);
+  auto built = std::make_shared<const CapScanPlan>(
+      g, center, domain_ && &domain_->grid() == &g ? domain_ : nullptr);
   lru_.emplace_front(key, built);
   map_[key] = lru_.begin();
   if (lru_.size() > capacity_) {

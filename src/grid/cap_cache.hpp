@@ -12,7 +12,9 @@
 //
 // CapPlanCache is a small thread-safe LRU of plans keyed by
 // (grid, center), sized for one audit's landmark set; an Auditor owns one
-// for its lifetime and shares it across its worker threads.
+// for its lifetime and shares it across its worker threads. A cache may
+// carry a table domain (the Auditor passes its plausibility mask): plans
+// on that grid then keep distances only for the domain's cells.
 #pragma once
 
 #include <atomic>
@@ -32,11 +34,67 @@ namespace ageo::grid {
 
 struct Window;
 
+/// The cells a distance table covers: one Region's cells on one grid,
+/// ranked in ascending cell order. Immutable after construction and
+/// shared by every plan a CapPlanCache builds on that grid.
+class TableDomain {
+ public:
+  /// rank(i) of a cell outside the domain.
+  static constexpr std::uint32_t kOffDomain = 0xffffffffu;
+
+  explicit TableDomain(const Region& domain);
+
+  const Grid& grid() const noexcept { return *g_; }
+  /// Number of domain cells (the length of a domain table).
+  std::size_t cells() const noexcept { return cells_; }
+  /// Per grid cell: its position among the domain cells, or kOffDomain.
+  const std::uint32_t* ranks() const noexcept { return rank_.data(); }
+  /// Bytes held by the rank map.
+  std::size_t bytes() const noexcept {
+    return rank_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  const Grid* g_;
+  std::size_t cells_ = 0;
+  std::vector<std::uint32_t> rank_;
+};
+
+/// Distance lookup over one plan's table: operator()(i) is the
+/// great-circle distance (km) from the plan's center to cell i, by the
+/// exact geo::arc_distance_km expression the reference ring multiply
+/// uses. A cell the table covers is served from it; any other cell (off
+/// a domain table's domain) is evaluated on the spot with that same
+/// expression, so the value is bit-identical either way.
+class CellDistances {
+ public:
+  double operator()(std::size_t i) const noexcept {
+    if (rank_ == nullptr) return table_[i];
+    const std::uint32_t r = rank_[i];
+    if (r != TableDomain::kOffDomain) return table_[r];
+    return geo::arc_distance_km(v_, g_->center_vec(i));
+  }
+
+ private:
+  friend class CapScanPlan;
+  CellDistances(const double* table, const std::uint32_t* rank,
+                const Grid* g, const geo::Vec3& v) noexcept
+      : table_(table), rank_(rank), g_(g), v_(v) {}
+
+  const double* table_;
+  const std::uint32_t* rank_;  ///< null for a full-grid table
+  const Grid* g_;
+  geo::Vec3 v_;
+};
+
 /// Precomputed scan geometry for annuli centered at one point on one
 /// grid. Immutable after construction; safe to share across threads.
 class CapScanPlan {
  public:
-  CapScanPlan(const Grid& g, const geo::LatLon& center);
+  /// With a `domain` (which must be on `g`), the distance table covers
+  /// only the domain's cells; without one, every cell of `g`.
+  CapScanPlan(const Grid& g, const geo::LatLon& center,
+              std::shared_ptr<const TableDomain> domain = nullptr);
 
   const Grid& grid() const noexcept { return *g_; }
   const geo::LatLon& center() const noexcept { return center_; }
@@ -85,16 +143,24 @@ class CapScanPlan {
   void subtract_annulus_into(double inner_km, double outer_km,
                              Region& out) const;
 
-  /// Per-cell great-circle distance (km) from the plan's center, by the
-  /// exact kEarthRadiusKm * atan2(cross, dot) formula Field's reference
+  /// Great-circle distance (km) from the plan's center to each table
+  /// cell, by the exact geo::arc_distance_km expression Field's reference
   /// ring multiply uses — plan-served multiplies are therefore
-  /// bit-identical to it while doing zero trig per ring. Built lazily on
-  /// first use and kept for the plan's lifetime: 8 bytes per cell
-  /// (~0.5 MB on the audit's 1-degree grid, ~8.3 MB at 0.25 degrees),
-  /// bounded overall by the owning CapPlanCache's LRU capacity. Only the
-  /// probability-field path pays for it; pure rasterization users never
-  /// trigger the build. Thread-safe (call_once).
+  /// bit-identical to it while doing no trig per table cell. Without a
+  /// domain the table is indexed by grid cell; with one it holds the
+  /// domain's cells in ascending order (index them through distances()).
+  /// Built lazily on first use and kept for the plan's lifetime: 8 bytes
+  /// per table cell. Without a domain that is ~0.5 MB on a 1-degree grid
+  /// and ~8.3 MB at 0.25 degrees; the audit's plausibility mask keeps
+  /// about a third of the cells, so its domain tables are ~165 KB at 1
+  /// degree. Only the probability-field path pays for it; pure
+  /// rasterization users never trigger the build. Thread-safe
+  /// (call_once).
   const std::vector<double>& cell_distances_km() const;
+
+  /// Lookup over cell_distances_km() (built here if it is not yet),
+  /// indexed by grid cell whether or not the plan has a domain.
+  CellDistances distances() const;
 
   /// Bytes held by the distance table: 0 until it is built.
   std::size_t distance_table_bytes() const noexcept {
@@ -135,6 +201,7 @@ class CapScanPlan {
   /// (o = +j) and left (o = -j) of c_round_; both monotone nonincreasing,
   /// which is what turns a radius query into two binary searches.
   std::vector<double> cos_right_, cos_left_;
+  std::shared_ptr<const TableDomain> domain_;
   /// Lazily-built distance table (cell_distances_km).
   mutable std::once_flag dist_once_;
   mutable std::vector<double> dist_km_;
@@ -146,12 +213,18 @@ class CapPlanCache {
  public:
   /// `capacity` bounds resident plans; at the audit's default 1-degree
   /// grid a plan is ~7 KB, so the default is ~4 MB worst case. A plan's
-  /// lazy distance table (built on the Spotter path) adds 8 bytes/cell
-  /// (~0.5 MB at 1 degree), and an evicted+refetched plan must rebuild
-  /// it — size the cache to the landmark count when auditing with
-  /// Spotter (Auditor does this automatically; see
-  /// AuditConfig::plan_cache_capacity).
+  /// lazy distance table (built on the Spotter path) adds 8 bytes per
+  /// table cell (see CapScanPlan::cell_distances_km), and an
+  /// evicted+refetched plan must rebuild it — size the cache to the
+  /// landmark count when auditing with Spotter (Auditor does this
+  /// automatically; see AuditConfig::plan_cache_capacity).
   explicit CapPlanCache(std::size_t capacity = 512);
+
+  /// Same, with a table domain: plans on `table_domain`'s grid build
+  /// their distance tables over its cells only, sharing one rank map
+  /// (4 bytes per grid cell). Plans on any other grid keep full-grid
+  /// tables. The domain's grid must outlive the cache.
+  CapPlanCache(std::size_t capacity, const Region& table_domain);
 
   /// Plan for annuli centered at `center` on `g`, built on first use.
   /// The returned plan stays valid after eviction (shared ownership);
@@ -166,6 +239,10 @@ class CapPlanCache {
   std::size_t size() const;
   /// Bytes of distance tables held by the resident plans.
   std::size_t table_bytes() const;
+  /// Bytes of the table domain's rank map (0 without a domain).
+  std::size_t domain_bytes() const noexcept {
+    return domain_ ? domain_->bytes() : 0;
+  }
   std::size_t capacity() const noexcept { return capacity_; }
 
  private:
@@ -187,6 +264,7 @@ class CapPlanCache {
 
   mutable std::mutex mu_;
   std::size_t capacity_;
+  std::shared_ptr<const TableDomain> domain_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
   Stats stats_;

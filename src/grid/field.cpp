@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "geo/geodesy.hpp"
 #include "geo/units.hpp"
 #include "geo/vec3.hpp"
 #include "grid/cap_cache.hpp"
@@ -54,8 +55,6 @@ void multiply_gaussian_ring(Field& f, const geo::LatLon& center, double mu_km,
 Field::Field(const Grid& g) { rebind(g); }
 
 void Field::rebind(const Grid& g, const Region* mask) {
-  ageo::detail::require(g.size() <= 0xffffffffULL,
-                  "Field: grid too large for the live-cell index");
   if (mask)
     ageo::detail::require(mask->grid() == &g,
                           "Field: mask must share the field's grid");
@@ -191,10 +190,7 @@ void Field::multiply_gaussian_ring_unchecked(const geo::LatLon& center,
   const Grid& g = *grid_;
   multiply_ring_windowed(
       mu_km, sigma_km,
-      [&](std::size_t i) {
-        const geo::Vec3& u = g.center_vec(i);
-        return geo::kEarthRadiusKm * std::atan2(v.cross(u).norm(), v.dot(u));
-      },
+      [&](std::size_t i) { return geo::arc_distance_km(v, g.center_vec(i)); },
       [&](double inner, double outer, Region& out) {
         rasterize_ring_into(g, geo::Ring{center, inner, outer}, out);
       });
@@ -204,9 +200,8 @@ void Field::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
                                              double mu_km, double sigma_km) {
   AGEO_COUNT("grid.ring_multiply.plan_served");
   AGEO_TIMED_NS("grid.ring_multiply_ns", 100.0, 1e9);
-  const double* dist = plan.cell_distances_km().data();
   multiply_ring_windowed(
-      mu_km, sigma_km, [dist](std::size_t i) { return dist[i]; },
+      mu_km, sigma_km, plan.distances(),
       [&](double inner, double outer, Region& out) {
         plan.rasterize_annulus(inner, outer, out);
       });

@@ -9,8 +9,8 @@
 // where exp() underflows to exactly +0.0 the product is zeroed wholesale,
 // and inside it only cells that are still alive are visited (the support
 // collapses rapidly as rings accumulate). With a CapScanPlan the per-cell
-// great-circle distances come from a cached table, so a multiply does zero
-// trigonometry. The original full-grid scan is retained verbatim under
+// great-circle distances come from a cached table, so a multiply does no
+// trigonometry for the cells the table covers. The original full-grid scan is retained verbatim under
 // grid::reference as the oracle; the fast path is bit-for-bit identical to
 // it (pinned by field_equivalence_test).
 //
@@ -120,8 +120,9 @@ class Field {
                               double sigma_km);
 
   /// Same, but with per-cell distances served from `plan`'s cached table
-  /// (zero trig). `plan` must be built on this field's grid and centered
-  /// on the landmark. Bit-identical to the overload above.
+  /// (CapScanPlan::distances: no trig for cells the table covers).
+  /// `plan` must be built on this field's grid and centered on the
+  /// landmark. Bit-identical to the overload above.
   void multiply_gaussian_ring(const CapScanPlan& plan, double mu_km,
                               double sigma_km);
 

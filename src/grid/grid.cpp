@@ -17,6 +17,9 @@ Grid::Grid(double cell_deg) : cell_deg_(cell_deg) {
   detail::require(std::abs(rows_f - std::round(rows_f)) < 1e-9 &&
                       std::abs(cols_f - std::round(cols_f)) < 1e-9,
                   "Grid: cell size must divide 180 and 360 exactly");
+  detail::require(std::round(rows_f) * std::round(cols_f) <=
+                      static_cast<double>(kMaxCells),
+                  "Grid: cell size too small for the 32-bit cell index");
   rows_ = static_cast<std::size_t>(std::llround(rows_f));
   cols_ = static_cast<std::size_t>(std::llround(cols_f));
 
@@ -70,9 +73,7 @@ std::pair<std::size_t, std::size_t> Grid::rows_in_lat_band(
 
 double Grid::distance_to_cell_km(const geo::LatLon& p,
                                  std::size_t idx) const noexcept {
-  geo::Vec3 v = geo::to_vec3(p);
-  const geo::Vec3& u = centers_[idx];
-  return geo::kEarthRadiusKm * std::atan2(v.cross(u).norm(), v.dot(u));
+  return geo::arc_distance_km(geo::to_vec3(p), centers_[idx]);
 }
 
 }  // namespace ageo::grid

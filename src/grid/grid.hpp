@@ -25,11 +25,15 @@ namespace ageo::grid {
 /// their grid; the grid must outlive them.
 class Grid {
  public:
+  /// Largest cell count a grid may have: cell indices are stored as
+  /// uint32 (the Field and SubField live lists, SubField's window map and
+  /// the scan plans' table rank map).
+  static constexpr std::size_t kMaxCells = 0xffffffffULL;
+
   /// `cell_deg` is the angular size of a cell side in degrees; it must be
-  /// positive and no larger than 30. 180 and 360 need not be exact
-  /// multiples — the last row/column simply crops at the poles/antimeridian
-  /// boundary (we require exact multiples to keep areas exact; throws
-  /// InvalidArgument otherwise).
+  /// positive and no larger than 30, and must divide 180 and 360 exactly
+  /// (to keep areas exact). The grid may hold at most kMaxCells cells.
+  /// Throws InvalidArgument otherwise, before allocating anything.
   explicit Grid(double cell_deg);
 
   double cell_deg() const noexcept { return cell_deg_; }

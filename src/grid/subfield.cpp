@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "geo/geodesy.hpp"
 #include "geo/units.hpp"
 #include "geo/vec3.hpp"
 #include "grid/cap_cache.hpp"
@@ -21,8 +22,6 @@ SubField::SubField(const Grid& g, const Window& w, Scratch* scratch)
       density_(Scratch::doubles(scratch)),
       global_(Scratch::indices(scratch)),
       live_(Scratch::indices(scratch)) {
-  ageo::detail::require(g.size() <= 0xffffffffULL,
-                        "SubField: grid too large for the cell index");
   ageo::detail::require(w.r1 <= g.rows() && w.width <= g.cols(),
                         "SubField: window exceeds the grid");
   std::vector<std::uint32_t>& global = global_.vec();
@@ -133,8 +132,7 @@ void SubField::multiply_gaussian_ring_unchecked(const geo::LatLon& center,
   const geo::Vec3 v = geo::to_vec3(center);
   const Grid& g = *grid_;
   multiply_ring(mu_km, sigma_km, [&](std::size_t i) {
-    const geo::Vec3& u = g.center_vec(i);
-    return geo::kEarthRadiusKm * std::atan2(v.cross(u).norm(), v.dot(u));
+    return geo::arc_distance_km(v, g.center_vec(i));
   });
 }
 
@@ -143,8 +141,7 @@ void SubField::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
                                                 double sigma_km) {
   AGEO_COUNT("grid.ring_multiply.sub_plan_served");
   AGEO_TIMED_NS("grid.ring_multiply_ns", 100.0, 1e9);
-  const double* dist = plan.cell_distances_km().data();
-  multiply_ring(mu_km, sigma_km, [dist](std::size_t i) { return dist[i]; });
+  multiply_ring(mu_km, sigma_km, plan.distances());
 }
 
 double SubField::total_mass() const noexcept {

@@ -248,31 +248,45 @@ bool take_string(std::string_view& s, std::string_view& out) {
   return true;
 }
 
-std::string unescape(std::string_view v) {
+/// Decode the escapes append_escaped writes: \" \\ \n \t and \uXXXX.
+/// The writer uses \u only for control characters, so the code point
+/// must be ASCII. nullopt on anything else — an unknown escape letter, a
+/// dangling backslash, a \u without four hex digits or a code point
+/// past 0x7f — so a damaged line is refused rather than decoded into
+/// different bytes.
+std::optional<std::string> unescape(std::string_view v) {
   std::string out;
   out.reserve(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] != '\\' || i + 1 >= v.size()) {
+    if (v[i] != '\\') {
       out += v[i];
       continue;
     }
-    switch (v[++i]) {
+    if (++i == v.size()) return std::nullopt;
+    switch (v[i]) {
+      case '"':
+      case '\\':
+        out += v[i];
+        break;
       case 'n':
         out += '\n';
         break;
       case 't':
         out += '\t';
         break;
-      case 'u':
-        if (i + 4 < v.size()) {
-          out += static_cast<char>(
-              std::strtol(std::string(v.substr(i + 1, 4)).c_str(), nullptr,
-                          16));
-          i += 4;
-        }
+      case 'u': {
+        if (v.size() - i <= 4) return std::nullopt;
+        const char* hex = v.data() + i + 1;
+        unsigned cp = 0;
+        const auto [end, ec] = std::from_chars(hex, hex + 4, cp, 16);
+        if (ec != std::errc() || end != hex + 4 || cp > 0x7f)
+          return std::nullopt;
+        out += static_cast<char>(cp);
+        i += 4;
         break;
+      }
       default:
-        out += v[i];
+        return std::nullopt;
     }
   }
   return out;
@@ -308,7 +322,9 @@ JournalDump parse_journal_jsonl(std::string_view text) {
     if (!consume(line, ",\"kind\":\"")) continue;
     std::string_view kind;
     if (!take_string(line, kind)) continue;
-    ev.kind = unescape(kind);
+    std::optional<std::string> kind_text = unescape(kind);
+    if (!kind_text) continue;
+    ev.kind = std::move(*kind_text);
     if (!consume(line, ",\"scope\":\"")) continue;
     std::string_view scope;
     if (!take_string(line, scope)) continue;
@@ -323,6 +339,9 @@ JournalDump parse_journal_jsonl(std::string_view text) {
     }
     if (line.empty() || line.back() != '}') continue;
     line.remove_suffix(1);
+    // Outside strings the fields hold no backslash, so this checks every
+    // escape in the line's field values.
+    if (!unescape(line)) continue;
     ev.fields = std::string(line);
     dump.events.push_back(std::move(ev));
   }

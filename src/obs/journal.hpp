@@ -127,12 +127,13 @@ std::string journal_to_jsonl(const JournalDump& dump,
 /// Parse journal_to_jsonl output back into a dump (rigid format — this
 /// reads only what journal_to_jsonl writes). seq is assigned from line
 /// order, which preserves the per-proxy order of the serialized dump.
-/// Unparseable lines are skipped.
+/// Unparseable lines are skipped, including any line with a malformed
+/// string escape.
 JournalDump parse_journal_jsonl(std::string_view text);
 
 /// Extract one field's raw value from an event: the unquoted text of a
 /// string field, or the literal token of a number/bool. nullopt when
-/// the key is absent.
+/// the key is absent or its string value holds a malformed escape.
 std::optional<std::string> journal_field(const JournalEvent& ev,
                                          std::string_view key);
 

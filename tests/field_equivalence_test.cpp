@@ -14,11 +14,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numbers>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "geo/geodesy.hpp"
 #include "geo/units.hpp"
 #include "grid/cap_cache.hpp"
@@ -617,6 +619,219 @@ TEST(FieldLiveList, SparseMemoRefreshMatchesFullCopyThenNormalize) {
       EXPECT_EQ(work.credible_region(0.95), oracle.credible_region(0.95))
           << at;
     }
+  }
+}
+
+// ---- table domains ----
+//
+// A CapPlanCache with a table domain keeps each plan's distances only for
+// the domain's cells; the lookup serves other cells with the same trig
+// expression. Every field must come out bit-identical whichever way its
+// distances were served, whatever its mask.
+
+/// A lumpy two-cap domain on a 1-degree grid (Europe and North America).
+Region test_domain(const Grid& g) {
+  Region d = rasterize_cap(g, {{46.0, 8.0}, 4000.0});
+  d |= rasterize_cap(g, {{35.0, -100.0}, 3000.0});
+  return d;
+}
+
+/// Rings whose supports spill well outside test_domain, so an unmasked
+/// field reads off-domain cells through the fallback.
+std::vector<RingSpec> domain_test_rings() {
+  std::vector<RingSpec> rings = live_test_rings();
+  rings.insert(rings.begin(), {{30.0, -40.0}, 5000.0, 800.0});
+  return rings;
+}
+
+enum class DistanceSource { kDomainCache, kFullCache, kTrig };
+
+const char* source_name(DistanceSource s) {
+  switch (s) {
+    case DistanceSource::kDomainCache:
+      return "domain cache";
+    case DistanceSource::kFullCache:
+      return "full cache";
+    case DistanceSource::kTrig:
+      return "trig";
+  }
+  return "?";
+}
+
+/// Multiply one ring into `f` (a Field or SubField) with distances from
+/// the given source.
+template <typename FieldT>
+void multiply_ring(FieldT& f, const Grid& g, DistanceSource src,
+                   CapPlanCache& domain_cache, CapPlanCache& full_cache,
+                   const RingSpec& r) {
+  switch (src) {
+    case DistanceSource::kDomainCache:
+      f.multiply_gaussian_ring_unchecked(*domain_cache.plan(g, r.center),
+                                         r.mu_km, r.sigma_km);
+      break;
+    case DistanceSource::kFullCache:
+      f.multiply_gaussian_ring_unchecked(*full_cache.plan(g, r.center),
+                                         r.mu_km, r.sigma_km);
+      break;
+    case DistanceSource::kTrig:
+      f.multiply_gaussian_ring_unchecked(r.center, r.mu_km, r.sigma_km);
+      break;
+  }
+}
+
+/// Every cell's bits and the live list: two fields are bit-identical
+/// when their snapshots compare equal.
+struct FieldSnapshot {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint32_t> live;
+  bool operator==(const FieldSnapshot&) const = default;
+};
+
+template <typename FieldT>
+FieldSnapshot snapshot(const FieldT& f, std::size_t cells) {
+  FieldSnapshot s;
+  for (std::size_t i = 0; i < cells; ++i)
+    s.bits.push_back(std::bit_cast<std::uint64_t>(f.at(i)));
+  if (f.live_cells()) s.live = *f.live_cells();
+  return s;
+}
+
+TEST(PlanTableDomain, DomainTableEntriesEqualFullTable) {
+  Grid g(1.0);
+  const Region domain = test_domain(g);
+  CapPlanCache domain_cache(16, domain);
+  CapPlanCache full_cache(16);
+  for (const geo::LatLon c : {geo::LatLon{48.0, 10.0}, geo::LatLon{-60.0, 170.0},
+                              geo::LatLon{90.0, 0.0}}) {
+    const auto dplan = domain_cache.plan(g, c);
+    const auto fplan = full_cache.plan(g, c);
+    const std::vector<double>& dt = dplan->cell_distances_km();
+    const std::vector<double>& ft = fplan->cell_distances_km();
+    ASSERT_EQ(dt.size(), domain.count());
+    ASSERT_EQ(ft.size(), g.size());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      if (!domain.test(i)) continue;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(dt[k]),
+                std::bit_cast<std::uint64_t>(ft[i]))
+          << "cell " << i << " (rank " << k << ")";
+      ++k;
+    }
+    // The lookup serves every cell, on the domain or off it, with the
+    // full table's bits.
+    const CellDistances dist = dplan->distances();
+    for (std::size_t i = 0; i < g.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(dist(i)),
+                std::bit_cast<std::uint64_t>(ft[i]))
+          << "cell " << i;
+  }
+}
+
+TEST(PlanTableDomain, FieldsBitIdenticalAcrossDistanceSources) {
+  // Compared after every ring, not only at the end: later rings zero the
+  // off-domain cells an unmasked field reads through the fallback.
+  Grid g(1.0);
+  const Region domain = test_domain(g);
+  Region subset = domain;
+  subset &= rasterize_cap(g, {{46.0, 8.0}, 2500.0});
+  ASSERT_LT(subset.count(), domain.count());
+  ASSERT_GT(subset.count(), 0u);
+  CapPlanCache domain_cache(64, domain);
+  CapPlanCache full_cache(64);
+  const std::vector<RingSpec> rings = domain_test_rings();
+  const DistanceSource plan_sources[] = {DistanceSource::kDomainCache,
+                                         DistanceSource::kFullCache};
+  // The whole grid, a window over Europe and one across the antimeridian.
+  const Window windows[] = {full_window(g), {100, 160, 150, 90},
+                            {20, 170, 300, 120}};
+  const std::pair<const Region*, std::string> masks[] = {
+      {&domain, "domain mask"}, {&subset, "subset mask"}, {nullptr, "unmasked"}};
+
+  for (const auto& [mask, mask_name] : masks) {
+    std::vector<FieldSnapshot> want;
+    Field trig;
+    trig.rebind(g, mask);
+    for (const RingSpec& r : rings) {
+      multiply_ring(trig, g, DistanceSource::kTrig, domain_cache, full_cache,
+                    r);
+      want.push_back(snapshot(trig, g.size()));
+    }
+    if (!mask) {
+      // The first ring's support reaches past the domain, so the domain
+      // cache serves those cells through the off-domain fallback.
+      std::size_t off_domain = 0;
+      for (const std::uint32_t i : want.front().live)
+        off_domain += domain.test(i) ? 0 : 1;
+      EXPECT_GT(off_domain, 0u) << "the fallback is not exercised";
+    }
+    for (const DistanceSource src : plan_sources) {
+      const std::string what = mask_name + ", " + source_name(src);
+      Field f;
+      f.rebind(g, mask);
+      for (std::size_t k = 0; k < rings.size(); ++k) {
+        multiply_ring(f, g, src, domain_cache, full_cache, rings[k]);
+        EXPECT_TRUE(snapshot(f, g.size()) == want[k])
+            << what << ": Field after ring " << k;
+      }
+    }
+
+    for (const Window& w : windows) {
+      std::vector<FieldSnapshot> sub_want;
+      {
+        SubField sf(g, w, nullptr);
+        if (mask) sf.apply_mask(*mask);
+        for (const RingSpec& r : rings) {
+          multiply_ring(sf, g, DistanceSource::kTrig, domain_cache,
+                        full_cache, r);
+          sub_want.push_back(snapshot(sf, sf.cells()));
+        }
+      }
+      const std::string at = mask_name + ", window c0 " + std::to_string(w.c0);
+      // On the full window local indices are grid indices.
+      if (w.is_full(g)) {
+        EXPECT_TRUE(sub_want == want) << at;
+      }
+      for (const DistanceSource src : plan_sources) {
+        SubField sf(g, w, nullptr);
+        if (mask) sf.apply_mask(*mask);
+        for (std::size_t k = 0; k < rings.size(); ++k) {
+          multiply_ring(sf, g, src, domain_cache, full_cache, rings[k]);
+          EXPECT_TRUE(snapshot(sf, sf.cells()) == sub_want[k])
+              << at << ", " << source_name(src) << ": SubField after ring "
+              << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(PlanTableDomain, PlansOnOtherGridsGetFullTables) {
+  Grid g(1.0), coarse(2.0);
+  CapPlanCache cache(16, test_domain(g));
+  const geo::LatLon c{48.0, 10.0};
+  const auto other = cache.plan(coarse, c);
+  EXPECT_EQ(other->cell_distances_km().size(), coarse.size());
+  CapScanPlan standalone(g, c);
+  EXPECT_EQ(standalone.cell_distances_km().size(), g.size());
+  EXPECT_LT(cache.plan(g, c)->cell_distances_km().size(), g.size());
+  const auto on_g = std::make_shared<const TableDomain>(test_domain(g));
+  EXPECT_THROW(CapScanPlan(coarse, c, on_g), InvalidArgument);
+}
+
+TEST(PlanTableDomain, TableBytesCountDomainCellsOfBuiltTables) {
+  Grid g(1.0);
+  const Region domain = test_domain(g);
+  CapPlanCache cache(16, domain);
+  EXPECT_EQ(cache.domain_bytes(), g.size() * sizeof(std::uint32_t));
+  EXPECT_EQ(CapPlanCache(16).domain_bytes(), 0u);
+  const geo::LatLon centers[] = {{48.0, 10.0}, {0.0, 0.0}, {-33.9, 151.2}};
+  for (const geo::LatLon& c : centers) cache.plan(g, c);  // no table yet
+  EXPECT_EQ(cache.table_bytes(), 0u);
+  std::size_t built = 0;
+  for (const geo::LatLon& c : centers) {
+    cache.plan(g, c)->cell_distances_km();
+    ++built;
+    EXPECT_EQ(cache.table_bytes(), domain.count() * sizeof(double) * built);
   }
 }
 

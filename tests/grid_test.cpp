@@ -27,6 +27,13 @@ TEST(Grid, Construction) {
   EXPECT_NO_THROW(Grid(2.0));
 }
 
+TEST(Grid, RejectsCellCountBeyondCellIndex) {
+  // 0.001 degrees is 6.48e10 cells: refused before anything is allocated,
+  // since cell indices are 32-bit.
+  EXPECT_THROW(Grid(0.001), Error);
+  EXPECT_THROW(Grid(0.001), InvalidArgument);
+}
+
 TEST(Grid, TotalAreaMatchesSphere) {
   for (double cell : {4.0, 2.0, 1.0}) {
     Grid g(cell);

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -595,6 +597,61 @@ TEST(ObsJournal, ParseSkipsOverflowingProxyIds) {
   EXPECT_EQ(*obs::journal_field(parsed.events[1], "idx"), "4");
   EXPECT_EQ(parsed.events[2].proxy, obs::kRunEvent);
   EXPECT_EQ(parsed.events[2].kind, "summary");
+}
+
+TEST(ObsJournal, ParseRejectsMalformedUnicodeEscape) {
+  // A \u escape needs exactly four hex digits: non-hex digits, a short
+  // run cut off by the closing quote, and a run truncated at the end of
+  // the value all make the line malformed, in the kind or in a field. So
+  // does an escape letter the writer never uses.
+  const std::string jsonl =
+      "{\"proxy\":0,\"kind\":\"constraint\",\"scope\":\"verdict\","
+      "\"idx\":0}\n"
+      "{\"proxy\":1,\"kind\":\"bad\\uZZZZ\",\"scope\":\"verdict\","
+      "\"idx\":1}\n"
+      "{\"proxy\":2,\"kind\":\"constraint\",\"scope\":\"verdict\","
+      "\"note\":\"x\\u12\"}\n"
+      "{\"proxy\":3,\"kind\":\"constraint\",\"scope\":\"verdict\","
+      "\"note\":\"x\\u00g1\"}\n"
+      "{\"proxy\":4,\"kind\":\"constraint\",\"scope\":\"verdict\","
+      "\"note\":\"x\\q\"}\n"
+      "{\"proxy\":5,\"kind\":\"constraint\",\"scope\":\"verdict\","
+      "\"note\":\"A\\u0041\\u001f\"}\n";
+  const auto parsed = obs::parse_journal_jsonl(jsonl);
+  ASSERT_EQ(parsed.events.size(), 2u);
+  EXPECT_EQ(parsed.events[0].proxy, 0u);
+  EXPECT_EQ(parsed.events[1].proxy, 5u);
+  EXPECT_EQ(*obs::journal_field(parsed.events[1], "note"), "AA\x1f");
+
+  // journal_field on an event built by hand (not through the parser)
+  // refuses the same escapes.
+  obs::JournalEvent ev;
+  for (const char* fields :
+       {"\"note\":\"x\\uZZZZ\"", "\"note\":\"x\\u12\"",
+        "\"note\":\"x\\u12", "\"note\":\"x\\u00e9\""}) {
+    ev.fields = fields;
+    EXPECT_FALSE(obs::journal_field(ev, "note").has_value()) << fields;
+  }
+}
+
+TEST(ObsJournal, EscapedControlCharactersRoundTrip) {
+  // Every byte the writer escapes — the quote, the backslash and all 32
+  // control characters — reads back byte-equal.
+  std::string text;
+  for (int c = 0; c < 0x20; ++c) text += static_cast<char>(c);
+  text += "\"\\ plain";
+  std::string jsonl;
+  {
+    JournalOn on;
+    obs::Event(7, 0, obs::Scope::kVerdict, "probe").text("text", text).emit();
+    jsonl = obs::journal_to_jsonl(obs::collect_journal());
+  }
+  const auto parsed = obs::parse_journal_jsonl(jsonl);
+  ASSERT_EQ(parsed.events.size(), 1u);
+  const std::optional<std::string> back =
+      obs::journal_field(parsed.events[0], "text");
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, text);
 }
 
 TEST(ObsJournal, DisabledEmitsNothing) {
