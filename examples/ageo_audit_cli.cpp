@@ -24,10 +24,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "assess/audit.hpp"
@@ -122,6 +125,17 @@ long long parse_int(const char* flag, const char* text) {
     std::exit(2);
   }
   return v;
+}
+
+// True when `path` can be opened for writing. The probe opens in append
+// mode, so an existing file keeps its contents, and removes a file it
+// created, so a run that fails later leaves nothing behind.
+bool writable(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) return false;
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -280,6 +294,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --attack: %s\n", attack.c_str());
     usage(argv[0]);
     return 2;
+  }
+
+  // Refuse an unwritable output before the testbed is built, not after
+  // the whole audit has run.
+  const std::pair<const char*, std::string> outputs[] = {
+      {"--json", json_path},
+      {"--metrics", metrics_path == "-" ? "" : metrics_path},
+      {"--trace", trace_path},
+      {"--trace", trace_path.empty() ? "" : trace_path + ".jsonl"},
+      {"--journal", journal_path}};
+  for (const auto& [flag, path] : outputs) {
+    if (!path.empty() && !writable(path)) {
+      std::fprintf(stderr, "%s: cannot write %s\n", flag, path.c_str());
+      return 2;
+    }
   }
 
   // Telemetry is on whenever any consumer asked for it (the JSON report

@@ -12,20 +12,11 @@
 #include "grid/scratch.hpp"
 #include "mlat/multilateration.hpp"
 #include "mlat/refine.hpp"
-#include "obs/journal.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::algos {
 
 namespace {
-
-/// Copy a solve's ladder trace into the estimate's provenance (journal
-/// recording only — the trace is empty when the TLS hook was disarmed).
-void fill_ladder(GeoEstimate& est, const mlat::RefineTrace& rtrace) {
-  est.prov.ladder.reserve(rtrace.levels.size());
-  for (const auto& l : rtrace.levels)
-    est.prov.ladder.push_back({l.cell_deg, l.survivors});
-}
 
 /// Resumable solver state for the streaming service (locate_memo /
 /// locate_update): the two stage regions plus every bestline disk and
@@ -121,12 +112,9 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
                        options_.use_subset_filter && rc == nullptr;
   if (capture) AGEO_COUNT("algos.cbg_pp.memo_captures");
 
-  // Ladder provenance for the journal: per-level survivor counts,
-  // recorded only while a journal is live (a disarmed hook is one TLS
-  // load per level).
-  mlat::RefineTrace rtrace;
-  mlat::ScopedRefineTrace trace_guard(
-      obs::journal_runtime_on() && rc ? &rtrace : nullptr);
+  // Ladder provenance for the journal: both refined subset solves
+  // record their levels in turn.
+  const LadderRecorder ladder(rc != nullptr);
 
   const std::size_t n = observations.size();
   std::vector<mlat::DiskConstraint> bestline, baseline;
@@ -166,8 +154,7 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
     detail.estimate.constraints_used = n;
     detail.estimate.used.assign(n, true);
     detail.estimate.prov.baseline_subset = n;
-    detail.estimate.prov.refined = rc != nullptr;
-    fill_ladder(detail.estimate, rtrace);
+    ladder.stamp(detail.estimate);
     return detail;
   }
 
@@ -221,8 +208,7 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
   detail.estimate.prov.baseline_subset = detail.baseline_subset_size;
   detail.estimate.prov.discarded_by_baseline =
       detail.disks_discarded_by_baseline;
-  detail.estimate.prov.refined = rc != nullptr;
-  fill_ladder(detail.estimate, rtrace);
+  ladder.stamp(detail.estimate);
 
   if (!capture) return detail;
   // Resumable only on the all-used fast path of both subset solves

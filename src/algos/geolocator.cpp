@@ -6,6 +6,8 @@
 #include "algos/quasi_octant.hpp"
 #include "algos/spotter.hpp"
 #include "common/error.hpp"
+#include "mlat/refine.hpp"
+#include "obs/journal.hpp"
 
 namespace ageo::algos {
 
@@ -23,6 +25,24 @@ void Geolocator::validate(const calib::CalibrationStore& store,
     detail::require(geo::is_valid(ob.landmark),
                     "Geolocator: invalid landmark location");
   }
+}
+
+LadderRecorder::LadderRecorder(bool refined) : refined_(refined) {
+  if (!refined || !obs::journal_runtime_on()) return;
+  trace_ = std::make_unique<mlat::RefineTrace>();
+  mlat::set_refine_trace(trace_.get());
+}
+
+LadderRecorder::~LadderRecorder() {
+  if (trace_) mlat::set_refine_trace(nullptr);
+}
+
+void LadderRecorder::stamp(GeoEstimate& est) const {
+  est.prov.refined = refined_;
+  if (!trace_) return;
+  est.prov.ladder.reserve(trace_->levels.size());
+  for (const auto& l : trace_->levels)
+    est.prov.ladder.push_back({l.cell_deg, l.survivors});
 }
 
 LocatorMemo::~LocatorMemo() = default;

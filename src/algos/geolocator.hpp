@@ -23,6 +23,7 @@ class CapPlanCache;
 
 namespace ageo::mlat {
 class RefineContext;
+struct RefineTrace;
 }
 
 namespace ageo::algos {
@@ -106,6 +107,25 @@ struct GeoEstimate {
   bool empty() const noexcept { return region.empty(); }
   std::optional<geo::LatLon> centroid() const { return region.centroid(); }
   double area_km2() const noexcept { return region.area_km2(); }
+};
+
+/// Ladder provenance of one locate, for the verdict journal. While a
+/// journal is recording a refined locate, arms the thread's refine-trace
+/// hook (mlat::set_refine_trace) for this object's lifetime; otherwise
+/// it records nothing and costs nothing. stamp() marks an estimate with
+/// the path taken and the ladder levels recorded so far.
+class LadderRecorder {
+ public:
+  explicit LadderRecorder(bool refined);
+  ~LadderRecorder();
+  LadderRecorder(const LadderRecorder&) = delete;
+  LadderRecorder& operator=(const LadderRecorder&) = delete;
+
+  void stamp(GeoEstimate& est) const;
+
+ private:
+  bool refined_;
+  std::unique_ptr<mlat::RefineTrace> trace_;  ///< null unless armed
 };
 
 /// Opaque per-proxy solver state cached between locates of the SAME

@@ -6,7 +6,6 @@
 #include "grid/scratch.hpp"
 #include "mlat/multilateration.hpp"
 #include "mlat/refine.hpp"
-#include "obs/journal.hpp"
 
 namespace ageo::algos {
 
@@ -32,21 +31,14 @@ GeoEstimate HybridGeolocator::locate(
   grid::Scratch* scratch = &grid::Scratch::tls();
   const mlat::RefineContext* rc =
       refine_ && refine_->applies_to(g, mask) ? refine_ : nullptr;
-  mlat::RefineTrace rtrace;
-  mlat::ScopedRefineTrace trace_guard(
-      obs::journal_runtime_on() && rc ? &rtrace : nullptr);
-  const auto finish = [&](GeoEstimate est) {
-    est.prov.refined = rc != nullptr;
-    est.prov.ladder.reserve(rtrace.levels.size());
-    for (const auto& l : rtrace.levels)
-      est.prov.ladder.push_back({l.cell_deg, l.survivors});
-    return est;
-  };
+  const LadderRecorder ladder(rc != nullptr);
   if (!robust_subset_) {
-    return finish(GeoEstimate{
+    GeoEstimate est{
         rc ? mlat::refine_intersect_rings(*rc, rings, mask, plan_cache_,
                                           scratch)
-           : mlat::intersect_rings(g, rings, mask, plan_cache_, scratch)});
+           : mlat::intersect_rings(g, rings, mask, plan_cache_, scratch)};
+    ladder.stamp(est);
+    return est;
   }
   // Byzantine-robust mode: the subset engine's intersect-first fast
   // path makes a consistent (honest) ring set bit-identical to plain
@@ -64,7 +56,8 @@ GeoEstimate HybridGeolocator::locate(
   est.constraints_total = rings.size();
   est.constraints_used = subset.n_used;
   est.used = std::move(subset.used);
-  return finish(std::move(est));
+  ladder.stamp(est);
+  return est;
 }
 
 }  // namespace ageo::algos

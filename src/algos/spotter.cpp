@@ -4,7 +4,6 @@
 #include "grid/scratch.hpp"
 #include "mlat/multilateration.hpp"
 #include "mlat/refine.hpp"
-#include "obs/journal.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::algos {
@@ -54,19 +53,14 @@ GeoEstimate SpotterGeolocator::locate(
     rings.push_back({ob.landmark, model.mu_km(ob.one_way_delay_ms),
                      model.sigma_km(ob.one_way_delay_ms)});
   }
-  // Coarse-to-fine: the posterior lives on a window-sized sub-field and
-  // the full-grid Field is never touched; the cut is bit-identical.
+  // Coarse-to-fine: the same fusion from the coarse survivors' children
+  // instead of the whole mask; the cut is bit-identical.
   if (refine_ && refine_->applies_to(g, mask)) {
-    mlat::RefineTrace rtrace;
-    mlat::ScopedRefineTrace trace_guard(
-        obs::journal_runtime_on() ? &rtrace : nullptr);
+    const LadderRecorder ladder(true);
     GeoEstimate est{mlat::refine_spotter_credible(
         *refine_, rings, credible_mass_, mask, plan_cache_,
         &grid::Scratch::tls())};
-    est.prov.refined = true;
-    est.prov.ladder.reserve(rtrace.levels.size());
-    for (const auto& l : rtrace.levels)
-      est.prov.ladder.push_back({l.cell_deg, l.survivors});
+    ladder.stamp(est);
     return est;
   }
   // Pooled posterior: the Field (and its internal temporaries, via the
@@ -82,9 +76,9 @@ std::unique_ptr<LocatorMemo> SpotterGeolocator::locate_memo(
     const grid::Grid& g, const calib::CalibrationStore& store,
     std::span<const Observation> observations, const grid::Region* mask,
     GeoEstimate& out) const {
-  // The refined posterior lives on a window-sized sub-field — there is
-  // no full-grid product to resume, so refined configs stay on the
-  // plain path.
+  // The refined posterior starts from the coarse survivors of the whole
+  // observation list, so it is no running product to resume: refined
+  // configs stay on the plain path.
   if (refine_ && refine_->applies_to(g, mask)) {
     out = locate(g, store, observations, mask);
     return nullptr;

@@ -23,7 +23,8 @@ class SpotterGeolocator final : public Geolocator {
   /// memo keeps the UNnormalised masked ring product, so an appended
   /// observation multiplies exactly one more ring into it. Returns null
   /// (with `out` still correct) under an active refine context — the
-  /// windowed posterior has no full-grid product to resume.
+  /// refined posterior starts from the whole list's coarse survivors,
+  /// so it is no running product to resume.
   std::unique_ptr<LocatorMemo> locate_memo(
       const grid::Grid& g, const calib::CalibrationStore& store,
       std::span<const Observation> observations, const grid::Region* mask,
@@ -49,8 +50,9 @@ class SpotterGeolocator final : public Geolocator {
     plan_cache_ = cache;
   }
 
-  /// Build the posterior on a window-sized sub-field via the
-  /// multi-resolution driver; the credible region is bit-identical.
+  /// Start the posterior from the multi-resolution driver's coarse
+  /// survivors instead of the whole mask; the credible region is
+  /// bit-identical.
   void set_refine(const mlat::RefineContext* ctx) noexcept override {
     refine_ = ctx;
   }

@@ -9,7 +9,6 @@
 #include "geo/units.hpp"
 #include "geo/vec3.hpp"
 #include "grid/cap_cache.hpp"
-#include "grid/credible_select.hpp"
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
 #include "obs/obs.hpp"
@@ -27,6 +26,30 @@ double gaussian_support_halfwidth_km(double sigma_km) noexcept {
 }  // namespace detail
 
 using detail::kGaussianCut;
+
+namespace {
+
+/// The mass fold behind total_mass() and normalize(): the sum of term(i)
+/// over ascending i, where i runs over `live` when it is non-null and
+/// over [0, n) otherwise. `term` may rewrite cell i before returning its
+/// area-weighted mass (normalize divides there). Under the live-list
+/// invariant every skipped cell is zero, so the dense sum would add only
+/// zero terms for it, and x + 0.0 is x for every sum a non-negative
+/// field produces; the live fold is therefore bit-identical to the dense
+/// one.
+template <typename TermF>
+double fold_mass(std::size_t n, const std::vector<std::uint32_t>* live,
+                 TermF&& term) {
+  double m = 0.0;
+  if (live) {
+    for (const std::uint32_t i : *live) m += term(i);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) m += term(i);
+  }
+  return m;
+}
+
+}  // namespace
 
 namespace reference {
 
@@ -245,7 +268,7 @@ double Field::total_mass() const noexcept {
   if (!grid_) return 0.0;
   if (mass_valid_) return mass_;
   const Grid& g = *grid_;
-  mass_ = detail::fold_mass(
+  mass_ = fold_mass(
       density_.size(), live_cells(),
       [&](std::size_t i) { return density_[i] * g.cell_area_km2(i); });
   mass_valid_ = true;
@@ -261,7 +284,7 @@ bool Field::normalize() noexcept {
   // off the live list are zero and zero / m is the same zero, so the
   // live fold leaves every cell a dense pass would.
   const Grid& g = *grid_;
-  mass_ = detail::fold_mass(density_.size(), live_cells(), [&](std::size_t i) {
+  mass_ = fold_mass(density_.size(), live_cells(), [&](std::size_t i) {
     density_[i] /= m;
     return density_[i] * g.cell_area_km2(i);
   });
@@ -310,11 +333,41 @@ Region Field::credible_region(double mass) const {
   };
   const double target = mass * total;
 
-  // One shared selection core (credible_select.hpp) places the cut; the
-  // windowed SubField posterior calls the same code on the same values,
-  // which is what keeps the two credible regions bit-identical.
-  detail::weighted_select_into(order, denser, weight, target,
-                               [&](std::uint32_t i) { out.set(i); });
+  // Weighted quickselect: shrink a bracket around the density threshold
+  // with nth_element (expected O(n)) instead of sorting every candidate
+  // cell (O(n log n)). Halves that land entirely inside the region are
+  // committed unsorted; only the final small bracket is sorted to place
+  // the exact cut.
+  std::size_t lo = 0, hi = order.size();
+  double acc = 0.0;
+  while (hi - lo > 256) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    std::nth_element(order.begin() + lo, order.begin() + mid,
+                     order.begin() + hi, denser);
+    double top = 0.0;
+    for (std::size_t k = lo; k < mid; ++k) top += weight(order[k]);
+    if (acc + top >= target) {
+      hi = mid;
+    } else {
+      for (std::size_t k = lo; k < mid; ++k) out.set(order[k]);
+      acc += top;
+      lo = mid;
+    }
+  }
+  std::sort(order.begin() + lo, order.begin() + hi, denser);
+  for (std::size_t k = lo; k < hi && acc < target; ++k) {
+    out.set(order[k]);
+    acc += weight(order[k]);
+  }
+  if (acc < target && hi < order.size()) {
+    // Summation-order rounding can leave the bracket a hair short of the
+    // target; spill into the remaining (less dense) cells.
+    std::sort(order.begin() + hi, order.end(), denser);
+    for (std::size_t k = hi; k < order.size() && acc < target; ++k) {
+      out.set(order[k]);
+      acc += weight(order[k]);
+    }
+  }
   return out;
 }
 

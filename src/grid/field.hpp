@@ -75,26 +75,6 @@ inline constexpr double kSupportSlackKm = 4.0;
 /// both window the same annulus [mu - w, mu + w].
 double gaussian_support_halfwidth_km(double sigma_km) noexcept;
 
-/// The one mass fold behind Field's and SubField's total_mass() and
-/// normalize(): the sum of term(i) over ascending i, where i runs over
-/// `live` when it is non-null and over [0, n) otherwise. `term` may
-/// rewrite cell i before returning its area-weighted mass (normalize
-/// divides there). Under the live-list invariant every skipped cell is
-/// zero, so the dense sum would add only zero terms for it, and x + 0.0
-/// is x for every sum a non-negative field produces; the live fold is
-/// therefore bit-identical to the dense one.
-template <typename TermF>
-double fold_mass(std::size_t n, const std::vector<std::uint32_t>* live,
-                 TermF&& term) {
-  double m = 0.0;
-  if (live) {
-    for (const std::uint32_t i : *live) m += term(i);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) m += term(i);
-  }
-  return m;
-}
-
 }  // namespace detail
 
 class Field {

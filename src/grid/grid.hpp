@@ -26,8 +26,7 @@ namespace ageo::grid {
 class Grid {
  public:
   /// Largest cell count a grid may have: cell indices are stored as
-  /// uint32 (the Field and SubField live lists, SubField's window map and
-  /// the scan plans' table rank map).
+  /// uint32 (the Field live list and the scan plans' table rank map).
   static constexpr std::size_t kMaxCells = 0xffffffffULL;
 
   /// `cell_deg` is the angular size of a cell side in degrees; it must be

@@ -454,7 +454,7 @@ Scratch::IndexLease::~IndexLease() {
 }
 
 // ---------------------------------------------------------------------------
-// Double vectors (windowed sub-field densities)
+// Double vectors (refinement sort keys)
 
 std::vector<double> Scratch::take_doubles() {
   if (!dbls_.empty()) {

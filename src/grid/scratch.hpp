@@ -144,8 +144,7 @@ class Scratch {
   };
 
   /// Pooled double vector, handed out empty with warm capacity (the
-  /// windowed SubField posteriors of the refinement driver, sized to the
-  /// window instead of the globe).
+  /// refinement driver's per-constraint sort keys).
   class DoublesLease {
    public:
     std::vector<double>& vec() noexcept { return buf_; }

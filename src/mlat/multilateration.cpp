@@ -144,6 +144,20 @@ grid::Region intersect_rings(const grid::Grid& g,
   return out;
 }
 
+void validate_gaussian_rings(const grid::Grid& g,
+                             std::span<const GaussianConstraint> rings,
+                             const grid::Region* mask) {
+  if (mask)
+    detail::require(mask->grid() == &g, "Gaussian rings: mask grid mismatch");
+  for (const auto& r : rings) {
+    detail::require(geo::is_valid(r.center),
+                    "Gaussian rings: invalid ring center");
+    detail::require(r.sigma_km > 0.0,
+                    "Gaussian rings: sigma must be positive");
+    detail::require(!std::isnan(r.mu_km), "Gaussian rings: mu is NaN");
+  }
+}
+
 void fuse_gaussian_rings_into(const grid::Grid& g,
                               std::span<const GaussianConstraint> rings,
                               grid::Field& posterior,
@@ -155,15 +169,7 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
                   "fuse_gaussian_rings_into: field grid mismatch");
   // Validate the list once; the per-ring multiplies below run unchecked
   // so the hot path does no per-call argument vetting.
-  if (mask)
-    detail::require(mask->grid() == &g, "fuse_gaussian_rings: mask grid mismatch");
-  for (const auto& r : rings) {
-    detail::require(geo::is_valid(r.center),
-                    "fuse_gaussian_rings: invalid ring center");
-    detail::require(r.sigma_km > 0.0,
-                    "fuse_gaussian_rings: sigma must be positive");
-    detail::require(!std::isnan(r.mu_km), "fuse_gaussian_rings: mu is NaN");
-  }
+  validate_gaussian_rings(g, rings, mask);
   if (mask) posterior.apply_mask(*mask);
   for (const auto& r : rings) {
     if (cache) {
@@ -193,11 +199,7 @@ void multiply_ring_into(const grid::Grid& g, const GaussianConstraint& ring,
   AGEO_COUNT("mlat.incremental.ring_multiplies");
   detail::require(posterior.grid() == &g,
                   "multiply_ring_into: field grid mismatch");
-  detail::require(geo::is_valid(ring.center),
-                  "multiply_ring_into: invalid ring center");
-  detail::require(ring.sigma_km > 0.0,
-                  "multiply_ring_into: sigma must be positive");
-  detail::require(!std::isnan(ring.mu_km), "multiply_ring_into: mu is NaN");
+  validate_gaussian_rings(g, {&ring, 1}, nullptr);
   if (cache) {
     posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, ring.center),
                                                ring.mu_km, ring.sigma_km);

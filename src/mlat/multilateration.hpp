@@ -74,6 +74,14 @@ grid::Region intersect_rings(const grid::Grid& g,
                              grid::CapPlanCache* cache = nullptr,
                              grid::Scratch* scratch = nullptr);
 
+/// The one check of a Gaussian ring list, shared by every Spotter entry
+/// point (fuse_gaussian_rings_into, multiply_ring_into and the refined
+/// refine_spotter_credible): each center valid, each sigma positive, no
+/// mu NaN, and `mask`, when non-null, on `g`. Throws InvalidArgument.
+void validate_gaussian_rings(const grid::Grid& g,
+                             std::span<const GaussianConstraint> rings,
+                             const grid::Region* mask);
+
 /// Bayesian fusion of Gaussian rings (Spotter). The returned field is
 /// normalised unless the total mass is zero. Validates the whole
 /// constraint list once up front, then runs the per-ring multiplies
@@ -125,7 +133,7 @@ bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
                          grid::CapPlanCache& cache, grid::Region& region);
 
 /// Multiply one more Gaussian ring into the running UNnormalised
-/// posterior product (validating this ring the same way
+/// posterior product (validated by validate_gaussian_rings, as
 /// fuse_gaussian_rings_into vets its whole list). The caller keeps the
 /// product unnormalised across updates and normalises a copy per
 /// estimate, so the cell-wise factor order — and therefore every bit of

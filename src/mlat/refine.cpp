@@ -10,7 +10,6 @@
 #include "grid/annulus_scan.hpp"
 #include "grid/field.hpp"
 #include "grid/raster.hpp"
-#include "grid/subfield.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::mlat {
@@ -235,9 +234,20 @@ std::optional<LadderResult> coarse_window(const RefineContext& ctx,
   return LadderResult{win, std::move(*prev), prev_grid};
 }
 
-/// Fine-grid pass: out := upsampled last-level survivors (clipped by
-/// mask), then AND in every fine-padded annulus. The seed contains the
-/// whole flat result (its ancestor survived every level), so the
+/// The fine-grid seed: out := the last level's survivors upsampled to
+/// `g`, clipped by `mask` over the window's row band (every seed cell
+/// lies in it). By the coarsening lemma the seed holds every fine cell
+/// that satisfies all of the ladder's constraints.
+void seed_into(const grid::Grid& g, LadderResult& lad,
+               const grid::Region* mask, grid::Region& out) {
+  upsample_into(lad.survivors.ref(), *lad.survivor_grid, g, out);
+  if (mask)
+    out.intersect_with_in(*mask, lad.win.r0 * g.cols(),
+                          lad.win.r1 * g.cols());
+}
+
+/// Fine-grid pass: out := the seed, then AND in every fine-padded
+/// annulus. The seed contains the whole flat result, so the
 /// per-cell/kernel criterion — bit-compatible with the flat engines —
 /// leaves exactly the flat mask-and-intersect. Seeding from survivors
 /// instead of the full window usually drops the start count below the
@@ -247,10 +257,7 @@ bool windowed_intersect(const grid::Grid& g, LadderResult& lad, std::size_t n,
                         AnnulusAt&& at, const grid::Region* mask,
                         grid::CapPlanCache* cache, grid::Scratch* scratch,
                         grid::Region& out) {
-  upsample_into(lad.survivors.ref(), *lad.survivor_grid, g, out);
-  if (mask)
-    out.intersect_with_in(*mask, lad.win.r0 * g.cols(),
-                          lad.win.r1 * g.cols());
+  seed_into(g, lad, mask, out);
   return intersect_window_constraints(g, lad.win, n, at, cache, scratch, out);
 }
 
@@ -675,18 +682,8 @@ grid::Region refine_spotter_credible(const RefineContext& ctx,
   AGEO_SPAN("mlat", "refine_spotter");
   AGEO_COUNT("mlat.refine.solves");
   const grid::Grid& g = ctx.fine();
-  // Same one-shot validation as fuse_gaussian_rings_into.
-  if (mask)
-    ageo::detail::require(mask->grid() == &g,
-                          "fuse_gaussian_rings: mask grid mismatch");
-  for (const auto& r : rings) {
-    ageo::detail::require(geo::is_valid(r.center),
-                          "fuse_gaussian_rings: invalid ring center");
-    ageo::detail::require(r.sigma_km > 0.0,
-                          "fuse_gaussian_rings: sigma must be positive");
-    ageo::detail::require(!std::isnan(r.mu_km),
-                          "fuse_gaussian_rings: mu is NaN");
-  }
+  // The ladder reads every ring's support, so vet the list before it.
+  validate_gaussian_rings(g, rings, mask);
   ageo::detail::require(credible_mass > 0.0 && credible_mass <= 1.0,
                         "credible mass must be in (0, 1]");
 
@@ -709,28 +706,18 @@ grid::Region refine_spotter_credible(const RefineContext& ctx,
     return grid::Region(g);
   }
 
-  // Seed the posterior from the last level's survivors: a fine cell
-  // that is not a child of a surviving coarse cell fails some ring's
-  // support annulus (coarsening lemma), so the flat posterior zeroes it
-  // — the seeded SubField starts it at the same exact +0.0 and the ring
-  // multiplies walk only the survivor children from the first
-  // constraint on.
-  auto seed_lease = grid::Scratch::region(scratch, g);
-  upsample_into(lad->survivors.ref(), *lad->survivor_grid, g,
-                seed_lease.ref());
-  grid::SubField posterior(g, lad->win, seed_lease.ref(), scratch);
-  if (mask) posterior.apply_mask(*mask);
-  for (const auto& r : rings) {
-    if (cache) {
-      posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, r.center),
-                                                 r.mu_km, r.sigma_km);
-    } else {
-      posterior.multiply_gaussian_ring_unchecked(r.center, r.mu_km,
-                                                 r.sigma_km);
-    }
-  }
-  posterior.normalize();  // zero mass stays unnormalised, like the Field
-  return posterior.credible_region(credible_mass);
+  // The flat solve from a smaller masked start: a fine cell off the seed
+  // fails some ring's support annulus (coarsening lemma), so the flat
+  // chain multiplies it to +0.0 and drops it from the live list, while
+  // the seeded start holds it at that +0.0 from the outset. Every seed
+  // cell sees the flat factor sequence, and the mass folds and the
+  // credible cut walk the same ascending live list, so the region is the
+  // flat one bit for bit.
+  auto seed = grid::Scratch::region(scratch, g);
+  seed_into(g, *lad, mask, seed.ref());
+  auto posterior = grid::Scratch::field(scratch, g, &seed.ref());
+  fuse_gaussian_rings_into(g, rings, posterior.ref(), nullptr, cache);
+  return posterior.ref().credible_region(credible_mass);
 }
 
 std::optional<grid::Window> refine_window(const RefineContext& ctx,

@@ -39,9 +39,10 @@
 // cell the flat posterior leaves nonzero has a < kGaussianCut for every
 // ring, i.e. its center strictly inside every support annulus, so the
 // coarse intersection of pad-widened support annuli contains all of
-// them. The fine pass then runs on a grid::SubField over the window,
-// which is bit-identical to the flat Field by construction (see
-// subfield.hpp).
+// them. The fine pass is the flat fusion (fuse_gaussian_rings_into) on a
+// pooled full-grid Field whose masked start is the upsampled survivors:
+// every cell off that seed is one the flat chain zeroes, so the live
+// lists, mass folds and credible cut are the flat ones bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -160,24 +161,6 @@ struct RefineTrace {
 };
 void set_refine_trace(RefineTrace* trace) noexcept;
 
-/// RAII arm/disarm of the thread-local trace hook; arms only when
-/// `trace` is non-null, so callers can pass null to stay disarmed.
-class ScopedRefineTrace {
- public:
-  explicit ScopedRefineTrace(RefineTrace* trace) noexcept
-      : armed_(trace != nullptr) {
-    if (armed_) set_refine_trace(trace);
-  }
-  ~ScopedRefineTrace() {
-    if (armed_) set_refine_trace(nullptr);
-  }
-  ScopedRefineTrace(const ScopedRefineTrace&) = delete;
-  ScopedRefineTrace& operator=(const ScopedRefineTrace&) = delete;
-
- private:
-  bool armed_;
-};
-
 /// Refined intersect_disks: same arguments past the context, same
 /// result bits as mlat::intersect_disks on ctx.fine() — including the
 /// empty region when the constraints are inconsistent (detected at the
@@ -213,8 +196,8 @@ std::size_t refine_largest_consistent_subset_into(
 /// Refined Spotter: the credible region of the fused Gaussian-ring
 /// posterior at `credible_mass`, bit-identical to building the flat
 /// posterior with fuse_gaussian_rings and cutting it with
-/// Field::credible_region. The posterior lives on a window-sized
-/// SubField; the full-grid Field is never materialised.
+/// Field::credible_region. The ring multiplies walk only the coarse
+/// survivors' children, not the flat masked start.
 grid::Region refine_spotter_credible(const RefineContext& ctx,
                                      std::span<const GaussianConstraint> rings,
                                      double credible_mass,

@@ -311,10 +311,9 @@ TEST(ParallelAudit, RefinedAuditBitIdenticalToFlatAcrossAlgorithmsAndThreads) {
 
 TEST(ParallelAudit, RefinedSteadyStateGridAllocationsAreZero) {
   // The zero-allocation claim extends to the windowed path: coarse
-  // regions, window bookkeeping and the SubField's density/index
-  // buffers all come from the thread's pools, so a warm refined audit
-  // allocates nothing — including the double-buffer pool behind the
-  // windowed Spotter posterior.
+  // regions, window bookkeeping, the ladder's sort keys and the refined
+  // Spotter's leased posterior Field all come from the thread's pools,
+  // so a warm refined audit allocates nothing.
 #if AGEO_OBS_ENABLED
   const bool prev = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
@@ -323,7 +322,7 @@ TEST(ParallelAudit, RefinedSteadyStateGridAllocationsAreZero) {
   fleet.hosts.resize(3);
 
   AuditConfig cfg = refined_audit_config(1);
-  cfg.algorithm = AuditAlgorithm::kSpotter;  // exercises the SubField
+  cfg.algorithm = AuditAlgorithm::kSpotter;  // the refined posterior
   Auditor auditor(bed, cfg);
   (void)auditor.run(fleet);  // warmup
   auto r1 = auditor.run(fleet);
@@ -343,9 +342,11 @@ TEST(ParallelAudit, RefinedSteadyStateGridAllocationsAreZero) {
     SCOPED_TRACE(name);
     EXPECT_EQ(counter(r1.telemetry, name), counter(r2.telemetry, name));
   }
-  // Not vacuous: the refined Spotter actually leased posterior buffers.
+  // Not vacuous: the refined Spotter actually leased its buffers.
   EXPECT_GT(counter(r2.telemetry, "mlat.scratch.double_acquires"),
             counter(r1.telemetry, "mlat.scratch.double_acquires"));
+  EXPECT_GT(counter(r2.telemetry, "mlat.scratch.field_acquires"),
+            counter(r1.telemetry, "mlat.scratch.field_acquires"));
   EXPECT_GT(counter(r2.telemetry, "mlat.refine.solves"),
             counter(r1.telemetry, "mlat.refine.solves"));
 #endif

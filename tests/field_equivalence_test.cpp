@@ -28,7 +28,6 @@
 #include "grid/grid.hpp"
 #include "grid/raster.hpp"
 #include "grid/region.hpp"
-#include "grid/subfield.hpp"
 #include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
 
@@ -494,90 +493,67 @@ TEST(FieldLiveList, NormalizeUnderflowLeavesStaleEntriesAndStaysExact) {
   EXPECT_EQ(expect_live_invariant(f, "ring after underflow"), 0u);
 }
 
-/// SubField counterpart of expect_live_invariant (window-local indices).
-std::size_t expect_live_invariant(const SubField& f, const std::string& what) {
-  const std::vector<std::uint32_t>* live = f.live_cells();
-  EXPECT_NE(live, nullptr) << what;
-  if (!live) return 0;
-  std::vector<bool> listed(f.cells(), false);
-  std::size_t stale = 0;
-  for (std::size_t k = 0; k < live->size(); ++k) {
-    const std::uint32_t l = (*live)[k];
-    if (k > 0) {
-      EXPECT_LT((*live)[k - 1], l) << what << ": not ascending";
-    }
-    listed[l] = true;
-    if (f.at(l) == 0.0) ++stale;
-  }
-  double scan = 0.0;
-  for (std::size_t l = 0; l < f.cells(); ++l) {
-    scan += f.at(l) * f.grid().cell_area_km2(f.global_index(l));
-    if (!listed[l] && std::bit_cast<std::uint64_t>(f.at(l)) != kPlusZeroBits) {
-      ADD_FAILURE() << what << ": window cell " << l
-                    << " off the live list holds " << f.at(l);
-      break;
-    }
-  }
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(f.total_mass()),
-            std::bit_cast<std::uint64_t>(scan))
-      << what << ": total_mass differs from the dense scan";
-  return stale;
-}
-
-/// Every window cell equals the flat field's cell, to the bit.
-void expect_subfield_matches(const SubField& sf, const Field& flat,
-                             const std::string& what) {
-  for (std::size_t l = 0; l < sf.cells(); ++l) {
-    const std::size_t i = sf.global_index(l);
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(sf.at(l)),
-              std::bit_cast<std::uint64_t>(flat.at(i)))
-        << what << ": window cell " << l << " (global " << i << ")";
-  }
-}
-
-TEST(SubFieldLiveList, InvariantHoldsAfterEveryPass) {
+TEST(FieldLiveList, SeededStartMatchesMaskedStart) {
+  // The refined Spotter's precondition: a field rebound onto seed ∩ mask,
+  // where every cell off the seed lies outside some ring's hard support,
+  // ends a ring chain bit-identical to the plain masked start. The seed
+  // is the first ring's support annulus inside a window that wraps the
+  // antimeridian, as the refinement ladder's seeds do.
   Grid g(1.0);
-  const Region mask = rasterize_cap(g, {{46.0, 8.0}, 4000.0});
+  const Window win{50, 130, 330, 60};  // 40S..40N, 150E..150W
+  const std::vector<RingSpec> rings = {
+      {{0.0, 179.5}, 1800.0, 20.0},
+      {{10.0, -170.0}, 1500.0, 100.0},
+      {{-8.0, 172.0}, 1700.0, 80.0},
+  };
+  const double w = detail::gaussian_support_halfwidth_km(rings[0].sigma_km);
+  const Region support = rasterize_ring(
+      g, {rings[0].center, rings[0].mu_km - w, rings[0].mu_km + w});
+  Region seed(g);
+  window_region_into(g, win, nullptr, seed);
+  seed &= support;
+  ASSERT_EQ(seed, support) << "the support leaves the window";
+  const Region mask = rasterize_cap(g, {{0.0, 179.5}, 3000.0});
+  Region start = seed;
+  start &= mask;
+  ASSERT_GT(start.count(), 0u);
+  ASSERT_LT(start.count(), mask.count()) << "the seed clips nothing";
+
   for (const bool planned : {false, true}) {
     const std::string path = planned ? "plan-served" : "windowed";
-    SubField sf(g, full_window(g), nullptr);
-    Field flat(g);
-    sf.apply_mask(mask);
-    flat.apply_mask(mask);
-    expect_live_invariant(sf, path + " after apply_mask");
-    for (const RingSpec& r : live_test_rings()) {
-      if (planned) {
-        CapScanPlan plan(g, r.center);
-        sf.multiply_gaussian_ring_unchecked(plan, r.mu_km, r.sigma_km);
-        flat.multiply_gaussian_ring(plan, r.mu_km, r.sigma_km);
-      } else {
-        sf.multiply_gaussian_ring_unchecked(r.center, r.mu_km, r.sigma_km);
-        flat.multiply_gaussian_ring(r.center, r.mu_km, r.sigma_km);
+    Field want, got;
+    want.rebind(g, &mask);
+    got.rebind(g, &start);
+    for (const RingSpec& r : rings) {
+      for (Field* f : {&want, &got}) {
+        if (planned) {
+          f->multiply_gaussian_ring(CapScanPlan(g, r.center), r.mu_km,
+                                    r.sigma_km);
+        } else {
+          f->multiply_gaussian_ring(r.center, r.mu_km, r.sigma_km);
+        }
       }
-      expect_live_invariant(sf, path + " after ring " + spec_str(r));
     }
-    ASSERT_TRUE(sf.normalize());
-    ASSERT_TRUE(flat.normalize());
-    expect_live_invariant(sf, path + " after normalize");
-    expect_subfield_matches(sf, flat, path + " normalized");
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(sf.total_mass()),
-              std::bit_cast<std::uint64_t>(flat.total_mass()));
+    for (const bool normalized : {false, true}) {
+      const std::string at = path + (normalized ? " normalized" : " product");
+      if (normalized) {
+        ASSERT_TRUE(want.normalize()) << at;
+        ASSERT_TRUE(got.normalize()) << at;
+      }
+      expect_fields_identical(got, want, at);
+      ASSERT_NE(got.live_cells(), nullptr) << at;
+      ASSERT_NE(want.live_cells(), nullptr) << at;
+      EXPECT_EQ(*got.live_cells(), *want.live_cells()) << at;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_mass()),
+                std::bit_cast<std::uint64_t>(want.total_mass()))
+          << at;
+      expect_live_invariant(got, at);
+    }
+    for (const double mass : {0.9, 1.0}) {
+      EXPECT_EQ(got.credible_region(mass), want.credible_region(mass))
+          << path << " mass " << mass;
+    }
   }
-}
-
-TEST(SubFieldLiveList, NormalizeUnderflowLeavesStaleEntriesAndStaysExact) {
-  Grid g(1.0);
-  SubField sf(g, full_window(g), nullptr);
-  Field flat(g);
-  // The first ring on an unmasked SubField takes the dense branch and
-  // builds the list that normalize() then walks.
-  sf.multiply_gaussian_ring_unchecked({10.0, 20.0}, 1500.0, 200.0);
-  flat.multiply_gaussian_ring({10.0, 20.0}, 1500.0, 200.0);
-  ASSERT_TRUE(sf.normalize());
-  ASSERT_TRUE(flat.normalize());
-  EXPECT_GT(expect_live_invariant(sf, "underflowing normalize"), 0u);
-  expect_subfield_matches(sf, flat, "underflowing normalize");
-  EXPECT_EQ(sf.credible_region(0.95), flat.credible_region(0.95));
 }
 
 TEST(FieldLiveList, SparseMemoRefreshMatchesFullCopyThenNormalize) {
@@ -658,10 +634,8 @@ const char* source_name(DistanceSource s) {
   return "?";
 }
 
-/// Multiply one ring into `f` (a Field or SubField) with distances from
-/// the given source.
-template <typename FieldT>
-void multiply_ring(FieldT& f, const Grid& g, DistanceSource src,
+/// Multiply one ring into `f` with distances from the given source.
+void multiply_ring(Field& f, const Grid& g, DistanceSource src,
                    CapPlanCache& domain_cache, CapPlanCache& full_cache,
                    const RingSpec& r) {
   switch (src) {
@@ -687,10 +661,9 @@ struct FieldSnapshot {
   bool operator==(const FieldSnapshot&) const = default;
 };
 
-template <typename FieldT>
-FieldSnapshot snapshot(const FieldT& f, std::size_t cells) {
+FieldSnapshot snapshot(const Field& f) {
   FieldSnapshot s;
-  for (std::size_t i = 0; i < cells; ++i)
+  for (std::size_t i = 0; i < f.grid()->size(); ++i)
     s.bits.push_back(std::bit_cast<std::uint64_t>(f.at(i)));
   if (f.live_cells()) s.live = *f.live_cells();
   return s;
@@ -741,9 +714,6 @@ TEST(PlanTableDomain, FieldsBitIdenticalAcrossDistanceSources) {
   const std::vector<RingSpec> rings = domain_test_rings();
   const DistanceSource plan_sources[] = {DistanceSource::kDomainCache,
                                          DistanceSource::kFullCache};
-  // The whole grid, a window over Europe and one across the antimeridian.
-  const Window windows[] = {full_window(g), {100, 160, 150, 90},
-                            {20, 170, 300, 120}};
   const std::pair<const Region*, std::string> masks[] = {
       {&domain, "domain mask"}, {&subset, "subset mask"}, {nullptr, "unmasked"}};
 
@@ -754,7 +724,7 @@ TEST(PlanTableDomain, FieldsBitIdenticalAcrossDistanceSources) {
     for (const RingSpec& r : rings) {
       multiply_ring(trig, g, DistanceSource::kTrig, domain_cache, full_cache,
                     r);
-      want.push_back(snapshot(trig, g.size()));
+      want.push_back(snapshot(trig));
     }
     if (!mask) {
       // The first ring's support reaches past the domain, so the domain
@@ -770,36 +740,8 @@ TEST(PlanTableDomain, FieldsBitIdenticalAcrossDistanceSources) {
       f.rebind(g, mask);
       for (std::size_t k = 0; k < rings.size(); ++k) {
         multiply_ring(f, g, src, domain_cache, full_cache, rings[k]);
-        EXPECT_TRUE(snapshot(f, g.size()) == want[k])
+        EXPECT_TRUE(snapshot(f) == want[k])
             << what << ": Field after ring " << k;
-      }
-    }
-
-    for (const Window& w : windows) {
-      std::vector<FieldSnapshot> sub_want;
-      {
-        SubField sf(g, w, nullptr);
-        if (mask) sf.apply_mask(*mask);
-        for (const RingSpec& r : rings) {
-          multiply_ring(sf, g, DistanceSource::kTrig, domain_cache,
-                        full_cache, r);
-          sub_want.push_back(snapshot(sf, sf.cells()));
-        }
-      }
-      const std::string at = mask_name + ", window c0 " + std::to_string(w.c0);
-      // On the full window local indices are grid indices.
-      if (w.is_full(g)) {
-        EXPECT_TRUE(sub_want == want) << at;
-      }
-      for (const DistanceSource src : plan_sources) {
-        SubField sf(g, w, nullptr);
-        if (mask) sf.apply_mask(*mask);
-        for (std::size_t k = 0; k < rings.size(); ++k) {
-          multiply_ring(sf, g, src, domain_cache, full_cache, rings[k]);
-          EXPECT_TRUE(snapshot(sf, sf.cells()) == sub_want[k])
-              << at << ", " << source_name(src) << ": SubField after ring "
-              << k;
-        }
       }
     }
   }

@@ -26,7 +26,6 @@
 #include "grid/field.hpp"
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
-#include "grid/subfield.hpp"
 #include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
 #include "mlat/refine.hpp"
@@ -607,57 +606,7 @@ TEST(RefineContext, LevelMaskRequiresPreparedRegion) {
 }
 
 // ---------------------------------------------------------------------
-// 6. SubField: windowed posterior internals
-// ---------------------------------------------------------------------
-
-TEST(SubField, WrappedWindowKeepsAscendingOrderAndMatchesField) {
-  grid::Grid g(1.0);
-  grid::Scratch* arena = &grid::Scratch::tls();
-  // A window wrapping the antimeridian near the equator.
-  const grid::Window win{80, 100, 350, 20};
-  grid::SubField sf(g, win, arena);
-  EXPECT_EQ(sf.cells(), win.cells());
-
-  // sigma 8 km: hard support halfwidth ~313 km, so the whole support
-  // annulus (outer ~613 km) fits inside the ~1000 km window.
-  const geo::LatLon center{0.0, 179.5};
-  grid::Field flat(g);
-  flat.multiply_gaussian_ring_unchecked(center, 300.0, 8.0);
-  sf.multiply_gaussian_ring_unchecked(center, 300.0, 8.0);
-
-  // The flat support is inside the window here, so totals and cuts
-  // agree bit-for-bit.
-  const grid::Region flat_cr =
-      (flat.normalize(), flat.credible_region(0.9));
-  const grid::Region sub_cr = (sf.normalize(), sf.credible_region(0.9));
-  EXPECT_EQ(flat_cr.words(), sub_cr.words());
-}
-
-TEST(SubField, SeededConstructionMatchesUniformWhenSeedCoversSupport) {
-  grid::Grid g(1.0);
-  grid::Scratch* arena = &grid::Scratch::tls();
-  const grid::Window win{80, 100, 350, 20};
-  const geo::LatLon center{0.0, 179.5};
-  // Seed: a cap comfortably containing the ring's hard support
-  // (outer ~613 km for sigma 8) — the seeded-start precondition.
-  grid::Region seed(g);
-  grid::rasterize_cap_into(g, geo::Cap{center, 700.0}, seed);
-
-  grid::SubField uniform(g, win, arena);
-  grid::SubField seeded(g, win, seed, arena);
-  uniform.multiply_gaussian_ring_unchecked(center, 300.0, 8.0);
-  seeded.multiply_gaussian_ring_unchecked(center, 300.0, 8.0);
-  uniform.normalize();
-  seeded.normalize();
-  for (const double mass : {0.9, 1.0}) {
-    EXPECT_EQ(uniform.credible_region(mass).words(),
-              seeded.credible_region(mass).words())
-        << mass;
-  }
-}
-
-// ---------------------------------------------------------------------
-// 7. CI matrix hook: the full ladder on the production 0.25-degree grid
+// 6. CI matrix hook: the full ladder on the production 0.25-degree grid
 // ---------------------------------------------------------------------
 
 TEST(RefinedEquivalenceEnv, ScheduleFromEnvironmentOnQuarterDegreeGrid) {
