@@ -11,6 +11,7 @@
 #include "grid/field.hpp"
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
+#include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
 #include "obs/metrics.hpp"
 
@@ -272,7 +273,7 @@ BENCHMARK(BM_SubsetSolveFineReference)->Arg(8)->Arg(25)->Arg(60);
 
 static void BM_IntersectAnnulusFused(benchmark::State& state) {
   // AND a fresh annulus into a running region straight from the plan's
-  // row spans — the intersect_disks/intersect_rings inner loop. Each
+  // row spans — the intersect kernel's row pass. Each
   // iteration pays one region copy (resetting the running region) so the
   // fused and materialized rows differ only in the kernel.
   grid::Grid g(0.25);
@@ -280,11 +281,12 @@ static void BM_IntersectAnnulusFused(benchmark::State& state) {
   const grid::Region base =
       grid::rasterize_cap(g, geo::Cap{{50.0, 15.0}, 3000.0});
   grid::Region out(g);
+  const grid::Window all_rows = grid::full_window(g);
   double radius = 400.0;
   for (auto _ : state) {
     out = base;
     radius = radius >= 2800.0 ? 400.0 : radius + 61.0;
-    plan.intersect_annulus_into(0.0, radius, out);
+    plan.intersect_annulus_into(0.0, radius, out, all_rows);
     benchmark::DoNotOptimize(out.words().data());
   }
 }

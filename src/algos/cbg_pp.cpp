@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,8 +11,8 @@
 #include "geo/vec3.hpp"
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
+#include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
-#include "mlat/refine.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::algos {
@@ -24,8 +25,14 @@ namespace {
 /// consistent fast path — both regions nonempty, coalition membership
 /// monotone — which locate_update re-checks on every absorption.
 struct CbgMemo final : LocatorMemo {
+  const grid::Grid* grid = nullptr;    ///< the capture's grid
+  const grid::Region* mask = nullptr;  ///< the capture's mask (may be null)
   grid::Region baseline;   ///< ∩ of all (padded) baseline disks ∩ mask
   grid::Region bestline;   ///< ∩ of retained (padded) bestline disks ∩ mask
+  /// Bounding windows of the two regions at capture. The regions only
+  /// shrink, so every set bit stays inside their row bands, and each
+  /// update scans those bands instead of the whole grid.
+  grid::Window base_win, best_win;
   std::vector<mlat::DiskConstraint> best_disks;  ///< per observation
   std::vector<std::uint8_t> retained;            ///< stage-2 verdicts
   std::size_t n_retained = 0;
@@ -43,12 +50,25 @@ double stage2_distance_km(const grid::Grid& g, const grid::Region& base,
   return geo::kEarthRadiusKm * std::acos(b);
 }
 
+/// The bounding window of `r`, or the whole grid when `r` is empty.
+grid::Window window_of(const grid::Grid& g, const grid::Region& r) {
+  const std::optional<grid::Window> w = grid::bounding_window(r);
+  return w ? *w : grid::full_window(g);
+}
+
+std::size_t count_in(const grid::Grid& g, const grid::Region& r,
+                     const grid::Window& w) {
+  return r.count_in(w.r0 * g.cols(), w.r1 * g.cols());
+}
+
 /// One region pass folding, for each listed observation index, the max
-/// dot of that disk's center against the region's cell centers. The max
-/// is order-independent, so folding a subset of centers yields the same
-/// per-center values as folding the full list, at one region traversal
-/// instead of one per disk.
+/// dot of that disk's center against the region's cell centers (every
+/// set cell lies in `win`'s row band). The max is order-independent, so
+/// folding a subset of centers yields the same per-center values as
+/// folding the full list, at one region traversal instead of one per
+/// disk.
 void fold_max_dots(const grid::Grid& g, const grid::Region& base,
+                   const grid::Window& win,
                    std::span<const mlat::DiskConstraint> disks,
                    std::span<const std::size_t> which,
                    std::vector<double>& dots) {
@@ -56,7 +76,8 @@ void fold_max_dots(const grid::Grid& g, const grid::Region& base,
   vecs.reserve(which.size());
   for (std::size_t i : which) vecs.push_back(geo::to_vec3(disks[i].center));
   dots.assign(which.size(), -2.0);
-  base.for_each_cell([&](std::size_t idx) {
+  const std::size_t begin = win.r0 * g.cols(), end = win.r1 * g.cols();
+  base.for_each_set_in(begin, end, [&](std::size_t idx) {
     const geo::Vec3& c = g.center_vec(idx);
     for (std::size_t j = 0; j < vecs.size(); ++j) {
       const double d = vecs[j].dot(c);
@@ -102,19 +123,16 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
   validate(store, observations);
   Detail detail;
   grid::Scratch* scratch = &grid::Scratch::tls();
-  // Coarse-to-fine driver, when configured for this grid and mask; the
-  // refined solves are pinned bit-identical to the flat ones.
-  const mlat::RefineContext* rc =
-      refine_ && refine_->applies_to(g, mask) ? refine_ : nullptr;
-  // The memo resumes fused plan intersections, so it needs the cache,
-  // subset semantics and flat solves.
+  // The memo resumes fused plan intersections, so it needs the cache
+  // and subset semantics. A refined solve returns the flat regions bit
+  // for bit, so it captures the same memo.
   const bool capture = memo != nullptr && plan_cache_ != nullptr &&
-                       options_.use_subset_filter && rc == nullptr;
+                       options_.use_subset_filter;
   if (capture) AGEO_COUNT("algos.cbg_pp.memo_captures");
 
   // Ladder provenance for the journal: both refined subset solves
   // record their levels in turn.
-  const LadderRecorder ladder(rc != nullptr);
+  const LadderRecorder ladder(refine_, g, mask);
 
   const std::size_t n = observations.size();
   std::vector<mlat::DiskConstraint> bestline, baseline;
@@ -131,21 +149,15 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
         {ob.landmark, physics.max_distance_km(ob.one_way_delay_ms)});
   }
 
-  // Subset solve of `disks` into `region`/`used`, refined when the
-  // context applies.
   const auto subset = [&](std::span<const mlat::DiskConstraint> disks,
                           grid::Region& region, std::vector<bool>& used) {
-    return rc ? mlat::refine_largest_consistent_subset_into(
-                    *rc, disks, mask, plan_cache_, scratch, region, used)
-              : mlat::largest_consistent_subset_into(
-                    g, disks, mask, plan_cache_, scratch, region, used);
+    return mlat::largest_consistent_subset_into(
+        g, disks, mask, plan_cache_, scratch, region, used, refine_);
   };
 
   if (!options_.use_subset_filter) {
-    detail.estimate = GeoEstimate{
-        rc ? mlat::refine_intersect_disks(*rc, bestline, mask, plan_cache_,
-                                          scratch)
-           : mlat::intersect_disks(g, bestline, mask, plan_cache_, scratch)};
+    detail.estimate = GeoEstimate{mlat::intersect_disks(
+        g, bestline, mask, plan_cache_, scratch, refine_)};
     detail.bestline_subset_size = n;
     detail.baseline_subset_size = n;
     // Plain-CBG mode has no subset semantics: every constraint is
@@ -173,7 +185,7 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
   if (!base_empty) {
     std::vector<std::size_t> all(n);
     std::iota(all.begin(), all.end(), std::size_t{0});
-    fold_max_dots(g, base_region, bestline, all, dots);
+    fold_max_dots(g, base_region, grid::full_window(g), bestline, all, dots);
   }
   std::vector<mlat::DiskConstraint> retained;
   std::vector<std::size_t> retained_idx;  // retained -> observation index
@@ -221,8 +233,12 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
     return detail;
   }
   auto m = std::make_unique<CbgMemo>();
+  m->grid = &g;
+  m->mask = mask;
   m->baseline = base_region;
   m->bestline = detail.estimate.region;
+  m->base_win = window_of(g, m->baseline);
+  m->best_win = window_of(g, m->bestline);
   m->retained.assign(n, 0);
   for (std::size_t i : retained_idx) m->retained[i] = 1;
   m->n_retained = retained.size();
@@ -238,10 +254,11 @@ bool CbgPlusPlusGeolocator::locate_update(
     std::span<const Observation> observations, std::size_t n_prev,
     const grid::Region* mask, GeoEstimate& out) const {
   auto* memo = dynamic_cast<CbgMemo*>(&memo_base);
-  const bool refined = refine_ && refine_->applies_to(g, mask);
   if (memo == nullptr || plan_cache_ == nullptr ||
-      !options_.use_subset_filter || refined)
+      !options_.use_subset_filter)
     return false;
+  detail::require(&g == memo->grid && mask == memo->mask,
+                  "CBG++ locate_update: grid or mask differs from the memo's");
   detail::require(n_prev == memo->best_disks.size(),
                   "CBG++ locate_update: memo does not match n_prev");
   detail::require(observations.size() > n_prev,
@@ -251,11 +268,12 @@ bool CbgPlusPlusGeolocator::locate_update(
 
   const std::size_t n = observations.size();
   const calib::CbgModel physics = calib::cbg_baseline();
+  grid::Scratch* scratch = &grid::Scratch::tls();
 
   // Absorb every new baseline disk BEFORE any stage-2 verdict: the
   // scalar oracle judges retention against the FINAL baseline region,
   // so intermediate regions must never decide anything.
-  const std::uint64_t count_before = memo->baseline.count();
+  const std::size_t count_before = count_in(g, memo->baseline, memo->base_win);
   for (std::size_t j = n_prev; j < n; ++j) {
     const Observation& ob = observations[j];
     const auto& model = options_.use_slowline
@@ -266,12 +284,13 @@ bool CbgPlusPlusGeolocator::locate_update(
     const mlat::DiskConstraint base_disk{
         ob.landmark, physics.max_distance_km(ob.one_way_delay_ms)};
     if (!mlat::intersect_disk_into(g, base_disk, *plan_cache_,
-                                   memo->baseline)) {
+                                   memo->baseline, memo->base_win, scratch)) {
       AGEO_COUNT("algos.cbg_pp.memo_fallbacks");
       return false;  // stage 1 left the fast path
     }
   }
-  const bool base_changed = memo->baseline.count() != count_before;
+  const bool base_changed =
+      count_in(g, memo->baseline, memo->base_win) != count_before;
 
   // Stage-2 verdicts. A shrinking baseline region can only grow each
   // disk's distance, so previously-discarded disks stay discarded; a
@@ -285,7 +304,8 @@ bool CbgPlusPlusGeolocator::locate_update(
       if (memo->retained[j]) recheck.push_back(j);
   for (std::size_t j = n_prev; j < n; ++j) recheck.push_back(j);
   std::vector<double> dots;
-  fold_max_dots(g, memo->baseline, memo->best_disks, recheck, dots);
+  fold_max_dots(g, memo->baseline, memo->base_win, memo->best_disks, recheck,
+                dots);
   memo->retained.resize(n, 0);
   std::vector<std::size_t> newly_retained;
   for (std::size_t k = 0; k < recheck.size(); ++k) {
@@ -312,7 +332,7 @@ bool CbgPlusPlusGeolocator::locate_update(
   // re-intersecting the full retained list from scratch).
   for (std::size_t j : newly_retained) {
     if (!mlat::intersect_disk_into(g, memo->best_disks[j], *plan_cache_,
-                                   memo->bestline) &&
+                                   memo->bestline, memo->best_win, scratch) &&
         memo->n_retained > 0) {
       AGEO_COUNT("algos.cbg_pp.memo_fallbacks");
       return false;  // retained disks no longer mutually consistent

@@ -45,9 +45,10 @@ class CbgPlusPlusGeolocator final : public Geolocator {
   /// took the all-used fast path (every baseline disk and every retained
   /// bestline disk in the coalition), so locate_update can absorb one
   /// more observation with two fused annulus intersects instead of 2k.
-  /// Returns null — with `out` still correct — for ablation configs (no
-  /// subset filter), cache-less or refined locators, or campaigns whose
-  /// constraints were already mutually inconsistent.
+  /// A refined solve returns the flat regions bit for bit, so it captures
+  /// the same memo. Returns null — with `out` still correct — for
+  /// ablation configs (no subset filter), cache-less locators, or
+  /// campaigns whose constraints were already mutually inconsistent.
   std::unique_ptr<LocatorMemo> locate_memo(
       const grid::Grid& g, const calib::CalibrationStore& store,
       std::span<const Observation> observations, const grid::Region* mask,
@@ -62,7 +63,8 @@ class CbgPlusPlusGeolocator final : public Geolocator {
   /// verdicts rechecked, and only when the baseline region actually
   /// changed. Falls back (returns false, memo spent) when the baseline
   /// or bestline region empties or a previously-retained disk drops out
-  /// of the coalition.
+  /// of the coalition. Throws InvalidArgument when `g` or `mask` is not
+  /// the capture's.
   bool locate_update(LocatorMemo& memo, const grid::Grid& g,
                      const calib::CalibrationStore& store,
                      std::span<const Observation> observations,
@@ -89,10 +91,9 @@ class CbgPlusPlusGeolocator final : public Geolocator {
     plan_cache_ = cache;
   }
 
-  /// Route both subset solves (stage 1 over the baseline disks, stage 3
-  /// over the retained bestline disks) through the multi-resolution
-  /// driver, one refined solve each; bit-identical results, flat
-  /// fallback when the context does not apply to a call.
+  /// Hand the ladder to both subset solves (stage 1 over the baseline
+  /// disks, stage 3 over the retained bestline disks); each is seeded
+  /// from it when it applies to the call. Bit-identical results.
   void set_refine(const mlat::RefineContext* ctx) noexcept override {
     refine_ = ctx;
   }
@@ -100,9 +101,9 @@ class CbgPlusPlusGeolocator final : public Geolocator {
  private:
   /// The one three-stage body behind locate, locate_detailed and
   /// locate_memo. With a non-null `memo` it also captures resumable
-  /// state when the solve is memoisable (plan cache, subset filter, flat
-  /// solve) and both subset solves took the all-used fast path; `*memo`
-  /// stays null otherwise.
+  /// state when the solve is memoisable (plan cache, subset filter) and
+  /// both subset solves took the all-used fast path; `*memo` stays null
+  /// otherwise.
   Detail solve(const grid::Grid& g, const calib::CalibrationStore& store,
                std::span<const Observation> observations,
                const grid::Region* mask,

@@ -27,8 +27,10 @@ void Geolocator::validate(const calib::CalibrationStore& store,
   }
 }
 
-LadderRecorder::LadderRecorder(bool refined) : refined_(refined) {
-  if (!refined || !obs::journal_runtime_on()) return;
+LadderRecorder::LadderRecorder(const mlat::RefineContext* refine,
+                               const grid::Grid& g, const grid::Region* mask)
+    : refined_(mlat::ladder_for(refine, g, mask) != nullptr) {
+  if (!refined_ || !obs::journal_runtime_on()) return;
   trace_ = std::make_unique<mlat::RefineTrace>();
   mlat::set_refine_trace(trace_.get());
 }

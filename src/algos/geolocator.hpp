@@ -109,14 +109,17 @@ struct GeoEstimate {
   double area_km2() const noexcept { return region.area_km2(); }
 };
 
-/// Ladder provenance of one locate, for the verdict journal. While a
-/// journal is recording a refined locate, arms the thread's refine-trace
-/// hook (mlat::set_refine_trace) for this object's lifetime; otherwise
-/// it records nothing and costs nothing. stamp() marks an estimate with
-/// the path taken and the ladder levels recorded so far.
+/// Ladder provenance of one locate, for the verdict journal. A locate on
+/// `g` clipped by `mask` is refined when `refine` applies to them
+/// (mlat::ladder_for). While a journal is recording a refined locate,
+/// arms the thread's refine-trace hook (mlat::set_refine_trace) for this
+/// object's lifetime; otherwise it records nothing and costs nothing.
+/// stamp() marks an estimate with the path taken and the ladder levels
+/// recorded so far.
 class LadderRecorder {
  public:
-  explicit LadderRecorder(bool refined);
+  LadderRecorder(const mlat::RefineContext* refine, const grid::Grid& g,
+                 const grid::Region* mask);
   ~LadderRecorder();
   LadderRecorder(const LadderRecorder&) = delete;
   LadderRecorder& operator=(const LadderRecorder&) = delete;
@@ -191,12 +194,12 @@ class Geolocator {
   /// per-landmark geometry worth caching.
   virtual void set_plan_cache(grid::CapPlanCache* /*cache*/) noexcept {}
 
-  /// Opt in to coarse-to-fine refinement (mlat/refine.hpp): locate()
-  /// runs the constraint solve through the multi-resolution driver when
-  /// `ctx` applies to the call's grid and mask, with bit-identical
-  /// results, and falls back to the flat path otherwise. Not owned; null
-  /// disables. Default is a no-op for algorithms whose solve has no
-  /// refined counterpart.
+  /// Opt in to coarse-to-fine refinement (mlat/refine.hpp): every solve
+  /// hands `ctx` to its mlat entry, which seeds the solve from the
+  /// multi-resolution ladder when `ctx` applies to the call's grid and
+  /// mask, with bit-identical results (memos included). Not owned; null
+  /// disables. Default is a no-op for algorithms whose solve takes no
+  /// ladder.
   virtual void set_refine(const mlat::RefineContext* /*ctx*/) noexcept {}
 
  protected:

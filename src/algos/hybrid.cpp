@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "grid/scratch.hpp"
 #include "mlat/multilateration.hpp"
-#include "mlat/refine.hpp"
 
 namespace ageo::algos {
 
@@ -29,14 +28,10 @@ GeoEstimate HybridGeolocator::locate(
                      mu + n_sigma_ * sigma});
   }
   grid::Scratch* scratch = &grid::Scratch::tls();
-  const mlat::RefineContext* rc =
-      refine_ && refine_->applies_to(g, mask) ? refine_ : nullptr;
-  const LadderRecorder ladder(rc != nullptr);
+  const LadderRecorder ladder(refine_, g, mask);
   if (!robust_subset_) {
     GeoEstimate est{
-        rc ? mlat::refine_intersect_rings(*rc, rings, mask, plan_cache_,
-                                          scratch)
-           : mlat::intersect_rings(g, rings, mask, plan_cache_, scratch)};
+        mlat::intersect_rings(g, rings, mask, plan_cache_, scratch, refine_)};
     ladder.stamp(est);
     return est;
   }
@@ -45,13 +40,9 @@ GeoEstimate HybridGeolocator::locate(
   // intersect_rings; an inconsistent one keeps the largest consistent
   // coalition and reports who was excluded.
   mlat::SubsetResult subset{grid::Region(g), {}, 0};
-  subset.n_used =
-      rc ? mlat::refine_largest_consistent_subset_into(
-               *rc, rings, mask, plan_cache_, scratch, subset.region,
-               subset.used)
-         : mlat::largest_consistent_subset_into(g, rings, mask, plan_cache_,
-                                                scratch, subset.region,
-                                                subset.used);
+  subset.n_used = mlat::largest_consistent_subset_into(
+      g, rings, mask, plan_cache_, scratch, subset.region, subset.used,
+      refine_);
   GeoEstimate est{std::move(subset.region)};
   est.constraints_total = rings.size();
   est.constraints_used = subset.n_used;

@@ -20,11 +20,11 @@ class SpotterGeolocator final : public Geolocator {
                      const grid::Region* mask = nullptr) const override;
 
   /// Full solve + resumable posterior for the streaming service: the
-  /// memo keeps the UNnormalised masked ring product, so an appended
-  /// observation multiplies exactly one more ring into it. Returns null
-  /// (with `out` still correct) under an active refine context — the
-  /// refined posterior starts from the whole list's coarse survivors,
-  /// so it is no running product to resume.
+  /// memo keeps the UNnormalised ring product, started from the same
+  /// region as locate() (the mask, or the ladder's seed under a refine
+  /// context), so an appended observation multiplies exactly one more
+  /// ring into it. A cell off the seed is zero in the flat product and
+  /// stays zero under more rings, so the memo is exact refined or flat.
   std::unique_ptr<LocatorMemo> locate_memo(
       const grid::Grid& g, const calib::CalibrationStore& store,
       std::span<const Observation> observations, const grid::Region* mask,
@@ -36,7 +36,8 @@ class SpotterGeolocator final : public Geolocator {
   /// full ring list, so the posterior — and the region cut from it — is
   /// bit-identical to locate(). Never leaves the fast path: a zero-mass
   /// product stays zero under further multiplies, exactly like the
-  /// oracle's.
+  /// oracle's. Throws InvalidArgument when `g` or `mask` is not the
+  /// capture's.
   bool locate_update(LocatorMemo& memo, const grid::Grid& g,
                      const calib::CalibrationStore& store,
                      std::span<const Observation> observations,
@@ -50,9 +51,9 @@ class SpotterGeolocator final : public Geolocator {
     plan_cache_ = cache;
   }
 
-  /// Start the posterior from the multi-resolution driver's coarse
-  /// survivors instead of the whole mask; the credible region is
-  /// bit-identical.
+  /// Start the posterior (and the memo's product) from the ladder's
+  /// seed instead of the whole mask when `ctx` applies to the call; the
+  /// credible region is bit-identical.
   void set_refine(const mlat::RefineContext* ctx) noexcept override {
     refine_ = ctx;
   }

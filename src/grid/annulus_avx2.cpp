@@ -98,8 +98,5 @@ template void annulus_fold_avx2<AnnulusOp::kSet>(
 template void annulus_fold_avx2<AnnulusOp::kIntersect>(
     const geo::Vec3*, std::size_t, std::size_t, const geo::Vec3&, double,
     double, std::uint64_t*) noexcept;
-template void annulus_fold_avx2<AnnulusOp::kSubtract>(
-    const geo::Vec3*, std::size_t, std::size_t, const geo::Vec3&, double,
-    double, std::uint64_t*) noexcept;
 
 }  // namespace ageo::grid::detail

@@ -256,8 +256,7 @@ inline std::uint64_t word_run_mask(unsigned lo, unsigned hi) noexcept {
 /// How a run's pass bits combine with the region word:
 ///   set:       bit |= pass
 ///   intersect: bit &= pass   (bits outside the run untouched)
-///   subtract:  bit &= !pass  (bits outside the run untouched)
-enum class AnnulusOp { kSet, kIntersect, kSubtract };
+enum class AnnulusOp { kSet, kIntersect };
 
 /// Fold one word's pass bits into the region word. `rm` masks the
 /// positions actually covered by the run; pass bits are zero outside it
@@ -267,10 +266,8 @@ inline void fold_word(std::uint64_t& w, std::uint64_t pass,
                       std::uint64_t rm) noexcept {
   if constexpr (Op == AnnulusOp::kSet) {
     w |= pass;
-  } else if constexpr (Op == AnnulusOp::kIntersect) {
-    w &= pass | ~rm;
   } else {
-    w &= ~pass;
+    w &= pass | ~rm;
   }
 }
 

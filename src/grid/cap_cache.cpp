@@ -225,11 +225,25 @@ void CapScanPlan::accumulate_annulus(double inner_km, double outer_km,
       });
 }
 
-void CapScanPlan::intersect_rows(const detail::AnnulusScan& s, std::size_t lo,
-                                 std::size_t hi, Region& out) const {
+void CapScanPlan::intersect_annulus_into(double inner_km, double outer_km,
+                                         Region& out,
+                                         const Window& win) const {
+  ageo::detail::require(out.grid() == g_,
+                        "CapScanPlan: region on a different grid");
   const Grid& g = *g_;
   const long ncols = static_cast<long>(g.cols());
   const std::size_t cols = g.cols();
+  const detail::AnnulusScan s(g, center_, inner_km, outer_km);
+  if (s.empty) {  // nothing survives anywhere in the window
+    out.clear_span(win.r0 * cols, win.r1 * cols);
+    return;
+  }
+  const std::size_t lo = std::max(s.r0, win.r0);
+  const std::size_t hi = std::min(s.r1, win.r1);
+  // Window rows outside the latitude band cannot survive; rows outside
+  // the window hold no set bits by the precondition and stay untouched.
+  out.clear_span(win.r0 * cols, std::min(lo, win.r1) * cols);
+  out.clear_span(std::max(hi, win.r0) * cols, win.r1 * cols);
   const auto in_annulus = [&](std::size_t idx) {
     double d = std::clamp(s.v.dot(g.center_vec(idx)), -1.0, 1.0);
     return d >= s.cos_outer && d <= s.cos_inner;
@@ -298,100 +312,6 @@ void CapScanPlan::intersect_rows(const detail::AnnulusScan& s, std::size_t lo,
         },
         // Guaranteed-inside fill spans: AND with 1 — leave untouched.
         [](long, long) {});
-  }
-}
-
-void CapScanPlan::intersect_annulus_into(double inner_km, double outer_km,
-                                         Region& out) const {
-  ageo::detail::require(out.grid() == g_,
-                        "CapScanPlan: region on a different grid");
-  const Grid& g = *g_;
-  const detail::AnnulusScan s(g, center_, inner_km, outer_km);
-  if (s.empty) {  // empty annulus: intersection clears everything
-    out.clear();
-    return;
-  }
-  // Rows outside the latitude band cannot intersect the annulus.
-  const std::size_t cols = g.cols();
-  out.clear_span(0, s.r0 * cols);
-  out.clear_span(s.r1 * cols, g.size());
-  intersect_rows(s, s.r0, s.r1, out);
-}
-
-void CapScanPlan::intersect_annulus_into(double inner_km, double outer_km,
-                                         Region& out,
-                                         const Window& win) const {
-  ageo::detail::require(out.grid() == g_,
-                        "CapScanPlan: region on a different grid");
-  const Grid& g = *g_;
-  const std::size_t cols = g.cols();
-  const detail::AnnulusScan s(g, center_, inner_km, outer_km);
-  if (s.empty) {  // nothing survives anywhere in the window
-    out.clear_span(win.r0 * cols, win.r1 * cols);
-    return;
-  }
-  const std::size_t lo = std::max(s.r0, win.r0);
-  const std::size_t hi = std::min(s.r1, win.r1);
-  // Window rows outside the latitude band cannot survive; rows outside
-  // the window hold no set bits by the precondition and stay untouched.
-  out.clear_span(win.r0 * cols, std::min(lo, win.r1) * cols);
-  out.clear_span(std::max(hi, win.r0) * cols, win.r1 * cols);
-  if (lo < hi) intersect_rows(s, lo, hi, out);
-}
-
-void CapScanPlan::subtract_annulus_into(double inner_km, double outer_km,
-                                        Region& out) const {
-  ageo::detail::require(out.grid() == g_,
-                        "CapScanPlan: region on a different grid");
-  const Grid& g = *g_;
-  const detail::AnnulusScan s(g, center_, inner_km, outer_km);
-  if (s.empty) return;  // nothing to subtract
-  const long ncols = static_cast<long>(g.cols());
-  const std::size_t cols = g.cols();
-  const auto in_annulus = [&](std::size_t idx) {
-    double d = std::clamp(s.v.dot(g.center_vec(idx)), -1.0, 1.0);
-    return d >= s.cos_outer && d <= s.cos_inner;
-  };
-  const geo::Vec3* centers = &g.center_vec(0);
-  std::uint64_t* words = out.words().data();
-
-  detail::RowZones z;
-  for (std::size_t r = s.r0; r < s.r1; ++r) {
-    const std::size_t base = g.index(r, 0);
-    switch (classify_row(s, r, z)) {
-      case RowClass::kNaive:
-        out.for_each_set_in(base, base + cols, [&](std::size_t idx) {
-          if (in_annulus(idx)) out.reset(idx);
-        });
-        continue;
-      case RowClass::kOutside:  // row entirely outside: subtract nothing
-        continue;
-      case RowClass::kZones:
-        break;
-    }
-    // Boundary runs clear the pass bits (a clear bit stays clear, so
-    // this matches the old test-surviving-bits-only walk exactly).
-    detail::emit_zone_runs(
-        z,
-        [&](long o_lo, long o_hi) {
-          detail::for_col_spans(
-              c_round_, o_lo, o_hi, ncols, [&](long b0, long b1) {
-                detail::annulus_fold<detail::AnnulusOp::kSubtract>(
-                    centers, base + static_cast<std::size_t>(b0),
-                    base + static_cast<std::size_t>(b1), s.v, s.cos_outer,
-                    s.cos_inner, words);
-              });
-        },
-        // Guaranteed-inside fill spans are removed wholesale; the core
-        // and everything beyond cand are guaranteed outside the annulus
-        // and stay untouched.
-        [&](long o_lo, long o_hi) {
-          detail::for_col_spans(c_round_, o_lo, o_hi, ncols,
-                                [&](long b0, long b1) {
-                                  out.clear_span(base + static_cast<std::size_t>(b0),
-                                                 base + static_cast<std::size_t>(b1));
-                                });
-        });
   }
 }
 

@@ -115,33 +115,21 @@ class CapScanPlan {
   void accumulate_annulus(double inner_km, double outer_km,
                           std::uint64_t* masks, unsigned bit) const;
 
-  /// Fused intersect: out &= { cells within [inner_km, outer_km] },
-  /// without materialising the annulus. Rows outside the latitude band
-  /// and row segments the zone analysis proves outside the annulus are
-  /// cleared with whole-word stores; boundary cells are re-tested with
-  /// the exact clamped-dot expression only where `out` still has a bit
-  /// set; guaranteed-inside fills are left untouched (AND with 1).
-  /// Bit-identical to `out &= tmp` after rasterize_annulus into an empty
-  /// tmp — the per-cell membership values are computed by the same
-  /// expressions, only the order of the AND changes.
-  void intersect_annulus_into(double inner_km, double outer_km,
-                              Region& out) const;
-
-  /// Window-clipped fused intersect for the coarse-to-fine refinement
-  /// driver (mlat/refine.hpp): the row loop and the outside-band clears
-  /// are restricted to `win`'s row range. Precondition: `out` has no set
-  /// bit outside the window (the driver seeds it from
-  /// window_region_into), so the cells the clipped scan never visits are
-  /// already zero and the result equals the unclipped kernel bit for bit
-  /// — inside the window the per-row work is the very same code path.
+  /// Fused intersect: out &= { cells within [inner_km, outer_km] } over
+  /// `win`'s row range, without materialising the annulus. Window rows
+  /// outside the latitude band and row segments the zone analysis proves
+  /// outside the annulus are cleared with whole-word stores; boundary
+  /// cells are re-tested with the exact clamped-dot expression only
+  /// where `out` still has a bit set; guaranteed-inside fills are left
+  /// untouched (AND with 1). Precondition: `out` has no set bit outside
+  /// the window (a full_window(g) call has none), so the rows the clipped
+  /// scan never visits are already zero. Bit-identical to `out &= tmp`
+  /// after rasterize_annulus into an empty tmp — the per-cell membership
+  /// values are computed by the same expressions, only the order of the
+  /// AND changes. This is the one plan intersect kernel: the mlat solves
+  /// run it inside a refine ladder's window or over the full grid.
   void intersect_annulus_into(double inner_km, double outer_km, Region& out,
                               const Window& win) const;
-
-  /// Fused subtract: out &= ~{ cells within [inner_km, outer_km] }.
-  /// Bit-identical to rasterize_annulus + Region::subtract, by the same
-  /// argument as intersect_annulus_into.
-  void subtract_annulus_into(double inner_km, double outer_km,
-                             Region& out) const;
 
   /// Great-circle distance (km) from the plan's center to each table
   /// cell, by the exact geo::arc_distance_km expression Field's reference
@@ -182,12 +170,6 @@ class CapScanPlan {
                         detail::RowZones& z) const;
 
   /// Row loop shared by the full and window-clipped intersect kernels:
-  /// AND the annulus into `out` over rows [lo, hi). One body for both
-  /// entry points is what keeps the clipped kernel bit-compatible with
-  /// the full one by construction.
-  void intersect_rows(const detail::AnnulusScan& s, std::size_t lo,
-                      std::size_t hi, Region& out) const;
-
   template <typename CellF, typename SpanF>
   void scan(double inner_km, double outer_km, CellF&& f, SpanF&& fs) const;
 

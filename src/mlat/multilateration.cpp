@@ -6,6 +6,8 @@
 
 #include "common/error.hpp"
 #include "grid/raster.hpp"
+#include "mlat/detail.hpp"
+#include "mlat/refine.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::mlat {
@@ -21,24 +23,8 @@ double conservative_pad_km(const grid::Grid& g) noexcept {
 
 namespace {
 
-/// Rasterize one padded annulus into `out` (which must be empty), through
-/// the plan cache when available. Both paths produce bit-identical
-/// regions (see raster_equivalence_test), so a cache changes throughput
-/// only.
-void rasterize_annulus_into(const grid::Grid& g, const geo::LatLon& center,
-                            double inner_km, double outer_km,
-                            grid::CapPlanCache* cache, grid::Region& out) {
-  if (cache) {
-    cache->plan(g, center)->rasterize_annulus(inner_km, outer_km, out);
-  } else if (inner_km <= 0.0) {
-    grid::rasterize_cap_into(g, geo::Cap{center, outer_km}, out);
-  } else {
-    grid::rasterize_ring_into(g, geo::Ring{center, inner_km, outer_km}, out);
-  }
-}
-
-// Row-bitmap helpers (row index -> bit in a raw word buffer): the LCS
-// passes walk only rows some constraint's latitude band touches.
+// Row-bitmap helpers (row index -> bit in a raw word buffer): the
+// coverage sweep walks only rows some constraint's latitude band touches.
 void set_row_range(std::uint64_t* bits, std::size_t r0, std::size_t r1) {
   if (r0 >= r1) return;
   const std::size_t w0 = r0 >> 6, w1 = (r1 - 1) >> 6;
@@ -70,225 +56,56 @@ void for_each_row_run(const std::uint64_t* bits, std::size_t rows, F&& f) {
   }
 }
 
-}  // namespace
+void require_mask_on(const grid::Grid& g, const grid::Region* mask,
+                     const char* msg) {
+  if (mask) ageo::detail::require(mask->grid() == &g, msg);
+}
 
-grid::Region intersect_disks(const grid::Grid& g,
-                             std::span<const DiskConstraint> disks,
-                             const grid::Region* mask,
-                             grid::CapPlanCache* cache,
-                             grid::Scratch* scratch) {
-  AGEO_SPAN("mlat", "intersect_disks");
-  AGEO_COUNTER_ADD("mlat.disk_constraints", disks.size());
-  grid::Region out(g);  // escapes to the caller: the one owned allocation
-  if (mask) {
-    detail::require(mask->grid() == &g, "intersect_disks: mask grid mismatch");
-    out = *mask;
+/// out := mask ∩ every annulus, on the ladder's seed and window or — the
+/// zero-level ladder — on the mask (or full grid) and the full window.
+/// `out` must be an empty region on `g`. Returns false, with `out`
+/// all-zero, when the intersection is empty.
+bool intersect_all_into(const grid::Grid& g, const RefineContext* ladder,
+                        std::span<const detail::Annulus> annuli,
+                        const grid::Region* mask, grid::CapPlanCache* cache,
+                        grid::Scratch* scratch, grid::Region& out) {
+  std::optional<grid::Window> win;
+  if (ladder) {
+    win = detail::ladder_seed_into(*ladder, annuli, mask, cache, scratch, out);
+    if (!win) return false;  // a coarse level emptied: so does the flat solve
   } else {
-    out.fill();
+    if (mask)
+      out = *mask;
+    else
+      out.fill();
+    win = grid::full_window(g);
   }
-  const double pad = conservative_pad_km(g);
-  std::size_t processed = 0;
-  for (const auto& d : disks) {
-    ++processed;
-    if (cache) {
-      // Fused kernel: AND the annulus row spans straight into `out`.
-      cache->plan(g, d.center)->intersect_annulus_into(0.0, d.max_km + pad,
-                                                       out);
-    } else {
-      auto tmp = grid::Scratch::region(scratch, g);
-      grid::rasterize_cap_into(g, geo::Cap{d.center, d.max_km + pad},
-                               tmp.ref());
-      out &= tmp.ref();
-    }
-    if (out.empty()) break;
-  }
-  // Constraints never applied because the intersection emptied early.
-  // They are part of mlat.disk_constraints (the workload) but did no
-  // rasterization work.
-  AGEO_COUNTER_ADD("mlat.constraints_skipped", disks.size() - processed);
-  return out;
+  return detail::intersect_window_constraints(g, *win, annuli, 0.0, cache,
+                                              scratch, out);
 }
 
-grid::Region intersect_rings(const grid::Grid& g,
-                             std::span<const RingConstraint> rings,
-                             const grid::Region* mask,
-                             grid::CapPlanCache* cache,
-                             grid::Scratch* scratch) {
-  AGEO_SPAN("mlat", "intersect_rings");
-  AGEO_COUNTER_ADD("mlat.ring_constraints", rings.size());
-  grid::Region out(g);  // escapes to the caller
-  if (mask) {
-    detail::require(mask->grid() == &g, "intersect_rings: mask grid mismatch");
-    out = *mask;
-  } else {
-    out.fill();
-  }
-  const double pad = conservative_pad_km(g);
-  std::size_t processed = 0;
-  for (const auto& r : rings) {
-    detail::require(r.min_km <= r.max_km,
-                    "intersect_rings: min_km must be <= max_km");
-    ++processed;
-    const double inner = std::max(0.0, r.min_km - pad);
-    const double outer = r.max_km + pad;
-    if (cache) {
-      cache->plan(g, r.center)->intersect_annulus_into(inner, outer, out);
-    } else {
-      auto tmp = grid::Scratch::region(scratch, g);
-      rasterize_annulus_into(g, r.center, inner, outer, nullptr, tmp.ref());
-      out &= tmp.ref();
-    }
-    if (out.empty()) break;
-  }
-  AGEO_COUNTER_ADD("mlat.constraints_skipped", rings.size() - processed);
-  return out;
-}
-
-void validate_gaussian_rings(const grid::Grid& g,
-                             std::span<const GaussianConstraint> rings,
-                             const grid::Region* mask) {
-  if (mask)
-    detail::require(mask->grid() == &g, "Gaussian rings: mask grid mismatch");
-  for (const auto& r : rings) {
-    detail::require(geo::is_valid(r.center),
-                    "Gaussian rings: invalid ring center");
-    detail::require(r.sigma_km > 0.0,
-                    "Gaussian rings: sigma must be positive");
-    detail::require(!std::isnan(r.mu_km), "Gaussian rings: mu is NaN");
-  }
-}
-
-void fuse_gaussian_rings_into(const grid::Grid& g,
-                              std::span<const GaussianConstraint> rings,
-                              grid::Field& posterior,
+grid::Region intersect_annuli(const grid::Grid& g,
+                              std::span<const detail::Annulus> annuli,
                               const grid::Region* mask,
-                              grid::CapPlanCache* cache) {
-  AGEO_SPAN("mlat", "fuse_gaussian_rings");
-  AGEO_COUNTER_ADD("mlat.gaussian_constraints", rings.size());
-  detail::require(posterior.grid() == &g,
-                  "fuse_gaussian_rings_into: field grid mismatch");
-  // Validate the list once; the per-ring multiplies below run unchecked
-  // so the hot path does no per-call argument vetting.
-  validate_gaussian_rings(g, rings, mask);
-  if (mask) posterior.apply_mask(*mask);
-  for (const auto& r : rings) {
-    if (cache) {
-      posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, r.center),
-                                                 r.mu_km, r.sigma_km);
-    } else {
-      posterior.multiply_gaussian_ring_unchecked(r.center, r.mu_km,
-                                                 r.sigma_km);
-    }
-  }
-  posterior.normalize();  // a zero-mass field stays unnormalised (empty)
+                              grid::CapPlanCache* cache,
+                              grid::Scratch* scratch,
+                              const RefineContext* refine) {
+  const RefineContext* ladder = ladder_for(refine, g, mask);
+  if (ladder) AGEO_COUNT("mlat.refine.solves");
+  grid::Region out(g);  // escapes to the caller
+  intersect_all_into(g, ladder, annuli, mask, cache, scratch, out);
+  return out;
 }
 
-bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
-                         grid::CapPlanCache& cache, grid::Region& region) {
-  AGEO_COUNT("mlat.incremental.disk_intersects");
-  detail::require(region.grid() == &g,
-                  "intersect_disk_into: region grid mismatch");
-  const double pad = conservative_pad_km(g);
-  cache.plan(g, disk.center)
-      ->intersect_annulus_into(0.0, disk.max_km + pad, region);
-  return !region.empty();
-}
-
-void multiply_ring_into(const grid::Grid& g, const GaussianConstraint& ring,
-                        grid::CapPlanCache* cache, grid::Field& posterior) {
-  AGEO_COUNT("mlat.incremental.ring_multiplies");
-  detail::require(posterior.grid() == &g,
-                  "multiply_ring_into: field grid mismatch");
-  validate_gaussian_rings(g, {&ring, 1}, nullptr);
-  if (cache) {
-    posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, ring.center),
-                                               ring.mu_km, ring.sigma_km);
-  } else {
-    posterior.multiply_gaussian_ring_unchecked(ring.center, ring.mu_km,
-                                               ring.sigma_km);
-  }
-}
-
-grid::Field fuse_gaussian_rings(const grid::Grid& g,
-                                std::span<const GaussianConstraint> rings,
-                                const grid::Region* mask,
-                                grid::CapPlanCache* cache,
-                                grid::Scratch* scratch) {
-  grid::Field field(g);
-  // Pool the internal temporaries; the returned Field itself escapes, so
-  // the arena binding must not escape with it.
-  field.set_scratch(scratch);
-  fuse_gaussian_rings_into(g, rings, field, mask, cache);
-  field.set_scratch(nullptr);
-  return field;
-}
-
-namespace {
-
-/// One padded constraint of the subset engine: the annulus
-/// [inner_km, outer_km] around center (inner 0 for disks).
-struct PaddedAnnulus {
-  geo::LatLon center;
-  double inner_km = 0.0;
-  double outer_km = 0.0;
-};
-
-/// Shared core of the disk and ring subset engines: `at(i)` yields the
-/// i-th padded annulus. Semantics, scratch discipline and bit-exactness
-/// are those documented on largest_consistent_subset; the disk overload
-/// compiles to exactly the code it replaced (inner_km is 0 for every
-/// constraint).
-template <typename AnnulusAt>
-std::size_t lcs_annuli_into(const grid::Grid& g, std::size_t n,
-                            AnnulusAt&& at, const grid::Region* mask,
-                            grid::CapPlanCache* cache,
-                            grid::Scratch* scratch, grid::Region& region,
-                            std::vector<bool>& used) {
-  AGEO_SPAN("mlat", "largest_consistent_subset");
-  AGEO_COUNT("mlat.lcs.solves");
-  AGEO_COUNTER_ADD("mlat.lcs.constraints", n);
-  if (mask)
-    detail::require(mask->grid() == &g,
-                    "largest_consistent_subset: mask grid mismatch");
-  detail::require(region.grid() == &g,
-                  "largest_consistent_subset: region grid mismatch");
-
-  used.assign(n, false);
-  if (n == 0) {
-    if (mask)
-      region = *mask;
-    else
-      region.fill();
-    return 0;
-  }
-
-  // Fast path: when every constraint admits a common cell — the normal
-  // case for honest proxies and for the baseline physical bounds — the
-  // answer is the full set. A cell lies in the intersection iff its
-  // coverage count is n, which is then the maximum, so the region is
-  // exactly the plain intersection and every used[i] is true. The fused
-  // intersect kernels compute that at word/span cost instead of per-cell
-  // coverage accumulation. If the intersection empties, every bit has
-  // been cleared again, and the general coverage sweep below proceeds on
-  // the untouched (all-zero) region.
-  if (cache != nullptr) {
-    if (mask)
-      region = *mask;
-    else
-      region.fill();
-    for (std::size_t i = 0; i < n; ++i) {
-      const PaddedAnnulus a = at(i);
-      cache->plan(g, a.center)->intersect_annulus_into(a.inner_km,
-                                                       a.outer_km, region);
-      if (region.empty()) break;
-    }
-    if (!region.empty()) {
-      used.assign(n, true);
-      AGEO_COUNT("mlat.lcs.fast_path_hits");
-      return n;
-    }
-  }
-
+/// Flat coverage sweep for an inconsistent annulus set. `region` must be
+/// all-zero. Semantics, scratch discipline and bit-exactness are those
+/// documented on largest_consistent_subset.
+std::size_t coverage_sweep(const grid::Grid& g,
+                           std::span<const detail::Annulus> annuli,
+                           const grid::Region* mask,
+                           grid::CapPlanCache* cache, grid::Scratch* scratch,
+                           grid::Region& region, std::vector<bool>& used) {
+  const std::size_t n = annuli.size();
   const std::size_t planes = (n + 63) / 64;
   const std::size_t size = g.size();
   const std::size_t cols = g.cols();
@@ -306,7 +123,7 @@ std::size_t lcs_annuli_into(const grid::Grid& g, std::size_t n,
   rowmap_lease.mark_dirty(0, row_words);
 
   for (std::size_t i = 0; i < n; ++i) {
-    const PaddedAnnulus a = at(i);
+    const detail::Annulus& a = annuli[i];
     const auto [r0, r1] =
         grid::annulus_row_band(g, a.center, a.inner_km, a.outer_km);
     if (r0 >= r1) continue;
@@ -368,10 +185,7 @@ std::size_t lcs_annuli_into(const grid::Grid& g, std::size_t n,
       consider(idx, pc);
     }
   });
-  if (best == 0) {
-    AGEO_COUNTER_ADD("mlat.lcs.excluded", n);
-    return 0;
-  }
+  if (best == 0) return 0;
 
   for (const std::uint32_t idx : ties) region.set(idx);
   for (std::size_t w = 0; w < planes; ++w) {
@@ -382,54 +196,242 @@ std::size_t lcs_annuli_into(const grid::Grid& g, std::size_t n,
       bits &= bits - 1;
     }
   }
+  return best;
+}
+
+/// The one subset solve behind both constraint types. When every
+/// constraint admits a common cell — the normal case for honest proxies
+/// and for the baseline physical bounds — the answer is the full set: a
+/// cell lies in the intersection iff its coverage count is n, which is
+/// then the maximum, so the region is exactly the plain intersection and
+/// every used[i] is true. The intersect kernel computes that at word/span
+/// cost (inside the ladder's window when one applies). Otherwise the
+/// failed intersection left `region` all-zero and a coverage sweep runs:
+/// the ladder's branch-and-bound sweep under a ladder, the flat sweep
+/// over the touched rows without one — the faster one on each side.
+std::size_t lcs_into(const grid::Grid& g,
+                     std::span<const detail::Annulus> annuli,
+                     const grid::Region* mask, grid::CapPlanCache* cache,
+                     grid::Scratch* scratch, grid::Region& region,
+                     std::vector<bool>& used, const RefineContext* refine) {
+  AGEO_SPAN("mlat", "largest_consistent_subset");
+  AGEO_COUNT("mlat.lcs.solves");
+  const std::size_t n = annuli.size();
+  AGEO_COUNTER_ADD("mlat.lcs.constraints", n);
+  require_mask_on(g, mask, "largest_consistent_subset: mask grid mismatch");
+  ageo::detail::require(region.grid() == &g,
+                        "largest_consistent_subset: region grid mismatch");
+
+  // No constraints need no special case: their intersection is the
+  // mask, with no constraint used.
+  used.assign(n, false);
+  const RefineContext* ladder = ladder_for(refine, g, mask);
+  if (ladder) AGEO_COUNT("mlat.refine.solves");
+  if (intersect_all_into(g, ladder, annuli, mask, cache, scratch, region)) {
+    used.assign(n, true);
+    AGEO_COUNT("mlat.lcs.fast_path_hits");
+    if (ladder) AGEO_COUNT("mlat.refine.fast_path_hits");
+    return n;
+  }
+  std::size_t best = 0;
+  if (ladder) {
+    AGEO_COUNT("mlat.refine.lcs_fallbacks");
+    best = detail::refine_lcs_sweep(*ladder, annuli, mask, cache, scratch,
+                                    region, used);
+  } else {
+    best = coverage_sweep(g, annuli, mask, cache, scratch, region, used);
+  }
   AGEO_COUNTER_ADD("mlat.lcs.excluded", n - best);
   return best;
 }
 
 }  // namespace
 
+grid::Region intersect_disks(const grid::Grid& g,
+                             std::span<const DiskConstraint> disks,
+                             const grid::Region* mask,
+                             grid::CapPlanCache* cache,
+                             grid::Scratch* scratch,
+                             const RefineContext* refine) {
+  AGEO_SPAN("mlat", "intersect_disks");
+  AGEO_COUNTER_ADD("mlat.disk_constraints", disks.size());
+  require_mask_on(g, mask, "intersect_disks: mask grid mismatch");
+  return intersect_annuli(g, detail::disk_annuli(g, disks), mask, cache,
+                          scratch, refine);
+}
+
+grid::Region intersect_rings(const grid::Grid& g,
+                             std::span<const RingConstraint> rings,
+                             const grid::Region* mask,
+                             grid::CapPlanCache* cache,
+                             grid::Scratch* scratch,
+                             const RefineContext* refine) {
+  AGEO_SPAN("mlat", "intersect_rings");
+  AGEO_COUNTER_ADD("mlat.ring_constraints", rings.size());
+  require_mask_on(g, mask, "intersect_rings: mask grid mismatch");
+  return intersect_annuli(
+      g,
+      detail::ring_annuli(g, rings,
+                          "intersect_rings: min_km must be <= max_km"),
+      mask, cache, scratch, refine);
+}
+
+void validate_gaussian_rings(const grid::Grid& g,
+                             std::span<const GaussianConstraint> rings,
+                             const grid::Region* mask) {
+  require_mask_on(g, mask, "Gaussian rings: mask grid mismatch");
+  for (const auto& r : rings) {
+    ageo::detail::require(geo::is_valid(r.center),
+                          "Gaussian rings: invalid ring center");
+    ageo::detail::require(r.sigma_km > 0.0,
+                          "Gaussian rings: sigma must be positive");
+    ageo::detail::require(!std::isnan(r.mu_km), "Gaussian rings: mu is NaN");
+  }
+}
+
+void fuse_gaussian_rings_into(const grid::Grid& g,
+                              std::span<const GaussianConstraint> rings,
+                              grid::Field& posterior,
+                              const grid::Region* mask,
+                              grid::CapPlanCache* cache) {
+  AGEO_SPAN("mlat", "fuse_gaussian_rings");
+  AGEO_COUNTER_ADD("mlat.gaussian_constraints", rings.size());
+  ageo::detail::require(posterior.grid() == &g,
+                        "fuse_gaussian_rings_into: field grid mismatch");
+  // Validate the list once; the per-ring multiplies below run unchecked
+  // so the hot path does no per-call argument vetting.
+  validate_gaussian_rings(g, rings, mask);
+  if (mask) posterior.apply_mask(*mask);
+  for (const auto& r : rings) {
+    if (cache) {
+      posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, r.center),
+                                                 r.mu_km, r.sigma_km);
+    } else {
+      posterior.multiply_gaussian_ring_unchecked(r.center, r.mu_km,
+                                                 r.sigma_km);
+    }
+  }
+  posterior.normalize();  // a zero-mass field stays unnormalised (empty)
+}
+
+const grid::Region* spotter_start(const grid::Grid& g,
+                                  std::span<const GaussianConstraint> rings,
+                                  const grid::Region* mask,
+                                  grid::CapPlanCache* cache,
+                                  grid::Scratch* scratch,
+                                  const RefineContext* refine,
+                                  grid::Region& seed) {
+  // The ladder reads every ring's support, so vet the list before it.
+  validate_gaussian_rings(g, rings, mask);
+  const RefineContext* ladder = ladder_for(refine, g, mask);
+  if (!ladder) return mask;
+  AGEO_COUNT("mlat.refine.solves");
+  // Hard support of each ring: any cell the flat posterior leaves
+  // nonzero has a < kGaussianCut for every ring, i.e. a center strictly
+  // inside [mu - W, mu + W]. These are raw (unpadded) annuli; the
+  // coarse ladder adds each level's own pad.
+  std::vector<detail::Annulus> support;
+  support.reserve(rings.size());
+  for (const auto& r : rings) {
+    const double w = grid::detail::gaussian_support_halfwidth_km(r.sigma_km);
+    support.push_back({r.center, std::max(0.0, r.mu_km - w), r.mu_km + w});
+  }
+  // A coarse-empty ladder leaves the seed empty: the flat posterior is
+  // identically zero then, and so is the one started from the seed.
+  detail::ladder_seed_into(*ladder, support, mask, cache, scratch, seed);
+  return &seed;
+}
+
+grid::Region spotter_credible(const grid::Grid& g,
+                              std::span<const GaussianConstraint> rings,
+                              double credible_mass, const grid::Region* mask,
+                              grid::CapPlanCache* cache,
+                              grid::Scratch* scratch,
+                              const RefineContext* refine) {
+  // Pooled posterior: the Field (and its internal temporaries, via the
+  // attached arena) comes from the scratch pool, already holding the
+  // start region in the same pass that resets it; only the credible
+  // region escapes.
+  auto seed = grid::Scratch::region(scratch, g);
+  const grid::Region* start =
+      spotter_start(g, rings, mask, cache, scratch, refine, seed.ref());
+  auto posterior = grid::Scratch::field(scratch, g, start);
+  fuse_gaussian_rings_into(g, rings, posterior.ref(), nullptr, cache);
+  return posterior.ref().credible_region(credible_mass);
+}
+
+bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
+                         grid::CapPlanCache& cache, grid::Region& region,
+                         const grid::Window& win, grid::Scratch* scratch) {
+  AGEO_COUNT("mlat.incremental.disk_intersects");
+  ageo::detail::require(region.grid() == &g,
+                        "intersect_disk_into: region grid mismatch");
+  const detail::Annulus a{disk.center, 0.0,
+                          disk.max_km + conservative_pad_km(g)};
+  return detail::intersect_window_constraints(g, win, {&a, 1}, 0.0, &cache,
+                                              scratch, region);
+}
+
+void multiply_ring_into(const grid::Grid& g, const GaussianConstraint& ring,
+                        grid::CapPlanCache* cache, grid::Field& posterior) {
+  AGEO_COUNT("mlat.incremental.ring_multiplies");
+  ageo::detail::require(posterior.grid() == &g,
+                        "multiply_ring_into: field grid mismatch");
+  validate_gaussian_rings(g, {&ring, 1}, nullptr);
+  if (cache) {
+    posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, ring.center),
+                                               ring.mu_km, ring.sigma_km);
+  } else {
+    posterior.multiply_gaussian_ring_unchecked(ring.center, ring.mu_km,
+                                               ring.sigma_km);
+  }
+}
+
+grid::Field fuse_gaussian_rings(const grid::Grid& g,
+                                std::span<const GaussianConstraint> rings,
+                                const grid::Region* mask,
+                                grid::CapPlanCache* cache,
+                                grid::Scratch* scratch) {
+  grid::Field field(g);
+  // Pool the internal temporaries; the returned Field itself escapes, so
+  // the arena binding must not escape with it.
+  field.set_scratch(scratch);
+  fuse_gaussian_rings_into(g, rings, field, mask, cache);
+  field.set_scratch(nullptr);
+  return field;
+}
+
 std::size_t largest_consistent_subset_into(
     const grid::Grid& g, std::span<const DiskConstraint> disks,
     const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used) {
-  const double pad = conservative_pad_km(g);
-  return lcs_annuli_into(
-      g, disks.size(),
-      [&](std::size_t i) {
-        return PaddedAnnulus{disks[i].center, 0.0, disks[i].max_km + pad};
-      },
-      mask, cache, scratch, region, used);
+    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used,
+    const RefineContext* refine) {
+  return lcs_into(g, detail::disk_annuli(g, disks), mask, cache, scratch,
+                  region, used, refine);
 }
 
 std::size_t largest_consistent_subset_into(
     const grid::Grid& g, std::span<const RingConstraint> rings,
     const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used) {
-  for (const auto& r : rings)
-    detail::require(r.min_km <= r.max_km,
-                    "largest_consistent_subset: min_km must be <= max_km");
-  const double pad = conservative_pad_km(g);
-  // Same padding as intersect_rings: quantisation may only grow rings.
-  return lcs_annuli_into(
-      g, rings.size(),
-      [&](std::size_t i) {
-        return PaddedAnnulus{rings[i].center,
-                             std::max(0.0, rings[i].min_km - pad),
-                             rings[i].max_km + pad};
-      },
-      mask, cache, scratch, region, used);
+    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used,
+    const RefineContext* refine) {
+  return lcs_into(
+      g,
+      detail::ring_annuli(
+          g, rings, "largest_consistent_subset: min_km must be <= max_km"),
+      mask, cache, scratch, region, used, refine);
 }
 
 SubsetResult largest_consistent_subset(const grid::Grid& g,
                                        std::span<const DiskConstraint> disks,
                                        const grid::Region* mask,
                                        grid::CapPlanCache* cache,
-                                       grid::Scratch* scratch) {
+                                       grid::Scratch* scratch,
+                                       const RefineContext* refine) {
   SubsetResult result;
   result.region = grid::Region(g);  // escapes to the caller
-  result.n_used = largest_consistent_subset_into(g, disks, mask, cache,
-                                                 scratch, result.region,
-                                                 result.used);
+  result.n_used = largest_consistent_subset_into(
+      g, disks, mask, cache, scratch, result.region, result.used, refine);
   return result;
 }
 
@@ -437,12 +439,12 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
                                        std::span<const RingConstraint> rings,
                                        const grid::Region* mask,
                                        grid::CapPlanCache* cache,
-                                       grid::Scratch* scratch) {
+                                       grid::Scratch* scratch,
+                                       const RefineContext* refine) {
   SubsetResult result;
   result.region = grid::Region(g);  // escapes to the caller
-  result.n_used = largest_consistent_subset_into(g, rings, mask, cache,
-                                                 scratch, result.region,
-                                                 result.used);
+  result.n_used = largest_consistent_subset_into(
+      g, rings, mask, cache, scratch, result.region, result.used, refine);
   return result;
 }
 
@@ -462,10 +464,10 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
                                        std::span<const DiskConstraint> disks,
                                        const grid::Region* mask,
                                        grid::CapPlanCache* cache) {
-  detail::require(disks.size() <= 64,
+  ageo::detail::require(disks.size() <= 64,
                   "largest_consistent_subset: at most 64 constraints");
   if (mask)
-    detail::require(mask->grid() == &g,
+    ageo::detail::require(mask->grid() == &g,
                     "largest_consistent_subset: mask grid mismatch");
 
   if (disks.empty()) {
@@ -500,10 +502,10 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
                                        std::span<const RingConstraint> rings,
                                        const grid::Region* mask,
                                        grid::CapPlanCache* cache) {
-  detail::require(rings.size() <= 64,
+  ageo::detail::require(rings.size() <= 64,
                   "largest_consistent_subset: at most 64 constraints");
   if (mask)
-    detail::require(mask->grid() == &g,
+    ageo::detail::require(mask->grid() == &g,
                     "largest_consistent_subset: mask grid mismatch");
 
   if (rings.empty()) {
@@ -519,7 +521,7 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
   const double pad = conservative_pad_km(g);
   std::vector<std::uint64_t> cover(g.size(), 0);
   for (std::size_t i = 0; i < rings.size(); ++i) {
-    detail::require(rings[i].min_km <= rings[i].max_km,
+    ageo::detail::require(rings[i].min_km <= rings[i].max_km,
                     "largest_consistent_subset: min_km must be <= max_km");
     const double inner = std::max(0.0, rings[i].min_km - pad);
     const double outer = rings[i].max_km + pad;

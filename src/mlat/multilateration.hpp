@@ -12,13 +12,20 @@
 // is covered by all of them, so the maximum subset is read off per-cell
 // coverage masks (the paper's suffix-tree DFS optimises the same search).
 //
+// Each solve has one entry, which takes an optional RefineContext
+// (mlat/refine.hpp). A flat solve is the zero-level ladder: it starts
+// from the mask (or the full grid) over the full window instead of from
+// the ladder's seed inside its window. Either way the hard constraints go
+// through one intersect kernel, so the result bits never depend on the
+// ladder.
+//
 // Every entry point takes an optional grid::Scratch arena. With an arena
-// the engines run allocation-free in steady state: intersections AND
-// plan row spans directly into the running region (no temporary Region),
-// coverage planes and posterior fields come from thread-local pools, and
-// only the result that escapes to the caller is heap-allocated. A null
-// arena degrades to plain per-call allocations with bit-identical
-// results (pinned by mlat_equivalence_test).
+// the intersections AND plan row spans directly into the running region
+// (no temporary Region), and coverage planes and posterior fields come
+// from thread-local pools; what escapes to the caller, and the per-solve
+// constraint list, are heap-allocated. A null arena degrades to plain
+// per-call allocations with bit-identical results (pinned by
+// mlat_equivalence_test).
 #pragma once
 
 #include <cstdint>
@@ -30,8 +37,11 @@
 #include "grid/field.hpp"
 #include "grid/region.hpp"
 #include "grid/scratch.hpp"
+#include "grid/window.hpp"
 
 namespace ageo::mlat {
+
+class RefineContext;
 
 /// Outward padding applied to hard constraints when rasterizing, km:
 /// half a cell diagonal, so grid quantisation can only ever grow a
@@ -60,23 +70,27 @@ struct GaussianConstraint {
 /// reuses per-landmark scan plans across calls (the constraint centers of
 /// successive proxies repeat) and intersects each annulus in place with
 /// the fused kernel; results are identical either way. `scratch` pools
-/// the temporaries of the no-cache path.
+/// the temporaries of the no-cache path. `refine`, when it applies to
+/// (g, mask), runs the solve inside its ladder's window; same bits.
 grid::Region intersect_disks(const grid::Grid& g,
                              std::span<const DiskConstraint> disks,
                              const grid::Region* mask = nullptr,
                              grid::CapPlanCache* cache = nullptr,
-                             grid::Scratch* scratch = nullptr);
+                             grid::Scratch* scratch = nullptr,
+                             const RefineContext* refine = nullptr);
 
-/// Intersection of all rings, clipped by `mask` when non-null.
+/// Intersection of all rings, clipped by `mask` when non-null. Throws
+/// InvalidArgument unless every ring has min_km <= max_km.
 grid::Region intersect_rings(const grid::Grid& g,
                              std::span<const RingConstraint> rings,
                              const grid::Region* mask = nullptr,
                              grid::CapPlanCache* cache = nullptr,
-                             grid::Scratch* scratch = nullptr);
+                             grid::Scratch* scratch = nullptr,
+                             const RefineContext* refine = nullptr);
 
 /// The one check of a Gaussian ring list, shared by every Spotter entry
-/// point (fuse_gaussian_rings_into, multiply_ring_into and the refined
-/// refine_spotter_credible): each center valid, each sigma positive, no
+/// point (fuse_gaussian_rings_into, multiply_ring_into and
+/// spotter_start): each center valid, each sigma positive, no
 /// mu NaN, and `mask`, when non-null, on `g`. Throws InvalidArgument.
 void validate_gaussian_rings(const grid::Grid& g,
                              std::span<const GaussianConstraint> rings,
@@ -108,6 +122,34 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
                               const grid::Region* mask = nullptr,
                               grid::CapPlanCache* cache = nullptr);
 
+/// The region a Spotter posterior starts from: `mask` itself (null: the
+/// whole grid) when `refine` does not apply to (g, mask), otherwise the
+/// ladder's seed — the coarse survivors of every ring's hard support,
+/// upsampled and clipped by the mask — written into `seed`, an empty
+/// region on `g`. Every cell off the seed is one the flat ring chain
+/// zeroes, and stays zero under more rings, so a posterior started from
+/// either region (fused now or extended ring by ring later) has the same
+/// bits. Validates the ring list.
+const grid::Region* spotter_start(const grid::Grid& g,
+                                  std::span<const GaussianConstraint> rings,
+                                  const grid::Region* mask,
+                                  grid::CapPlanCache* cache,
+                                  grid::Scratch* scratch,
+                                  const RefineContext* refine,
+                                  grid::Region& seed);
+
+/// The Spotter solve: the credible region at `credible_mass` of the
+/// Gaussian-ring posterior fused from spotter_start's region. Bit for
+/// bit the cut of fuse_gaussian_rings(g, rings, mask) with or without a
+/// ladder.
+grid::Region spotter_credible(const grid::Grid& g,
+                              std::span<const GaussianConstraint> rings,
+                              double credible_mass,
+                              const grid::Region* mask = nullptr,
+                              grid::CapPlanCache* cache = nullptr,
+                              grid::Scratch* scratch = nullptr,
+                              const RefineContext* refine = nullptr);
+
 // ---- incremental (streaming) entry points ----
 //
 // The always-on audit service (src/serve) re-localizes a proxy after
@@ -121,16 +163,20 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
 // order (floating-point multiplication is deterministic per cell for a
 // fixed factor order).
 
-/// AND one more conservatively-padded disk into `region` using the
-/// landmark's cached scan plan — the same fused
-/// `intersect_annulus_into(0, max_km + pad)` call the subset engine's
-/// fast path issues per disk (the intersections CBG++'s locate_memo
-/// keeps), so `B ∩ disk` here equals rebuilding the intersection from
-/// scratch. Returns false when the region emptied (the caller must fall
-/// back to a full re-solve: the scalar path would enter the general
-/// coverage sweep).
+/// AND one more conservatively-padded disk into `region`, whose set bits
+/// all lie in `win`'s row band, with the one intersect kernel: the
+/// landmark's cached scan plan while the region is large, the exact
+/// per-cell test once it is small (no plan lookup at all). Both compute
+/// the same per-cell membership, so `B ∩ disk` here equals rebuilding
+/// the intersection from scratch — flat or refined, since a refined
+/// solve returns the flat region (the intersections CBG++'s locate_memo
+/// keeps). Returns
+/// false when the region emptied (the caller must fall back to a full
+/// re-solve: the subset engine would enter its coverage sweep).
 bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
-                         grid::CapPlanCache& cache, grid::Region& region);
+                         grid::CapPlanCache& cache, grid::Region& region,
+                         const grid::Window& win,
+                         grid::Scratch* scratch = nullptr);
 
 /// Multiply one more Gaussian ring into the running UNnormalised
 /// posterior product (validated by validate_gaussian_rings, as
@@ -162,21 +208,27 @@ struct SubsetResult {
 /// subset's intersection. `mask` clips candidate cells when non-null.
 /// Any number of constraints (coverage is tracked in ceil(n/64) bit
 /// planes); the passes walk only the union of the constraints' latitude
-/// bands, so sparse constraint sets never pay for the full grid.
+/// bands, so sparse constraint sets never pay for the full grid. A
+/// consistent set is answered by the intersect kernel alone; an
+/// inconsistent one by a coverage sweep — over `refine`'s ladder when it
+/// applies to (g, mask), over the touched rows otherwise. Same bits
+/// either way.
 SubsetResult largest_consistent_subset(const grid::Grid& g,
                                        std::span<const DiskConstraint> disks,
                                        const grid::Region* mask = nullptr,
                                        grid::CapPlanCache* cache = nullptr,
-                                       grid::Scratch* scratch = nullptr);
+                                       grid::Scratch* scratch = nullptr,
+                                       const RefineContext* refine = nullptr);
 
-/// Allocation-free core of largest_consistent_subset: the region is
-/// written into `region`, which must be an empty region on `g`
-/// (typically a pooled one), `used` is assigned in place, and the
-/// maximum cardinality is returned. Same bits as the wrapper.
+/// Pooled core of largest_consistent_subset: the region is written into
+/// `region`, which must be an empty region on `g` (typically a pooled
+/// one), `used` is assigned in place, and the maximum cardinality is
+/// returned. Same bits as the wrapper.
 std::size_t largest_consistent_subset_into(
     const grid::Grid& g, std::span<const DiskConstraint> disks,
     const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used);
+    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used,
+    const RefineContext* refine = nullptr);
 
 /// Ring-constraint variant of the subset engine (the Byzantine-robust
 /// mode of the Hybrid locator): same semantics with each constraint a
@@ -188,12 +240,14 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
                                        std::span<const RingConstraint> rings,
                                        const grid::Region* mask = nullptr,
                                        grid::CapPlanCache* cache = nullptr,
-                                       grid::Scratch* scratch = nullptr);
+                                       grid::Scratch* scratch = nullptr,
+                                       const RefineContext* refine = nullptr);
 
 std::size_t largest_consistent_subset_into(
     const grid::Grid& g, std::span<const RingConstraint> rings,
     const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used);
+    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used,
+    const RefineContext* refine = nullptr);
 
 namespace reference {
 /// The original full-grid, single-word LCS solver (at most 64

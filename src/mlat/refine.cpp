@@ -6,141 +6,12 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
-#include "geo/geodesy.hpp"
-#include "grid/annulus_scan.hpp"
-#include "grid/field.hpp"
-#include "grid/raster.hpp"
+#include "mlat/detail.hpp"
 #include "obs/obs.hpp"
 
 namespace ageo::mlat {
 
 namespace {
-
-/// One constraint as an annulus for the window computation. For the
-/// hard engines inner/outer already carry the FINE grid's conservative
-/// pad (the fine-level keep criterion is membership of the padded
-/// annulus); each coarse level widens them further by its own pad, so
-/// the chained slack is pad_fine + pad_level — exactly what the
-/// coarsening lemma needs. For Spotter they are the raw hard-support
-/// bounds (the fine criterion is on cell centers directly, no fine pad).
-struct Annulus {
-  geo::LatLon center;
-  double inner_km = 0.0;
-  double outer_km = 0.0;
-};
-
-void rasterize_annulus_coarse(const grid::Grid& g, const geo::LatLon& center,
-                              double inner_km, double outer_km,
-                              grid::Region& out) {
-  if (inner_km <= 0.0)
-    grid::rasterize_cap_into(g, geo::Cap{center, outer_km}, out);
-  else
-    grid::rasterize_ring_into(g, geo::Ring{center, inner_km, outer_km}, out);
-}
-
-/// Below this many survivors, per-cell exact tests beat the row kernels:
-/// a kernel pass costs O(window rows) of zone binary searches plus a
-/// band-wide survivor count per constraint, the sparse tail one dot
-/// product per surviving cell.
-constexpr std::size_t kSparseTailCells = 4096;
-
-/// The per-cell keep criterion every annulus engine reduces to: row
-/// inside the scan's latitude band, clamped center dot within
-/// [cos_outer, cos_inner]. The naive scan applies it verbatim, and the
-/// pruned/plan kernels only shortcut cells whose outcome the kDotMargin
-/// safety zones already decide (annulus_scan.hpp), so filtering a cell
-/// list with it is bit-identical to running any of the kernels.
-bool annulus_keeps(const grid::Grid& g, const grid::detail::AnnulusScan& s,
-                   std::size_t idx) {
-  if (s.empty) return false;
-  const std::size_t r = g.row_of(idx);
-  if (r < s.r0 || r >= s.r1) return false;
-  const double d = std::clamp(s.v.dot(g.center_vec(idx)), -1.0, 1.0);
-  return d >= s.cos_outer && d <= s.cos_inner;
-}
-
-/// AND the annuli `at(0..n)` into `region`, whose set bits all lie
-/// inside `win`'s row band. Runs the row kernels while the region is
-/// large; once the survivor count drops under kSparseTailCells, the
-/// remaining constraints filter an explicit cell list with the exact
-/// per-cell test instead — no more plan lookups, zone walks or band
-/// sweeps, just (#cells x #constraints) dot products. Returns false as
-/// soon as the intersection empties.
-template <typename AnnulusAt>
-bool intersect_window_constraints(const grid::Grid& g,
-                                  const grid::Window& win, std::size_t n,
-                                  AnnulusAt&& at, grid::CapPlanCache* cache,
-                                  grid::Scratch* scratch,
-                                  grid::Region& region) {
-  const std::size_t band_b = win.r0 * g.cols();
-  const std::size_t band_e = win.r1 * g.cols();
-  grid::Scratch::IndexLease cells_lease = grid::Scratch::indices(scratch);
-  std::vector<std::uint32_t>& cells = cells_lease.vec();
-  std::size_t survivors = region.count_in(band_b, band_e);
-  if (survivors == 0) return false;
-  // Tightest annuli first: intersection is commutative, so any order
-  // yields the same final region, but leading with the smallest-area
-  // constraint collapses the survivor count immediately and the rest of
-  // the pass runs in the cheap sparse tail. Key = spherical annulus
-  // area up to a constant, cos(inner) - cos(outer) on capped radii.
-  grid::Scratch::IndexLease order_lease = grid::Scratch::indices(scratch);
-  std::vector<std::uint32_t>& order = order_lease.vec();
-  order.resize(n);
-  {
-    auto area_lease = grid::Scratch::doubles(scratch);
-    std::vector<double>& area = area_lease.vec();
-    area.resize(n);
-    constexpr double kAntipodeKm =
-        geo::kEarthRadiusKm * 3.14159265358979323846;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Annulus a = at(i);
-      const double ri = std::min(std::max(a.inner_km, 0.0), kAntipodeKm);
-      const double ro = std::min(std::max(a.outer_km, 0.0), kAntipodeKm);
-      area[i] = std::cos(ri / geo::kEarthRadiusKm) -
-                std::cos(ro / geo::kEarthRadiusKm);
-      order[i] = static_cast<std::uint32_t>(i);
-    }
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return area[x] < area[y] || (area[x] == area[y] && x < y);
-              });
-  }
-  bool sparse = false;
-  for (std::size_t oi = 0; oi < n; ++oi) {
-    if (!sparse && survivors <= kSparseTailCells) {
-      cells.clear();
-      region.for_each_set_in(band_b, band_e, [&](std::size_t idx) {
-        cells.push_back(static_cast<std::uint32_t>(idx));
-      });
-      sparse = true;
-    }
-    const Annulus a = at(order[oi]);
-    if (sparse) {
-      const grid::detail::AnnulusScan s(g, a.center, a.inner_km, a.outer_km);
-      std::size_t kept = 0;
-      for (const std::uint32_t idx : cells) {
-        if (annulus_keeps(g, s, idx))
-          cells[kept++] = idx;
-        else
-          region.reset(idx);
-      }
-      cells.resize(kept);
-      if (kept == 0) return false;
-      continue;
-    }
-    if (cache) {
-      cache->plan(g, a.center)
-          ->intersect_annulus_into(a.inner_km, a.outer_km, region, win);
-    } else {
-      auto tmp = grid::Scratch::region(scratch, g);
-      rasterize_annulus_coarse(g, a.center, a.inner_km, a.outer_km, tmp.ref());
-      region.intersect_with_in(tmp.ref(), band_b, band_e);
-    }
-    survivors = region.count_in(band_b, band_e);
-    if (survivors == 0) return false;
-  }
-  return true;
-}
 
 /// Set every child cell of each set `coarse` cell into `out` (attached
 /// to the finer grid `fg`). The exact integer cell-size ratio is
@@ -169,11 +40,17 @@ struct LadderResult {
   const grid::Grid* survivor_grid;
 };
 
-/// Run the coarse ladder for constraints `at(0..n)` and return the
-/// fine-grid window guaranteed (by the coarsening lemma) to contain
-/// every fine cell satisfying all of them, plus the last level's
-/// survivors. nullopt when some coarse level empties — then no fine
-/// cell satisfies them all.
+/// Safety margin, in cells of each coarse level, added around the
+/// surviving region's bounding window before mapping it down. The
+/// coarsening lemma holds with margin 0; one cell additionally absorbs
+/// the window bookkeeping itself being off by a cell.
+constexpr std::size_t kMarginCells = 1;
+
+/// Run the coarse ladder for `annuli` and return the fine-grid window
+/// guaranteed (by the coarsening lemma) to contain every fine cell
+/// satisfying all of them, plus the last level's survivors. nullopt
+/// when some coarse level empties — then no fine cell satisfies them
+/// all.
 ///
 /// Each level past the coarsest starts from the previous level's
 /// survivors upsampled (children of surviving parents), not from the
@@ -181,12 +58,10 @@ struct LadderResult {
 /// constraint has its ancestor at every level in that level's survivor
 /// set, so the shrunken start still contains every fine candidate's
 /// ancestor and the chain stays conservative.
-template <typename AnnulusAt>
-std::optional<LadderResult> coarse_window(const RefineContext& ctx,
-                                          std::size_t n, AnnulusAt&& at,
-                                          const grid::Region* fine_mask,
-                                          grid::CapPlanCache* cache,
-                                          grid::Scratch* scratch) {
+std::optional<LadderResult> coarse_window(
+    const RefineContext& ctx, std::span<const detail::Annulus> annuli,
+    const grid::Region* fine_mask, grid::CapPlanCache* cache,
+    grid::Scratch* scratch) {
   AGEO_SPAN("mlat", "refine_window");
   AGEO_TIMED_US("mlat.refine.window_us", 1.0, 1e7);
   grid::Window win = grid::full_window(ctx.level(0));
@@ -194,7 +69,6 @@ std::optional<LadderResult> coarse_window(const RefineContext& ctx,
   const grid::Grid* prev_grid = nullptr;
   for (std::size_t lvl = 0; lvl < ctx.levels(); ++lvl) {
     const grid::Grid& cg = ctx.level(lvl);
-    const double pad = conservative_pad_km(cg);
     auto lease = grid::Scratch::region(scratch, cg);
     grid::Region& region = lease.ref();
     const grid::Region* lmask = ctx.level_mask(lvl, fine_mask);
@@ -206,13 +80,9 @@ std::optional<LadderResult> coarse_window(const RefineContext& ctx,
         region.intersect_with_in(*lmask, win.r0 * cg.cols(),
                                  win.r1 * cg.cols());
     }
-    const auto padded = [&](std::size_t i) {
-      const Annulus a = at(i);
-      return Annulus{a.center, std::max(0.0, a.inner_km - pad),
-                     a.outer_km + pad};
-    };
-    if (!intersect_window_constraints(cg, win, n, padded, cache, scratch,
-                                      region)) {
+    if (!detail::intersect_window_constraints(cg, win, annuli,
+                                              conservative_pad_km(cg), cache,
+                                              scratch, region)) {
       AGEO_COUNT("mlat.refine.coarse_empty");
       if (t_refine_trace)
         t_refine_trace->levels.push_back({cg.cell_deg(), 0});
@@ -222,8 +92,7 @@ std::optional<LadderResult> coarse_window(const RefineContext& ctx,
       t_refine_trace->levels.push_back({cg.cell_deg(), region.count()});
     const std::optional<grid::Window> bw =
         grid::bounding_window(region, scratch);
-    const grid::Window grown =
-        grid::expand_window(*bw, cg, ctx.schedule().margin_cells);
+    const grid::Window grown = grid::expand_window(*bw, cg, kMarginCells);
     const grid::Grid& next =
         lvl + 1 < ctx.levels() ? ctx.level(lvl + 1) : ctx.fine();
     win = grid::map_window(grown, cg, next);
@@ -232,48 +101,6 @@ std::optional<LadderResult> coarse_window(const RefineContext& ctx,
     prev_grid = &cg;
   }
   return LadderResult{win, std::move(*prev), prev_grid};
-}
-
-/// The fine-grid seed: out := the last level's survivors upsampled to
-/// `g`, clipped by `mask` over the window's row band (every seed cell
-/// lies in it). By the coarsening lemma the seed holds every fine cell
-/// that satisfies all of the ladder's constraints.
-void seed_into(const grid::Grid& g, LadderResult& lad,
-               const grid::Region* mask, grid::Region& out) {
-  upsample_into(lad.survivors.ref(), *lad.survivor_grid, g, out);
-  if (mask)
-    out.intersect_with_in(*mask, lad.win.r0 * g.cols(),
-                          lad.win.r1 * g.cols());
-}
-
-/// Fine-grid pass: out := the seed, then AND in every fine-padded
-/// annulus. The seed contains the whole flat result, so the
-/// per-cell/kernel criterion — bit-compatible with the flat engines —
-/// leaves exactly the flat mask-and-intersect. Seeding from survivors
-/// instead of the full window usually drops the start count below the
-/// sparse-tail threshold, skipping the fine kernels entirely.
-template <typename AnnulusAt>
-bool windowed_intersect(const grid::Grid& g, LadderResult& lad, std::size_t n,
-                        AnnulusAt&& at, const grid::Region* mask,
-                        grid::CapPlanCache* cache, grid::Scratch* scratch,
-                        grid::Region& out) {
-  seed_into(g, lad, mask, out);
-  return intersect_window_constraints(g, lad.win, n, at, cache, scratch, out);
-}
-
-template <typename AnnulusAt>
-grid::Region refined_intersect(const RefineContext& ctx, std::size_t n,
-                               AnnulusAt&& at, const grid::Region* mask,
-                               grid::CapPlanCache* cache,
-                               grid::Scratch* scratch) {
-  AGEO_COUNT("mlat.refine.solves");
-  const grid::Grid& g = ctx.fine();
-  grid::Region out(g);  // escapes to the caller
-  std::optional<LadderResult> lad =
-      coarse_window(ctx, n, at, mask, cache, scratch);
-  if (!lad) return out;  // inconsistent: the flat result is empty too
-  windowed_intersect(g, *lad, n, at, mask, cache, scratch, out);
-  return out;
 }
 
 }  // namespace
@@ -387,50 +214,33 @@ const grid::Region* RefineContext::level_mask(
   return &masks_[i];
 }
 
-grid::Region refine_intersect_disks(const RefineContext& ctx,
-                                    std::span<const DiskConstraint> disks,
-                                    const grid::Region* mask,
-                                    grid::CapPlanCache* cache,
-                                    grid::Scratch* scratch) {
-  AGEO_SPAN("mlat", "refine_intersect_disks");
-  if (mask)
-    ageo::detail::require(mask->grid() == &ctx.fine(),
-                          "intersect_disks: mask grid mismatch");
-  const double pad = conservative_pad_km(ctx.fine());
-  return refined_intersect(
-      ctx, disks.size(),
-      [&](std::size_t i) {
-        return Annulus{disks[i].center, 0.0, disks[i].max_km + pad};
-      },
-      mask, cache, scratch);
+const RefineContext* ladder_for(const RefineContext* ctx, const grid::Grid& g,
+                                const grid::Region* mask) noexcept {
+  return ctx && ctx->applies_to(g, mask) ? ctx : nullptr;
 }
 
-grid::Region refine_intersect_rings(const RefineContext& ctx,
-                                    std::span<const RingConstraint> rings,
-                                    const grid::Region* mask,
-                                    grid::CapPlanCache* cache,
-                                    grid::Scratch* scratch) {
-  AGEO_SPAN("mlat", "refine_intersect_rings");
+std::optional<grid::Window> detail::ladder_seed_into(
+    const RefineContext& ctx, std::span<const Annulus> annuli,
+    const grid::Region* mask, grid::CapPlanCache* cache,
+    grid::Scratch* scratch, grid::Region& out) {
+  std::optional<LadderResult> lad =
+      coarse_window(ctx, annuli, mask, cache, scratch);
+  if (!lad) return std::nullopt;
+  // The seed: the last level's survivors upsampled to the fine grid,
+  // clipped by `mask` over the window's row band (every seed cell lies
+  // in it). By the coarsening lemma it holds every fine cell that
+  // satisfies all the annuli, so the fine pass — the same intersect
+  // kernel the flat solve runs — leaves exactly the flat region. Seeding
+  // from survivors instead of the full window usually drops the start
+  // count below the sparse-tail threshold, skipping the fine row kernels
+  // entirely.
+  const grid::Grid& g = ctx.fine();
+  upsample_into(lad->survivors.ref(), *lad->survivor_grid, g, out);
   if (mask)
-    ageo::detail::require(mask->grid() == &ctx.fine(),
-                          "intersect_rings: mask grid mismatch");
-  // Same eager validation as the flat engine (which checks every ring it
-  // reaches before intersecting; checking all up front only strengthens
-  // the contract — a constraint list is either valid or rejected).
-  for (const auto& r : rings)
-    ageo::detail::require(r.min_km <= r.max_km,
-                          "intersect_rings: min_km must be <= max_km");
-  const double pad = conservative_pad_km(ctx.fine());
-  return refined_intersect(
-      ctx, rings.size(),
-      [&](std::size_t i) {
-        return Annulus{rings[i].center, std::max(0.0, rings[i].min_km - pad),
-                       rings[i].max_km + pad};
-      },
-      mask, cache, scratch);
+    out.intersect_with_in(*mask, lad->win.r0 * g.cols(),
+                          lad->win.r1 * g.cols());
+  return lad->win;
 }
-
-namespace {
 
 /// Exact branch-and-bound coverage sweep for an inconsistent constraint
 /// set — the refined replacement for the flat engine's full-grid sweep.
@@ -446,30 +256,31 @@ namespace {
 /// skipped. Level-0 bounds come from the zone-pruned rasterizers (cheap
 /// at the coarsest grid); deeper bounds and the fine visits use the
 /// per-cell dot test the kernels are bit-compatible with.
-template <typename AnnulusAt>
-std::size_t refine_lcs_sweep(const RefineContext& ctx, std::size_t n,
-                             AnnulusAt&& at, const grid::Region* fine_mask,
-                             grid::CapPlanCache* cache,
-                             grid::Scratch* scratch, grid::Region& region,
-                             std::vector<bool>& used) {
+std::size_t detail::refine_lcs_sweep(const RefineContext& ctx,
+                                     std::span<const Annulus> annuli,
+                                     const grid::Region* fine_mask,
+                                     grid::CapPlanCache* cache,
+                                     grid::Scratch* scratch,
+                                     grid::Region& region,
+                                     std::vector<bool>& used) {
   AGEO_SPAN("mlat", "refine_lcs_sweep");
   const grid::Grid& g = ctx.fine();
   const std::size_t L = ctx.levels();
+  const std::size_t n = annuli.size();
   used.assign(n, false);
 
   // Scans per level below the coarsest: level l < L gets that level's
-  // pad chained onto the fine pad already in at(i) (as in the window
-  // ladder); level L is the fine grid with at(i) verbatim — exactly the
-  // annuli the flat engine accumulates.
+  // pad chained onto the fine pad already in annuli[i] (as in the window
+  // ladder); level L is the fine grid with annuli[i] verbatim — exactly
+  // the annuli the flat engine accumulates.
   std::vector<std::vector<grid::detail::AnnulusScan>> scans(L + 1);
   for (std::size_t l = 1; l <= L; ++l) {
     const grid::Grid& lg = l < L ? ctx.level(l) : g;
     const double pad = l < L ? conservative_pad_km(lg) : 0.0;
     scans[l].reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Annulus a = at(i);
-      scans[l].emplace_back(lg, a.center, std::max(0.0, a.inner_km - pad),
-                            a.outer_km + pad);
+    for (const Annulus& a0 : annuli) {
+      const Annulus a = widened(a0, pad);
+      scans[l].emplace_back(lg, a.center, a.inner_km, a.outer_km);
     }
   }
 
@@ -482,15 +293,14 @@ std::size_t refine_lcs_sweep(const RefineContext& ctx, std::size_t n,
   counts_lease.mark_dirty(0, csize);
   {
     auto tmp = grid::Scratch::region(scratch, cg);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Annulus a = at(i);
-      const double inner = std::max(0.0, a.inner_km - pad0);
-      const double outer = a.outer_km + pad0;
+    for (const Annulus& a0 : annuli) {
+      const Annulus a = widened(a0, pad0);
       tmp.ref().clear();
       if (cache)
-        cache->plan(cg, a.center)->rasterize_annulus(inner, outer, tmp.ref());
+        cache->plan(cg, a.center)
+            ->rasterize_annulus(a.inner_km, a.outer_km, tmp.ref());
       else
-        rasterize_annulus_coarse(cg, a.center, inner, outer, tmp.ref());
+        rasterize_annulus_into(cg, a, tmp.ref());
       tmp.ref().for_each_cell([&](std::size_t idx) { ++counts[idx]; });
     }
   }
@@ -593,164 +403,6 @@ std::size_t refine_lcs_sweep(const RefineContext& ctx, std::size_t n,
     }
   }
   return best;
-}
-
-/// Shared refined-LCS core: windowed fast path when the coarse ladder
-/// survives and the full intersection holds, branch-and-bound coverage
-/// sweep otherwise; the flat engine answers the trivial empty list.
-template <typename AnnulusAt, typename Fallback>
-std::size_t refine_lcs(const RefineContext& ctx, std::size_t n, AnnulusAt&& at,
-                       Fallback&& flat, const grid::Region* mask,
-                       grid::CapPlanCache* cache, grid::Scratch* scratch,
-                       grid::Region& region, std::vector<bool>& used) {
-  AGEO_SPAN("mlat", "refine_lcs");
-  AGEO_COUNT("mlat.refine.solves");
-  const grid::Grid& g = ctx.fine();
-  if (mask)
-    ageo::detail::require(mask->grid() == &g,
-                          "largest_consistent_subset: mask grid mismatch");
-  ageo::detail::require(region.grid() == &g,
-                        "largest_consistent_subset: region grid mismatch");
-  if (n == 0) return flat();  // trivial: flat engine handles it directly
-
-  std::optional<LadderResult> lad =
-      coarse_window(ctx, n, at, mask, cache, scratch);
-  if (lad && windowed_intersect(g, *lad, n, at, mask, cache, scratch, region)) {
-    // All constraints admit a common cell: the maximum subset is the
-    // full set and the region is the plain intersection — the same
-    // answer (bit for bit) the flat engine returns, via either its own
-    // fast path or the coverage sweep.
-    used.assign(n, true);
-    AGEO_COUNT("mlat.refine.fast_path_hits");
-    return n;
-  }
-  // Inconsistent constraint set (or coarse-empty, which implies it): a
-  // window sized for the full set would be unsound for subset search,
-  // so run the branch-and-bound sweep over the coarse ladder instead.
-  // The failed windowed intersection left `region` all-zero — the same
-  // empty-region precondition the flat engine's sweep starts from.
-  AGEO_COUNT("mlat.refine.lcs_fallbacks");
-  return refine_lcs_sweep(ctx, n, at, mask, cache, scratch, region, used);
-}
-
-}  // namespace
-
-std::size_t refine_largest_consistent_subset_into(
-    const RefineContext& ctx, std::span<const DiskConstraint> disks,
-    const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used) {
-  const double pad = conservative_pad_km(ctx.fine());
-  return refine_lcs(
-      ctx, disks.size(),
-      [&](std::size_t i) {
-        return Annulus{disks[i].center, 0.0, disks[i].max_km + pad};
-      },
-      [&] {
-        return largest_consistent_subset_into(ctx.fine(), disks, mask, cache,
-                                              scratch, region, used);
-      },
-      mask, cache, scratch, region, used);
-}
-
-std::size_t refine_largest_consistent_subset_into(
-    const RefineContext& ctx, std::span<const RingConstraint> rings,
-    const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used) {
-  for (const auto& r : rings)
-    ageo::detail::require(r.min_km <= r.max_km,
-                          "largest_consistent_subset: min_km must be <= max_km");
-  const double pad = conservative_pad_km(ctx.fine());
-  return refine_lcs(
-      ctx, rings.size(),
-      [&](std::size_t i) {
-        return Annulus{rings[i].center, std::max(0.0, rings[i].min_km - pad),
-                       rings[i].max_km + pad};
-      },
-      [&] {
-        return largest_consistent_subset_into(ctx.fine(), rings, mask, cache,
-                                              scratch, region, used);
-      },
-      mask, cache, scratch, region, used);
-}
-
-grid::Region refine_spotter_credible(const RefineContext& ctx,
-                                     std::span<const GaussianConstraint> rings,
-                                     double credible_mass,
-                                     const grid::Region* mask,
-                                     grid::CapPlanCache* cache,
-                                     grid::Scratch* scratch) {
-  AGEO_SPAN("mlat", "refine_spotter");
-  AGEO_COUNT("mlat.refine.solves");
-  const grid::Grid& g = ctx.fine();
-  // The ladder reads every ring's support, so vet the list before it.
-  validate_gaussian_rings(g, rings, mask);
-  ageo::detail::require(credible_mass > 0.0 && credible_mass <= 1.0,
-                        "credible mass must be in (0, 1]");
-
-  // Hard support of each ring: any cell the flat posterior leaves
-  // nonzero has a < kGaussianCut for every ring, i.e. a center strictly
-  // inside [mu - W, mu + W]. These are raw (unpadded) annuli; the
-  // coarse ladder adds each level's own pad.
-  const auto at = [&](std::size_t i) {
-    const double w = grid::detail::gaussian_support_halfwidth_km(
-        rings[i].sigma_km);
-    return Annulus{rings[i].center, std::max(0.0, rings[i].mu_km - w),
-                   rings[i].mu_km + w};
-  };
-  std::optional<LadderResult> lad =
-      coarse_window(ctx, rings.size(), at, mask, cache, scratch);
-  if (!lad) {
-    // No cell survives every support annulus: the flat posterior is
-    // identically zero, normalize refuses, and the flat credible region
-    // is empty.
-    return grid::Region(g);
-  }
-
-  // The flat solve from a smaller masked start: a fine cell off the seed
-  // fails some ring's support annulus (coarsening lemma), so the flat
-  // chain multiplies it to +0.0 and drops it from the live list, while
-  // the seeded start holds it at that +0.0 from the outset. Every seed
-  // cell sees the flat factor sequence, and the mass folds and the
-  // credible cut walk the same ascending live list, so the region is the
-  // flat one bit for bit.
-  auto seed = grid::Scratch::region(scratch, g);
-  seed_into(g, *lad, mask, seed.ref());
-  auto posterior = grid::Scratch::field(scratch, g, &seed.ref());
-  fuse_gaussian_rings_into(g, rings, posterior.ref(), nullptr, cache);
-  return posterior.ref().credible_region(credible_mass);
-}
-
-std::optional<grid::Window> refine_window(const RefineContext& ctx,
-                                          std::span<const DiskConstraint> disks,
-                                          const grid::Region* mask,
-                                          grid::CapPlanCache* cache,
-                                          grid::Scratch* scratch) {
-  const double pad = conservative_pad_km(ctx.fine());
-  const std::optional<LadderResult> lad = coarse_window(
-      ctx, disks.size(),
-      [&](std::size_t i) {
-        return Annulus{disks[i].center, 0.0, disks[i].max_km + pad};
-      },
-      mask, cache, scratch);
-  if (!lad) return std::nullopt;
-  return lad->win;
-}
-
-std::optional<grid::Window> refine_window(const RefineContext& ctx,
-                                          std::span<const RingConstraint> rings,
-                                          const grid::Region* mask,
-                                          grid::CapPlanCache* cache,
-                                          grid::Scratch* scratch) {
-  const double pad = conservative_pad_km(ctx.fine());
-  const std::optional<LadderResult> lad = coarse_window(
-      ctx, rings.size(),
-      [&](std::size_t i) {
-        return Annulus{rings[i].center, std::max(0.0, rings[i].min_km - pad),
-                       rings[i].max_km + pad};
-      },
-      mask, cache, scratch);
-  if (!lad) return std::nullopt;
-  return lad->win;
 }
 
 }  // namespace ageo::mlat

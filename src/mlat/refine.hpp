@@ -1,13 +1,18 @@
-// Multi-resolution refinement driver (perf: coarse-to-fine localization).
+// Multi-resolution refinement ladder (perf: coarse-to-fine localization).
 //
 // Every localization engine in this library spends its time rasterizing
 // constraints over the full analysis grid, yet the surviving region is
-// almost always a tiny patch of it. The driver exploits that: it runs
+// almost always a tiny patch of it. The ladder exploits that: it runs
 // the whole constraint set on a coarse grid first (e.g. 2.0 deg, 64x
 // fewer cells than 0.25 deg), takes the bounding window of the coarse
-// survivors, grows it by a safety margin, maps it down one level, and
-// repeats until the final resolution, where the real engines run only
-// inside the window.
+// survivors, grows it by one coarse cell, maps it down one level, and
+// repeats until the final resolution. A solve handed a RefineContext
+// that applies to its grid and mask (the mlat entries take one as an
+// optional argument) then starts from the ladder's seed — the last
+// level's survivors upsampled, clipped by the mask — inside that window
+// instead of from the whole mask. Without one it is the zero-level
+// ladder: the mask and the full window. Both run the same intersect
+// kernel from there.
 //
 // Soundness rests on one conservative-coarsening lemma. Let a fine cell
 // be KEPT when its center satisfies a (padded) annulus constraint
@@ -18,31 +23,32 @@
 //   dist(c', L) in [inner - pad_coarse, outer + pad_coarse].
 // Hence intersecting each coarse level with the annuli widened by that
 // level's own pad keeps the parent of every flat-kept fine cell. By
-// induction over levels, the final mapped window contains every cell the
-// flat fine-grid solve would keep, so re-running the fine intersection
-// inside the window — the windowed kernel shares its row loop with the
-// flat one — reproduces the flat result bit for bit. When a coarse level
-// empties, the flat fine result is empty too, and the driver returns it
-// without touching the fine grid at all.
+// induction over levels, the seed contains every cell the flat fine-grid
+// solve would keep, and the kernel's keep criterion is per cell and
+// independent of the start and window — so running it from the seed
+// reproduces the flat result bit for bit. When a coarse level empties,
+// the flat fine result is empty too, and the solve returns it without
+// touching the fine grid at all.
 //
-// The largest-consistent-subset engine is windowed only on its fast
-// path: when the windowed all-constraint intersection is nonempty the
-// answer is that intersection with every constraint used (identical to
-// the flat engine's answer). When it is empty — the constraint set is
-// inconsistent — subset search over a window sized for the FULL set
-// would be unsound (the best subset's region need not lie inside it), so
-// the driver falls back to the flat solver. Honest workloads are
-// overwhelmingly consistent, which is where the speed matters.
+// The largest-consistent-subset engine uses the seed only while the
+// whole constraint set is consistent: then the answer is the
+// intersection with every constraint used (identical to the flat
+// engine's answer). When it is inconsistent, subset search inside a
+// window sized for the FULL set would be unsound (the best subset's
+// region need not lie inside it), so the engine runs a branch-and-bound
+// coverage sweep over the ladder's levels instead, with the same bits as
+// the flat sweep.
 //
-// Spotter posteriors window on each ring's hard support annulus
+// Spotter posteriors seed on each ring's hard support annulus
 // [mu - W, mu + W], W = grid::detail::gaussian_support_halfwidth_km: a
 // cell the flat posterior leaves nonzero has a < kGaussianCut for every
 // ring, i.e. its center strictly inside every support annulus, so the
 // coarse intersection of pad-widened support annuli contains all of
-// them. The fine pass is the flat fusion (fuse_gaussian_rings_into) on a
-// pooled full-grid Field whose masked start is the upsampled survivors:
-// every cell off that seed is one the flat chain zeroes, so the live
-// lists, mass folds and credible cut are the flat ones bit for bit.
+// them. The posterior is the flat fusion on a pooled full-grid Field
+// whose start is the seed (mlat::spotter_start): every cell off the seed
+// is one the flat chain zeroes, so the live lists, mass folds and
+// credible cut are the flat ones bit for bit — and stay so when a
+// streaming memo multiplies in more rings.
 #pragma once
 
 #include <cstddef>
@@ -67,11 +73,6 @@ namespace ageo::mlat {
 /// list means refinement is disabled.
 struct RefineSchedule {
   std::vector<double> levels;
-  /// Safety margin, in cells of each coarse level, added around the
-  /// surviving region's bounding window before mapping it down. The
-  /// lemma above holds with margin 0; the default 1 additionally
-  /// absorbs the window bookkeeping itself being off by a cell.
-  std::size_t margin_cells = 1;
 
   bool enabled() const noexcept { return !levels.empty(); }
 
@@ -130,8 +131,7 @@ class RefineContext {
 
   /// True when this context can serve a solve on `g` clipped by `mask`:
   /// the grid it was built for, and either no mask or the exact region
-  /// prepare_mask saw. Locators use this to fall back to the flat path
-  /// when called with a foreign grid or mask.
+  /// prepare_mask saw.
   bool applies_to(const grid::Grid& g, const grid::Region* mask) const noexcept {
     return &g == fine_ && (mask == nullptr || mask == prepared_for_);
   }
@@ -161,65 +161,11 @@ struct RefineTrace {
 };
 void set_refine_trace(RefineTrace* trace) noexcept;
 
-/// Refined intersect_disks: same arguments past the context, same
-/// result bits as mlat::intersect_disks on ctx.fine() — including the
-/// empty region when the constraints are inconsistent (detected at the
-/// coarse level without ever scanning the fine grid).
-grid::Region refine_intersect_disks(const RefineContext& ctx,
-                                    std::span<const DiskConstraint> disks,
-                                    const grid::Region* mask = nullptr,
-                                    grid::CapPlanCache* cache = nullptr,
-                                    grid::Scratch* scratch = nullptr);
-
-/// Refined intersect_rings; same contract (and min<=max validation) as
-/// the flat engine.
-grid::Region refine_intersect_rings(const RefineContext& ctx,
-                                    std::span<const RingConstraint> rings,
-                                    const grid::Region* mask = nullptr,
-                                    grid::CapPlanCache* cache = nullptr,
-                                    grid::Scratch* scratch = nullptr);
-
-/// Refined largest_consistent_subset_into over disks: identical region,
-/// used vector and cardinality to the flat engine, for consistent AND
-/// inconsistent inputs (the latter via the documented flat fallback).
-std::size_t refine_largest_consistent_subset_into(
-    const RefineContext& ctx, std::span<const DiskConstraint> disks,
-    const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used);
-
-/// Ring-constraint variant.
-std::size_t refine_largest_consistent_subset_into(
-    const RefineContext& ctx, std::span<const RingConstraint> rings,
-    const grid::Region* mask, grid::CapPlanCache* cache,
-    grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used);
-
-/// Refined Spotter: the credible region of the fused Gaussian-ring
-/// posterior at `credible_mass`, bit-identical to building the flat
-/// posterior with fuse_gaussian_rings and cutting it with
-/// Field::credible_region. The ring multiplies walk only the coarse
-/// survivors' children, not the flat masked start.
-grid::Region refine_spotter_credible(const RefineContext& ctx,
-                                     std::span<const GaussianConstraint> rings,
-                                     double credible_mass,
-                                     const grid::Region* mask = nullptr,
-                                     grid::CapPlanCache* cache = nullptr,
-                                     grid::Scratch* scratch = nullptr);
-
-/// The fine-grid window the driver would refine the disk intersection
-/// into (nullopt when a coarse level empties). Exposed so tests can pin
-/// the containment property — every flat-kept cell lies inside —
-/// independently of the solvers.
-std::optional<grid::Window> refine_window(const RefineContext& ctx,
-                                          std::span<const DiskConstraint> disks,
-                                          const grid::Region* mask = nullptr,
-                                          grid::CapPlanCache* cache = nullptr,
-                                          grid::Scratch* scratch = nullptr);
-
-/// Ring variant of the window probe.
-std::optional<grid::Window> refine_window(const RefineContext& ctx,
-                                          std::span<const RingConstraint> rings,
-                                          const grid::Region* mask = nullptr,
-                                          grid::CapPlanCache* cache = nullptr,
-                                          grid::Scratch* scratch = nullptr);
+/// The ladder a solve on `g` clipped by `mask` runs under `ctx`: `ctx`
+/// itself when it applies, null — the zero-level ladder, a flat solve —
+/// when it does not or is null. Every mlat entry resolves its optional
+/// context through this one test.
+const RefineContext* ladder_for(const RefineContext* ctx, const grid::Grid& g,
+                                const grid::Region* mask) noexcept;
 
 }  // namespace ageo::mlat

@@ -270,6 +270,7 @@ TEST_F(AlgosTest, CbgPlusPlusRefinedMatchesFlat) {
   CbgPlusPlusGeolocator flat;
   flat.set_plan_cache(&cache);
   bool saw_discards = false;
+  int resumed = 0;
   for (const char* sched : {"2", "4,2"}) {
     mlat::RefineContext ctx(g, mlat::RefineSchedule::parse(sched));
     ctx.prepare_mask(mask);
@@ -298,15 +299,75 @@ TEST_F(AlgosTest, CbgPlusPlusRefinedMatchesFlat) {
                   got.disks_discarded_by_baseline)
             << where;
         saw_discards |= got.disks_discarded_by_baseline > 0;
-        // A refined solve never hands out a memo.
-        GeoEstimate est;
-        EXPECT_EQ(refined.locate_memo(g, store, c.obs, m, est), nullptr)
-            << where;
-        EXPECT_EQ(want.estimate.region.words(), est.region.words()) << where;
+        // A refined solve hands out a memo exactly where the flat one
+        // does, and resuming it gives the flat locate's answer.
+        const std::size_t n = c.obs.size();
+        const std::span<const Observation> all(c.obs);
+        GeoEstimate flat_est, est;
+        const auto flat_memo =
+            flat.locate_memo(g, store, all.first(n - 1), m, flat_est);
+        auto memo = refined.locate_memo(g, store, all.first(n - 1), m, est);
+        EXPECT_EQ(memo != nullptr, flat_memo != nullptr) << where;
+        EXPECT_EQ(flat_est.region.words(), est.region.words()) << where;
+        GeoEstimate upd;
+        if (memo &&
+            refined.locate_update(*memo, g, store, all, n - 1, m, upd)) {
+          ++resumed;
+          EXPECT_EQ(want.estimate.region.words(), upd.region.words())
+              << where;
+          EXPECT_EQ(want.estimate.used, upd.used) << where;
+          EXPECT_EQ(want.estimate.constraints_used, upd.constraints_used)
+              << where;
+        }
       }
     }
   }
   EXPECT_TRUE(saw_discards);
+  EXPECT_GT(resumed, 0);
+}
+
+TEST_F(AlgosTest, MemoRejectsForeignMask) {
+  // A memo is bound to the grid and mask it was captured under: an
+  // update under another mask would return a region clipped by the
+  // capture's mask, so it is refused.
+  grid::CapPlanCache cache(64);
+  const grid::Region band = grid::rasterize_lat_band(g, 30.0, 65.0);
+  CbgPlusPlusGeolocator pp;
+  pp.set_plan_cache(&cache);
+  SpotterGeolocator spotter;
+  spotter.set_plan_cache(&cache);
+  const auto obs = observe(5);
+  const std::span<const Observation> all(obs);
+  const std::size_t n = obs.size();
+  for (const Geolocator* loc :
+       {static_cast<const Geolocator*>(&pp),
+        static_cast<const Geolocator*>(&spotter)}) {
+    SCOPED_TRACE(std::string(loc->name()));
+    const auto capture = [&] {
+      GeoEstimate est;
+      auto memo = loc->locate_memo(g, store, all.first(n - 1), &band, est);
+      EXPECT_NE(memo, nullptr);
+      return memo;
+    };
+    GeoEstimate upd;
+    auto memo = capture();
+    ASSERT_NE(memo, nullptr);
+    EXPECT_THROW(
+        (void)loc->locate_update(*memo, g, store, all, n - 1, nullptr, upd),
+        InvalidArgument);
+    memo = capture();
+    ASSERT_NE(memo, nullptr);
+    grid::Grid other(2.0);
+    EXPECT_THROW(
+        (void)loc->locate_update(*memo, other, store, all, n - 1, &band, upd),
+        InvalidArgument);
+    // The capture's own grid and mask still resume.
+    memo = capture();
+    ASSERT_NE(memo, nullptr);
+    EXPECT_TRUE(loc->locate_update(*memo, g, store, all, n - 1, &band, upd));
+    EXPECT_EQ(loc->locate(g, store, obs, &band).region.words(),
+              upd.region.words());
+  }
 }
 
 TEST_F(AlgosTest, MaskIsRespected) {

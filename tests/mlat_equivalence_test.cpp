@@ -1,8 +1,8 @@
 // Equivalence suite for the zero-allocation fast paths.
 //
 // Three families of oracle are pinned here:
-//   1. Fused annulus kernels (CapScanPlan::intersect_annulus_into /
-//      subtract_annulus_into) against materialize-then-AND(-NOT).
+//   1. The fused annulus kernel (CapScanPlan::intersect_annulus_into)
+//      against materialize-then-AND.
 //   2. The sparse multi-plane largest_consistent_subset against the
 //      retained dense reference::largest_consistent_subset (≤64 disks),
 //      and against a count-based oracle for >64 disks.
@@ -12,8 +12,10 @@
 // All comparisons are on raw Region words — bit-identical, not "close".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,6 +25,7 @@
 #include "grid/field.hpp"
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
+#include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
 #include "netsim/network.hpp"
 #include "world/hubs.hpp"
@@ -61,7 +64,7 @@ std::vector<DiskConstraint> random_disks(Rng& rng, std::size_t n,
   return disks;
 }
 
-TEST(FusedKernels, IntersectAndSubtractMatchMaterialized) {
+TEST(FusedKernels, IntersectMatchesMaterialized) {
   grid::Grid g(1.0);
   grid::CapPlanCache cache(64);
   Rng rng(20260807, "fused_kernels");
@@ -78,17 +81,10 @@ TEST(FusedKernels, IntersectAndSubtractMatchMaterialized) {
     grid::Region and_oracle = base;
     and_oracle &= annulus;
     grid::Region fused_and = base;
-    plan->intersect_annulus_into(inner, outer, fused_and);
+    plan->intersect_annulus_into(inner, outer, fused_and,
+                                 grid::full_window(g));
     ASSERT_EQ(and_oracle.words(), fused_and.words())
         << "intersect iter " << iter << " center (" << c.lat_deg << ", "
-        << c.lon_deg << ") inner " << inner << " outer " << outer;
-
-    grid::Region sub_oracle = base;
-    sub_oracle.subtract(annulus);
-    grid::Region fused_sub = base;
-    plan->subtract_annulus_into(inner, outer, fused_sub);
-    ASSERT_EQ(sub_oracle.words(), fused_sub.words())
-        << "subtract iter " << iter << " center (" << c.lat_deg << ", "
         << c.lon_deg << ") inner " << inner << " outer " << outer;
   }
 }
@@ -99,31 +95,25 @@ TEST(FusedKernels, EmptyAndDegenerateAnnuli) {
   auto plan = cache.plan(g, {40.0, -3.0});
   grid::Region base = grid::rasterize_lat_band(g, -30.0, 60.0);
 
-  // Empty annulus (outer < inner after clamping): intersect empties,
-  // subtract is a no-op. Same as the materialized oracle.
+  const grid::Window all_rows = grid::full_window(g);
+
+  // Empty annulus (outer < inner after clamping): intersect empties.
+  // Same as the materialized oracle.
   grid::Region annulus(g);
   plan->rasterize_annulus(500.0, 100.0, annulus);
   EXPECT_TRUE(annulus.empty());
   grid::Region fused_and = base;
-  plan->intersect_annulus_into(500.0, 100.0, fused_and);
+  plan->intersect_annulus_into(500.0, 100.0, fused_and, all_rows);
   EXPECT_TRUE(fused_and.empty());
-  grid::Region fused_sub = base;
-  plan->subtract_annulus_into(500.0, 100.0, fused_sub);
-  EXPECT_EQ(base.words(), fused_sub.words());
 
-  // Whole-earth disk: intersect is a no-op, subtract empties.
+  // Whole-earth disk: intersect is a no-op.
   grid::Region all(g);
   plan->rasterize_annulus(0.0, 21000.0, all);
   grid::Region fused_all = base;
-  plan->intersect_annulus_into(0.0, 21000.0, fused_all);
+  plan->intersect_annulus_into(0.0, 21000.0, fused_all, all_rows);
   grid::Region oracle_all = base;
   oracle_all &= all;
   EXPECT_EQ(oracle_all.words(), fused_all.words());
-  grid::Region fused_none = base;
-  plan->subtract_annulus_into(0.0, 21000.0, fused_none);
-  grid::Region oracle_none = base;
-  oracle_none.subtract(all);
-  EXPECT_EQ(oracle_none.words(), fused_none.words());
 }
 
 // Every (cache, scratch) combination of the sparse engine against the
@@ -358,6 +348,72 @@ TEST(SubsetEquivalence, AdversarialRingsOver64AgainstCountOracle) {
     EXPECT_EQ(plain.n_used, fast.n_used);
     EXPECT_EQ(plain.used, fast.used);
     EXPECT_EQ(plain.region.words(), fast.region.words());
+  }
+}
+
+// The flat solves run the intersect kernel's per-cell tail once the
+// region drops under 4,096 cells. Pin that tail against the dense
+// reference, which shares no code with it: consistent constraint sets
+// whose intersection is a few hundred cells, listed loosest first so the
+// kernel's tightest-first reordering matters.
+TEST(MlatEquivalence, FlatSparseTailMatchesReference) {
+  grid::Grid g(1.0);
+  Rng rng(20261017, "flat_sparse_tail");
+  const grid::Region mask = grid::rasterize_lat_band(g, -60.0, 80.0);
+  grid::Scratch* arena = &grid::Scratch::tls();
+  for (int iter = 0; iter < 8; ++iter) {
+    const geo::LatLon target{rng.uniform(-55.0, 75.0),
+                             rng.uniform(-180.0, 180.0)};
+    std::vector<DiskConstraint> disks;
+    std::vector<RingConstraint> rings;
+    for (int i = 0; i < 10; ++i) {
+      const geo::LatLon lm = random_point(rng);
+      const double d = geo::distance_km(lm, target);
+      disks.push_back({lm, d + rng.uniform(100.0, 900.0)});
+      rings.push_back({lm, std::max(0.0, d - rng.uniform(100.0, 900.0)),
+                       d + rng.uniform(100.0, 900.0)});
+    }
+    std::sort(disks.begin(), disks.end(),
+              [](const DiskConstraint& x, const DiskConstraint& y) {
+                return x.max_km > y.max_km;
+              });
+    for (const grid::Region* m : {static_cast<const grid::Region*>(nullptr),
+                                  &mask}) {
+      const SubsetResult d_ref =
+          reference::largest_consistent_subset(g, disks, m);
+      const SubsetResult r_ref =
+          reference::largest_consistent_subset(g, rings, m);
+      ASSERT_EQ(d_ref.n_used, disks.size()) << iter;
+      ASSERT_LT(d_ref.region.count(), 4096u) << iter;
+      grid::CapPlanCache cache(32);
+      for (grid::CapPlanCache* pc :
+           {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
+        for (grid::Scratch* sc :
+             {static_cast<grid::Scratch*>(nullptr), arena}) {
+          const std::string where = "iter=" + std::to_string(iter) +
+                                    " mask=" + std::to_string(m != nullptr) +
+                                    " cache=" + std::to_string(pc != nullptr);
+          const SubsetResult d =
+              largest_consistent_subset(g, disks, m, pc, sc);
+          EXPECT_EQ(d_ref.n_used, d.n_used) << where;
+          EXPECT_EQ(d_ref.used, d.used) << where;
+          EXPECT_EQ(d_ref.region.words(), d.region.words()) << where;
+          EXPECT_EQ(d_ref.region.words(),
+                    intersect_disks(g, disks, m, pc, sc).words())
+              << where;
+          const SubsetResult r =
+              largest_consistent_subset(g, rings, m, pc, sc);
+          EXPECT_EQ(r_ref.n_used, r.n_used) << where;
+          EXPECT_EQ(r_ref.used, r.used) << where;
+          EXPECT_EQ(r_ref.region.words(), r.region.words()) << where;
+          if (r_ref.n_used == rings.size()) {
+            EXPECT_EQ(r_ref.region.words(),
+                      intersect_rings(g, rings, m, pc, sc).words())
+                << where;
+          }
+        }
+      }
+    }
   }
 }
 

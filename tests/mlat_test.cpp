@@ -3,6 +3,7 @@
 
 #include "common/error.hpp"
 #include "geo/geodesy.hpp"
+#include "grid/cap_cache.hpp"
 #include "grid/raster.hpp"
 #include "mlat/multilateration.hpp"
 
@@ -85,6 +86,20 @@ TEST(Rings, ValidatesOrdering) {
   grid::Grid g(2.0);
   std::vector<RingConstraint> rings{{{0.0, 0.0}, 500.0, 100.0}};
   EXPECT_THROW(intersect_rings(g, rings), InvalidArgument);
+}
+
+TEST(MlatTest, IntersectRingsRejectsInvalidRingAfterEmpty) {
+  // The first two rings share no cell, so the intersection is empty
+  // before the malformed third ring is reached. The list is still
+  // rejected, with or without a plan cache — the same contract as the
+  // subset engine's ring overload.
+  grid::Grid g(2.0);
+  grid::CapPlanCache cache(8);
+  const std::vector<RingConstraint> rings{{{40.0, -100.0}, 0.0, 200.0},
+                                          {{-30.0, 120.0}, 0.0, 200.0},
+                                          {{0.0, 0.0}, 500.0, 100.0}};
+  EXPECT_THROW(intersect_rings(g, rings), InvalidArgument);
+  EXPECT_THROW(intersect_rings(g, rings, nullptr, &cache), InvalidArgument);
 }
 
 TEST(Gaussian, PosteriorPeaksAtTruth) {

@@ -216,9 +216,8 @@ TEST(SimdKernels, AnnulusOpsMatchScalarBitForBit) {
   if (!detail::cpu_has_avx2()) GTEST_SKIP() << "AVX2 not available";
   const Grid g(2.0);
   const geo::Vec3* centers = &g.center_vec(0);
-  const FoldPair ops[3] = {folds<detail::AnnulusOp::kSet>(),
-                           folds<detail::AnnulusOp::kIntersect>(),
-                           folds<detail::AnnulusOp::kSubtract>()};
+  const FoldPair ops[2] = {folds<detail::AnnulusOp::kSet>(),
+                           folds<detail::AnnulusOp::kIntersect>()};
 
   std::mt19937_64 rng(20260809);
   std::uniform_real_distribution<double> lat(-90.0, 90.0), lon(-180.0, 180.0);
@@ -236,7 +235,7 @@ TEST(SimdKernels, AnnulusOpsMatchScalarBitForBit) {
     const std::size_t nwords = (g.size() + 63) / 64;
     std::vector<std::uint64_t> ws(nwords), wv(nwords);
     for (std::size_t i = 0; i < nwords; ++i) ws[i] = wv[i] = word(rng);
-    const FoldPair& op = ops[trial % 3];
+    const FoldPair& op = ops[trial % 2];
     op.scalar(centers, begin, end, v, cos_outer, cos_inner, ws.data());
     op.avx2(centers, begin, end, v, cos_outer, cos_inner, wv.data());
     EXPECT_EQ(ws, wv) << "trial " << trial << " [" << begin << "," << end
@@ -250,16 +249,13 @@ TEST(SimdKernels, AnnulusOpsTouchOnlyTheRun) {
   const std::size_t nwords = (g.size() + 63) / 64;
   const geo::Vec3 v = geo::to_vec3(geo::LatLon{10.0, 20.0});
   const FoldPair intersect = folds<detail::AnnulusOp::kIntersect>();
-  const FoldPair subtract = folds<detail::AnnulusOp::kSubtract>();
   for (const bool avx2 : {false, true}) {
     if (avx2 && !detail::cpu_has_avx2()) continue;
     // A run [70, 130) may only alter bits 70..129; everything else of the
-    // prefilled pattern must survive intersect and subtract untouched.
+    // prefilled pattern must survive intersect untouched.
     std::vector<std::uint64_t> w(nwords, 0xAAAAAAAAAAAAAAAAull);
     (avx2 ? intersect.avx2 : intersect.scalar)(centers, 70, 130, v, -0.5, 0.5,
                                                w.data());
-    (avx2 ? subtract.avx2 : subtract.scalar)(centers, 70, 130, v, -0.5, 0.5,
-                                             w.data());
     EXPECT_EQ(w[0], 0xAAAAAAAAAAAAAAAAull);
     // Bits of word 1 below position 6 (cells 64..69) are outside the run.
     EXPECT_EQ(w[1] & 0x3Full, 0xAAAAAAAAAAAAAAAAull & 0x3Full);

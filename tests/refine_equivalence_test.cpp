@@ -7,12 +7,14 @@
 //   2. The windowed annulus kernel against materialize-then-AND inside
 //      arbitrary windows.
 //   3. The containment property: every cell of the flat solve lies in
-//      the window the coarse ladder derives (the coarsening lemma).
+//      the seed and window the coarse ladder derives (the coarsening
+//      lemma).
 //   4. Refined intersect / largest-consistent-subset / Spotter
-//      posterior against their flat counterparts, across schedules,
-//      margins, masks, cache and arena variants — consistent AND
-//      inconsistent constraint sets (the latter exercising the
-//      coarse-empty early exit and the documented LCS fallback).
+//      posterior against their flat counterparts (and the intersects
+//      against a materialize-then-AND oracle), across schedules, masks,
+//      cache and arena variants — consistent AND inconsistent constraint
+//      sets (the latter exercising the coarse-empty early exit and the
+//      ladder's coverage sweep).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +29,7 @@
 #include "grid/raster.hpp"
 #include "grid/scratch.hpp"
 #include "grid/window.hpp"
+#include "mlat/detail.hpp"
 #include "mlat/multilateration.hpp"
 #include "mlat/refine.hpp"
 
@@ -61,6 +64,44 @@ std::vector<RingConstraint> clustered_rings(Rng& rng, std::size_t n,
                      d + rng.uniform(100.0, 600.0)});
   }
   return rings;
+}
+
+/// Independent oracle for the intersect solves: the mask (or full grid)
+/// ANDed with each padded annulus, materialized by the one-shot
+/// rasterizer, in input order.
+template <typename Constraint, typename Bounds>
+grid::Region materialized(const grid::Grid& g,
+                          const std::vector<Constraint>& cs,
+                          const grid::Region* mask, Bounds&& bounds) {
+  grid::Region out(g);
+  if (mask)
+    out = *mask;
+  else
+    out.fill();
+  const double pad = conservative_pad_km(g);
+  for (const auto& c : cs) {
+    const auto [inner, outer] = bounds(c, pad);
+    out &= inner <= 0.0 ? grid::rasterize_cap(g, geo::Cap{c.center, outer})
+                        : grid::rasterize_ring(
+                              g, geo::Ring{c.center, inner, outer});
+  }
+  return out;
+}
+
+grid::Region materialized_disks(const grid::Grid& g,
+                                const std::vector<DiskConstraint>& disks,
+                                const grid::Region* mask) {
+  return materialized(g, disks, mask, [](const DiskConstraint& d, double pad) {
+    return std::pair{0.0, d.max_km + pad};
+  });
+}
+
+grid::Region materialized_rings(const grid::Grid& g,
+                                const std::vector<RingConstraint>& rings,
+                                const grid::Region* mask) {
+  return materialized(g, rings, mask, [](const RingConstraint& r, double pad) {
+    return std::pair{std::max(0.0, r.min_km - pad), r.max_km + pad};
+  });
 }
 
 // ---------------------------------------------------------------------
@@ -292,13 +333,15 @@ TEST(RefineWindow, ContainsEveryCellOfTheFlatSolve) {
       const auto disks = clustered_disks(rng, 8, target);
       const grid::Region flat =
           intersect_disks(fine, disks, &mask, &cache, arena);
-      const auto win = refine_window(ctx, disks, &mask, &cache, arena);
+      grid::Region seed(fine);
+      const auto win = detail::ladder_seed_into(
+          ctx, detail::disk_annuli(fine, disks), &mask, &cache, arena, seed);
       if (!win.has_value()) {
         EXPECT_TRUE(flat.empty()) << sched << " iter=" << iter;
         continue;
       }
       flat.for_each_cell([&](std::size_t idx) {
-        ASSERT_TRUE(win->contains(fine, idx))
+        ASSERT_TRUE(win->contains(fine, idx) && seed.test(idx))
             << sched << " iter=" << iter << " idx=" << idx;
       });
     }
@@ -324,20 +367,27 @@ TEST(RefinedIntersect, MatchesFlatAcrossSchedulesAndVariants) {
       const auto rings = clustered_rings(rng, 7, target);
       for (const grid::Region* m : {static_cast<const grid::Region*>(nullptr),
                                     &mask}) {
-        const grid::Region d_flat = intersect_disks(fine, disks, m);
-        const grid::Region r_flat = intersect_rings(fine, rings, m);
+        const grid::Region d_want = materialized_disks(fine, disks, m);
+        const grid::Region r_want = materialized_rings(fine, rings, m);
         for (grid::CapPlanCache* pc :
              {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
           for (grid::Scratch* sc :
                {static_cast<grid::Scratch*>(nullptr), arena}) {
-            EXPECT_EQ(d_flat.words(),
-                      refine_intersect_disks(ctx, disks, m, pc, sc).words())
-                << sched << " iter=" << iter << " cache=" << (pc != nullptr)
-                << " arena=" << (sc != nullptr) << " mask=" << (m != nullptr);
-            EXPECT_EQ(r_flat.words(),
-                      refine_intersect_rings(ctx, rings, m, pc, sc).words())
-                << sched << " iter=" << iter << " cache=" << (pc != nullptr)
-                << " arena=" << (sc != nullptr) << " mask=" << (m != nullptr);
+            // The flat solve (the zero-level ladder) and the refined one.
+            for (const RefineContext* rc :
+                 {static_cast<const RefineContext*>(nullptr),
+                  static_cast<const RefineContext*>(&ctx)}) {
+              EXPECT_EQ(d_want.words(),
+                        intersect_disks(fine, disks, m, pc, sc, rc).words())
+                  << sched << " iter=" << iter << " cache=" << (pc != nullptr)
+                  << " arena=" << (sc != nullptr) << " mask=" << (m != nullptr)
+                  << " refined=" << (rc != nullptr);
+              EXPECT_EQ(r_want.words(),
+                        intersect_rings(fine, rings, m, pc, sc, rc).words())
+                  << sched << " iter=" << iter << " cache=" << (pc != nullptr)
+                  << " arena=" << (sc != nullptr) << " mask=" << (m != nullptr)
+                  << " refined=" << (rc != nullptr);
+            }
           }
         }
       }
@@ -354,10 +404,14 @@ TEST(RefinedIntersect, InconsistentSetsEmptyAtTheCoarseLevel) {
   const std::vector<DiskConstraint> disks = {
       {{40.0, -100.0}, 200.0}, {{-30.0, 120.0}, 200.0}};
   RefineContext ctx(fine, RefineSchedule::parse("2"));
-  EXPECT_FALSE(refine_window(ctx, disks, nullptr, &cache, arena).has_value());
+  grid::Region seed(fine);
+  EXPECT_FALSE(detail::ladder_seed_into(ctx, detail::disk_annuli(fine, disks),
+                                        nullptr, &cache, arena, seed)
+                   .has_value());
+  EXPECT_TRUE(seed.empty());
   const grid::Region flat = intersect_disks(fine, disks);
   const grid::Region refined =
-      refine_intersect_disks(ctx, disks, nullptr, &cache, arena);
+      intersect_disks(fine, disks, nullptr, &cache, arena, &ctx);
   EXPECT_TRUE(flat.empty());
   EXPECT_TRUE(refined.empty());
   EXPECT_EQ(flat.words(), refined.words());
@@ -385,8 +439,8 @@ TEST(RefinedLcs, ConsistentSetsTakeTheWindowedFastPath) {
          {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
       grid::Region ref_r(fine);
       std::vector<bool> ref_used;
-      const std::size_t ref_n = refine_largest_consistent_subset_into(
-          ctx, disks, &mask, pc, arena, ref_r, ref_used);
+      const std::size_t ref_n = largest_consistent_subset_into(
+          fine, disks, &mask, pc, arena, ref_r, ref_used, &ctx);
       EXPECT_EQ(flat_n, ref_n) << iter;
       EXPECT_EQ(flat_used, ref_used) << iter;
       EXPECT_EQ(flat_r.words(), ref_r.words()) << iter;
@@ -398,8 +452,8 @@ TEST(RefinedLcs, ConsistentSetsTakeTheWindowedFastPath) {
         fine, rings, &mask, &cache, arena, flat_ring, flat_ring_used);
     grid::Region ref_ring(fine);
     std::vector<bool> ref_ring_used;
-    const std::size_t ref_ring_n = refine_largest_consistent_subset_into(
-        ctx, rings, &mask, &cache, arena, ref_ring, ref_ring_used);
+    const std::size_t ref_ring_n = largest_consistent_subset_into(
+        fine, rings, &mask, &cache, arena, ref_ring, ref_ring_used, &ctx);
     EXPECT_EQ(flat_ring_n, ref_ring_n) << iter;
     EXPECT_EQ(flat_ring_used, ref_ring_used) << iter;
     EXPECT_EQ(flat_ring.words(), ref_ring.words()) << iter;
@@ -414,8 +468,9 @@ TEST(RefinedLcs, InconsistentSetsFallBackToTheFlatSolver) {
   RefineContext ctx(fine, RefineSchedule::parse("4"));
   for (int iter = 0; iter < 6; ++iter) {
     // Two consistent clusters of SMALL disks far apart: the full set is
-    // inconsistent, so the refined engine must defer to the flat one
-    // (whose answer involves subset search the window cannot bound).
+    // inconsistent, so the refined engine must leave the window (the
+    // answer involves subset search the window cannot bound) for the
+    // ladder's coverage sweep, which must match the flat sweep.
     const geo::LatLon a{rng.uniform(-60.0, 60.0), rng.uniform(-170.0, -10.0)};
     const geo::LatLon b{-a.lat_deg, a.lon_deg + 150.0};
     const auto local_disks = [&](const geo::LatLon& c, std::size_t n) {
@@ -439,8 +494,8 @@ TEST(RefinedLcs, InconsistentSetsFallBackToTheFlatSolver) {
 
     grid::Region ref_r(fine);
     std::vector<bool> ref_used;
-    const std::size_t ref_n = refine_largest_consistent_subset_into(
-        ctx, disks, nullptr, &cache, arena, ref_r, ref_used);
+    const std::size_t ref_n = largest_consistent_subset_into(
+        fine, disks, nullptr, &cache, arena, ref_r, ref_used, &ctx);
     EXPECT_EQ(flat_n, ref_n) << iter;
     EXPECT_EQ(flat_used, ref_used) << iter;
     EXPECT_EQ(flat_r.words(), ref_r.words()) << iter;
@@ -474,8 +529,8 @@ TEST(RefinedSpotter, CredibleRegionMatchesFlatPosterior) {
           const grid::Region flat_cr = flat.credible_region(mass);
           for (grid::CapPlanCache* pc :
                {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
-            const grid::Region refined = refine_spotter_credible(
-                ctx, rings, mass, m, pc, arena);
+            const grid::Region refined =
+                spotter_credible(fine, rings, mass, m, pc, arena, &ctx);
             ASSERT_EQ(flat_cr.words(), refined.words())
                 << sched << " iter=" << iter << " mass=" << mass
                 << " cache=" << (pc != nullptr) << " mask=" << (m != nullptr);
@@ -494,29 +549,10 @@ TEST(RefinedSpotter, ZeroMassPosteriorGivesEmptyRegionLikeFlat) {
       {{40.0, -100.0}, 500.0, 30.0}, {{-30.0, 120.0}, 500.0, 30.0}};
   const grid::Field flat = fuse_gaussian_rings(fine, rings);
   const grid::Region flat_cr = flat.credible_region(0.95);
-  const grid::Region refined = refine_spotter_credible(ctx, rings, 0.95);
+  const grid::Region refined =
+      spotter_credible(fine, rings, 0.95, nullptr, nullptr, nullptr, &ctx);
   EXPECT_TRUE(refined.empty());
   EXPECT_EQ(flat_cr.words(), refined.words());
-}
-
-TEST(RefinedSolvers, MarginZeroAndLargeMarginsAgree) {
-  grid::Grid fine(0.5);
-  grid::CapPlanCache cache(128);
-  grid::Scratch* arena = &grid::Scratch::tls();
-  Rng rng(20260809, "margins");
-  const geo::LatLon target = random_point(rng);
-  const auto disks = clustered_disks(rng, 8, target);
-  const grid::Region flat = intersect_disks(fine, disks, nullptr, &cache,
-                                            arena);
-  for (const std::size_t margin : {std::size_t{0}, std::size_t{3}}) {
-    RefineSchedule sched = RefineSchedule::parse("4,2");
-    sched.margin_cells = margin;
-    RefineContext ctx(fine, sched);
-    EXPECT_EQ(flat.words(),
-              refine_intersect_disks(ctx, disks, nullptr, &cache, arena)
-                  .words())
-        << "margin=" << margin;
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -633,19 +669,21 @@ TEST(RefinedEquivalenceEnv, ScheduleFromEnvironmentOnQuarterDegreeGrid) {
     const auto disks = clustered_disks(rng, 7, target);
     const auto rings = clustered_rings(rng, 7, target);
 
-    EXPECT_EQ(intersect_disks(fine, disks, &mask, &cache, arena).words(),
-              refine_intersect_disks(ctx, disks, &mask, &cache, arena).words())
+    EXPECT_EQ(
+        materialized_disks(fine, disks, &mask).words(),
+        intersect_disks(fine, disks, &mask, &cache, arena, &ctx).words())
         << iter;
-    EXPECT_EQ(intersect_rings(fine, rings, &mask, &cache, arena).words(),
-              refine_intersect_rings(ctx, rings, &mask, &cache, arena).words())
+    EXPECT_EQ(
+        materialized_rings(fine, rings, &mask).words(),
+        intersect_rings(fine, rings, &mask, &cache, arena, &ctx).words())
         << iter;
 
     grid::Region flat_r(fine), ref_r(fine);
     std::vector<bool> flat_used, ref_used;
     const std::size_t flat_n = largest_consistent_subset_into(
         fine, disks, &mask, &cache, arena, flat_r, flat_used);
-    const std::size_t ref_n = refine_largest_consistent_subset_into(
-        ctx, disks, &mask, &cache, arena, ref_r, ref_used);
+    const std::size_t ref_n = largest_consistent_subset_into(
+        fine, disks, &mask, &cache, arena, ref_r, ref_used, &ctx);
     EXPECT_EQ(flat_n, ref_n) << iter;
     EXPECT_EQ(flat_used, ref_used) << iter;
     EXPECT_EQ(flat_r.words(), ref_r.words()) << iter;
@@ -660,7 +698,8 @@ TEST(RefinedEquivalenceEnv, ScheduleFromEnvironmentOnQuarterDegreeGrid) {
         fuse_gaussian_rings(fine, gauss, &mask, &cache, arena);
     EXPECT_EQ(
         flat_field.credible_region(0.95).words(),
-        refine_spotter_credible(ctx, gauss, 0.95, &mask, &cache, arena).words())
+        spotter_credible(fine, gauss, 0.95, &mask, &cache, arena, &ctx)
+            .words())
         << iter;
   }
 }

@@ -435,54 +435,67 @@ TEST(AuditService, ReportInvariantAcrossThreads) {
 TEST(AuditService, IncrementalSolvesMatchFullOracle) {
   // After streaming rounds, every row's (region, constraint counts,
   // used flags) must equal a cold full locate() on the same observation
-  // list — the incremental memo path is bit-transparent.
-  measure::Testbed bed(small_bed_config());
-  auto fleet = small_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(4);
-  serve::AuditService service(bed, cfg);
-  service.admit(fleet);
-  service.bootstrap();
-  service.run_rounds(serve_rounds(6));
-  auto rep = service.report();
-  EXPECT_GT(rep.stats.incremental_updates, 0u);
+  // list — the incremental memo path is bit-transparent. Flat and under
+  // a refine ladder ("4" on the 2-degree grid): refined solves keep
+  // memos too, and their rows equal the flat oracle.
+  for (const char* sched : {"", "4"}) {
+    SCOPED_TRACE(std::string("refine '") + sched + "'");
+    measure::Testbed bed(small_bed_config());
+    auto fleet = small_fleet(bed.world());
+    serve::ServiceConfig cfg = service_config(4);
+    cfg.audit.refine = mlat::RefineSchedule::parse(sched);
+    serve::AuditService service(bed, cfg);
+    service.admit(fleet);
+    service.bootstrap();
+    service.run_rounds(serve_rounds(6));
+    auto rep = service.report();
+    EXPECT_GT(rep.stats.incremental_updates, 0u);
 
-  auto oracle = assess::make_geolocator(cfg.audit);
-  grid::CapPlanCache oracle_cache(1024);
-  oracle->set_plan_cache(&oracle_cache);
-  const grid::Region mask = bed.world().plausibility_mask(*rep.grid);
-  for (const auto& row : rep.rows) {
-    SCOPED_TRACE("row " + std::to_string(row.host_index));
-    if (row.observations.empty()) continue;
-    auto est = oracle->locate(*rep.grid, bed.store(), row.observations, &mask);
-    EXPECT_TRUE(est.region == row.region);
-    EXPECT_EQ(est.constraints_total, row.constraints_total);
-    EXPECT_EQ(est.constraints_used, row.constraints_used);
-    EXPECT_EQ(est.used, row.landmark_used);
+    auto oracle = assess::make_geolocator(cfg.audit);  // flat: no ladder
+    grid::CapPlanCache oracle_cache(1024);
+    oracle->set_plan_cache(&oracle_cache);
+    const grid::Region mask = bed.world().plausibility_mask(*rep.grid);
+    for (const auto& row : rep.rows) {
+      SCOPED_TRACE("row " + std::to_string(row.host_index));
+      if (row.observations.empty()) continue;
+      auto est =
+          oracle->locate(*rep.grid, bed.store(), row.observations, &mask);
+      EXPECT_TRUE(est.region == row.region);
+      EXPECT_EQ(est.constraints_total, row.constraints_total);
+      EXPECT_EQ(est.constraints_used, row.constraints_used);
+      EXPECT_EQ(est.used, row.landmark_used);
+    }
   }
 }
 
 TEST(AuditService, SpotterStreamingMatchesFullOracle) {
-  measure::Testbed bed(small_bed_config());
-  auto fleet = tiny_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(2);
-  cfg.audit.algorithm = assess::AuditAlgorithm::kSpotter;
-  serve::AuditService service(bed, cfg);
-  service.admit(fleet);
-  service.bootstrap();
-  service.run_rounds(serve_rounds(4));
-  auto rep = service.report();
-  EXPECT_GT(rep.stats.incremental_updates, 0u);
+  // Flat and refined ("4" on the 2-degree grid), as above.
+  for (const char* sched : {"", "4"}) {
+    SCOPED_TRACE(std::string("refine '") + sched + "'");
+    measure::Testbed bed(small_bed_config());
+    auto fleet = tiny_fleet(bed.world());
+    serve::ServiceConfig cfg = service_config(2);
+    cfg.audit.algorithm = assess::AuditAlgorithm::kSpotter;
+    cfg.audit.refine = mlat::RefineSchedule::parse(sched);
+    serve::AuditService service(bed, cfg);
+    service.admit(fleet);
+    service.bootstrap();
+    service.run_rounds(serve_rounds(4));
+    auto rep = service.report();
+    EXPECT_GT(rep.stats.incremental_updates, 0u);
 
-  auto oracle = assess::make_geolocator(cfg.audit);
-  grid::CapPlanCache oracle_cache(1024);
-  oracle->set_plan_cache(&oracle_cache);
-  const grid::Region mask = bed.world().plausibility_mask(*rep.grid);
-  for (const auto& row : rep.rows) {
-    SCOPED_TRACE("row " + std::to_string(row.host_index));
-    if (row.observations.empty()) continue;
-    auto est = oracle->locate(*rep.grid, bed.store(), row.observations, &mask);
-    EXPECT_TRUE(est.region == row.region);
-    EXPECT_EQ(est.area_km2(), row.area_km2);
+    auto oracle = assess::make_geolocator(cfg.audit);  // flat: no ladder
+    grid::CapPlanCache oracle_cache(1024);
+    oracle->set_plan_cache(&oracle_cache);
+    const grid::Region mask = bed.world().plausibility_mask(*rep.grid);
+    for (const auto& row : rep.rows) {
+      SCOPED_TRACE("row " + std::to_string(row.host_index));
+      if (row.observations.empty()) continue;
+      auto est =
+          oracle->locate(*rep.grid, bed.store(), row.observations, &mask);
+      EXPECT_TRUE(est.region == row.region);
+      EXPECT_EQ(est.area_km2(), row.area_km2);
+    }
   }
 }
 
@@ -790,16 +803,14 @@ TEST(AuditService, AutoSizesPlanCacheAndScratchStore) {
   const grid::CapPlanCache::Stats warm = service.report().plan_cache;
   service.run_rounds(serve_rounds(6));
   auto rep = service.report();
-  // Bootstrap paid the cold misses (one per landmark); in the streaming
-  // steady state every plan is resident, so the cache never evicts and
-  // the rounds' fetches run ≥99% out of cache.
+  // The cache never evicts, so each (landmark, grid) plan is built at
+  // most once: misses over bootstrap and rounds together stay within the
+  // landmark count (one grid). Bootstrap pays most of them; a landmark
+  // whose constraints have only reached the intersect kernel's per-cell
+  // tail (which fetches no plan) is first built during the rounds.
   EXPECT_EQ(rep.plan_cache.evictions, 0u);
-  const double hits =
-      static_cast<double>(rep.plan_cache.hits - warm.hits);
-  const double total =
-      hits + static_cast<double>(rep.plan_cache.misses - warm.misses);
-  ASSERT_GT(total, 0.0);
-  EXPECT_GE(hits / total, 0.99);
+  EXPECT_GT(warm.misses, 0u);
+  EXPECT_LE(rep.plan_cache.misses, bed.store().size());
   grid::Scratch::set_store_capacity(grid::Scratch::kDefaultStoreCapacity);
 }
 
