@@ -99,7 +99,13 @@ AbResult bench_incremental_ab(const assess::AuditConfig& cfg,
   AbResult res;
   auto inc_loc = assess::make_geolocator(cfg);
   auto full_loc = assess::make_geolocator(cfg);
-  grid::CapPlanCache inc_cache(2048), full_cache(2048);
+  // Both caches take the mask as their table domain, as the Auditor's
+  // does, and every landmark's plan and distance table is built before
+  // timing: the A/B then times solves, not one-off table builds.
+  grid::CapPlanCache inc_cache(2048, mask), full_cache(2048, mask);
+  for (grid::CapPlanCache* cache : {&inc_cache, &full_cache})
+    for (const auto& ob : obs)
+      cache->plan(g, ob.landmark)->cell_distances_km();
   inc_loc->set_plan_cache(&inc_cache);
   full_loc->set_plan_cache(&full_cache);
 

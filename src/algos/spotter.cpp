@@ -10,11 +10,12 @@ namespace ageo::algos {
 namespace {
 
 /// Resumable posterior for the streaming service: the UNnormalised
-/// product of every ring seen so far, started from the mask (or the
-/// ladder's seed). Kept unnormalised so appending ring k+1 produces the
-/// same per-cell factor sequence as fusing all k+1 rings from scratch;
-/// each estimate normalises a COPY (`work`, kept for its capacity) and
-/// cuts the credible region from that.
+/// product of every ring seen so far, started from mlat::spotter_start
+/// (the mask clipped to the capture's ring supports). Kept unnormalised
+/// so appending ring k+1 produces the same per-cell factor sequence as
+/// fusing all k+1 rings from scratch; each estimate normalises a COPY
+/// (`work`, kept for its capacity) and cuts the credible region from
+/// that.
 struct SpotterMemo final : LocatorMemo {
   const grid::Grid* grid = nullptr;    ///< the capture's grid
   const grid::Region* mask = nullptr;  ///< the capture's mask (may be null)
@@ -78,17 +79,17 @@ std::unique_ptr<LocatorMemo> SpotterGeolocator::locate_memo(
   const std::vector<mlat::GaussianConstraint> rings =
       rings_of(store, observations);
   // The product starts from the same region as locate's posterior: the
-  // mask, or the ladder's seed for this ring list. A cell off the seed
-  // is zero in the flat product and stays zero under every later ring,
-  // so updates extend the flat product bit for bit.
+  // mask clipped to every ring's hard support. A cell off the start is
+  // zero in the mask-started product and stays zero under every later
+  // ring, so updates extend that product bit for bit.
   grid::Scratch* scratch = &grid::Scratch::tls();
   auto seed = grid::Scratch::region(scratch, g);
-  const grid::Region* start = mlat::spotter_start(
-      g, rings, mask, plan_cache_, scratch, refine_, seed.ref());
+  mlat::spotter_start(g, rings, mask, plan_cache_, scratch, refine_,
+                      seed.ref());
   auto memo = std::make_unique<SpotterMemo>();
   memo->grid = &g;
   memo->mask = mask;
-  memo->product.rebind(g, start);
+  memo->product.rebind(g, &seed.ref());
   for (const auto& ring : rings) {
     mlat::multiply_ring_into(g, ring, plan_cache_, memo->product);
     ++memo->n_rings;

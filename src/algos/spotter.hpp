@@ -21,10 +21,11 @@ class SpotterGeolocator final : public Geolocator {
 
   /// Full solve + resumable posterior for the streaming service: the
   /// memo keeps the UNnormalised ring product, started from the same
-  /// region as locate() (the mask, or the ladder's seed under a refine
-  /// context), so an appended observation multiplies exactly one more
-  /// ring into it. A cell off the seed is zero in the flat product and
-  /// stays zero under more rings, so the memo is exact refined or flat.
+  /// region as locate() (mlat::spotter_start: the mask clipped to every
+  /// captured ring's hard support), so an appended observation
+  /// multiplies exactly one more ring into it. A cell off the start is
+  /// zero in the mask-started product and stays zero under more rings,
+  /// so the memo is exact, refined or flat.
   std::unique_ptr<LocatorMemo> locate_memo(
       const grid::Grid& g, const calib::CalibrationStore& store,
       std::span<const Observation> observations, const grid::Region* mask,

@@ -70,7 +70,7 @@ Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
       raster_(bed.world().country_raster(*grid_)),
       country_regions_(bed.world().country_count()),
       country_landmark_km_(bed.world().country_count()),
-      // Every posterior a locate builds on the audit grid starts from
+      // Every posterior a locate builds on the audit grid starts inside
       // mask_, so its ring multiplies only read mask cells: the distance
       // tables of plans on that grid cover the mask and nothing else.
       plan_cache_(config.plan_cache_capacity != 0

@@ -23,6 +23,13 @@ double gaussian_support_halfwidth_km(double sigma_km) noexcept {
   return sigma_km * std::sqrt(2.0 * kGaussianCut) + kSupportSlackKm;
 }
 
+bool gaussian_sigma_valid(double sigma_km) noexcept {
+  // The same expression the windowed multiply divides by.
+  const double inv_2s2 = 1.0 / (2.0 * sigma_km * sigma_km);
+  return std::isfinite(sigma_km) && sigma_km > 0.0 &&
+         std::isfinite(inv_2s2) && inv_2s2 != 0.0;
+}
+
 }  // namespace detail
 
 using detail::kGaussianCut;
@@ -189,8 +196,10 @@ void Field::multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
 void Field::multiply_gaussian_ring(const geo::LatLon& center, double mu_km,
                                    double sigma_km) {
   ageo::detail::require(grid_ != nullptr, "Field: not attached to a grid");
-  ageo::detail::require(sigma_km > 0.0, "Field: sigma must be positive");
-  ageo::detail::require(!std::isnan(mu_km), "Field: mu must not be NaN");
+  ageo::detail::require(detail::gaussian_sigma_valid(sigma_km),
+                        "Field: sigma must be finite and positive, with a "
+                        "finite nonzero 1/(2 sigma^2)");
+  ageo::detail::require(std::isfinite(mu_km), "Field: mu must be finite");
   ageo::detail::require(geo::is_valid(center), "Field: invalid ring center");
   multiply_gaussian_ring_unchecked(center, mu_km, sigma_km);
 }
@@ -200,8 +209,10 @@ void Field::multiply_gaussian_ring(const CapScanPlan& plan, double mu_km,
   ageo::detail::require(grid_ != nullptr, "Field: not attached to a grid");
   ageo::detail::require(&plan.grid() == grid_,
                   "Field: plan built on a different grid");
-  ageo::detail::require(sigma_km > 0.0, "Field: sigma must be positive");
-  ageo::detail::require(!std::isnan(mu_km), "Field: mu must not be NaN");
+  ageo::detail::require(detail::gaussian_sigma_valid(sigma_km),
+                        "Field: sigma must be finite and positive, with a "
+                        "finite nonzero 1/(2 sigma^2)");
+  ageo::detail::require(std::isfinite(mu_km), "Field: mu must be finite");
   multiply_gaussian_ring_unchecked(plan, mu_km, sigma_km);
 }
 

@@ -65,15 +65,23 @@ inline constexpr double kGaussianCut = 746.0;
 /// magnitude of headroom; cells inside the annulus but outside the true
 /// support still go through the exact comparison, so correctness never
 /// depends on this constant — only the guarantee that no live cell is
-/// zeroed wholesale does.
+/// zeroed wholesale (here, or left out of mlat::spotter_start's region)
+/// does.
 inline constexpr double kSupportSlackKm = 4.0;
 
 /// Half-width (km) of a Gaussian ring's hard support: every cell whose
 /// |distance - mu| is at least this multiplies the density by a
 /// bit-exact +0.0. One definition shared by the Field fast path and the
-/// refinement driver's coarse support windowing (mlat/refine.cpp), so
-/// both window the same annulus [mu - w, mu + w].
+/// Spotter start region (mlat::spotter_start), so both window the same
+/// annulus [mu - w, mu + w].
 double gaussian_support_halfwidth_km(double sigma_km) noexcept;
+
+/// True when a ring of width `sigma_km` has a finite, positive sigma
+/// whose exponent scale 1/(2 sigma^2) is finite and nonzero. Anything
+/// else (sigma = +inf, or so small the scale overflows) turns some
+/// factor into 0 * inf = NaN. With a finite mu, such a sigma also keeps
+/// the support bounds mu +- W finite.
+bool gaussian_sigma_valid(double sigma_km) noexcept;
 
 }  // namespace detail
 
@@ -95,7 +103,7 @@ class Field {
 
   /// Multiply in a Gaussian ring likelihood centered on `center`:
   /// L(cell) = exp(-(dist(cell, center) - mu)^2 / (2 sigma^2)).
-  /// Requires sigma > 0 and a non-NaN mu.
+  /// Requires a finite mu and a sigma passing gaussian_sigma_valid.
   void multiply_gaussian_ring(const geo::LatLon& center, double mu_km,
                               double sigma_km);
 

@@ -52,9 +52,14 @@ bool detail::intersect_window_constraints(
   // constraint collapses the survivor count immediately and the rest of
   // the pass runs in the cheap sparse tail. Key = spherical annulus
   // area up to a constant, cos(inner) - cos(outer) on capped radii.
+  // An annulus over the whole sphere (inner 0, outer capped at the
+  // antipode) keeps every cell — its scan has cos_outer = -1,
+  // cos_inner = 1 and every row in its band — so it is left out: wide
+  // Spotter supports are often that, and a pass over them costs as
+  // much as any other.
   grid::Scratch::IndexLease order_lease = grid::Scratch::indices(scratch);
   std::vector<std::uint32_t>& order = order_lease.vec();
-  order.resize(n);
+  order.clear();
   {
     auto area_lease = grid::Scratch::doubles(scratch);
     std::vector<double>& area = area_lease.vec();
@@ -65,9 +70,10 @@ bool detail::intersect_window_constraints(
       const Annulus a = widened(annuli[i], pad_km);
       const double ri = std::min(std::max(a.inner_km, 0.0), kAntipodeKm);
       const double ro = std::min(std::max(a.outer_km, 0.0), kAntipodeKm);
+      if (ri == 0.0 && ro == kAntipodeKm) continue;
       area[i] = std::cos(ri / geo::kEarthRadiusKm) -
                 std::cos(ro / geo::kEarthRadiusKm);
-      order[i] = static_cast<std::uint32_t>(i);
+      order.push_back(static_cast<std::uint32_t>(i));
     }
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t x, std::uint32_t y) {

@@ -72,15 +72,16 @@ inline bool annulus_keeps(const grid::Grid& g,
                           const grid::detail::AnnulusScan& s,
                           std::size_t idx) {
   if (s.empty) return false;
-  const std::size_t r = g.row_of(idx);
-  if (r < s.r0 || r >= s.r1) return false;
+  // Row in [r0, r1), compared on the cell index: no division per cell.
+  if (idx < s.r0 * g.cols() || idx >= s.r1 * g.cols()) return false;
   const double d = std::clamp(s.v.dot(g.center_vec(idx)), -1.0, 1.0);
   return d >= s.cos_outer && d <= s.cos_inner;
 }
 
 /// The one intersect kernel: AND every annulus, widened by `pad_km`,
 /// into `region`, whose set bits all lie inside `win`'s row band.
-/// Tightest annuli first; row kernels while the region is large, then
+/// Tightest annuli first, leaving out any that covers the whole sphere
+/// (it keeps every cell); row kernels while the region is large, then
 /// — once the survivors drop under kSparseTailCells — the exact per-cell
 /// test on an explicit cell list. Returns false as soon as the
 /// intersection empties (leaving `region` all-zero).

@@ -283,9 +283,11 @@ void validate_gaussian_rings(const grid::Grid& g,
   for (const auto& r : rings) {
     ageo::detail::require(geo::is_valid(r.center),
                           "Gaussian rings: invalid ring center");
-    ageo::detail::require(r.sigma_km > 0.0,
-                          "Gaussian rings: sigma must be positive");
-    ageo::detail::require(!std::isnan(r.mu_km), "Gaussian rings: mu is NaN");
+    ageo::detail::require(grid::detail::gaussian_sigma_valid(r.sigma_km),
+                          "Gaussian rings: sigma must be finite and positive, "
+                          "with a finite nonzero 1/(2 sigma^2)");
+    ageo::detail::require(std::isfinite(r.mu_km),
+                          "Gaussian rings: mu must be finite");
   }
 }
 
@@ -314,32 +316,29 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
   posterior.normalize();  // a zero-mass field stays unnormalised (empty)
 }
 
-const grid::Region* spotter_start(const grid::Grid& g,
-                                  std::span<const GaussianConstraint> rings,
-                                  const grid::Region* mask,
-                                  grid::CapPlanCache* cache,
-                                  grid::Scratch* scratch,
-                                  const RefineContext* refine,
-                                  grid::Region& seed) {
-  // The ladder reads every ring's support, so vet the list before it.
+void spotter_start(const grid::Grid& g,
+                   std::span<const GaussianConstraint> rings,
+                   const grid::Region* mask, grid::CapPlanCache* cache,
+                   grid::Scratch* scratch, const RefineContext* refine,
+                   grid::Region& seed) {
+  // The kernel reads every ring's support, so vet the list before it.
   validate_gaussian_rings(g, rings, mask);
   const RefineContext* ladder = ladder_for(refine, g, mask);
-  if (!ladder) return mask;
-  AGEO_COUNT("mlat.refine.solves");
-  // Hard support of each ring: any cell the flat posterior leaves
-  // nonzero has a < kGaussianCut for every ring, i.e. a center strictly
-  // inside [mu - W, mu + W]. These are raw (unpadded) annuli; the
-  // coarse ladder adds each level's own pad.
+  if (ladder) AGEO_COUNT("mlat.refine.solves");
+  // Hard support of each ring: any cell the mask-started posterior
+  // leaves nonzero has a < kGaussianCut for every ring, i.e. a center
+  // strictly inside [mu - W, mu + W] (W carries kSupportSlackKm). These
+  // are raw (unpadded) annuli; a coarse ladder adds each level's own pad.
   std::vector<detail::Annulus> support;
   support.reserve(rings.size());
   for (const auto& r : rings) {
     const double w = grid::detail::gaussian_support_halfwidth_km(r.sigma_km);
     support.push_back({r.center, std::max(0.0, r.mu_km - w), r.mu_km + w});
   }
-  // A coarse-empty ladder leaves the seed empty: the flat posterior is
-  // identically zero then, and so is the one started from the seed.
-  detail::ladder_seed_into(*ladder, support, mask, cache, scratch, seed);
-  return &seed;
+  // An empty intersection leaves the seed empty: the mask-started
+  // posterior is identically zero then, and so is the one started here.
+  intersect_all_into(g, ladder, support, mask, cache, scratch, seed);
+  AGEO_COUNTER_ADD("mlat.spotter.start_cells", seed.count());
 }
 
 grid::Region spotter_credible(const grid::Grid& g,
@@ -353,9 +352,8 @@ grid::Region spotter_credible(const grid::Grid& g,
   // start region in the same pass that resets it; only the credible
   // region escapes.
   auto seed = grid::Scratch::region(scratch, g);
-  const grid::Region* start =
-      spotter_start(g, rings, mask, cache, scratch, refine, seed.ref());
-  auto posterior = grid::Scratch::field(scratch, g, start);
+  spotter_start(g, rings, mask, cache, scratch, refine, seed.ref());
+  auto posterior = grid::Scratch::field(scratch, g, &seed.ref());
   fuse_gaussian_rings_into(g, rings, posterior.ref(), nullptr, cache);
   return posterior.ref().credible_region(credible_mass);
 }

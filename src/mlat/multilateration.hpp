@@ -17,7 +17,8 @@
 // from the mask (or the full grid) over the full window instead of from
 // the ladder's seed inside its window. Either way the hard constraints go
 // through one intersect kernel, so the result bits never depend on the
-// ladder.
+// ladder. Spotter runs the same kernel on its rings' hard supports to
+// find the region its posterior starts from (spotter_start).
 //
 // Every entry point takes an optional grid::Scratch arena. With an arena
 // the intersections AND plan row spans directly into the running region
@@ -90,8 +91,9 @@ grid::Region intersect_rings(const grid::Grid& g,
 
 /// The one check of a Gaussian ring list, shared by every Spotter entry
 /// point (fuse_gaussian_rings_into, multiply_ring_into and
-/// spotter_start): each center valid, each sigma positive, no
-/// mu NaN, and `mask`, when non-null, on `g`. Throws InvalidArgument.
+/// spotter_start): each center valid, each mu finite, each sigma finite
+/// and positive with a finite, nonzero 1/(2 sigma^2), and `mask`, when
+/// non-null, on `g`. Throws InvalidArgument.
 void validate_gaussian_rings(const grid::Grid& g,
                              std::span<const GaussianConstraint> rings,
                              const grid::Region* mask);
@@ -122,21 +124,22 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
                               const grid::Region* mask = nullptr,
                               grid::CapPlanCache* cache = nullptr);
 
-/// The region a Spotter posterior starts from: `mask` itself (null: the
-/// whole grid) when `refine` does not apply to (g, mask), otherwise the
-/// ladder's seed — the coarse survivors of every ring's hard support,
-/// upsampled and clipped by the mask — written into `seed`, an empty
-/// region on `g`. Every cell off the seed is one the flat ring chain
-/// zeroes, and stays zero under more rings, so a posterior started from
-/// either region (fused now or extended ring by ring later) has the same
-/// bits. Validates the ring list.
-const grid::Region* spotter_start(const grid::Grid& g,
-                                  std::span<const GaussianConstraint> rings,
-                                  const grid::Region* mask,
-                                  grid::CapPlanCache* cache,
-                                  grid::Scratch* scratch,
-                                  const RefineContext* refine,
-                                  grid::Region& seed);
+/// The region a Spotter posterior starts from, written into `seed`, an
+/// empty region on `g`: `mask` (null: the whole grid) intersected with
+/// every ring's hard support annulus [mu - W, mu + W], W =
+/// grid::detail::gaussian_support_halfwidth_km(sigma), by the one
+/// intersect kernel — from the mask over the full window, or from
+/// `refine`'s ladder seed inside its window when it applies to
+/// (g, mask). Same bits either way. Every cell off the start is one the
+/// mask-started ring chain zeroes, and stays zero under more rings, so a
+/// posterior started from it (fused now or extended ring by ring later)
+/// has the bits of fuse_gaussian_rings(g, rings, mask). `seed` stays
+/// all-zero when the supports share no cell. Validates the ring list.
+void spotter_start(const grid::Grid& g,
+                   std::span<const GaussianConstraint> rings,
+                   const grid::Region* mask, grid::CapPlanCache* cache,
+                   grid::Scratch* scratch, const RefineContext* refine,
+                   grid::Region& seed);
 
 /// The Spotter solve: the credible region at `credible_mass` of the
 /// Gaussian-ring posterior fused from spotter_start's region. Bit for

@@ -39,16 +39,19 @@
 // coverage sweep over the ladder's levels instead, with the same bits as
 // the flat sweep.
 //
-// Spotter posteriors seed on each ring's hard support annulus
-// [mu - W, mu + W], W = grid::detail::gaussian_support_halfwidth_km: a
-// cell the flat posterior leaves nonzero has a < kGaussianCut for every
-// ring, i.e. its center strictly inside every support annulus, so the
-// coarse intersection of pad-widened support annuli contains all of
-// them. The posterior is the flat fusion on a pooled full-grid Field
-// whose start is the seed (mlat::spotter_start): every cell off the seed
-// is one the flat chain zeroes, so the live lists, mass folds and
-// credible cut are the flat ones bit for bit — and stay so when a
-// streaming memo multiplies in more rings.
+// Spotter posteriors start from the mask intersected with each ring's
+// hard support annulus [mu - W, mu + W], W =
+// grid::detail::gaussian_support_halfwidth_km (mlat::spotter_start): a
+// cell the mask-started posterior leaves nonzero has a < kGaussianCut
+// for every ring, i.e. its center strictly inside every support
+// annulus. Flat and refined solves build that start with the same
+// intersect kernel, the refined one from the ladder's seed (the coarse
+// intersection of pad-widened support annuli contains all such cells),
+// so the start is the same region either way. The posterior is then the
+// fusion on a pooled full-grid Field whose start is that region: every
+// cell off it is one the mask-started chain zeroes, so the live lists,
+// mass folds and credible cut are that chain's bit for bit — and stay
+// so when a streaming memo multiplies in more rings.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 // Unit tests for the multilateration engines.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "geo/geodesy.hpp"
 #include "grid/cap_cache.hpp"
@@ -100,6 +102,70 @@ TEST(MlatTest, IntersectRingsRejectsInvalidRingAfterEmpty) {
                                           {{0.0, 0.0}, 500.0, 100.0}};
   EXPECT_THROW(intersect_rings(g, rings), InvalidArgument);
   EXPECT_THROW(intersect_rings(g, rings, nullptr, &cache), InvalidArgument);
+}
+
+TEST(MlatTest, WholeSphereAnnuliKeepEveryCell) {
+  // The intersect kernel leaves out annuli that cover the whole sphere
+  // (inner 0, outer past the antipode). One that reaches the antipode
+  // but has a hole still cuts, in the row kernels and in the sparse
+  // tail alike; both must match the dense oracle.
+  grid::Grid g(2.0);
+  grid::CapPlanCache cache(8);
+  const geo::LatLon c{30.0, 40.0};
+  const grid::Region band = grid::rasterize_lat_band(g, -60.0, 70.0);
+  const std::vector<RingConstraint> whole{{c, 0.0, 30000.0}};
+  const std::vector<RingConstraint> holed{{c, 3000.0, 30000.0}};
+  const std::vector<RingConstraint> tail{
+      {c, 3000.0, 30000.0}, {geo::destination(c, 90.0, 2500.0), 0.0, 1500.0}};
+  for (grid::CapPlanCache* pc : {static_cast<grid::CapPlanCache*>(nullptr),
+                                 &cache}) {
+    EXPECT_EQ(intersect_rings(g, whole, nullptr, pc).count(), g.size());
+    EXPECT_EQ(intersect_rings(g, whole, &band, pc), band);
+    for (const auto* rings : {&holed, &tail}) {
+      const grid::Region got = intersect_rings(g, *rings, nullptr, pc);
+      EXPECT_EQ(got, reference::largest_consistent_subset(g, *rings).region);
+      EXPECT_FALSE(got.contains(c));
+    }
+  }
+}
+
+TEST(MlatTest, GaussianRingsRejectNonFiniteParameters) {
+  // Each bad ring would multiply some cell by 0 * inf = NaN, and its
+  // support bounds mu +- W would reach the annulus row-band math of the
+  // start region. Every Spotter entry rejects it, cache or not.
+  grid::Grid g(2.0);
+  grid::CapPlanCache cache(8);
+  const GaussianConstraint good{{10.0, 20.0}, 1000.0, 100.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<GaussianConstraint> bad{
+      {{0.0, 0.0}, inf, 100.0},     // mu = +inf
+      {{0.0, 0.0}, -inf, 100.0},    // mu = -inf
+      {{0.0, 0.0}, 1000.0, inf},    // sigma = +inf
+      {{0.0, 0.0}, 1000.0, 1e-200}, // 1/(2 sigma^2) = +inf
+      {{0.0, 0.0}, 1000.0, 1e200},  // 1/(2 sigma^2) = 0
+  };
+  for (grid::CapPlanCache* pc : {static_cast<grid::CapPlanCache*>(nullptr),
+                                 &cache}) {
+    EXPECT_NO_THROW(spotter_credible(g, {&good, 1}, 0.9, nullptr, pc));
+    for (const GaussianConstraint& b : bad) {
+      const std::vector<GaussianConstraint> rings{good, b};
+      EXPECT_THROW(spotter_credible(g, rings, 0.9, nullptr, pc),
+                   InvalidArgument)
+          << b.mu_km << " " << b.sigma_km;
+      grid::Field f(g);
+      EXPECT_THROW(fuse_gaussian_rings_into(g, rings, f, nullptr, pc),
+                   InvalidArgument)
+          << b.mu_km << " " << b.sigma_km;
+      grid::Field h(g);
+      multiply_ring_into(g, good, pc, h);
+      EXPECT_THROW(multiply_ring_into(g, b, pc, h), InvalidArgument)
+          << b.mu_km << " " << b.sigma_km;
+      grid::Field k(g);
+      EXPECT_THROW(k.multiply_gaussian_ring(b.center, b.mu_km, b.sigma_km),
+                   InvalidArgument)
+          << b.mu_km << " " << b.sigma_km;
+    }
+  }
 }
 
 TEST(Gaussian, PosteriorPeaksAtTruth) {

@@ -10,15 +10,20 @@
 //      the seed and window the coarse ladder derives (the coarsening
 //      lemma).
 //   4. Refined intersect / largest-consistent-subset / Spotter
-//      posterior against their flat counterparts (and the intersects
+//      posterior against their flat counterparts, and the Spotter start
+//      region (mask ∩ every ring's hard support) against the
+//      mask-started posterior (and the intersects
 //      against a materialize-then-AND oracle), across schedules, masks,
 //      cache and arena variants — consistent AND inconsistent constraint
 //      sets (the latter exercising the coarse-empty early exit and the
 //      ladder's coverage sweep).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -553,6 +558,146 @@ TEST(RefinedSpotter, ZeroMassPosteriorGivesEmptyRegionLikeFlat) {
       spotter_credible(fine, rings, 0.95, nullptr, nullptr, nullptr, &ctx);
   EXPECT_TRUE(refined.empty());
   EXPECT_EQ(flat_cr.words(), refined.words());
+}
+
+/// Gaussian ring sets that stress the Spotter start region, by
+/// iter % 6: rings around a target at the north pole, at the south
+/// pole or on the date line, with sigmas mixing the calibration floor
+/// (50 km), wider ones and whole-sphere supports; rings all at the
+/// floor around a random target; and two zero-mass sets, one whose
+/// supports share no cell (empty start) and one whose supports overlap
+/// but whose factors underflow to +0.0 on the overlap (nonempty start,
+/// zero posterior).
+std::vector<GaussianConstraint> stress_rings(Rng& rng, int iter) {
+  constexpr double kFloorKm = 50.0;
+  std::vector<GaussianConstraint> rings;
+  const int kind = iter % 6;
+  if (kind >= 4) {
+    // Two concentric rings at the floor: supports [0, 2935] and
+    // [4065, 7935] km (disjoint), or [0, 2935] and [2065, 5935] km,
+    // where every cell's two factors multiply to below the smallest
+    // subnormal.
+    const geo::LatLon c = random_point(rng);
+    rings.push_back({c, 1000.0, kFloorKm});
+    rings.push_back({c, kind == 4 ? 6000.0 : 4000.0, kFloorKm});
+    rings.push_back({random_point(rng), rng.uniform(500.0, 8000.0),
+                     rng.uniform(kFloorKm, 300.0)});
+    return rings;
+  }
+  geo::LatLon target = random_point(rng);
+  if (kind == 0) target = {rng.uniform(88.5, 90.0), rng.uniform(-180.0, 180.0)};
+  if (kind == 1)
+    target = {rng.uniform(-90.0, -88.5), rng.uniform(-180.0, 180.0)};
+  if (kind == 2)
+    target = {rng.uniform(-60.0, 60.0), rng.chance(0.5) ? 179.9 : -179.95};
+  const std::size_t n = 3 + rng.uniform_index(6);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Landmarks near the target too, so some supports straddle the pole
+    // or the date line themselves.
+    geo::LatLon lm = random_point(rng);
+    if (rng.chance(0.3))
+      lm = {std::clamp(target.lat_deg + rng.uniform(-5.0, 5.0), -90.0, 90.0),
+            target.lon_deg + rng.uniform(-5.0, 5.0)};
+    // Some rings so wide (sigma > ~520 km) that their support covers
+    // the whole sphere: the kernel leaves those out of the start.
+    const double sigma = kind == 3 || rng.chance(0.5) ? kFloorKm
+                         : rng.chance(0.3)            ? rng.uniform(400.0, 2000.0)
+                                                      : rng.uniform(kFloorKm, 300.0);
+    rings.push_back({lm, geo::distance_km(lm, target) +
+                             rng.normal(0.0, sigma),
+                     sigma});
+  }
+  return rings;
+}
+
+std::vector<std::uint64_t> field_bits(const grid::Field& f) {
+  std::vector<std::uint64_t> bits(f.grid()->size());
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    bits[i] = std::bit_cast<std::uint64_t>(f.at(i));
+  return bits;
+}
+
+TEST(SpotterStart, HoldsTheMaskStartedPosteriorBitForBit) {
+  // The flat start is mask ∩ every ring's hard support. (a) It holds
+  // every cell the mask-started posterior leaves nonzero, and (b) a
+  // posterior fused from it equals the mask-started one bit for bit:
+  // every cell, the live list, the mass and the credible cuts.
+  grid::Grid g(1.0);
+  grid::CapPlanCache cache(256);
+  grid::Scratch* arena = &grid::Scratch::tls();
+  Rng rng(20261017, "spotter_start");
+  const grid::Region band = grid::rasterize_lat_band(g, -60.0, 85.0);
+  std::size_t zero_mass = 0, empty_starts = 0;
+  for (int iter = 0; iter < 36; ++iter) {
+    const std::vector<GaussianConstraint> rings = stress_rings(rng, iter);
+    for (const grid::Region* m :
+         {static_cast<const grid::Region*>(nullptr), &band}) {
+      for (grid::CapPlanCache* pc :
+           {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
+        const std::string where = "iter=" + std::to_string(iter) +
+                                  " mask=" + std::to_string(m != nullptr) +
+                                  " cache=" + std::to_string(pc != nullptr);
+        const grid::Field oracle = fuse_gaussian_rings(g, rings, m, pc);
+        grid::Region seed(g);
+        spotter_start(g, rings, m, pc, arena, nullptr, seed);
+        if (m) {
+          EXPECT_TRUE((seed & *m) == seed) << where;
+        }
+        std::size_t outside = 0;
+        for (std::size_t i = 0; i < g.size(); ++i)
+          outside += oracle.at(i) != 0.0 && !seed.test(i);
+        EXPECT_EQ(outside, 0u) << where;
+
+        grid::Field p;
+        p.rebind(g, &seed);
+        fuse_gaussian_rings_into(g, rings, p, nullptr, pc);
+        ASSERT_EQ(field_bits(oracle), field_bits(p)) << where;
+        ASSERT_NE(oracle.live_cells(), nullptr) << where;
+        ASSERT_NE(p.live_cells(), nullptr) << where;
+        EXPECT_EQ(*oracle.live_cells(), *p.live_cells()) << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(oracle.total_mass()),
+                  std::bit_cast<std::uint64_t>(p.total_mass()))
+            << where;
+        for (const double mass : {0.9, 1.0}) {
+          const grid::Region cut = oracle.credible_region(mass);
+          EXPECT_EQ(cut.words(), p.credible_region(mass).words()) << where;
+          EXPECT_EQ(cut.words(),
+                    spotter_credible(g, rings, mass, m, pc, arena).words())
+              << where;
+        }
+        zero_mass += oracle.total_mass() == 0.0;
+        empty_starts += seed.empty();
+      }
+    }
+  }
+  // Both zero-mass kinds ran: with an empty start and with a live one.
+  EXPECT_GT(empty_starts, 0u);
+  EXPECT_GT(zero_mass, empty_starts);
+}
+
+TEST(SpotterStart, FlatAndRefinedStartsAreEqual) {
+  // (c) The ladder only changes where the one kernel starts, so the
+  // refined start is the flat one word for word.
+  grid::Grid fine(0.25);
+  grid::CapPlanCache cache(256);
+  grid::Scratch* arena = &grid::Scratch::tls();
+  Rng rng(20261017, "spotter_start_refined");
+  const grid::Region band = grid::rasterize_lat_band(fine, -60.0, 85.0);
+  for (const char* sched : {"2.0", "2.0,0.5"}) {
+    RefineContext ctx(fine, RefineSchedule::parse(sched));
+    ctx.prepare_mask(band);
+    for (int iter = 0; iter < 12; ++iter) {
+      const std::vector<GaussianConstraint> rings = stress_rings(rng, iter);
+      for (const grid::Region* m :
+           {static_cast<const grid::Region*>(nullptr), &band}) {
+        grid::Region flat(fine), refined(fine);
+        spotter_start(fine, rings, m, &cache, arena, nullptr, flat);
+        spotter_start(fine, rings, m, &cache, arena, &ctx, refined);
+        ASSERT_EQ(flat.words(), refined.words())
+            << sched << " iter=" << iter << " mask=" << (m != nullptr);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
