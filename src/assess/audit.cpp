@@ -54,6 +54,14 @@ std::string ladder_string(const algos::LocateProvenance& prov) {
   return out;
 }
 
+const AuditConfig& validated(const AuditConfig& c) {
+  detail::require(c.threads >= 0, "AuditConfig: threads must be >= 0");
+  detail::require(c.eta_samples > 0, "AuditConfig: eta_samples must be > 0");
+  detail::require(c.self_ping_samples > 0,
+                  "AuditConfig: self_ping_samples must be > 0");
+  return c;
+}
+
 double elapsed_us(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
@@ -64,7 +72,7 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
 
 Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
     : bed_(&bed),
-      config_(config),
+      config_(validated(config)),
       grid_(std::make_shared<grid::Grid>(config.grid_cell_deg)),
       mask_(bed.world().plausibility_mask(*grid_)),
       raster_(bed.world().country_raster(*grid_)),
@@ -204,7 +212,16 @@ void Auditor::warm_countries(std::span<const world::CountryId> ids) {
         country_regions_[id]->set(
             grid_->cell_at(bed_->world().country(id).capital));
   }
-  for (const world::CountryId id : ids) country_landmark_km(id);
+  // Each missing landmark table is then built in its own task, from its
+  // own (now warm) region. Sorted and deduped, so no two tasks write the
+  // same table; each table is the lazy path's, bit for bit.
+  std::vector<world::CountryId> cold;
+  for (const world::CountryId id : ids)
+    if (country_landmark_km_[id].empty()) cold.push_back(id);
+  std::sort(cold.begin(), cold.end());
+  cold.erase(std::unique(cold.begin(), cold.end()), cold.end());
+  parallel_for(cold.size(), config_.threads,
+               [&](std::size_t k) { country_landmark_km(cold[k]); });
 }
 
 world::Continent Auditor::measure_proxy(ProxyAuditRow& row,
@@ -419,15 +436,17 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   sessions.reserve(n);
   for (const auto& h : fleet.hosts) sessions.push_back(open_tunnel(client, h));
 
-  // Fleet-wide eta from the pingable minority (paper Fig. 13). Serial,
-  // on the network's default lane, before any fan-out.
+  // Fleet-wide eta from the pingable minority (paper Fig. 13). The pings
+  // run serially on the network's default lane, before any fan-out; the
+  // bootstrap refits run on the workers.
   {
     AGEO_SPAN("assess", "audit.estimate_eta");
-    report.eta = measure::estimate_eta(sessions, config_.eta_samples);
+    report.eta = measure::estimate_eta(sessions, config_.eta_samples,
+                                       config_.threads);
   }
   AGEO_GAUGE_SET("assess.audit.eta", report.eta.eta);
 
-  // Warm the country caches while still single-threaded; the workers
+  // Warm the country caches before the per-proxy fan-out; the workers
   // below only read them.
   {
     std::vector<world::CountryId> claimed;

@@ -44,6 +44,8 @@ struct AuditConfig {
   /// independent under the parallel fan-out); the per-proxy boards are
   /// folded into one run board at the end (Auditor::run_board).
   measure::CampaignConfig campaign;
+  /// Tunnel self-pings per proxy and pings of each kind per proxy for
+  /// eta; the Auditor rejects values below 1.
   int self_ping_samples = 5;
   int eta_samples = 5;
   bool use_data_centers = true;
@@ -93,10 +95,12 @@ struct AuditConfig {
   /// epilogue; flagged landmarks join `suspicious_landmarks`.
   measure::DriftConfig drift;
   std::uint64_t seed = 99;
-  /// Worker threads for the per-proxy fan-out of run(). 1 = serial in
-  /// the calling thread; 0 = one per hardware thread. Any value yields
+  /// Worker threads for run()'s eta refits, country warm-up and
+  /// per-proxy fan-out. 1 = serial in the calling thread; 0 = one per
+  /// hardware thread; negative is rejected. Any value yields
   /// bit-identical reports: every proxy's campaign draws from its own
-  /// (seed xor host-index)-derived RNG streams and network lane.
+  /// (seed xor host-index)-derived RNG streams and network lane, and
+  /// every fold runs in index order.
   int threads = 1;
 };
 
@@ -199,6 +203,8 @@ struct AuditReport {
 /// implementation from its bootstrap, streaming rounds and restore.
 class Auditor {
  public:
+  /// Throws InvalidArgument, naming the field, for threads < 0 or
+  /// eta_samples / self_ping_samples < 1, before anything is built.
   Auditor(measure::Testbed& bed, AuditConfig config = {});
 
   /// Audit every host of the fleet: register → eta → warm → campaign →
@@ -248,8 +254,10 @@ class Auditor {
   /// A fresh row carrying host `index`'s identity and claim.
   ProxyAuditRow new_row(std::size_t index,
                         const world::ProxyHost& host) const;
-  /// Build the country caches for these claimed countries in one raster
-  /// pass. Call single-threaded before any fan-out that assesses them.
+  /// Build the country caches for these claimed countries: the regions
+  /// in one serial raster pass, then each missing landmark table in its
+  /// own task on the config's workers. Call from one thread, before any
+  /// fan-out that assesses them.
   void warm_countries(std::span<const world::CountryId> ids);
   /// Campaign stage: the two-phase measurement of `row`'s proxy through
   /// `prober`, whose session rides `lane`. Fills the row's observations,

@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "measure/tools.hpp"
+#include "obs/obs.hpp"
 
 namespace ageo::measure {
 
 EtaEstimate estimate_eta(std::span<netsim::ProxySession> sessions,
-                         int samples) {
+                         int samples, int threads) {
   detail::require(samples > 0, "estimate_eta: samples must be > 0");
   std::vector<double> direct, indirect;
   for (auto& s : sessions) {
@@ -40,25 +43,41 @@ EtaEstimate estimate_eta(std::span<netsim::ProxySession> sessions,
   e.eta_ci_low = e.eta_ci_high = e.eta;
 
   // 95% bootstrap CI over proxies (resample pairs, refit).
-  if (direct.size() >= 5) {
-    constexpr int kResamples = 200;
-    Rng rng(hash_name("eta-bootstrap") ^ direct.size());
+  const std::size_t m = direct.size();
+  if (m >= 5) {
+    constexpr std::size_t kResamples = 200;
+    constexpr std::size_t kFitsPerTask = 4;
+    static_assert(kResamples % kFitsPerTask == 0);
+    // Every resample's indices are drawn first, from the one stream and
+    // in resample order, so the fits below may run on any worker.
+    Rng rng(hash_name("eta-bootstrap") ^ m);
+    std::vector<std::size_t> draws(kResamples * m);
+    for (std::size_t& k : draws) k = rng.uniform_index(m);
+    // Slot r holds resample r's slope; degenerate resamples (all-equal
+    // x) are skipped and leave their slot empty. Each task reuses one
+    // set of buffers for its block of fits.
+    std::vector<std::optional<double>> fit(kResamples);
+    parallel_for(kResamples / kFitsPerTask, threads, [&](std::size_t t) {
+      std::vector<double> bx(m), by(m), pair_slopes;
+      for (std::size_t r = t * kFitsPerTask; r < (t + 1) * kFitsPerTask;
+           ++r) {
+        const std::size_t* k = &draws[r * m];
+        for (std::size_t i = 0; i < m; ++i) {
+          bx[i] = indirect[k[i]];
+          by[i] = direct[k[i]];
+        }
+        if (std::all_of(bx.begin(), bx.end(),
+                        [&](double x) { return x == bx[0]; }))
+          continue;
+        fit[r] = stats::theil_sen_slope(bx, by, pair_slopes);
+      }
+    });
+    // Compacted in resample order: the same vector a serial loop builds.
     std::vector<double> slopes;
     slopes.reserve(kResamples);
-    std::vector<double> bx(direct.size()), by(direct.size());
-    for (int r = 0; r < kResamples; ++r) {
-      for (std::size_t i = 0; i < direct.size(); ++i) {
-        std::size_t k = rng.uniform_index(direct.size());
-        bx[i] = indirect[k];
-        by[i] = direct[k];
-      }
-      // Degenerate resamples (all-equal x) are skipped.
-      bool constant = true;
-      for (std::size_t i = 1; i < bx.size(); ++i)
-        if (bx[i] != bx[0]) constant = false;
-      if (constant) continue;
-      slopes.push_back(stats::theil_sen(bx, by).slope);
-    }
+    for (const std::optional<double>& f : fit)
+      if (f) slopes.push_back(*f);
+    AGEO_COUNTER_ADD("measure.eta.bootstrap_fits", slopes.size());
     if (slopes.size() >= 20) {
       std::sort(slopes.begin(), slopes.end());
       e.eta_ci_low = slopes[slopes.size() * 25 / 1000];

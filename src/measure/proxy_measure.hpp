@@ -32,9 +32,11 @@ struct EtaEstimate {
 /// Estimate eta from every session whose proxy answers direct pings.
 /// `samples` pings of each kind per proxy; minima are regressed
 /// (Theil–Sen, robust). Returns the default eta = 0.5 with n_proxies == 0
-/// when fewer than 3 proxies are pingable.
+/// when fewer than 3 proxies are pingable. The pings run serially; the
+/// bootstrap refits run on up to `threads` workers (resolve_threads), and
+/// the result is bit-identical at every thread count.
 EtaEstimate estimate_eta(std::span<netsim::ProxySession> sessions,
-                         int samples = 5);
+                         int samples = 5, int threads = 1);
 
 /// Probe adapter: measures landmarks through one proxy and subtracts the
 /// estimated client-proxy RTT.

@@ -116,7 +116,9 @@ void AuditService::bootstrap(std::size_t limit) {
     sessions.reserve(ids.size());
     for (std::size_t id : ids)
       sessions.push_back(pool_.find(id)->state->session);
-    eta_ = measure::estimate_eta(sessions, config_.audit.eta_samples);
+    AGEO_SPAN("serve", "bootstrap.estimate_eta");
+    eta_ = measure::estimate_eta(sessions, config_.audit.eta_samples,
+                                 config_.audit.threads);
     AGEO_GAUGE_SET("serve.eta", eta_.eta);
   }
 

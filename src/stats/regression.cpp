@@ -76,22 +76,28 @@ LinearFit ols(std::span<const double> xs, std::span<const double> ys) {
   return f;
 }
 
-LinearFit theil_sen(std::span<const double> xs, std::span<const double> ys) {
+double theil_sen_slope(std::span<const double> xs, std::span<const double> ys,
+                       std::vector<double>& scratch) {
   detail::require(xs.size() == ys.size(), "theil_sen: length mismatch");
   detail::require(xs.size() >= 2, "theil_sen: need n >= 2");
-  std::vector<double> slopes;
-  slopes.reserve(xs.size() * (xs.size() - 1) / 2);
+  scratch.clear();
+  scratch.reserve(xs.size() * (xs.size() - 1) / 2);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     for (std::size_t j = i + 1; j < xs.size(); ++j) {
       double dx = xs[j] - xs[i];
       if (dx == 0.0) continue;
-      slopes.push_back((ys[j] - ys[i]) / dx);
+      scratch.push_back((ys[j] - ys[i]) / dx);
     }
   }
-  detail::require(!slopes.empty(), "theil_sen: x is constant");
+  detail::require(!scratch.empty(), "theil_sen: x is constant");
+  return median_of(scratch);
+}
+
+LinearFit theil_sen(std::span<const double> xs, std::span<const double> ys) {
+  std::vector<double> slopes;
   LinearFit f;
+  f.slope = theil_sen_slope(xs, ys, slopes);
   f.n = xs.size();
-  f.slope = median_of(slopes);
   std::vector<double> residual_intercepts(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i)
     residual_intercepts[i] = ys[i] - f.slope * xs[i];

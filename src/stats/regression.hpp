@@ -2,6 +2,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 namespace ageo::stats {
 
@@ -23,6 +24,11 @@ LinearFit ols(std::span<const double> xs, std::span<const double> ys);
 /// is the "robust linear regression" used for the eta factor (Fig. 13).
 /// r_squared is computed against the robust line; stderr fields are 0.
 LinearFit theil_sen(std::span<const double> xs, std::span<const double> ys);
+
+/// theil_sen(xs, ys).slope, bit for bit, with the pairwise slopes built
+/// in `scratch` (cleared first) so a loop of fits reuses one buffer.
+double theil_sen_slope(std::span<const double> xs, std::span<const double> ys,
+                       std::vector<double>& scratch);
 
 /// OLS through the origin (y = slope * x).
 LinearFit ols_through_origin(std::span<const double> xs,

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -454,6 +456,36 @@ TEST(ParallelAudit, SteadyStateGridAllocationsAreZero) {
   EXPECT_GT(counter(r2.telemetry, "mlat.scratch.region_acquires"),
             counter(r1.telemetry, "mlat.scratch.region_acquires"));
 #endif
+}
+
+TEST(ParallelAudit, ParallelWarmUpTablesEqualLazySerial) {
+  // warm_countries builds each missing landmark table in its own worker
+  // task. Duplicate ids and already-warm ids must neither race (the TSan
+  // build runs this) nor change a bit of any table.
+  measure::Testbed bed(small_bed_config());
+  const std::size_t n = bed.world().country_count();
+  ASSERT_GT(n, 8u);
+  Auditor parallel(bed, audit_config(4));
+  (void)parallel.country_landmark_km(3);  // table built lazily
+  const std::vector<world::CountryId> early = {5, 5, 7};
+  parallel.warm_countries(early);  // region and table warmed
+  std::vector<world::CountryId> ids;
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t id = n; id-- > 0;)
+      ids.push_back(static_cast<world::CountryId>(id));
+  parallel.warm_countries(ids);
+
+  Auditor lazy(bed, audit_config(1));
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto id = static_cast<world::CountryId>(k);
+    const auto got = parallel.country_landmark_km(id);
+    const auto want = lazy.country_landmark_km(id);
+    ASSERT_EQ(got.size(), want.size()) << "country " << id;
+    for (std::size_t j = 0; j < want.size(); ++j)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                std::bit_cast<std::uint64_t>(want[j]))
+          << "country " << id << " landmark " << j;
+  }
 }
 
 TEST(ParallelAudit, RerunIsDeterministic) {

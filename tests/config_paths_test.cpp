@@ -3,10 +3,13 @@
 // aggregation helpers.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "assess/audit.hpp"
 #include "common/error.hpp"
 #include "measure/testbed.hpp"
 #include "netsim/network.hpp"
+#include "serve/service.hpp"
 #include "world/hubs.hpp"
 
 namespace ageo {
@@ -65,6 +68,51 @@ TEST_F(ConfigTest, DisambiguationStagesCanBeDisabled) {
         row.verdict_final != assess::Verdict::kUncertain)
       ++resolved;
   EXPECT_GT(resolved, 0u);
+}
+
+TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
+  // Each bad field fails in the constructor, before the testbed's
+  // network gains a host, with a message that names the field.
+  struct Case {
+    const char* field;
+    void (*apply)(assess::AuditConfig&);
+  };
+  const Case cases[] = {
+      {"threads", [](assess::AuditConfig& c) { c.threads = -3; }},
+      {"threads", [](assess::AuditConfig& c) { c.threads = -1; }},
+      {"eta_samples", [](assess::AuditConfig& c) { c.eta_samples = 0; }},
+      {"eta_samples", [](assess::AuditConfig& c) { c.eta_samples = -2; }},
+      {"self_ping_samples",
+       [](assess::AuditConfig& c) { c.self_ping_samples = 0; }},
+      {"self_ping_samples",
+       [](assess::AuditConfig& c) { c.self_ping_samples = -1; }},
+  };
+  const auto expect_rejects = [](const char* field, auto&& construct) {
+    try {
+      construct();
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::size_t hosts = bed_->net().host_count();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    assess::AuditConfig audit;
+    c.apply(audit);
+    expect_rejects(c.field, [&] { assess::Auditor a(*bed_, audit); });
+    serve::ServiceConfig service;
+    service.audit = audit;
+    expect_rejects(c.field, [&] { serve::AuditService s(*bed_, service); });
+    EXPECT_EQ(bed_->net().host_count(), hosts);
+  }
+  // The boundary values stay accepted: 0 threads means one per core.
+  assess::AuditConfig edge;
+  edge.threads = 0;
+  edge.eta_samples = 1;
+  edge.self_ping_samples = 1;
+  EXPECT_NO_THROW(assess::Auditor(*bed_, edge));
 }
 
 TEST_F(ConfigTest, BreakdownPartitionsRows) {

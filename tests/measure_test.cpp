@@ -1,7 +1,10 @@
 // Unit tests for the measurement module.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "algos/cbg_pp.hpp"
 #include "common/error.hpp"
@@ -11,6 +14,7 @@
 #include "measure/testbed.hpp"
 #include "measure/tools.hpp"
 #include "measure/two_phase.hpp"
+#include "obs/obs.hpp"
 #include "world/placement.hpp"
 
 namespace ageo::measure {
@@ -351,6 +355,114 @@ TEST_F(MeasureTest, UnreachableLandmarksSkipped) {
   auto r = two_phase_measure(*bed_, dead, rng);
   EXPECT_TRUE(r.observations.empty());
   EXPECT_TRUE(r.phase1.empty());
+}
+
+// ---- eta bootstrap: bit-identical at every thread count ----
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A testbed of its own, so host ids (and with them every simulated
+/// route) do not depend on which other tests ran in this process.
+std::unique_ptr<Testbed> eta_bed() {
+  TestbedConfig cfg;
+  cfg.seed = 505;
+  cfg.constellation.n_anchors = 30;
+  cfg.constellation.n_probes = 30;
+  return std::make_unique<Testbed>(cfg);
+}
+
+/// `remote` pingable proxies across the northern mid-latitudes, then
+/// `loopback` tunnels whose proxy is the client itself. Loopback pings
+/// never jitter, so every loopback shares one indirect minimum.
+std::vector<netsim::ProxySession> eta_fleet(Testbed& bed, std::size_t remote,
+                                            std::size_t loopback) {
+  netsim::HostProfile cp;
+  cp.location = {50.11, 8.68};
+  const netsim::HostId client = bed.add_host(cp);
+  netsim::ProxyBehavior pingable;
+  pingable.icmp_responds = true;
+  std::vector<netsim::ProxySession> sessions;
+  Rng rng(31);
+  for (std::size_t i = 0; i < remote; ++i) {
+    netsim::HostProfile pp;
+    pp.location = {rng.uniform(30.0, 60.0), rng.uniform(-120.0, 140.0)};
+    sessions.emplace_back(bed.net(), client, bed.add_host(pp), pingable);
+  }
+  for (std::size_t i = 0; i < loopback; ++i)
+    sessions.emplace_back(bed.net(), client, client, pingable);
+  return sessions;
+}
+
+/// estimate_eta with each session on a fresh lane of a fixed seed, so
+/// every call sees the same pings.
+EtaEstimate eta_at(Testbed& bed, std::vector<netsim::ProxySession>& sessions,
+                   int threads) {
+  std::vector<netsim::Lane> lanes;
+  lanes.reserve(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    lanes.push_back(bed.net().make_lane(7000 + i));
+    sessions[i].set_lane(&lanes[i]);
+  }
+  EtaEstimate e = estimate_eta(sessions, 5, threads);
+  for (auto& s : sessions) s.set_lane(nullptr);
+  return e;
+}
+
+void expect_eta_bits_equal(const EtaEstimate& want, const EtaEstimate& got,
+                           int threads) {
+  EXPECT_EQ(bits(got.eta), bits(want.eta)) << "threads=" << threads;
+  EXPECT_EQ(bits(got.eta_ci_low), bits(want.eta_ci_low))
+      << "threads=" << threads;
+  EXPECT_EQ(bits(got.eta_ci_high), bits(want.eta_ci_high))
+      << "threads=" << threads;
+  EXPECT_EQ(bits(got.r_squared), bits(want.r_squared))
+      << "threads=" << threads;
+  EXPECT_EQ(got.n_proxies, want.n_proxies) << "threads=" << threads;
+}
+
+TEST(EtaBootstrap, FleetBitIdenticalAcrossThreadCounts) {
+  auto bed = eta_bed();
+  auto sessions = eta_fleet(*bed, 200, 0);
+  const EtaEstimate serial = eta_at(*bed, sessions, 1);
+  EXPECT_EQ(serial.n_proxies, 200u);
+  EXPECT_LT(serial.eta_ci_low, serial.eta_ci_high);
+  // Pinned bits: a change in the order the resample indices are drawn
+  // from the bootstrap stream moves them.
+  EXPECT_EQ(bits(serial.eta), 0x3fdfdb3ec4de0b6fULL);
+  EXPECT_EQ(bits(serial.eta_ci_low), 0x3fdfbbf8faf62eb5ULL);
+  EXPECT_EQ(bits(serial.eta_ci_high), 0x3fdff8b8b7eda3eeULL);
+  for (int threads : {2, 4, 0})
+    expect_eta_bits_equal(serial, eta_at(*bed, sessions, threads), threads);
+}
+
+TEST(EtaBootstrap, DegenerateResamplesSkippedAtEveryThreadCount) {
+  // Two remote proxies and four loopbacks: a resample that draws only
+  // loopbacks has constant x and must be skipped, whichever worker ran
+  // it, without moving any kept slope.
+  auto bed = eta_bed();
+  auto sessions = eta_fleet(*bed, 2, 4);
+  const bool prev = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  const EtaEstimate serial = eta_at(*bed, sessions, 1);
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  for (int threads : {2, 4, 0})
+    expect_eta_bits_equal(serial, eta_at(*bed, sessions, threads), threads);
+  obs::set_metrics_enabled(prev);
+  EXPECT_EQ(serial.n_proxies, 6u);
+  EXPECT_LE(serial.eta_ci_low, serial.eta);
+  EXPECT_GE(serial.eta_ci_high, serial.eta);
+  EXPECT_EQ(bits(serial.eta_ci_low), 0x3fe015376f7ab2cfULL);
+  EXPECT_EQ(bits(serial.eta_ci_high), 0x3fe015619e01039eULL);
+#if AGEO_OBS_ENABLED
+  std::uint64_t kept = 0;
+  for (const auto& c : snap.counters)
+    if (c.name == "measure.eta.bootstrap_fits") kept = c.value;
+  EXPECT_GE(kept, 20u);
+  EXPECT_LT(kept, 200u);  // some resamples took the skip path
+#else
+  EXPECT_TRUE(snap.counters.empty());
+#endif
 }
 
 }  // namespace

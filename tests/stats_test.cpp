@@ -1,7 +1,9 @@
 // Unit tests for the stats module.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -108,6 +110,26 @@ TEST(TheilSen, RobustToOutliers) {
   auto naive = ols(x, y);
   EXPECT_GT(std::abs(naive.intercept - 2.0),
             std::abs(robust.intercept - 2.0));
+}
+
+TEST(TheilSen, SlopeWithScratchMatchesFullFit) {
+  // One scratch buffer across fits of different sizes (even and odd pair
+  // counts, tied x) gives theil_sen's slope bit for bit.
+  Rng rng(5);
+  std::vector<double> scratch;
+  for (std::size_t n : {2u, 5u, 6u, 40u, 7u}) {
+    std::vector<double> x, y;
+    for (std::size_t i = 0; i < n; ++i) {
+      x.push_back(std::floor(rng.uniform(0.0, 8.0)));
+      y.push_back(1.0 + 0.5 * x.back() + rng.normal(0.0, 0.3));
+    }
+    x[0] = x[1] + 1.0;  // never constant
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(theil_sen_slope(x, y, scratch)),
+              std::bit_cast<std::uint64_t>(theil_sen(x, y).slope))
+        << n;
+  }
+  std::vector<double> flat_x{3, 3, 3}, y{1, 2, 3};
+  EXPECT_THROW(theil_sen_slope(flat_x, y, scratch), InvalidArgument);
 }
 
 TEST(OlsThroughOrigin, Slope) {
