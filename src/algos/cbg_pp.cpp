@@ -174,7 +174,7 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
   // physics-only disks. The region is a pooled temporary: it feeds the
   // stage-2 distance queries and escapes only as a memo copy.
   auto base_lease = grid::Scratch::region(scratch, g);
-  grid::Region& base_region = base_lease.ref();
+  grid::Region& base_region = base_lease.get();
   std::vector<bool> base_used;
   detail.baseline_subset_size = subset(baseline, base_region, base_used);
 

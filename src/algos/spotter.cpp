@@ -85,11 +85,11 @@ std::unique_ptr<LocatorMemo> SpotterGeolocator::locate_memo(
   grid::Scratch* scratch = &grid::Scratch::tls();
   auto seed = grid::Scratch::region(scratch, g);
   mlat::spotter_start(g, rings, mask, plan_cache_, scratch, refine_,
-                      seed.ref());
+                      seed.get());
   auto memo = std::make_unique<SpotterMemo>();
   memo->grid = &g;
   memo->mask = mask;
-  memo->product.rebind(g, &seed.ref());
+  memo->product.rebind(g, &seed.get());
   for (const auto& ring : rings) {
     mlat::multiply_ring_into(g, ring, plan_cache_, memo->product);
     ++memo->n_rings;

@@ -55,10 +55,22 @@ std::string ladder_string(const algos::LocateProvenance& prov) {
 }
 
 const AuditConfig& validated(const AuditConfig& c) {
+  // Comparisons are written so that NaN fails them.
+  const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
   detail::require(c.threads >= 0, "AuditConfig: threads must be >= 0");
   detail::require(c.eta_samples > 0, "AuditConfig: eta_samples must be > 0");
   detail::require(c.self_ping_samples > 0,
                   "AuditConfig: self_ping_samples must be > 0");
+  detail::require(geo::is_valid(c.client_location),
+                  "AuditConfig: client_location must be a finite latitude "
+                  "in [-90, 90] and a finite longitude");
+  detail::require(
+      c.spotter_credible_mass > 0.0 && c.spotter_credible_mass <= 1.0,
+      "AuditConfig: spotter_credible_mass must be in (0, 1]");
+  detail::require(in_unit(c.byzantine_min_agreement),
+                  "AuditConfig: byzantine_min_agreement must be in [0, 1]");
+  detail::require(in_unit(c.suspicion_min_score),
+                  "AuditConfig: suspicion_min_score must be in [0, 1]");
   return c;
 }
 
@@ -81,14 +93,12 @@ Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
       // Every posterior a locate builds on the audit grid starts inside
       // mask_, so its ring multiplies only read mask cells: the distance
       // tables of plans on that grid cover the mask and nothing else.
-      plan_cache_(config.plan_cache_capacity != 0
-                      ? config.plan_cache_capacity
-                      // Auto-size: one slot per landmark AND per
-                      // refinement level (each coarse grid gets its own
-                      // plans), so refined audits never thrash either.
-                      : std::max<std::size_t>(
-                            512, bed.landmarks().size() *
-                                     (1 + config.refine.levels.size())),
+      // One slot per landmark AND per refinement level (each coarse
+      // grid gets its own plans), so the LRU never evicts: with fewer
+      // slots than landmarks it would evict every plan once per proxy.
+      plan_cache_(std::max<std::size_t>(
+                      512, bed.landmarks().size() *
+                               (1 + config.refine.levels.size())),
                   mask_),
       run_board_(config.campaign.breaker),
       locator_(make_geolocator(config)),

@@ -58,14 +58,6 @@ struct AuditConfig {
   /// performance lever. Typical: RefineSchedule::parse("2.0,0.5") for a
   /// 0.25-degree audit grid.
   mlat::RefineSchedule refine;
-  /// Plan-cache capacity (resident CapScanPlans). 0 = auto: one slot per
-  /// testbed landmark (min 512), so the cache never thrashes — with
-  /// fewer slots than landmarks the LRU evicts every plan once per
-  /// proxy, and Spotter audits rebuild each landmark's distance table
-  /// thousands of times instead of once. The Auditor's tables cover
-  /// only the plausibility-mask cells (~165 KB per landmark at 1
-  /// degree); see grid::CapPlanCache.
-  std::size_t plan_cache_capacity = 0;
   algos::CbgPlusPlusOptions cbg_pp;
   /// Posterior mass of the prediction region when algorithm == kSpotter.
   double spotter_credible_mass = 0.95;

@@ -198,8 +198,8 @@ class CapPlanCache {
   /// lazy distance table (built on the Spotter path) adds 8 bytes per
   /// table cell (see CapScanPlan::cell_distances_km), and an
   /// evicted+refetched plan must rebuild it — size the cache to the
-  /// landmark count when auditing with Spotter (Auditor does this
-  /// automatically; see AuditConfig::plan_cache_capacity).
+  /// landmark count when auditing with Spotter (the Auditor always
+  /// sizes it to landmarks x grids, min 512).
   explicit CapPlanCache(std::size_t capacity = 512);
 
   /// Same, with a table domain: plans on `table_domain`'s grid build

@@ -159,7 +159,7 @@ void Field::multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
   // Region is a pooled temporary when the field carries an arena.
   const double w = detail::gaussian_support_halfwidth_km(sigma_km);
   Scratch::RegionLease slease = Scratch::region(scratch_, *grid_);
-  Region& s = slease.ref();
+  Region& s = slease.get();
   support(std::max(0.0, mu_km - w), mu_km + w, s);
   live_.clear();
   live_.reserve(s.count());
@@ -314,7 +314,7 @@ Region Field::credible_region(double mass) const {
   if (!(total > 0.0)) return out;
 
   Scratch::IndexLease olease = Scratch::indices(scratch_);
-  std::vector<std::uint32_t>& order = olease.vec();
+  std::vector<std::uint32_t>& order = olease.get();
   order.reserve(live_valid_ ? live_.size() : density_.size());
   if (live_valid_) {
     for (const std::uint32_t i : live_)

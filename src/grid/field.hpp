@@ -163,9 +163,9 @@ class Field {
   /// Arena used for internal temporaries (the support Region of the
   /// first windowed multiply, the credible-region ordering). Null — the
   /// default — means plain per-call allocations. The arena must outlive
-  /// this binding and must belong to the calling thread; Scratch's
-  /// FieldLease resets it to null on release so a pooled Field never
-  /// carries a stale arena across threads.
+  /// this binding and must belong to the calling thread; Scratch::field
+  /// rebinds it on every acquire, so a pooled Field never carries a
+  /// stale arena into another thread's tenancy.
   void set_scratch(Scratch* s) noexcept { scratch_ = s; }
 
   /// The live-cell list (see live_), or null while there is none.

@@ -13,6 +13,10 @@
 // allocations for grid buffers (asserted by the obs counters below, and
 // by a steady-state guard test in audit_parallel_test).
 //
+// Every kind is pooled by the same code: one Lease template and one
+// take/give path. A kind supplies only its reset-to-handed-out-state
+// step (in its factory), its byte size and its allocation counter name.
+//
 // Ownership and clearing rules (DESIGN.md §9):
 //  * Arenas are strictly thread-affine: Scratch::tls() returns the
 //    calling thread's arena and leases must not cross threads.
@@ -24,10 +28,14 @@
 //    next acquire's clear cost O(touched rows) instead of O(grid) — the
 //    LCS coverage planes touch only each disk's latitude band, a few
 //    percent of the grid in the common case.
-//  * When a thread exits, its arena donates its buffers to a bounded
-//    process-wide store; new arenas (e.g. next run's workers) adopt
-//    from it before allocating, so even short-lived audit workers reach
-//    steady state after the first run.
+//  * When a thread exits, its arena donates its buffers to a process-
+//    wide store; new arenas (e.g. next run's workers) adopt from it
+//    before allocating, so even short-lived audit workers reach steady
+//    state after the first run. The store needs no cap: a buffer is
+//    allocated only when both the arena's pool and the store are empty,
+//    so the store never holds more buffers than the live arenas held at
+//    the process's peak, and each arena keeps at most kLocalCap (8)
+//    buffers per kind.
 //
 // Pool misses and buffer growth are counted under wall-clock-tagged
 // `grid.alloc.*` counters (they depend on thread count and pool
@@ -37,8 +45,10 @@
 // configuration equivalence tests compare against.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -51,6 +61,22 @@ struct ScratchStore;
 
 class Scratch {
  public:
+  using Words = std::vector<std::uint64_t>;
+  using Indices = std::vector<std::uint32_t>;
+  using Doubles = std::vector<double>;
+
+ private:
+  /// A pooled buffer, plus the element ranges its last tenant promised
+  /// to confine its writes to (word buffers only; untracked means
+  /// anything may be dirty).
+  template <class T>
+  struct Slot {
+    T value;
+    std::vector<std::pair<std::size_t, std::size_t>> dirty;
+    bool tracked = false;
+  };
+
+ public:
   Scratch() = default;
   ~Scratch();
   Scratch(const Scratch&) = delete;
@@ -60,137 +86,64 @@ class Scratch {
   /// shared store at thread exit).
   static Scratch& tls();
 
-  /// Pooled word buffer (LCS coverage planes, mask collections) with
-  /// dirty-range tracking.
-  class WordsLease {
+  /// A buffer on loan from an arena (move-only); destruction returns it,
+  /// with its capacity, to that arena. With a null arena it is a plain
+  /// owned buffer that destruction frees.
+  template <class T>
+  class Lease {
    public:
-    std::vector<std::uint64_t>& vec() noexcept { return buf_; }
-    /// Promise that every write of this tenancy falls inside some marked
-    /// [begin, end) element range; the next acquire then clears only the
-    /// marked ranges. Never calling mark_dirty means "anything may be
-    /// dirty" and forces a full clear next time.
-    void mark_dirty(std::size_t begin, std::size_t end);
+    T& get() noexcept { return slot_.value; }
+    const T& get() const noexcept { return slot_.value; }
 
-    WordsLease(WordsLease&&) noexcept;
-    WordsLease& operator=(WordsLease&&) = delete;
-    WordsLease(const WordsLease&) = delete;
-    ~WordsLease();
+    /// Word buffers: promise that every write of this tenancy falls
+    /// inside some marked [begin, end) element range; the next acquire
+    /// then clears only the marked ranges. Never calling mark_dirty
+    /// means "anything may be dirty" and forces a full clear next time.
+    void mark_dirty(std::size_t begin, std::size_t end)
+      requires std::same_as<T, Words>
+    {
+      Scratch::note_dirty(slot_, begin, end);
+    }
+
+    Lease(Lease&& o) noexcept
+        : owner_(std::exchange(o.owner_, nullptr)),
+          slot_(std::move(o.slot_)),
+          bytes_at_acquire_(o.bytes_at_acquire_) {}
+    ~Lease() {
+      if (owner_) owner_->give(*this);
+    }
 
    private:
     friend class Scratch;
-    WordsLease() = default;
+    Lease() = default;
     Scratch* owner_ = nullptr;
-    std::vector<std::uint64_t> buf_;
-    std::vector<std::pair<std::size_t, std::size_t>> dirty_;
-    bool tracked_ = false;
+    Slot<T> slot_;
     std::size_t bytes_at_acquire_ = 0;
   };
 
-  /// Pooled Region, handed out empty (all zero) on `g`.
-  class RegionLease {
-   public:
-    Region& ref() noexcept { return region_; }
+  using WordsLease = Lease<Words>;
+  using RegionLease = Lease<Region>;
+  using FieldLease = Lease<Field>;
+  using IndexLease = Lease<Indices>;
+  using DoublesLease = Lease<Doubles>;
 
-    RegionLease(RegionLease&&) noexcept;
-    RegionLease& operator=(RegionLease&&) = delete;
-    RegionLease(const RegionLease&) = delete;
-    ~RegionLease();
-
-   private:
-    friend class Scratch;
-    RegionLease() = default;
-    Scratch* owner_ = nullptr;
-    Region region_;
-    std::size_t bytes_at_acquire_ = 0;
-  };
-
-  /// Pooled Field, handed out uniform (all ones) on `g`, or as the
-  /// masked start when a mask is given (Field::rebind).
-  class FieldLease {
-   public:
-    Field& ref() noexcept { return field_; }
-
-    FieldLease(FieldLease&&) noexcept;
-    FieldLease& operator=(FieldLease&&) = delete;
-    FieldLease(const FieldLease&) = delete;
-    ~FieldLease();
-
-   private:
-    friend class Scratch;
-    FieldLease() = default;
-    Scratch* owner_ = nullptr;
-    Field field_;
-    std::size_t bytes_at_acquire_ = 0;
-  };
-
-  /// Pooled uint32 vector, handed out empty with warm capacity (band
-  /// lists, sort permutations, credible-region orderings).
-  class IndexLease {
-   public:
-    std::vector<std::uint32_t>& vec() noexcept { return buf_; }
-    const std::vector<std::uint32_t>& vec() const noexcept { return buf_; }
-
-    IndexLease(IndexLease&&) noexcept;
-    IndexLease& operator=(IndexLease&&) = delete;
-    IndexLease(const IndexLease&) = delete;
-    ~IndexLease();
-
-   private:
-    friend class Scratch;
-    IndexLease() = default;
-    Scratch* owner_ = nullptr;
-    std::vector<std::uint32_t> buf_;
-    std::size_t bytes_at_acquire_ = 0;
-  };
-
-  /// Pooled double vector, handed out empty with warm capacity (the
-  /// refinement driver's per-constraint sort keys).
-  class DoublesLease {
-   public:
-    std::vector<double>& vec() noexcept { return buf_; }
-    const std::vector<double>& vec() const noexcept { return buf_; }
-
-    DoublesLease(DoublesLease&&) noexcept;
-    DoublesLease& operator=(DoublesLease&&) = delete;
-    DoublesLease(const DoublesLease&) = delete;
-    ~DoublesLease();
-
-   private:
-    friend class Scratch;
-    DoublesLease() = default;
-    Scratch* owner_ = nullptr;
-    std::vector<double> buf_;
-    std::size_t bytes_at_acquire_ = 0;
-  };
-
-  /// `n` zeroed words. A null arena yields a plain owned buffer.
+  /// `n` zeroed words (LCS coverage planes, mask collections).
   static WordsLease words(Scratch* arena, std::size_t n);
   /// Empty word buffer with warm capacity (append-mode tenants).
   static WordsLease word_buf(Scratch* arena);
   /// Empty region on `g`.
   static RegionLease region(Scratch* arena, const Grid& g);
   /// Uniform all-ones field on `g`; with `mask`, the masked start (one
-  /// pass, see Field::rebind).
+  /// pass, see Field::rebind). The field uses `arena` for its own
+  /// temporaries.
   static FieldLease field(Scratch* arena, const Grid& g,
                           const Region* mask = nullptr);
-  /// Empty index vector.
+  /// Empty index vector with warm capacity (band lists, sort
+  /// permutations, credible-region orderings).
   static IndexLease indices(Scratch* arena);
-  /// Empty double vector.
+  /// Empty double vector with warm capacity (the refinement ladder's
+  /// per-constraint sort keys).
   static DoublesLease doubles(Scratch* arena);
-
-  /// Default per-kind capacity of the process-wide donation store —
-  /// sized for the one-shot audit's worker fan-out.
-  static constexpr std::size_t kDefaultStoreCapacity = 32;
-
-  /// Resize the donation store's per-kind capacity. A long-lived
-  /// service (src/serve) calls this at startup with a value derived
-  /// from its worker count and pool shard geometry, so every round's
-  /// short-lived workers re-adopt warm grid buffers instead of paying
-  /// cold allocations once the default 32 slots overflow. Applies to
-  /// future donations; already-stored buffers are never evicted by a
-  /// shrink. Thread-safe.
-  static void set_store_capacity(std::size_t per_kind) noexcept;
-  static std::size_t store_capacity() noexcept;
 
   /// Process-wide allocation statistics, aggregated over every arena
   /// (live or retired) and the shared store.
@@ -205,28 +158,23 @@ class Scratch {
  private:
   friend struct ScratchStore;
 
-  struct WordBuf {
-    std::vector<std::uint64_t> buf;
-    std::vector<std::pair<std::size_t, std::size_t>> dirty;
-    bool dirty_all = true;
-  };
+  template <class T>
+  using Pool = std::vector<Slot<T>>;
+  using Pools = std::tuple<Pool<Words>, Pool<Region>, Pool<Field>,
+                           Pool<Indices>, Pool<Doubles>>;
 
-  WordBuf take_word_buf(std::size_t min_size);
-  void give_word_buf(WordsLease& lease);
-  Region take_region();
-  void give_region(RegionLease& lease);
-  Field take_field();
-  void give_field(FieldLease& lease);
-  std::vector<std::uint32_t> take_indices();
-  void give_indices(IndexLease& lease);
-  std::vector<double> take_doubles();
-  void give_doubles(DoublesLease& lease);
+  /// A lease on a pooled (or, with a null arena, fresh) buffer, not yet
+  /// reset to its handed-out state.
+  template <class T>
+  static Lease<T> acquire(Scratch* arena);
+  template <class T>
+  Slot<T> take();
+  template <class T>
+  void give(Lease<T>& lease);
+  static void note_dirty(Slot<Words>& slot, std::size_t begin,
+                         std::size_t end);
 
-  std::vector<WordBuf> words_;
-  std::vector<Region> regions_;
-  std::vector<Field> fields_;
-  std::vector<std::vector<std::uint32_t>> indices_;
-  std::vector<std::vector<double>> dbls_;
+  Pools pools_;
 };
 
 }  // namespace ageo::grid

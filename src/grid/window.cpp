@@ -23,7 +23,7 @@ std::optional<Window> bounding_window(const Region& region, Scratch* scratch) {
   // cell count is small; the column list is pooled to keep the refined
   // audit loop allocation-free in steady state.
   Scratch::IndexLease occ_lease = Scratch::indices(scratch);
-  std::vector<std::uint32_t>& occ = occ_lease.vec();
+  std::vector<std::uint32_t>& occ = occ_lease.get();
   occ.assign((cols + 63) / 64 * 2, 0);  // occupancy bitmap as u32 pairs
   auto* occ_words = occ.data();
   const auto occ_set = [&](std::size_t c) {

@@ -58,11 +58,11 @@ bool detail::intersect_window_constraints(
   // Spotter supports are often that, and a pass over them costs as
   // much as any other.
   grid::Scratch::IndexLease order_lease = grid::Scratch::indices(scratch);
-  std::vector<std::uint32_t>& order = order_lease.vec();
+  std::vector<std::uint32_t>& order = order_lease.get();
   order.clear();
   {
     auto area_lease = grid::Scratch::doubles(scratch);
-    std::vector<double>& area = area_lease.vec();
+    std::vector<double>& area = area_lease.get();
     area.resize(n);
     constexpr double kAntipodeKm =
         geo::kEarthRadiusKm * 3.14159265358979323846;
@@ -81,7 +81,7 @@ bool detail::intersect_window_constraints(
               });
   }
   grid::Scratch::IndexLease cells_lease = grid::Scratch::indices(scratch);
-  std::vector<std::uint32_t>& cells = cells_lease.vec();
+  std::vector<std::uint32_t>& cells = cells_lease.get();
   bool sparse = false;
   for (const std::uint32_t i : order) {
     if (!sparse && survivors <= kSparseTailCells) {
@@ -112,8 +112,8 @@ bool detail::intersect_window_constraints(
           ->intersect_annulus_into(a.inner_km, a.outer_km, region, win);
     } else {
       auto tmp = grid::Scratch::region(scratch, g);
-      rasterize_annulus_into(g, a, tmp.ref());
-      region.intersect_with_in(tmp.ref(), band_b, band_e);
+      rasterize_annulus_into(g, a, tmp.get());
+      region.intersect_with_in(tmp.get(), band_b, band_e);
     }
     survivors = region.count_in(band_b, band_e);
     if (survivors == 0) return false;

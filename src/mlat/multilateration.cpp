@@ -117,9 +117,9 @@ std::size_t coverage_sweep(const grid::Grid& g,
   // every cell, at cover[w * size + idx]. Dirty ranges are declared per
   // constraint so the pooled buffer's next clear costs O(touched rows).
   auto cover_lease = grid::Scratch::words(scratch, planes * size);
-  std::uint64_t* cover = cover_lease.vec().data();
+  std::uint64_t* cover = cover_lease.get().data();
   auto rowmap_lease = grid::Scratch::words(scratch, row_words);
-  std::uint64_t* rowmap = rowmap_lease.vec().data();
+  std::uint64_t* rowmap = rowmap_lease.get().data();
   rowmap_lease.mark_dirty(0, row_words);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -160,10 +160,10 @@ std::size_t coverage_sweep(const grid::Grid& g,
   // every constraint's latitude band have zero coverage and cannot win,
   // which is why walking only the touched row runs is exact.
   auto ormask_lease = grid::Scratch::words(scratch, planes);
-  std::uint64_t* ormask = ormask_lease.vec().data();
+  std::uint64_t* ormask = ormask_lease.get().data();
   ormask_lease.mark_dirty(0, planes);
   auto ties_lease = grid::Scratch::indices(scratch);
-  std::vector<std::uint32_t>& ties = ties_lease.vec();
+  std::vector<std::uint32_t>& ties = ties_lease.get();
   std::size_t best = 0;
   const auto consider = [&](std::size_t idx, std::size_t pc) {
     if (pc == 0 || pc < best) return;
@@ -352,10 +352,10 @@ grid::Region spotter_credible(const grid::Grid& g,
   // start region in the same pass that resets it; only the credible
   // region escapes.
   auto seed = grid::Scratch::region(scratch, g);
-  spotter_start(g, rings, mask, cache, scratch, refine, seed.ref());
-  auto posterior = grid::Scratch::field(scratch, g, &seed.ref());
-  fuse_gaussian_rings_into(g, rings, posterior.ref(), nullptr, cache);
-  return posterior.ref().credible_region(credible_mass);
+  spotter_start(g, rings, mask, cache, scratch, refine, seed.get());
+  auto posterior = grid::Scratch::field(scratch, g, &seed.get());
+  fuse_gaussian_rings_into(g, rings, posterior.get(), nullptr, cache);
+  return posterior.get().credible_region(credible_mass);
 }
 
 bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,

@@ -70,12 +70,12 @@ std::optional<LadderResult> coarse_window(
   for (std::size_t lvl = 0; lvl < ctx.levels(); ++lvl) {
     const grid::Grid& cg = ctx.level(lvl);
     auto lease = grid::Scratch::region(scratch, cg);
-    grid::Region& region = lease.ref();
+    grid::Region& region = lease.get();
     const grid::Region* lmask = ctx.level_mask(lvl, fine_mask);
     if (!prev) {
       grid::window_region_into(cg, win, lmask, region);
     } else {
-      upsample_into(prev->ref(), *prev_grid, cg, region);
+      upsample_into(prev->get(), *prev_grid, cg, region);
       if (lmask)
         region.intersect_with_in(*lmask, win.r0 * cg.cols(),
                                  win.r1 * cg.cols());
@@ -235,7 +235,7 @@ std::optional<grid::Window> detail::ladder_seed_into(
   // count below the sparse-tail threshold, skipping the fine row kernels
   // entirely.
   const grid::Grid& g = ctx.fine();
-  upsample_into(lad->survivors.ref(), *lad->survivor_grid, g, out);
+  upsample_into(lad->survivors.get(), *lad->survivor_grid, g, out);
   if (mask)
     out.intersect_with_in(*mask, lad->win.r0 * g.cols(),
                           lad->win.r1 * g.cols());
@@ -289,19 +289,19 @@ std::size_t detail::refine_lcs_sweep(const RefineContext& ctx,
   const double pad0 = conservative_pad_km(cg);
   const std::size_t csize = cg.size();
   auto counts_lease = grid::Scratch::words(scratch, csize);
-  std::uint64_t* counts = counts_lease.vec().data();
+  std::uint64_t* counts = counts_lease.get().data();
   counts_lease.mark_dirty(0, csize);
   {
     auto tmp = grid::Scratch::region(scratch, cg);
     for (const Annulus& a0 : annuli) {
       const Annulus a = widened(a0, pad0);
-      tmp.ref().clear();
+      tmp.get().clear();
       if (cache)
         cache->plan(cg, a.center)
-            ->rasterize_annulus(a.inner_km, a.outer_km, tmp.ref());
+            ->rasterize_annulus(a.inner_km, a.outer_km, tmp.get());
       else
-        rasterize_annulus_into(cg, a, tmp.ref());
-      tmp.ref().for_each_cell([&](std::size_t idx) { ++counts[idx]; });
+        rasterize_annulus_into(cg, a, tmp.get());
+      tmp.get().for_each_cell([&](std::size_t idx) { ++counts[idx]; });
     }
   }
 
@@ -310,7 +310,7 @@ std::size_t detail::refine_lcs_sweep(const RefineContext& ctx,
   // no fine descendant reaching best, hence no tying cell.
   const grid::Region* cmask = ctx.level_mask(0, fine_mask);
   auto cand_lease = grid::Scratch::word_buf(scratch);
-  std::vector<std::uint64_t>& cands = cand_lease.vec();
+  std::vector<std::uint64_t>& cands = cand_lease.get();
   cands.clear();
   for (std::size_t idx = 0; idx < csize; ++idx)
     if (counts[idx] != 0 && (!cmask || cmask->test(idx)))
@@ -328,10 +328,10 @@ std::size_t detail::refine_lcs_sweep(const RefineContext& ctx,
 
   const std::size_t planes = (n + 63) / 64;
   auto orm_lease = grid::Scratch::words(scratch, planes);
-  std::uint64_t* ormask = orm_lease.vec().data();
+  std::uint64_t* ormask = orm_lease.get().data();
   orm_lease.mark_dirty(0, planes);
   auto ties_lease = grid::Scratch::indices(scratch);
-  std::vector<std::uint32_t>& ties = ties_lease.vec();
+  std::vector<std::uint32_t>& ties = ties_lease.get();
   ties.clear();
   std::vector<std::uint64_t> cellmask(planes);
   std::size_t best = 0;

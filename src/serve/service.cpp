@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "grid/scratch.hpp"
 #include "obs/journal.hpp"
 #include "obs/obs.hpp"
 
@@ -64,23 +63,6 @@ void AuditService::warm_countries(std::span<const std::size_t> ids) {
   auditor_.warm_countries(claimed);
 }
 
-void AuditService::auto_size_runtime() {
-  // The scratch donation store caches retired Region/Field buffers per
-  // thread kind; a deep solver queue over a dense shard churns far more
-  // temporaries than the batch default anticipates. One slot per 16
-  // shard slots, clamped to [default, 1024], keeps steady-state reuse
-  // near 100% without letting a million-entry shard pin gigabytes.
-  const std::size_t per_kind =
-      std::clamp(config_.shard_capacity / 16,
-                 grid::Scratch::kDefaultStoreCapacity,
-                 static_cast<std::size_t>(1024));
-  grid::Scratch::set_store_capacity(per_kind);
-  AGEO_GAUGE_SET("serve.scratch_store_capacity",
-                 static_cast<double>(per_kind));
-  AGEO_GAUGE_SET("serve.plan_cache_capacity",
-                 static_cast<double>(auditor_.plan_cache().capacity()));
-}
-
 std::size_t AuditService::admit(const world::Fleet& fleet) {
   AGEO_SPAN("serve", "admit");
   const std::size_t base = pool_.size();
@@ -123,7 +105,8 @@ void AuditService::bootstrap(std::size_t limit) {
   }
 
   warm_countries(ids);
-  auto_size_runtime();
+  AGEO_GAUGE_SET("serve.plan_cache_capacity",
+                 static_cast<double>(auditor_.plan_cache().capacity()));
 
   const bool journal = obs::journal_runtime_on();
   const std::size_t n = ids.size();
@@ -606,7 +589,8 @@ void AuditService::restore(const EpochSnapshot& snap) {
   pending_.assign(snap.pending.begin(), snap.pending.end());
 
   warm_countries(ids);
-  auto_size_runtime();
+  AGEO_GAUGE_SET("serve.plan_cache_capacity",
+                 static_cast<double>(auditor_.plan_cache().capacity()));
 
   // Rebuild regions, verdicts, and solver memos by re-solving — they
   // are deterministic functions of the observations, so the restored

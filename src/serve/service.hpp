@@ -194,9 +194,6 @@ class AuditService {
   void solve_and_assess(std::span<const std::size_t> ids, bool journal);
   /// Throw unless `snap` can be restored onto this service as is.
   void check_snapshot(const EpochSnapshot& snap) const;
-  /// Size the plan cache and the scratch-arena donation store for this
-  /// pool geometry (called once, before the first solve).
-  void auto_size_runtime();
 };
 
 }  // namespace ageo::serve

@@ -3,6 +3,7 @@
 // aggregation helpers.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "assess/audit.hpp"
@@ -72,7 +73,10 @@ TEST_F(ConfigTest, DisambiguationStagesCanBeDisabled) {
 
 TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
   // Each bad field fails in the constructor, before the testbed's
-  // network gains a host, with a message that names the field.
+  // network gains a host, with a message that names the field. The
+  // credible mass is checked under the default CBG++ algorithm too.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   struct Case {
     const char* field;
     void (*apply)(assess::AuditConfig&);
@@ -86,6 +90,30 @@ TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
        [](assess::AuditConfig& c) { c.self_ping_samples = 0; }},
       {"self_ping_samples",
        [](assess::AuditConfig& c) { c.self_ping_samples = -1; }},
+      {"client_location",
+       [](assess::AuditConfig& c) { c.client_location.lat_deg = kNaN; }},
+      {"client_location",
+       [](assess::AuditConfig& c) { c.client_location.lat_deg = 91.0; }},
+      {"client_location",
+       [](assess::AuditConfig& c) { c.client_location.lon_deg = kInf; }},
+      {"spotter_credible_mass",
+       [](assess::AuditConfig& c) { c.spotter_credible_mass = 2.0; }},
+      {"spotter_credible_mass",
+       [](assess::AuditConfig& c) { c.spotter_credible_mass = 0.0; }},
+      {"spotter_credible_mass",
+       [](assess::AuditConfig& c) { c.spotter_credible_mass = kNaN; }},
+      {"byzantine_min_agreement",
+       [](assess::AuditConfig& c) { c.byzantine_min_agreement = kNaN; }},
+      {"byzantine_min_agreement",
+       [](assess::AuditConfig& c) { c.byzantine_min_agreement = -0.1; }},
+      {"byzantine_min_agreement",
+       [](assess::AuditConfig& c) { c.byzantine_min_agreement = 1.5; }},
+      {"suspicion_min_score",
+       [](assess::AuditConfig& c) { c.suspicion_min_score = kNaN; }},
+      {"suspicion_min_score",
+       [](assess::AuditConfig& c) { c.suspicion_min_score = kInf; }},
+      {"suspicion_min_score",
+       [](assess::AuditConfig& c) { c.suspicion_min_score = -1.0; }},
   };
   const auto expect_rejects = [](const char* field, auto&& construct) {
     try {
@@ -112,6 +140,10 @@ TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
   edge.threads = 0;
   edge.eta_samples = 1;
   edge.self_ping_samples = 1;
+  edge.spotter_credible_mass = 1.0;
+  edge.byzantine_min_agreement = 0.0;
+  edge.suspicion_min_score = 1.0;
+  edge.client_location = {-90.0, 180.0};
   EXPECT_NO_THROW(assess::Auditor(*bed_, edge));
 }
 

@@ -1,7 +1,11 @@
-// Unit tests for the grid module: raster, regions, fields.
+// Unit tests for the grid module: raster, regions, fields, scratch arenas.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "geo/geodesy.hpp"
@@ -10,6 +14,7 @@
 #include "grid/grid.hpp"
 #include "grid/raster.hpp"
 #include "grid/region.hpp"
+#include "grid/scratch.hpp"
 
 namespace ageo::grid {
 namespace {
@@ -320,6 +325,155 @@ TEST(Field, Validation) {
                InvalidArgument);
   EXPECT_THROW(f.credible_region(0.0), InvalidArgument);
   EXPECT_THROW(f.credible_region(1.5), InvalidArgument);
+}
+
+// ---- Scratch arenas: every kind is handed out in its documented state,
+// whatever the previous tenant left behind. Each case runs against the
+// calling thread's arena and against the null arena (plain allocation).
+
+std::vector<Scratch*> arenas() { return {&Scratch::tls(), nullptr}; }
+
+bool all_zero(const std::vector<std::uint64_t>& v) {
+  for (std::uint64_t w : v)
+    if (w != 0) return false;
+  return true;
+}
+
+/// Take `n` words, write ~0 over every range of `dirt` (marking them when
+/// `track`), return the buffer, then take `m` words: they must be zero.
+/// An arena must hand the same buffer back when it is large enough.
+void expect_words_cleared(Scratch* arena, std::size_t n, std::size_t m,
+                          const std::vector<std::pair<std::size_t,
+                                                      std::size_t>>& dirt,
+                          bool track) {
+  const std::uint64_t* first = nullptr;
+  std::size_t capacity = 0;
+  {
+    auto lease = Scratch::words(arena, n);
+    ASSERT_EQ(lease.get().size(), n);
+    ASSERT_TRUE(all_zero(lease.get()));
+    for (const auto& [b, e] : dirt) {
+      for (std::size_t i = b; i < e; ++i) lease.get()[i] = ~0ULL;
+      if (track) lease.mark_dirty(b, e);
+    }
+    first = lease.get().data();
+    capacity = lease.get().capacity();
+  }
+  auto lease = Scratch::words(arena, m);
+  ASSERT_EQ(lease.get().size(), m);
+  EXPECT_TRUE(all_zero(lease.get()));
+  if (arena && m <= capacity) {
+    EXPECT_EQ(lease.get().data(), first);
+  }
+}
+
+TEST(Scratch, WordsComeBackZeroed) {
+  for (Scratch* arena : arenas()) {
+    SCOPED_TRACE(arena ? "arena" : "null arena");
+    // Unsorted marked ranges that overlap or nest.
+    expect_words_cleared(
+        arena, 1000, 1000,
+        {{500, 600}, {100, 300}, {250, 520}, {120, 180}, {900, 1000}}, true);
+    // More ranges than are tracked: the envelope still covers them all.
+    std::vector<std::pair<std::size_t, std::size_t>> many;
+    for (std::size_t i = 0; i < 100; ++i) many.emplace_back(i * 10, i * 10 + 3);
+    expect_words_cleared(arena, 1000, 1000, many, true);
+    // An untracked tenancy may have written anywhere.
+    expect_words_cleared(arena, 1000, 1000, {{0, 1000}}, false);
+    // Shrink, then grow past the words the shrunk tenancy never saw.
+    expect_words_cleared(arena, 1000, 100, {{0, 1000}}, false);
+    expect_words_cleared(arena, 100, 2000, {{20, 60}}, true);
+    EXPECT_TRUE(Scratch::word_buf(arena).get().empty());
+  }
+}
+
+TEST(Scratch, RegionsComeBackEmptyOnTheNewGrid) {
+  const Grid coarse(2.0), fine(1.0);
+  for (Scratch* arena : arenas()) {
+    SCOPED_TRACE(arena ? "arena" : "null arena");
+    Scratch::region(arena, fine).get().fill();
+    auto lease = Scratch::region(arena, coarse);
+    EXPECT_EQ(lease.get().grid(), &coarse);
+    EXPECT_TRUE(lease.get().empty());
+    EXPECT_EQ(lease.get().words().size(), Region(coarse).words().size());
+    lease.get().fill();
+  }
+  for (Scratch* arena : arenas()) {
+    auto lease = Scratch::region(arena, fine);
+    EXPECT_EQ(lease.get().grid(), &fine);
+    EXPECT_EQ(lease.get(), Region(fine));
+  }
+}
+
+TEST(Scratch, FieldsComeBackUniformOrAsTheMaskedStart) {
+  const Grid coarse(2.0), fine(1.0);
+  Region mask(fine);
+  mask.set_span(100, 900);
+  mask.set(5000);
+  Field masked(fine);
+  masked.apply_mask(mask);
+  for (Scratch* arena : arenas()) {
+    SCOPED_TRACE(arena ? "arena" : "null arena");
+    {
+      auto lease = Scratch::field(arena, coarse);
+      lease.get().multiply_gaussian_ring({20.0, 30.0}, 500.0, 200.0);
+      ASSERT_TRUE(lease.get().normalize());
+    }
+    {
+      auto lease = Scratch::field(arena, fine);
+      ASSERT_EQ(lease.get().grid(), &fine);
+      for (std::size_t c = 0; c < fine.size(); ++c)
+        ASSERT_EQ(lease.get().at(c), 1.0) << c;
+      lease.get().at(7) = 0.25;
+    }
+    auto lease = Scratch::field(arena, fine, &mask);
+    ASSERT_EQ(lease.get().grid(), &fine);
+    for (std::size_t c = 0; c < fine.size(); ++c) {
+      ASSERT_EQ(std::signbit(lease.get().at(c)), std::signbit(masked.at(c)));
+      ASSERT_EQ(lease.get().at(c), masked.at(c)) << c;
+    }
+  }
+}
+
+TEST(Scratch, VectorsComeBackEmptyWithTheirCapacity) {
+  for (Scratch* arena : arenas()) {
+    SCOPED_TRACE(arena ? "arena" : "null arena");
+    Scratch::indices(arena).get().assign(3000, 7u);
+    Scratch::doubles(arena).get().assign(3000, 0.5);
+    auto idx = Scratch::indices(arena);
+    auto dbl = Scratch::doubles(arena);
+    EXPECT_TRUE(idx.get().empty());
+    EXPECT_TRUE(dbl.get().empty());
+    if (arena) {
+      EXPECT_GE(idx.get().capacity(), 3000u);
+      EXPECT_GE(dbl.get().capacity(), 3000u);
+    }
+  }
+}
+
+TEST(Scratch, ExitingThreadDonatesItsBuffersToTheNextThread) {
+  // A thread's arena donates its pools when the thread exits; the next
+  // thread adopts them before allocating, so the same tenancy on a fresh
+  // thread allocates nothing.
+  const Grid g(1.0);
+  constexpr std::size_t kWords = 50000;
+  const auto tenancy = [&](std::size_t words) {
+    Scratch* arena = &Scratch::tls();
+    auto w = Scratch::words(arena, words);
+    auto r = Scratch::region(arena, g);
+    auto f = Scratch::field(arena, g);
+    auto i = Scratch::indices(arena);
+    i.get().resize(3000);
+    auto d = Scratch::doubles(arena);
+    d.get().resize(3000);
+  };
+  std::thread(tenancy, kWords).join();
+  const std::uint64_t before = Scratch::aggregate().buffers_allocated;
+  std::thread(tenancy, kWords).join();
+  EXPECT_EQ(Scratch::aggregate().buffers_allocated, before);
+  // Not vacuous: a tenancy that outgrows the donated buffer is counted.
+  std::thread(tenancy, 4 * kWords).join();
+  EXPECT_GT(Scratch::aggregate().buffers_allocated, before);
 }
 
 // Parameterized: cap rasterization is conservative across sizes and

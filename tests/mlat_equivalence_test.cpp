@@ -468,9 +468,9 @@ TEST(ArenaInvariance, FuseGaussianRings) {
 
       // The pooled sibling: a leased Field filled in place.
       auto lease = grid::Scratch::field(sc, g);
-      fuse_gaussian_rings_into(g, rings, lease.ref(), &mask, pc);
+      fuse_gaussian_rings_into(g, rings, lease.get(), &mask, pc);
       EXPECT_EQ(cr_oracle.words(),
-                lease.ref().credible_region(0.95).words())
+                lease.get().credible_region(0.95).words())
           << "pooled, cache=" << (pc != nullptr)
           << " arena=" << (sc != nullptr);
     }

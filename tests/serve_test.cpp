@@ -16,7 +16,6 @@
 #include "assess/audit.hpp"
 #include "assess/explain.hpp"
 #include "common/error.hpp"
-#include "grid/scratch.hpp"
 #include "measure/testbed.hpp"
 #include "netsim/adversary.hpp"
 #include "obs/journal.hpp"
@@ -790,16 +789,12 @@ TEST(Snapshot, ParserRejectsHugeCountsSignsAndOverflow) {
 
 // ---- runtime auto-sizing and backpressure ----
 
-TEST(AuditService, AutoSizesPlanCacheAndScratchStore) {
+TEST(AuditService, AutoSizesPlanCache) {
   measure::Testbed bed(small_bed_config());
   auto fleet = small_fleet(bed.world());
-  serve::ServiceConfig cfg = service_config(4);
-  cfg.shard_capacity = 4096;
-  serve::AuditService service(bed, cfg);
+  serve::AuditService service(bed, service_config(4));
   service.admit(fleet);
   service.bootstrap();
-  // shard_capacity / 16 = 256, inside [default, 1024].
-  EXPECT_EQ(grid::Scratch::store_capacity(), 256u);
   const grid::CapPlanCache::Stats warm = service.report().plan_cache;
   service.run_rounds(serve_rounds(6));
   auto rep = service.report();
@@ -811,7 +806,6 @@ TEST(AuditService, AutoSizesPlanCacheAndScratchStore) {
   EXPECT_EQ(rep.plan_cache.evictions, 0u);
   EXPECT_GT(warm.misses, 0u);
   EXPECT_LE(rep.plan_cache.misses, bed.store().size());
-  grid::Scratch::set_store_capacity(grid::Scratch::kDefaultStoreCapacity);
 }
 
 TEST(AuditService, BackpressureBoundsPendingQueue) {
