@@ -293,8 +293,8 @@ static void BM_IntersectAnnulusFused(benchmark::State& state) {
 BENCHMARK(BM_IntersectAnnulusFused);
 
 static void BM_IntersectAnnulusMaterialized(benchmark::State& state) {
-  // The "before": rasterize the annulus into a temporary, then AND the
-  // full word arrays.
+  // The oracle pattern the fused kernel is tested against: rasterize the
+  // annulus into a temporary, then AND the full word arrays.
   grid::Grid g(0.25);
   grid::CapScanPlan plan(g, {48.0, 11.0});
   const grid::Region base =

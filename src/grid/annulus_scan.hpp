@@ -1,8 +1,9 @@
-// Internal machinery of the pruned annulus rasterizer.
+// Internal machinery of the pruned annulus scanner.
 //
-// Shared by raster.cpp (one-shot scans) and cap_cache.cpp (per-landmark
-// plans). Both reduce one grid row to four concentric zones around the
-// column nearest the annulus center, measured as integer column offsets:
+// CapScanPlan (cap_cache.cpp) is the one pruned scanner; callers without
+// a plan cache build a transient plan. It reduces one grid row to four
+// concentric zones around the column nearest the annulus center,
+// measured as integer column offsets:
 //
 //   |offset|  <  core : guaranteed inside the inner exclusion — skipped
 //   ...      in hole  : near the inner boundary — tested cell by cell
@@ -13,8 +14,9 @@
 // "Guaranteed" is backed by a safety margin of kDotMargin in dot-product
 // space plus one cell of slack in column space, both of which dwarf every
 // floating-point error in the zone computation; tested cells evaluate the
-// exact same clamped-dot expression as the naive scan, so the pruned scan
-// is bit-for-bit identical to it (pinned by raster_equivalence_test).
+// exact same clamped-dot expression as the naive scan (raster.cpp's
+// grid::reference), so the pruned scan is bit-for-bit identical to it
+// (pinned by raster_equivalence_test).
 //
 // Boundary-band cells are tested in contiguous runs by annulus_fold,
 // which folds the pass bits straight into a Region's words. It has two
@@ -40,8 +42,8 @@ namespace ageo::grid::detail {
 /// Shared setup of an annulus scan: distance bounds converted to
 /// dot-product bounds, plus the latitude band the annulus can touch.
 /// d <= r  <=>  angle <= r/R  <=>  dot >= cos(r/R), for r/R in [0, pi].
-/// Every scan flavor (naive, pruned, plan-cached) builds thresholds from
-/// this one struct so their pass/fail tests are the same expressions.
+/// The naive reference scan and the plan scanner both build thresholds
+/// from this one struct so their pass/fail tests are the same expressions.
 struct AnnulusScan {
   bool empty = true;
   std::size_t r0 = 0, r1 = 0;
@@ -92,82 +94,11 @@ struct RowZones {
   long core_lo, core_hi;  ///< guaranteed fail inside the hole; skip
 };
 
-/// Radial zone half-widths in units of columns; negative means absent.
-/// Invariants the caller must provide: core <= hole and fill <= cand
-/// whenever both sides of each pair are present.
-struct RadialBounds {
-  double core = -1.0;
-  double hole = -1.0;
-  double fill = -1.0;
-  double cand = -1.0;
-};
-
-/// Turn radial half-widths into integer offset ranges. `frac` is the
-/// fractional position of the annulus center between column centers, in
-/// [-0.5, 0.5]; `ncols` bounds the candidate range so a wrapped scan
-/// visits every column exactly once.
-inline RowZones zones_from_radii(double frac, const RadialBounds& b,
-                                 long ncols) {
-  RowZones z;
-  z.cand_lo = static_cast<long>(std::ceil(frac - b.cand));
-  z.cand_hi = static_cast<long>(std::floor(frac + b.cand));
-  if (z.cand_hi - z.cand_lo + 1 > ncols) {  // annulus wraps the whole row
-    z.cand_lo = -(ncols / 2);
-    z.cand_hi = z.cand_lo + ncols - 1;
-  }
-  if (b.fill >= 0.0) {
-    z.fill_lo = std::max(z.cand_lo, static_cast<long>(std::ceil(frac - b.fill)));
-    z.fill_hi =
-        std::min(z.cand_hi, static_cast<long>(std::floor(frac + b.fill)));
-  } else {
-    z.fill_lo = kEmptyLo;
-    z.fill_hi = kEmptyLo - 1;
-  }
-  if (b.hole > 0.0) {  // strict interior: cells at exactly `hole` are outside
-    z.hole_lo = static_cast<long>(std::floor(frac - b.hole)) + 1;
-    z.hole_hi = static_cast<long>(std::ceil(frac + b.hole)) - 1;
-  } else {
-    z.hole_lo = kEmptyLo;
-    z.hole_hi = kEmptyLo - 1;
-  }
-  if (b.core > 0.0) {
-    z.core_lo = static_cast<long>(std::floor(frac - b.core)) + 1;
-    z.core_hi = static_cast<long>(std::ceil(frac + b.core)) - 1;
-  } else {
-    z.core_lo = kEmptyLo;
-    z.core_hi = kEmptyLo - 1;
-  }
-  return z;
-}
-
-/// Walk one row's zones in ascending offset order. `test(o)` is called for
-/// every boundary-band offset (caller evaluates the exact dot product);
-/// `fill(o_lo, o_hi)` for every maximal run of guaranteed-pass offsets.
-template <typename TestO, typename FillO>
-inline void emit_zones(const RowZones& z, TestO&& test, FillO&& fill) {
-  for (long o = z.cand_lo; o <= z.cand_hi;) {
-    if (o >= z.core_lo && o <= z.core_hi) {
-      o = z.core_hi + 1;
-      continue;
-    }
-    const bool in_hole = o >= z.hole_lo && o <= z.hole_hi;
-    if (!in_hole && o >= z.fill_lo && o <= z.fill_hi) {
-      long end = z.fill_hi;
-      if (o < z.hole_lo) end = std::min(end, z.hole_lo - 1);
-      fill(o, end);
-      o = end + 1;
-      continue;
-    }
-    test(o);
-    ++o;
-  }
-}
-
-/// Same walk as emit_zones, but boundary-band offsets are grouped into
-/// maximal inclusive runs handed to `run(o_lo, o_hi)` instead of one
-/// callback per offset — the shape annulus_fold consumes.
-/// The set of offsets visited (and the fills emitted) is identical to
-/// emit_zones by construction.
+/// Walk one row's zones in ascending offset order: every maximal run of
+/// guaranteed-pass offsets goes to `fill(o_lo, o_hi)`, and every maximal
+/// inclusive run of boundary-band offsets (cells that need the exact
+/// test) to `run(o_lo, o_hi)` — the shape annulus_fold consumes. The core
+/// and everything outside cand are never visited.
 template <typename RunO, typename FillO>
 inline void emit_zone_runs(const RowZones& z, RunO&& run, FillO&& fill) {
   long run_lo = kEmptyLo;
@@ -309,8 +240,9 @@ inline bool cpu_has_avx2() noexcept {
 #endif
 }
 
-/// The fold every boundary run goes through: the AVX2 loop when the CPU
-/// has it, the scalar loop otherwise.
+/// The fold every boundary run of CapScanPlan's rasterize and intersect
+/// kernels goes through (cap_cache.cpp is its one caller): the AVX2 loop
+/// when the CPU has it, the scalar loop otherwise.
 template <AnnulusOp Op>
 inline void annulus_fold(const geo::Vec3* centers, std::size_t begin,
                          std::size_t end, const geo::Vec3& v,

@@ -115,42 +115,39 @@ CapScanPlan::RowClass CapScanPlan::classify_row(const detail::AnnulusScan& s,
   return RowClass::kZones;
 }
 
-template <typename CellF, typename SpanF>
-void CapScanPlan::scan(double inner_km, double outer_km, CellF&& f,
-                       SpanF&& fs) const {
+template <typename RunF, typename FillF>
+void CapScanPlan::for_each_run(const detail::AnnulusScan& s, RunF&& run,
+                               FillF&& fill) const {
   const Grid& g = *g_;
-  const detail::AnnulusScan s(g, center_, inner_km, outer_km);
-  if (s.empty) return;
   const long ncols = static_cast<long>(g.cols());
-  const auto exact_test = [&](std::size_t idx) {
-    double d = std::clamp(s.v.dot(g.center_vec(idx)), -1.0, 1.0);
-    if (d >= s.cos_outer && d <= s.cos_inner) f(idx);
-  };
-
   detail::RowZones z;
   for (std::size_t r = s.r0; r < s.r1; ++r) {
     const std::size_t base = g.index(r, 0);
     switch (classify_row(s, r, z)) {
-      case RowClass::kNaive:  // ill-conditioned window: scan the whole row
-        for (std::size_t c = 0; c < g.cols(); ++c) exact_test(base + c);
+      case RowClass::kNaive:  // ill-conditioned window: test the whole row
+        run(base, base + g.cols());
         continue;
       case RowClass::kOutside:
         continue;
       case RowClass::kZones:
         break;
     }
-    detail::emit_zones(
+    // Offset runs to ascending global index spans (two across the
+    // antimeridian).
+    detail::emit_zone_runs(
         z,
-        [&](long o) {
-          long c = (c_round_ + o) % ncols;
-          if (c < 0) c += ncols;
-          exact_test(base + static_cast<std::size_t>(c));
+        [&](long o_lo, long o_hi) {
+          detail::for_col_spans(c_round_, o_lo, o_hi, ncols,
+                                [&](long b0, long b1) {
+                                  run(base + static_cast<std::size_t>(b0),
+                                      base + static_cast<std::size_t>(b1));
+                                });
         },
         [&](long o_lo, long o_hi) {
           detail::for_col_spans(c_round_, o_lo, o_hi, ncols,
                                 [&](long b0, long b1) {
-                                  fs(base + static_cast<std::size_t>(b0),
-                                     base + static_cast<std::size_t>(b1));
+                                  fill(base + static_cast<std::size_t>(b0),
+                                       base + static_cast<std::size_t>(b1));
                                 });
         });
   }
@@ -159,50 +156,17 @@ void CapScanPlan::scan(double inner_km, double outer_km, CellF&& f,
 void CapScanPlan::rasterize_annulus(double inner_km, double outer_km,
                                     Region& out) const {
   ageo::detail::require(out.grid() == g_, "CapScanPlan: region on a different grid");
-  const Grid& g = *g_;
-  const detail::AnnulusScan s(g, center_, inner_km, outer_km);
+  const detail::AnnulusScan s(*g_, center_, inner_km, outer_km);
   if (s.empty) return;
-  const long ncols = static_cast<long>(g.cols());
-  const std::size_t cols = g.cols();
-  // Boundary-band cells go through annulus_fold as contiguous runs; it
-  // evaluates the same clamped-dot pass test as scan()'s per-cell path,
-  // in the same operation order, so the result is bit-identical.
-  const geo::Vec3* centers = &g.center_vec(0);
+  const geo::Vec3* centers = &g_->center_vec(0);
   std::uint64_t* words = out.words().data();
-
-  detail::RowZones z;
-  for (std::size_t r = s.r0; r < s.r1; ++r) {
-    const std::size_t base = g.index(r, 0);
-    switch (classify_row(s, r, z)) {
-      case RowClass::kNaive:  // ill-conditioned window: test the whole row
+  for_each_run(
+      s,
+      [&](std::size_t b, std::size_t e) {
         detail::annulus_fold<detail::AnnulusOp::kSet>(
-            centers, base, base + cols, s.v, s.cos_outer, s.cos_inner, words);
-        continue;
-      case RowClass::kOutside:
-        continue;
-      case RowClass::kZones:
-        break;
-    }
-    detail::emit_zone_runs(
-        z,
-        [&](long o_lo, long o_hi) {
-          detail::for_col_spans(c_round_, o_lo, o_hi, ncols,
-                                [&](long b0, long b1) {
-                                  detail::annulus_fold<detail::AnnulusOp::kSet>(
-                                      centers,
-                                      base + static_cast<std::size_t>(b0),
-                                      base + static_cast<std::size_t>(b1),
-                                      s.v, s.cos_outer, s.cos_inner, words);
-                                });
-        },
-        [&](long o_lo, long o_hi) {
-          detail::for_col_spans(c_round_, o_lo, o_hi, ncols,
-                                [&](long b0, long b1) {
-                                  out.set_span(base + static_cast<std::size_t>(b0),
-                                               base + static_cast<std::size_t>(b1));
-                                });
-        });
-  }
+            centers, b, e, s.v, s.cos_outer, s.cos_inner, words);
+      },
+      [&](std::size_t b, std::size_t e) { out.set_span(b, e); });
 }
 
 void CapScanPlan::accumulate_annulus(double inner_km, double outer_km,
@@ -217,9 +181,17 @@ void CapScanPlan::accumulate_annulus(double inner_km, double outer_km,
                                      std::uint64_t* masks,
                                      unsigned bit) const {
   ageo::detail::require(bit < 64, "CapScanPlan: bit must be < 64");
+  const detail::AnnulusScan s(*g_, center_, inner_km, outer_km);
+  if (s.empty) return;
   const std::uint64_t m = 1ULL << bit;
-  scan(
-      inner_km, outer_km, [&](std::size_t idx) { masks[idx] |= m; },
+  const geo::Vec3* centers = &g_->center_vec(0);
+  for_each_run(
+      s,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i)
+          if (detail::annulus_pass(centers[i], s.v, s.cos_outer, s.cos_inner))
+            masks[i] |= m;
+      },
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) masks[i] |= m;
       });
@@ -284,7 +256,7 @@ void CapScanPlan::intersect_annulus_into(double inner_km, double outer_km,
                        base + static_cast<std::size_t>(c0));
       }
     }
-    // The core is guaranteed inside the inner exclusion; emit_zones
+    // The core is guaranteed inside the inner exclusion; emit_zone_runs
     // skips it, so clear it here (clamped to cand — everything beyond
     // cand is already gone, and an unclamped core can span > ncols).
     const long core_lo = std::max(z.core_lo, z.cand_lo);
@@ -391,6 +363,15 @@ std::shared_ptr<const CapScanPlan> CapPlanCache::plan(
     lru_.pop_back();
   }
   return built;
+}
+
+std::shared_ptr<const CapScanPlan> detail::plan_for(
+    CapPlanCache* cache, const Grid& g, const geo::LatLon& center) {
+  if (!cache) {
+    AGEO_COUNT("grid.plan.uncached_builds");
+    return std::make_shared<const CapScanPlan>(g, center);
+  }
+  return cache->plan(g, center);
 }
 
 CapPlanCache::Stats CapPlanCache::stats() const {

@@ -8,7 +8,11 @@
 // every column relative to the center. Rasterizing at a given radius is
 // then threshold comparisons and binary searches over those cached
 // cosines — no trig at all — and stays bit-for-bit identical to the
-// one-shot rasterizers in raster.hpp (pinned by raster_equivalence_test).
+// naive grid::reference scan in raster.hpp (pinned by
+// raster_equivalence_test). It is the only pruned annulus scanner:
+// callers without a cache (the raster.hpp wrappers, uncached mlat solves)
+// build a transient plan through detail::plan_for and call the same
+// methods.
 //
 // CapPlanCache is a small thread-safe LRU of plans keyed by
 // (grid, center), sized for one audit's landmark set; an Auditor owns one
@@ -100,8 +104,9 @@ class CapScanPlan {
   const geo::LatLon& center() const noexcept { return center_; }
 
   /// Set every cell within [inner_km, outer_km] of the center into `out`
-  /// (bitwise-or). Bit-identical to rasterize_ring / rasterize_cap on the
-  /// same annulus. `out` must be attached to this plan's grid.
+  /// (bitwise-or). Bit-identical to reference::rasterize_ring /
+  /// reference::rasterize_cap on the same annulus. `out` must be attached
+  /// to this plan's grid.
   void rasterize_annulus(double inner_km, double outer_km, Region& out) const;
 
   /// accumulate_cap_mask / accumulate_ring_mask against this plan.
@@ -162,16 +167,21 @@ class CapScanPlan {
     kNaive,    ///< ill-conditioned longitude window — test every cell
     kZones,    ///< zone ranges in `z` are valid
   };
-  /// Shared zone analysis of scan() and the fused kernels: classify row
-  /// `r` against `s` and, for kZones, fill `z` with the cand/fill/hole/
-  /// core offset ranges. Identical arithmetic on every path keeps the
-  /// fused kernels bit-compatible with rasterize_annulus.
+  /// Zone analysis shared by every kernel: classify row `r` against `s`
+  /// and, for kZones, fill `z` with the cand/fill/hole/core offset
+  /// ranges. Identical arithmetic on every path keeps the fused intersect
+  /// and the mask accumulator bit-compatible with rasterize_annulus.
   RowClass classify_row(const detail::AnnulusScan& s, std::size_t r,
                         detail::RowZones& z) const;
 
-  /// Row loop shared by the full and window-clipped intersect kernels:
-  template <typename CellF, typename SpanF>
-  void scan(double inner_km, double outer_km, CellF&& f, SpanF&& fs) const;
+  /// The zone walk of rasterize_annulus and accumulate_annulus over
+  /// `s`'s latitude band, in ascending cell order: each boundary run
+  /// (including a whole ill-conditioned row) goes to `run(begin, end)`
+  /// for the exact per-cell test, each guaranteed-inside span to
+  /// `fill(begin, end)`; both are half-open global cell-index ranges.
+  template <typename RunF, typename FillF>
+  void for_each_run(const detail::AnnulusScan& s, RunF&& run,
+                    FillF&& fill) const;
 
   const Grid* g_;
   geo::LatLon center_;
@@ -251,5 +261,17 @@ class CapPlanCache {
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
   Stats stats_;
 };
+
+namespace detail {
+
+/// The plan for annuli centered at `center` on `g`: `cache`'s when there
+/// is one, otherwise a transient plan built for this caller alone and
+/// counted by the deterministic `grid.plan.uncached_builds` counter (the
+/// audit always passes its cache, so that counter stays 0 there).
+std::shared_ptr<const CapScanPlan> plan_for(CapPlanCache* cache,
+                                            const Grid& g,
+                                            const geo::LatLon& center);
+
+}  // namespace detail
 
 }  // namespace ageo::grid

@@ -1,13 +1,15 @@
 // Rasterization of geometric constraints onto the grid.
 //
 // These functions turn the geometric primitives the algorithms produce
-// (caps, rings, polygons) into Regions. Cap/ring rasterization prunes to
-// the latitude band the shape can touch and, within each row, to the
-// longitude window the shape can reach; cells guaranteed inside are set
-// with whole-word fills and only the boundary bands are tested cell by
-// cell, which makes small disks cheap even on fine grids. The pruned scan
-// is bit-for-bit identical to the naive per-cell scan kept under
-// grid::reference below (pinned by raster_equivalence_test).
+// (caps, rings, polygons) into Regions. The cap/ring wrappers build a
+// transient CapScanPlan (cap_cache.hpp) for the center and run its scan:
+// the one pruned annulus scanner, which prunes to the latitude band the
+// shape can touch and, within each row, to the longitude window it can
+// reach; cells guaranteed inside are set with whole-word fills and only
+// the boundary bands are tested cell by cell. Callers that rasterize
+// around the same centers repeatedly should hold a CapPlanCache instead.
+// The pruned scan is bit-for-bit identical to the naive per-cell scan
+// kept under grid::reference below (pinned by raster_equivalence_test).
 #pragma once
 
 #include <utility>
@@ -68,8 +70,9 @@ void accumulate_ring_mask(const Grid& g, const geo::Ring& ring,
 
 /// Naive per-cell reference rasterizers: one dot product per cell of the
 /// latitude band, no longitude pruning. These define the semantics the
-/// fast paths (above and in cap_cache.hpp) must reproduce exactly; tests
-/// compare against them. Too slow for production use.
+/// plan scanner (behind the wrappers above) must reproduce exactly; tests
+/// compare against them, which is why they stay. Too slow for production
+/// use.
 namespace reference {
 Region rasterize_cap(const Grid& g, const geo::Cap& cap);
 Region rasterize_ring(const Grid& g, const geo::Ring& ring);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "grid/raster.hpp"
 
 namespace ageo::mlat {
 
@@ -27,15 +26,6 @@ std::vector<detail::Annulus> detail::ring_annuli(
   for (const auto& r : rings)
     out.push_back({r.center, std::max(0.0, r.min_km - pad), r.max_km + pad});
   return out;
-}
-
-void detail::rasterize_annulus_into(const grid::Grid& g, const Annulus& a,
-                                    grid::Region& out) {
-  if (a.inner_km <= 0.0)
-    grid::rasterize_cap_into(g, geo::Cap{a.center, a.outer_km}, out);
-  else
-    grid::rasterize_ring_into(g, geo::Ring{a.center, a.inner_km, a.outer_km},
-                              out);
 }
 
 bool detail::intersect_window_constraints(
@@ -107,14 +97,8 @@ bool detail::intersect_window_constraints(
       if (kept == 0) return false;
       continue;
     }
-    if (cache) {
-      cache->plan(g, a.center)
-          ->intersect_annulus_into(a.inner_km, a.outer_km, region, win);
-    } else {
-      auto tmp = grid::Scratch::region(scratch, g);
-      rasterize_annulus_into(g, a, tmp.get());
-      region.intersect_with_in(tmp.get(), band_b, band_e);
-    }
+    grid::detail::plan_for(cache, g, a.center)
+        ->intersect_annulus_into(a.inner_km, a.outer_km, region, win);
     survivors = region.count_in(band_b, band_e);
     if (survivors == 0) return false;
   }

@@ -51,11 +51,6 @@ std::vector<Annulus> ring_annuli(const grid::Grid& g,
                                  std::span<const RingConstraint> rings,
                                  const char* msg);
 
-/// Rasterize `a` into `out` (which must be empty) by a one-shot scan:
-/// the no-cache path of the kernels below.
-void rasterize_annulus_into(const grid::Grid& g, const Annulus& a,
-                            grid::Region& out);
-
 /// Below this many survivors, per-cell exact tests beat the row kernels:
 /// a kernel pass costs O(window rows) of zone binary searches plus a
 /// band-wide survivor count per constraint, the sparse tail one dot
@@ -65,9 +60,9 @@ inline constexpr std::size_t kSparseTailCells = 4096;
 /// The per-cell keep criterion every annulus engine reduces to: row
 /// inside the scan's latitude band, clamped center dot within
 /// [cos_outer, cos_inner]. The naive scan applies it verbatim, and the
-/// pruned/plan kernels only shortcut cells whose outcome the kDotMargin
-/// safety zones already decide (annulus_scan.hpp), so filtering a cell
-/// list with it is bit-identical to running any of the kernels.
+/// plan kernels only shortcut cells whose outcome the kDotMargin safety
+/// zones already decide (annulus_scan.hpp), so filtering a cell list
+/// with it is bit-identical to running any of the kernels.
 inline bool annulus_keeps(const grid::Grid& g,
                           const grid::detail::AnnulusScan& s,
                           std::size_t idx) {
@@ -83,8 +78,10 @@ inline bool annulus_keeps(const grid::Grid& g,
 /// Tightest annuli first, leaving out any that covers the whole sphere
 /// (it keeps every cell); row kernels while the region is large, then
 /// — once the survivors drop under kSparseTailCells — the exact per-cell
-/// test on an explicit cell list. Returns false as soon as the
-/// intersection empties (leaving `region` all-zero).
+/// test on an explicit cell list. The row kernel is the plan's fused
+/// intersect, served by `cache` or, without one, by a transient plan
+/// per annulus. Returns false as soon as the intersection empties
+/// (leaving `region` all-zero).
 bool intersect_window_constraints(const grid::Grid& g,
                                   const grid::Window& win,
                                   std::span<const Annulus> annuli,

@@ -131,17 +131,8 @@ std::size_t coverage_sweep(const grid::Grid& g,
     const std::size_t plane = (i >> 6) * size;
     cover_lease.mark_dirty(plane + r0 * cols, plane + r1 * cols);
     const unsigned bit = static_cast<unsigned>(i & 63);
-    if (cache) {
-      cache->plan(g, a.center)
-          ->accumulate_annulus(a.inner_km, a.outer_km, cover + plane, bit);
-    } else if (a.inner_km <= 0.0) {
-      grid::accumulate_cap_mask(g, geo::Cap{a.center, a.outer_km},
-                                cover + plane, bit);
-    } else {
-      grid::accumulate_ring_mask(g,
-                                 geo::Ring{a.center, a.inner_km, a.outer_km},
-                                 cover + plane, bit);
-    }
+    grid::detail::plan_for(cache, g, a.center)
+        ->accumulate_annulus(a.inner_km, a.outer_km, cover + plane, bit);
   }
 
   const auto candidate = [&](std::size_t idx) {
@@ -339,6 +330,9 @@ void spotter_start(const grid::Grid& g,
   // posterior is identically zero then, and so is the one started here.
   intersect_all_into(g, ladder, support, mask, cache, scratch, seed);
   AGEO_COUNTER_ADD("mlat.spotter.start_cells", seed.count());
+  // Per solve too: does start size explain the Spotter locate tail?
+  AGEO_HIST("mlat.spotter.start_cells_per_solve",
+            static_cast<double>(seed.count()), 1.0, 1e7);
 }
 
 grid::Region spotter_credible(const grid::Grid& g,
@@ -483,15 +477,9 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
   const double pad = conservative_pad_km(g);
   std::vector<std::uint64_t> cover(g.size(), 0);
   for (std::size_t i = 0; i < disks.size(); ++i) {
-    if (cache) {
-      cache->plan(g, disks[i].center)
-          ->accumulate_annulus(0.0, disks[i].max_km + pad, cover,
-                               static_cast<unsigned>(i));
-    } else {
-      grid::accumulate_cap_mask(
-          g, geo::Cap{disks[i].center, disks[i].max_km + pad}, cover,
-          static_cast<unsigned>(i));
-    }
+    grid::detail::plan_for(cache, g, disks[i].center)
+        ->accumulate_annulus(0.0, disks[i].max_km + pad, cover,
+                             static_cast<unsigned>(i));
   }
   return dense_passes(g, disks.size(), cover, mask);
 }
@@ -523,17 +511,8 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
                     "largest_consistent_subset: min_km must be <= max_km");
     const double inner = std::max(0.0, rings[i].min_km - pad);
     const double outer = rings[i].max_km + pad;
-    if (cache) {
-      cache->plan(g, rings[i].center)
-          ->accumulate_annulus(inner, outer, cover,
-                               static_cast<unsigned>(i));
-    } else if (inner <= 0.0) {
-      grid::accumulate_cap_mask(g, geo::Cap{rings[i].center, outer}, cover,
-                                static_cast<unsigned>(i));
-    } else {
-      grid::accumulate_ring_mask(g, geo::Ring{rings[i].center, inner, outer},
-                                 cover, static_cast<unsigned>(i));
-    }
+    grid::detail::plan_for(cache, g, rings[i].center)
+        ->accumulate_annulus(inner, outer, cover, static_cast<unsigned>(i));
   }
   return dense_passes(g, rings.size(), cover, mask);
 }

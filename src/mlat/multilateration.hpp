@@ -67,12 +67,13 @@ struct GaussianConstraint {
 };
 
 /// Intersection of all disks, clipped by `mask` when non-null. Empty
-/// region when the constraints are inconsistent. `cache`, when non-null,
-/// reuses per-landmark scan plans across calls (the constraint centers of
-/// successive proxies repeat) and intersects each annulus in place with
-/// the fused kernel; results are identical either way. `scratch` pools
-/// the temporaries of the no-cache path. `refine`, when it applies to
-/// (g, mask), runs the solve inside its ladder's window; same bits.
+/// region when the constraints are inconsistent. Each annulus is
+/// intersected in place by a scan plan's fused kernel: `cache`, when
+/// non-null, reuses per-landmark plans across calls (the constraint
+/// centers of successive proxies repeat); without one each annulus gets
+/// a transient plan. Results are identical either way. `scratch` pools
+/// the solve's temporaries. `refine`, when it applies to (g, mask), runs
+/// the solve inside its ladder's window; same bits.
 grid::Region intersect_disks(const grid::Grid& g,
                              std::span<const DiskConstraint> disks,
                              const grid::Region* mask = nullptr,

@@ -253,8 +253,8 @@ std::optional<grid::Window> detail::ladder_seed_into(
 /// pruning: a coarse cell's count of level-padded annuli bounds the
 /// coverage of every fine cell below it, so subtrees whose bound falls
 /// short of the running maximum cannot contain a tying cell and are
-/// skipped. Level-0 bounds come from the zone-pruned rasterizers (cheap
-/// at the coarsest grid); deeper bounds and the fine visits use the
+/// skipped. Level-0 bounds come from the plan rasterizer (cheap at the
+/// coarsest grid); deeper bounds and the fine visits use the
 /// per-cell dot test the kernels are bit-compatible with.
 std::size_t detail::refine_lcs_sweep(const RefineContext& ctx,
                                      std::span<const Annulus> annuli,
@@ -296,11 +296,8 @@ std::size_t detail::refine_lcs_sweep(const RefineContext& ctx,
     for (const Annulus& a0 : annuli) {
       const Annulus a = widened(a0, pad0);
       tmp.get().clear();
-      if (cache)
-        cache->plan(cg, a.center)
-            ->rasterize_annulus(a.inner_km, a.outer_km, tmp.get());
-      else
-        rasterize_annulus_into(cg, a, tmp.get());
+      grid::detail::plan_for(cache, cg, a.center)
+          ->rasterize_annulus(a.inner_km, a.outer_km, tmp.get());
       tmp.get().for_each_cell([&](std::size_t idx) { ++counts[idx]; });
     }
   }

@@ -34,10 +34,27 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// `bed`, once `config`'s scheduler weights are known finite. A NaN or
+/// infinite weight makes its verdict class's scores NaN, and the
+/// comparators of ProxyPool::rank lose strict weak ordering on NaN.
+/// Runs in the first member initializer, so nothing is built on a bad
+/// config.
+measure::Testbed* checked_testbed(measure::Testbed& bed,
+                                  const ServiceConfig& config) {
+  const SchedulerWeights& w = config.weights;
+  detail::require(std::isfinite(w.credible),
+                  "AuditService: weights.credible must be finite");
+  detail::require(std::isfinite(w.uncertain),
+                  "AuditService: weights.uncertain must be finite");
+  detail::require(std::isfinite(w.false_),
+                  "AuditService: weights.false_ must be finite");
+  return &bed;
+}
+
 }  // namespace
 
 AuditService::AuditService(measure::Testbed& bed, ServiceConfig config)
-    : bed_(&bed),
+    : bed_(checked_testbed(bed, config)),
       config_(config),
       auditor_(bed, config.audit),
       pool_(config.shards, config.shard_capacity) {}

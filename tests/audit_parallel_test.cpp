@@ -358,51 +358,76 @@ TEST(ParallelAudit, TelemetrySnapshotByteIdenticalAcrossThreadCounts) {
   // The metrics registry is process-global and cumulative, so each pass
   // resets it; reset keeps registrations, so both passes serialize the
   // same metric set. The deterministic view (wall-clock metrics
-  // filtered) must be byte-identical between threads=1 and threads=4.
-  const bool prev = obs::metrics_enabled();
-  obs::set_metrics_enabled(true);
+  // filtered) must be byte-identical between threads=1 and threads=4,
+  // for a CBG++ and a Spotter audit (whose per-solve start-size
+  // histogram is deterministic too).
+  for (const AuditAlgorithm algo :
+       {AuditAlgorithm::kCbgPlusPlus, AuditAlgorithm::kSpotter}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    const bool prev = obs::metrics_enabled();
+    obs::set_metrics_enabled(true);
 
-  measure::Testbed bed_serial(small_bed_config());
-  measure::Testbed bed_parallel(small_bed_config());
-  auto fleet = small_fleet(bed_serial.world());
+    measure::Testbed bed_serial(small_bed_config());
+    measure::Testbed bed_parallel(small_bed_config());
+    auto fleet = small_fleet(bed_serial.world());
 
-  obs::Registry::global().reset();
-  Auditor serial(bed_serial, audit_config(1));
-  auto a = serial.run(fleet);
+    AuditConfig serial_cfg = audit_config(1);
+    serial_cfg.algorithm = algo;
+    AuditConfig parallel_cfg = audit_config(4);
+    parallel_cfg.algorithm = algo;
 
-  obs::Registry::global().reset();
-  Auditor parallel(bed_parallel, audit_config(4));
-  auto b = parallel.run(fleet);
+    obs::Registry::global().reset();
+    Auditor serial(bed_serial, serial_cfg);
+    auto a = serial.run(fleet);
 
-  obs::set_metrics_enabled(prev);
+    obs::Registry::global().reset();
+    Auditor parallel(bed_parallel, parallel_cfg);
+    auto b = parallel.run(fleet);
+
+    obs::set_metrics_enabled(prev);
 
 #if AGEO_OBS_ENABLED
-  ASSERT_FALSE(a.telemetry.empty());
-  ASSERT_FALSE(b.telemetry.empty());
-  EXPECT_EQ(a.telemetry.to_prometheus(false), b.telemetry.to_prometheus(false));
-  EXPECT_EQ(a.telemetry.to_json(false), b.telemetry.to_json(false));
+    ASSERT_FALSE(a.telemetry.empty());
+    ASSERT_FALSE(b.telemetry.empty());
+    EXPECT_EQ(a.telemetry.to_prometheus(false),
+              b.telemetry.to_prometheus(false));
+    EXPECT_EQ(a.telemetry.to_json(false), b.telemetry.to_json(false));
 
-  // Spot-check the registry-backed CampaignStats view against the
-  // report's own serial fold.
-  bool saw_probes = false, saw_rounds = false;
-  for (const auto& c : a.telemetry.counters) {
-    if (c.name == "measure.campaign.probes_sent") {
-      EXPECT_EQ(c.value, a.campaign_totals.probes_sent);
-      saw_probes = true;
+    // Spot-check the registry-backed CampaignStats view against the
+    // report's own serial fold.
+    bool saw_probes = false, saw_rounds = false;
+    for (const auto& c : a.telemetry.counters) {
+      if (c.name == "measure.campaign.probes_sent") {
+        EXPECT_EQ(c.value, a.campaign_totals.probes_sent);
+        saw_probes = true;
+      }
+      if (c.name == "measure.campaign.rounds") {
+        EXPECT_EQ(c.value, a.campaign_totals.rounds);
+        saw_rounds = true;
+      }
+      // The audit scans only through its plan cache.
+      if (c.name == "grid.plan.uncached_builds") {
+        EXPECT_EQ(c.value, 0u);
+      }
     }
-    if (c.name == "measure.campaign.rounds") {
-      EXPECT_EQ(c.value, a.campaign_totals.rounds);
-      saw_rounds = true;
+    EXPECT_TRUE(saw_probes);
+    EXPECT_TRUE(saw_rounds);
+    if (algo == AuditAlgorithm::kSpotter) {
+      bool saw_starts = false;
+      for (const auto& h : a.telemetry.histograms) {
+        if (h.name != "mlat.spotter.start_cells_per_solve") continue;
+        EXPECT_EQ(h.count, a.rows.size());  // one Spotter solve per proxy
+        saw_starts = true;
+      }
+      EXPECT_TRUE(saw_starts);
     }
-  }
-  EXPECT_TRUE(saw_probes);
-  EXPECT_TRUE(saw_rounds);
 #else
-  // -DAGEO_OBS=OFF compiles the instrumentation away entirely: nothing
-  // registers, so the snapshot stays empty even with metrics enabled.
-  EXPECT_TRUE(a.telemetry.empty());
-  EXPECT_TRUE(b.telemetry.empty());
+    // -DAGEO_OBS=OFF compiles the instrumentation away entirely: nothing
+    // registers, so the snapshot stays empty even with metrics enabled.
+    EXPECT_TRUE(a.telemetry.empty());
+    EXPECT_TRUE(b.telemetry.empty());
 #endif
+  }
 }
 
 TEST(ParallelAudit, TelemetryEmptyWhenDisabled) {

@@ -147,6 +147,47 @@ TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
   EXPECT_NO_THROW(assess::Auditor(*bed_, edge));
 }
 
+TEST_F(ConfigTest, ServiceRejectsNonFiniteSchedulerWeights) {
+  // A NaN weight would make every score of its verdict class NaN, and
+  // the re-audit ranking's sort would lose strict weak ordering. Each
+  // non-finite weight fails in the constructor, before the testbed's
+  // network gains a host, with a message that names the field.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    void (*apply)(serve::SchedulerWeights&);
+  };
+  const Case cases[] = {
+      {"weights.credible", [](serve::SchedulerWeights& w) { w.credible = kNaN; }},
+      {"weights.credible", [](serve::SchedulerWeights& w) { w.credible = kInf; }},
+      {"weights.uncertain",
+       [](serve::SchedulerWeights& w) { w.uncertain = kNaN; }},
+      {"weights.uncertain",
+       [](serve::SchedulerWeights& w) { w.uncertain = -kInf; }},
+      {"weights.false_", [](serve::SchedulerWeights& w) { w.false_ = kNaN; }},
+      {"weights.false_", [](serve::SchedulerWeights& w) { w.false_ = kInf; }},
+  };
+  const std::size_t hosts = bed_->net().host_count();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    serve::ServiceConfig service;
+    c.apply(service.weights);
+    try {
+      serve::AuditService s(*bed_, service);
+      ADD_FAILURE() << c.field << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(bed_->net().host_count(), hosts);
+  }
+  // Finite weights stay accepted, zero and negative included.
+  serve::ServiceConfig edge;
+  edge.weights = {0.0, -1.0, 1e300};
+  EXPECT_NO_THROW(serve::AuditService(*bed_, edge));
+}
+
 TEST_F(ConfigTest, BreakdownPartitionsRows) {
   auto fleet = small_fleet();
   auto report = assess::Auditor(*bed_, {}).run(fleet);

@@ -7,7 +7,10 @@
 //      retained dense reference::largest_consistent_subset (≤64 disks),
 //      and against a count-based oracle for >64 disks.
 //   3. Arena/cache invariance: every mlat entry point returns the same
-//      bits whether or not a Scratch arena or plan cache is supplied.
+//      bits whether or not a Scratch arena or plan cache is supplied,
+//      and the hard solves' bits are those of naive grid::reference
+//      rasters (a cache-less solve runs transient plans, so it is no
+//      oracle for the cached one).
 //
 // All comparisons are on raw Region words — bit-identical, not "close".
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include "grid/scratch.hpp"
 #include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
+#include "mlat/refine.hpp"
 #include "netsim/network.hpp"
 #include "world/hubs.hpp"
 
@@ -417,29 +421,180 @@ TEST(MlatEquivalence, FlatSparseTailMatchesReference) {
   }
 }
 
-TEST(ArenaInvariance, IntersectDisksAndRings) {
-  grid::Grid g(1.0);
-  Rng rng(11, "arena_intersect");
-  const grid::Region mask = grid::rasterize_lat_band(g, -55.0, 75.0);
-  auto disks = random_disks(rng, 12, 500.0, 6000.0);
-  std::vector<RingConstraint> rings;
-  for (const auto& d : disks) {
-    rings.push_back({d.center, d.max_km * rng.uniform(0.1, 0.8), d.max_km});
-  }
-  grid::CapPlanCache cache(64);
-  grid::Scratch* arena = &grid::Scratch::tls();
+// ---- naive oracles for the cache/arena invariance tests ---------------
+//
+// With or without a plan cache, every solve runs the same plan scanner
+// (a cache-less solve builds transient plans), so the uncached solve is
+// no independent oracle for the cached one. These rebuild each padded
+// constraint with the naive grid::reference scan instead.
 
-  const grid::Region d_oracle = intersect_disks(g, disks, &mask);
-  const grid::Region r_oracle = intersect_rings(g, rings, &mask);
-  for (grid::CapPlanCache* pc :
-       {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
-    for (grid::Scratch* sc : {static_cast<grid::Scratch*>(nullptr), arena}) {
-      EXPECT_EQ(d_oracle.words(),
-                intersect_disks(g, disks, &mask, pc, sc).words())
-          << "cache=" << (pc != nullptr) << " arena=" << (sc != nullptr);
-      EXPECT_EQ(r_oracle.words(),
-                intersect_rings(g, rings, &mask, pc, sc).words())
-          << "cache=" << (pc != nullptr) << " arena=" << (sc != nullptr);
+std::vector<grid::Region> naive_disk_regions(
+    const grid::Grid& g, const std::vector<DiskConstraint>& disks) {
+  const double pad = conservative_pad_km(g);
+  std::vector<grid::Region> out;
+  out.reserve(disks.size());
+  for (const auto& d : disks)
+    out.push_back(
+        grid::reference::rasterize_cap(g, geo::Cap{d.center, d.max_km + pad}));
+  return out;
+}
+
+std::vector<grid::Region> naive_ring_regions(
+    const grid::Grid& g, const std::vector<RingConstraint>& rings) {
+  const double pad = conservative_pad_km(g);
+  std::vector<grid::Region> out;
+  out.reserve(rings.size());
+  for (const auto& r : rings)
+    out.push_back(grid::reference::rasterize_ring(
+        g, geo::Ring{r.center, std::max(0.0, r.min_km - pad), r.max_km + pad}));
+  return out;
+}
+
+/// `mask` (or the whole grid) ANDed with every region.
+grid::Region naive_intersection(const grid::Grid& g,
+                                const std::vector<grid::Region>& regions,
+                                const grid::Region* mask) {
+  grid::Region out(g);
+  if (mask)
+    out = *mask;
+  else
+    out.fill();
+  for (const auto& r : regions) out &= r;
+  return out;
+}
+
+/// The subset solve's answer from the regions: the candidate cells of
+/// maximum coverage, the constraints covering any of them, and that
+/// maximum. For a consistent set this is naive_intersection with every
+/// constraint used.
+SubsetResult naive_subset(const grid::Grid& g,
+                          const std::vector<grid::Region>& regions,
+                          const grid::Region* mask) {
+  std::vector<std::uint32_t> count(g.size(), 0);
+  for (const auto& r : regions)
+    r.for_each_cell([&](std::size_t idx) { ++count[idx]; });
+  const auto candidate = [&](std::size_t idx) {
+    return mask == nullptr || mask->test(idx);
+  };
+  SubsetResult out;
+  out.region = grid::Region(g);
+  out.used.assign(regions.size(), false);
+  for (std::size_t idx = 0; idx < g.size(); ++idx)
+    if (candidate(idx) && count[idx] > out.n_used) out.n_used = count[idx];
+  if (out.n_used == 0) return out;
+  for (std::size_t idx = 0; idx < g.size(); ++idx)
+    if (candidate(idx) && count[idx] == out.n_used) out.region.set(idx);
+  for (std::size_t i = 0; i < regions.size(); ++i)
+    regions[i].for_each_cell([&](std::size_t idx) {
+      if (out.region.test(idx)) out.used[i] = true;
+    });
+  return out;
+}
+
+/// `centers.size()` disks and rings that all contain `target`: each
+/// outer radius is the center's distance to the target plus a slack,
+/// each inner radius that distance minus a slack, so both sets are
+/// consistent.
+void constraints_around(Rng& rng, const geo::LatLon& target,
+                        const std::vector<geo::LatLon>& centers,
+                        std::vector<DiskConstraint>& disks,
+                        std::vector<RingConstraint>& rings) {
+  disks.clear();
+  rings.clear();
+  for (const geo::LatLon& c : centers) {
+    const double d = geo::distance_km(c, target);
+    const double outer = d + rng.uniform(50.0, 900.0);
+    disks.push_back({c, outer});
+    rings.push_back({c, std::max(0.0, d - rng.uniform(50.0, 900.0)), outer});
+  }
+}
+
+TEST(ArenaInvariance, IntersectDisksAndRings) {
+  Rng rng(11, "arena_intersect");
+  struct Set {
+    std::string name;
+    double cell;
+    std::vector<DiskConstraint> disks;
+    std::vector<RingConstraint> rings;
+    bool consistent;
+  };
+  std::vector<Set> sets;
+  {
+    // Random disks anywhere (usually an empty intersection), and rings
+    // inside them.
+    Set s{"random", 1.0, random_disks(rng, 12, 500.0, 6000.0), {}, false};
+    for (const auto& d : s.disks)
+      s.rings.push_back(
+          {d.center, d.max_km * rng.uniform(0.1, 0.8), d.max_km});
+    sets.push_back(std::move(s));
+  }
+  for (const double cell : {1.0, 0.25}) {
+    // Centers above 89 degrees (and on the pole): their rows near the
+    // pole take the plan's whole-row path (Q < kMinQ).
+    std::vector<geo::LatLon> polar{{90.0, 0.0}, {-89.5, 10.0}};
+    for (int i = 0; i < 8; ++i)
+      polar.push_back({rng.uniform(89.05, 89.95), rng.uniform(-180.0, 180.0)});
+    Set p{"polar", cell, {}, {}, true};
+    constraints_around(rng, {89.7, 40.0}, polar, p.disks, p.rings);
+    // The center near the south pole sits ~19,900 km from the target: its
+    // disk covers (nearly) the whole sphere and its ring is a cap-shaped
+    // band around the north pole.
+    sets.push_back(std::move(p));
+
+    // Centers on the antimeridian, written as both +180 and -180.
+    std::vector<geo::LatLon> seam;
+    for (int i = 0; i < 10; ++i)
+      seam.push_back({rng.uniform(-50.0, 50.0), i % 2 ? 180.0 : -180.0});
+    Set m{"antimeridian", cell, {}, {}, true};
+    constraints_around(rng, {rng.uniform(-30.0, 30.0), 179.8}, seam, m.disks,
+                       m.rings);
+    sets.push_back(std::move(m));
+
+    // More than 64 constraints around one target.
+    const geo::LatLon target{30.0, -100.0};
+    std::vector<geo::LatLon> many;
+    for (int i = 0; i < 70; ++i)
+      many.push_back({target.lat_deg + rng.uniform(-15.0, 15.0),
+                      target.lon_deg + rng.uniform(-20.0, 20.0)});
+    Set w{"over64", cell, {}, {}, true};
+    constraints_around(rng, target, many, w.disks, w.rings);
+    sets.push_back(std::move(w));
+  }
+
+  grid::Scratch* arena = &grid::Scratch::tls();
+  for (const Set& set : sets) {
+    grid::Grid g(set.cell);
+    const grid::Region band = grid::rasterize_lat_band(g, -55.0, 75.0);
+    const grid::Region north = grid::rasterize_lat_band(g, -55.0, 90.0);
+    const std::vector<grid::Region> d_naive = naive_disk_regions(g, set.disks);
+    const std::vector<grid::Region> r_naive = naive_ring_regions(g, set.rings);
+    grid::CapPlanCache cache(128);
+    for (const grid::Region* mask :
+         {static_cast<const grid::Region*>(nullptr), &band, &north}) {
+      const grid::Region d_want = naive_intersection(g, d_naive, mask);
+      const grid::Region r_want = naive_intersection(g, r_naive, mask);
+      if (set.consistent && mask == nullptr) {
+        ASSERT_FALSE(d_want.empty()) << set.name;
+        ASSERT_FALSE(r_want.empty()) << set.name;
+      }
+      for (grid::CapPlanCache* pc :
+           {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
+        for (grid::Scratch* sc :
+             {static_cast<grid::Scratch*>(nullptr), arena}) {
+          const std::string where =
+              set.name + " cell=" + std::to_string(set.cell) +
+              " mask=" + (mask == nullptr ? "none" : mask == &band ? "band"
+                                                                   : "north") +
+              " cache=" + std::to_string(pc != nullptr) +
+              " arena=" + std::to_string(sc != nullptr);
+          EXPECT_EQ(d_want.words(),
+                    intersect_disks(g, set.disks, mask, pc, sc).words())
+              << where;
+          EXPECT_EQ(r_want.words(),
+                    intersect_rings(g, set.rings, mask, pc, sc).words())
+              << where;
+        }
+      }
     }
   }
 }
@@ -479,25 +634,57 @@ TEST(ArenaInvariance, FuseGaussianRings) {
 
 // Leased buffers are dirty on purpose; a fresh lease must still behave
 // like a fresh allocation. Run a polluting workload, then re-verify a
-// pinned result.
+// pinned result. Every expected answer comes from the naive oracle.
 TEST(ArenaInvariance, ReusedBuffersDoNotLeakStateAcrossCalls) {
   grid::Grid g(2.0);
   Rng rng(17, "arena_reuse");
   grid::CapPlanCache cache(64);
   grid::Scratch* arena = &grid::Scratch::tls();
-  auto disks = random_disks(rng, 30, 300.0, 5000.0);
+  // Centers above 89 degrees put the plan's whole-row path (Q < kMinQ)
+  // into the coverage accumulator and the refined level-0 counts.
+  const auto with_polar = [&](std::vector<DiskConstraint> d) {
+    for (const double lat : {89.3, 89.8, -89.6})
+      d.push_back({{lat, rng.uniform(-180.0, 180.0)},
+                   rng.uniform(300.0, 5000.0)});
+    return d;
+  };
+  auto disks = with_polar(random_disks(rng, 30, 300.0, 5000.0));
   const SubsetResult pinned =
-      largest_consistent_subset(g, disks, nullptr, &cache, arena);
+      naive_subset(g, naive_disk_regions(g, disks), nullptr);
+  ASSERT_LT(pinned.n_used, disks.size()) << "the pinned set must conflict";
+  const auto expect_subset = [](const SubsetResult& want,
+                                const SubsetResult& got,
+                                const std::string& where) {
+    EXPECT_EQ(want.n_used, got.n_used) << where;
+    EXPECT_EQ(want.used, got.used) << where;
+    EXPECT_EQ(want.region.words(), got.region.words()) << where;
+  };
+  // The refined coverage sweep without a cache: its level-0 counts come
+  // from transient plans on the coarse grids.
+  RefineContext ladder(g, RefineSchedule::parse("12,4"));
+  expect_subset(pinned,
+                largest_consistent_subset(g, disks, nullptr, nullptr, arena,
+                                          &ladder),
+                "refined, no cache");
   for (int iter = 0; iter < 10; ++iter) {
-    // Pollute the pools with different-shaped workloads.
-    auto other = random_disks(rng, 70 + 7 * iter, 200.0, 8000.0);
-    (void)largest_consistent_subset(g, other, nullptr, &cache, arena);
-    (void)intersect_disks(g, other, nullptr, nullptr, arena);
-    const SubsetResult again =
-        largest_consistent_subset(g, disks, nullptr, &cache, arena);
-    ASSERT_EQ(pinned.n_used, again.n_used) << iter;
-    ASSERT_EQ(pinned.used, again.used) << iter;
-    ASSERT_EQ(pinned.region.words(), again.region.words()) << iter;
+    // Pollute the pools with different-shaped workloads: more than 64
+    // disks, so the flat sweep keeps several coverage planes.
+    auto other = with_polar(random_disks(rng, 70 + 7 * iter, 200.0, 8000.0));
+    const SubsetResult other_want =
+        naive_subset(g, naive_disk_regions(g, other), nullptr);
+    for (grid::CapPlanCache* pc :
+         {&cache, static_cast<grid::CapPlanCache*>(nullptr)}) {
+      const std::string where = "iter=" + std::to_string(iter) +
+                                " cache=" + std::to_string(pc != nullptr);
+      expect_subset(other_want,
+                    largest_consistent_subset(g, other, nullptr, pc, arena),
+                    "over64 " + where);
+      (void)intersect_disks(g, other, nullptr, pc, arena);
+      expect_subset(pinned,
+                    largest_consistent_subset(g, disks, nullptr, pc, arena),
+                    "pinned " + where);
+    }
+    if (HasFailure()) break;
   }
 }
 
