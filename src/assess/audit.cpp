@@ -441,10 +441,14 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   const std::size_t n = fleet.hosts.size();
   AuditReport report;
 
-  const netsim::HostId client = register_client();
   std::vector<netsim::ProxySession> sessions;
-  sessions.reserve(n);
-  for (const auto& h : fleet.hosts) sessions.push_back(open_tunnel(client, h));
+  {
+    AGEO_SPAN("assess", "audit.register");
+    const netsim::HostId client = register_client();
+    sessions.reserve(n);
+    for (const auto& h : fleet.hosts)
+      sessions.push_back(open_tunnel(client, h));
+  }
 
   // Fleet-wide eta from the pingable minority (paper Fig. 13). The pings
   // run serially on the network's default lane, before any fan-out; the

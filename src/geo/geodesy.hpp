@@ -24,6 +24,8 @@ double central_angle_rad(const LatLon& a, const LatLon& b) noexcept;
 /// kEarthRadiusKm * atan2(|a x b|, a . b). The one expression behind every
 /// per-cell distance (Grid::distance_to_cell_km, the ring multiplies and
 /// the scan plans' distance tables), so all of them agree bit for bit.
+/// On to_vec3 outputs it equals distance_km bit for bit, which the network
+/// simulator relies on when it reads vectors cached at host creation.
 inline double arc_distance_km(const Vec3& a, const Vec3& b) noexcept {
   return kEarthRadiusKm * std::atan2(a.cross(b).norm(), a.dot(b));
 }

@@ -2,12 +2,24 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
 #include "geo/geodesy.hpp"
+#include "obs/obs.hpp"
 
 namespace ageo::measure {
 
+namespace {
+
+const TestbedConfig& checked(const TestbedConfig& config) {
+  detail::require(config.calibration_samples >= 1,
+                  "Testbed: calibration_samples must be >= 1");
+  return config;
+}
+
+}  // namespace
+
 Testbed::Testbed(TestbedConfig config)
-    : config_(config),
+    : config_(checked(config)),
       world_(),
       net_(world::HubGraph::builtin(), config.seed, config.latency) {
   world::ConstellationConfig cc = config_.constellation;
@@ -39,16 +51,19 @@ void Testbed::calibrate() {
   // those short-haul pairs are what keep bestlines honest at small
   // distances (without them, a landmark extrapolates its long-haul
   // envelope and underestimates nearby targets; cf. paper Fig. 10).
-  const int samples = std::max(1, config_.calibration_samples);
+  AGEO_SPAN("measure", "testbed.calibrate");
+  const int samples = config_.calibration_samples;
+  std::vector<geo::Vec3> vec;
+  vec.reserve(landmarks_.size());
+  for (const auto& lm : landmarks_) vec.push_back(geo::to_vec3(lm.location));
 
   auto measure_pair = [&](std::size_t i, std::size_t j) {
     double best = net_.sample_rtt_ms(landmark_hosts_[i], landmark_hosts_[j]);
     for (int s = 1; s < samples; ++s)
       best = std::min(best, net_.sample_rtt_ms(landmark_hosts_[i],
                                                landmark_hosts_[j]));
-    return calib::CalibPoint{
-        geo::distance_km(landmarks_[i].location, landmarks_[j].location),
-        best / 2.0};
+    return calib::CalibPoint{geo::arc_distance_km(vec[i], vec[j]),
+                             best / 2.0};
   };
 
   // Nearest-probe peers per landmark.
@@ -56,6 +71,8 @@ void Testbed::calibrate() {
   for (std::size_t i = 0; i < landmarks_.size(); ++i)
     if (!landmarks_[i].is_anchor) probe_ids.push_back(i);
   constexpr std::size_t kNearProbePeers = 30;
+  // km from landmark i, filled for every probe before i's partial_sort.
+  std::vector<double> km(landmarks_.size());
 
   for (std::size_t i = 0; i < landmarks_.size(); ++i) {
     calib::CalibData data;
@@ -69,14 +86,11 @@ void Testbed::calibrate() {
       std::vector<std::size_t> near = probe_ids;
       std::erase(near, i);
       std::size_t take = std::min(kNearProbePeers, near.size());
+      for (std::size_t p : near) km[p] = geo::arc_distance_km(vec[i], vec[p]);
       std::partial_sort(
           near.begin(), near.begin() + static_cast<std::ptrdiff_t>(take),
-          near.end(), [&](std::size_t a, std::size_t b) {
-            return geo::distance_km(landmarks_[i].location,
-                                    landmarks_[a].location) <
-                   geo::distance_km(landmarks_[i].location,
-                                    landmarks_[b].location);
-          });
+          near.end(),
+          [&](std::size_t a, std::size_t b) { return km[a] < km[b]; });
       for (std::size_t k = 0; k < take; ++k)
         data.push_back(measure_pair(i, near[k]));
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "geo/geodesy.hpp"
@@ -9,19 +11,43 @@
 
 namespace ageo::netsim {
 
+namespace {
+
+// Throws InvalidArgument naming `field` unless lo <= v <= hi and v is
+// finite (a NaN would otherwise reach every simulated RTT).
+void require_in(double v, double lo, double hi, const char* field) {
+  if (!(std::isfinite(v) && v >= lo && v <= hi))
+    throw InvalidArgument(std::string("Network: LatencyParams::") + field +
+                          " is out of range or not finite");
+}
+
+const LatencyParams& checked(const LatencyParams& p) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  require_in(p.fibre_speed_km_per_ms, std::numeric_limits<double>::denorm_min(),
+             kMax, "fibre_speed_km_per_ms");
+  require_in(p.local_inflation, 1.0, kMax, "local_inflation");
+  require_in(p.direct_inflation, 1.0, kMax, "direct_inflation");
+  require_in(p.direct_threshold_km, 0.0, kMax, "direct_threshold_km");
+  require_in(p.per_hop_ms, 0.0, kMax, "per_hop_ms");
+  require_in(p.access_base_ms, 0.0, kMax, "access_base_ms");
+  require_in(p.access_quality_ms, 0.0, kMax, "access_quality_ms");
+  require_in(p.congestion_scale, 0.0, kMax, "congestion_scale");
+  require_in(p.spike_probability, 0.0, 1.0, "spike_probability");
+  require_in(p.spike_mu, -kMax, kMax, "spike_mu");
+  require_in(p.spike_sigma, 0.0, kMax, "spike_sigma");
+  require_in(p.jitter_ms, 0.0, kMax, "jitter_ms");
+  require_in(p.pair_inflation_max, 1.0, kMax, "pair_inflation_max");
+  return p;
+}
+
+}  // namespace
+
 Network::Network(const world::HubGraph& hubs, std::uint64_t seed,
                  LatencyParams params)
     : hubs_(&hubs),
-      params_(params),
+      params_(checked(params)),
       seed_(seed),
-      default_lane_(seed) {
-  detail::require(params_.fibre_speed_km_per_ms > 0.0,
-                  "Network: fibre speed must be positive");
-  detail::require(params_.local_inflation >= 1.0 &&
-                      params_.direct_inflation >= 1.0 &&
-                      params_.pair_inflation_max >= 1.0,
-                  "Network: inflation factors must be >= 1");
-}
+      default_lane_(seed) {}
 
 HostId Network::add_host(const HostProfile& profile) {
   detail::require(geo::is_valid(profile.location),
@@ -29,8 +55,13 @@ HostId Network::add_host(const HostProfile& profile) {
   detail::require(profile.net_quality > 0.0 && profile.net_quality <= 1.0,
                   "Network::add_host: net_quality must be in (0, 1]");
   check_fault_model(profile);
+  const geo::Vec3 v = geo::to_vec3(profile.location);
+  const std::size_t hub = hubs_->nearest_hub(profile.location);
   hosts_.push_back(profile);
-  nearest_hub_.push_back(hubs_->nearest_hub(profile.location));
+  nearest_hub_.push_back(hub);
+  host_vec_.push_back(v);
+  hub_leg_km_.push_back(
+      geo::arc_distance_km(v, geo::to_vec3(hubs_->hub(hub).location)));
   outage_window_.emplace_back(0, 0);
   return static_cast<HostId>(hosts_.size() - 1);
 }
@@ -163,7 +194,8 @@ std::optional<double> Network::adversarial_rtt_ms(HostId from, HostId to,
     // mutually consistent geometric constraints around it. The true
     // path is never sampled (the colluder answers from a script), which
     // is itself deterministic per lane.
-    double d = geo::distance_km(hosts_[to].location, *adv.fake_target);
+    double d =
+        geo::arc_distance_km(host_vec_[to], geo::to_vec3(*adv.fake_target));
     double one_way = d * adv.fake_route_inflation /
                          params_.fibre_speed_km_per_ms +
                      params_.per_hop_ms * 4.0;
@@ -211,21 +243,21 @@ double Network::pair_inflation(HostId a, HostId b) const {
   return 1.0 + u * (params_.pair_inflation_max - 1.0);
 }
 
+double Network::gc_km(HostId a, HostId b) const {
+  return geo::arc_distance_km(host_vec_[a], host_vec_[b]);
+}
+
 double Network::route_km(HostId a, HostId b) const {
   check_host(a);
   check_host(b);
   if (a == b) return 0.0;
-  const auto& pa = hosts_[a];
-  const auto& pb = hosts_[b];
-  double gc = geo::distance_km(pa.location, pb.location);
+  return routed_km(a, b, gc_km(a, b));
+}
 
-  std::size_t ha = nearest_hub_[a], hb = nearest_hub_[b];
-  double via_hubs =
-      geo::distance_km(pa.location, hubs_->hub(ha).location) *
-          params_.local_inflation +
-      hubs_->route_km(ha, hb) +
-      geo::distance_km(pb.location, hubs_->hub(hb).location) *
-          params_.local_inflation;
+double Network::routed_km(HostId a, HostId b, double gc) const {
+  double via_hubs = hub_leg_km_[a] * params_.local_inflation +
+                    hubs_->route_km(nearest_hub_[a], nearest_hub_[b]) +
+                    hub_leg_km_[b] * params_.local_inflation;
 
   double best = via_hubs;
   // Short-haul direct routes exist within a metro / national backbone.
@@ -234,9 +266,8 @@ double Network::route_km(HostId a, HostId b) const {
   return best * pair_inflation(a, b);
 }
 
-int Network::path_hops(HostId a, HostId b) const {
+int Network::path_hops(HostId a, HostId b, double gc) const {
   if (a == b) return 0;
-  double gc = geo::distance_km(hosts_[a].location, hosts_[b].location);
   if (gc <= params_.direct_threshold_km) {
     // Direct routes still traverse a handful of routers.
     return 3;
@@ -258,8 +289,9 @@ double Network::base_rtt_ms(HostId a, HostId b) const {
   check_host(a);
   check_host(b);
   if (a == b) return 0.05;  // loopback
-  double one_way = route_km(a, b) / params_.fibre_speed_km_per_ms +
-                   params_.per_hop_ms * path_hops(a, b);
+  const double gc = gc_km(a, b);
+  double one_way = routed_km(a, b, gc) / params_.fibre_speed_km_per_ms +
+                   params_.per_hop_ms * path_hops(a, b, gc);
   return 2.0 * one_way + access_ms(a) + access_ms(b);
 }
 
@@ -319,7 +351,7 @@ std::optional<int> Network::traceroute_hops(HostId from, HostId to,
   check_host(to);
   if (!hosts_[to].sends_time_exceeded) return std::nullopt;
   if (!host_up(to, lane)) return std::nullopt;
-  return path_hops(from, to);
+  return path_hops(from, to, gc_km(from, to));
 }
 
 }  // namespace ageo::netsim

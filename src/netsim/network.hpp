@@ -24,6 +24,7 @@
 
 #include "common/rng.hpp"
 #include "geo/latlon.hpp"
+#include "geo/vec3.hpp"
 #include "netsim/adversary.hpp"
 #include "world/hubs.hpp"
 
@@ -213,7 +214,12 @@ class Network {
   LatencyParams params_;
   std::uint64_t seed_;
   std::vector<HostProfile> hosts_;
+  // Host geometry, written once by add_host and read-only afterwards:
+  // the nearest hub, the unit vector of the location and the access
+  // leg's great-circle km to that hub (before local_inflation).
   std::vector<std::size_t> nearest_hub_;
+  std::vector<geo::Vec3> host_vec_;
+  std::vector<double> hub_leg_km_;
   /// The built-in timeline used when callers pass no Lane.
   Lane default_lane_;
   /// Explicit outage windows [from, to) per host; (0, 0) = none.
@@ -237,7 +243,12 @@ class Network {
   double access_ms(HostId h) const;
   double pair_inflation(HostId a, HostId b) const;
   double path_congestion(HostId a, HostId b) const;
-  int path_hops(HostId a, HostId b) const;
+  /// Great-circle km between two hosts, from the cached vectors.
+  double gc_km(HostId a, HostId b) const;
+  /// route_km of a pair a != b whose great-circle km is `gc`, so callers
+  /// that also need the hop count compute `gc` once.
+  double routed_km(HostId a, HostId b, double gc) const;
+  int path_hops(HostId a, HostId b, double gc) const;
   void check_host(HostId id) const;
 };
 

@@ -151,6 +151,8 @@ HubGraph::HubGraph(
     : hubs_(std::move(hubs)) {
   const std::size_t n = hubs_.size();
   detail::require(n > 0, "HubGraph: need at least one hub");
+  hub_vec_.reserve(n);
+  for (const auto& h : hubs_) hub_vec_.push_back(geo::to_vec3(h.location));
   constexpr double kInf = std::numeric_limits<double>::infinity();
   dist_.assign(n * n, kInf);
   hops_.assign(n * n, 0);
@@ -162,8 +164,7 @@ HubGraph::HubGraph(
   for (auto& [a, b, inflation] : edges) {
     detail::require(a < n && b < n && a != b, "HubGraph: bad edge endpoint");
     detail::require(inflation >= 1.0, "HubGraph: inflation must be >= 1");
-    double d =
-        geo::distance_km(hubs_[a].location, hubs_[b].location) * inflation;
+    double d = geo::arc_distance_km(hub_vec_[a], hub_vec_[b]) * inflation;
     if (d < dist_[idx(a, b)]) {
       dist_[idx(a, b)] = dist_[idx(b, a)] = d;
       hops_[idx(a, b)] = hops_[idx(b, a)] = 1;
@@ -208,10 +209,11 @@ HubGraph::HubGraph(
 }
 
 std::size_t HubGraph::nearest_hub(const geo::LatLon& p) const noexcept {
+  const geo::Vec3 v = geo::to_vec3(p);
   std::size_t best = 0;
   double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < hubs_.size(); ++i) {
-    double d = geo::distance_km(p, hubs_[i].location);
+  for (std::size_t i = 0; i < hub_vec_.size(); ++i) {
+    double d = geo::arc_distance_km(v, hub_vec_[i]);
     if (d < best_d) {
       best_d = d;
       best = i;

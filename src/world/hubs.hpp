@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "geo/latlon.hpp"
+#include "geo/vec3.hpp"
 #include "world/continent.hpp"
 
 namespace ageo::world {
@@ -44,7 +45,8 @@ class HubGraph {
   const Hub& hub(std::size_t i) const { return hubs_.at(i); }
   const std::vector<Hub>& hubs() const noexcept { return hubs_; }
 
-  /// Index of the hub nearest to a point (great-circle).
+  /// Index of the hub nearest to a point (great-circle); ties go to the
+  /// lowest index.
   std::size_t nearest_hub(const geo::LatLon& p) const noexcept;
 
   /// Cable length of the shortest hub-graph path, km (already inflated).
@@ -60,6 +62,7 @@ class HubGraph {
 
  private:
   std::vector<Hub> hubs_;
+  std::vector<geo::Vec3> hub_vec_;  // to_vec3 of each hub's location
   std::vector<double> dist_;      // n*n shortest-path km
   std::vector<int> hops_;         // n*n edge counts
   std::vector<double> congest_;   // n*n summed congestion

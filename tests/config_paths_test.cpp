@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "assess/audit.hpp"
 #include "common/error.hpp"
@@ -239,14 +240,72 @@ TEST(HubGraphCustom, DisconnectedPairsAreInfinite) {
 }
 
 TEST(NetworkParams, Validation) {
-  netsim::LatencyParams bad;
-  bad.fibre_speed_km_per_ms = 0.0;
-  EXPECT_THROW(netsim::Network(world::HubGraph::builtin(), 1, bad),
-               InvalidArgument);
-  netsim::LatencyParams bad2;
-  bad2.local_inflation = 0.5;
-  EXPECT_THROW(netsim::Network(world::HubGraph::builtin(), 1, bad2),
-               InvalidArgument);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double netsim::LatencyParams::*field;
+    const char* name;
+    std::vector<double> bad;
+  };
+  // Every field rejects NaN and +/-inf; the out-of-range values sit just
+  // past each field's bound.
+  const std::vector<Case> cases = {
+      {&netsim::LatencyParams::fibre_speed_km_per_ms, "fibre_speed_km_per_ms",
+       {0.0, -1.0}},
+      {&netsim::LatencyParams::local_inflation, "local_inflation", {0.5}},
+      {&netsim::LatencyParams::direct_inflation, "direct_inflation",
+       {0.999}},
+      {&netsim::LatencyParams::direct_threshold_km, "direct_threshold_km",
+       {-1.0}},
+      {&netsim::LatencyParams::per_hop_ms, "per_hop_ms", {-0.01}},
+      {&netsim::LatencyParams::access_base_ms, "access_base_ms", {-0.01}},
+      {&netsim::LatencyParams::access_quality_ms, "access_quality_ms",
+       {-0.01}},
+      {&netsim::LatencyParams::congestion_scale, "congestion_scale",
+       {-0.01}},
+      {&netsim::LatencyParams::spike_probability, "spike_probability",
+       {-0.01, 1.01}},
+      {&netsim::LatencyParams::spike_mu, "spike_mu", {}},
+      {&netsim::LatencyParams::spike_sigma, "spike_sigma", {-0.01}},
+      {&netsim::LatencyParams::jitter_ms, "jitter_ms", {-0.01}},
+      {&netsim::LatencyParams::pair_inflation_max, "pair_inflation_max",
+       {0.9}},
+  };
+  for (const auto& c : cases) {
+    std::vector<double> bad = c.bad;
+    bad.insert(bad.end(), {kNan, kInf, -kInf});
+    for (double v : bad) {
+      netsim::LatencyParams p;
+      p.*c.field = v;
+      try {
+        netsim::Network net(world::HubGraph::builtin(), 1, p);
+        ADD_FAILURE() << c.name << " = " << v << " was accepted";
+      } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+            << c.name << " = " << v << ": " << e.what();
+      }
+    }
+  }
+  // The bounds themselves are valid.
+  netsim::LatencyParams edge;
+  edge.local_inflation = edge.direct_inflation = edge.pair_inflation_max = 1;
+  edge.direct_threshold_km = edge.per_hop_ms = edge.access_base_ms = 0.0;
+  edge.access_quality_ms = edge.congestion_scale = edge.spike_sigma = 0.0;
+  edge.jitter_ms = edge.spike_probability = 0.0;
+  edge.spike_mu = -5.0;
+  EXPECT_NO_THROW(netsim::Network(world::HubGraph::builtin(), 1, edge));
+  edge.spike_probability = 1.0;
+  EXPECT_NO_THROW(netsim::Network(world::HubGraph::builtin(), 1, edge));
+}
+
+TEST(TestbedConfigValidation, RejectsCalibrationSamplesBelowOne) {
+  for (int samples : {0, -3}) {
+    measure::TestbedConfig cfg;
+    cfg.constellation.n_anchors = 20;
+    cfg.constellation.n_probes = 20;
+    cfg.calibration_samples = samples;
+    EXPECT_THROW(measure::Testbed bed(cfg), InvalidArgument) << samples;
+  }
 }
 
 TEST(NetworkParams, CustomSpeedChangesRtt) {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 
 #include "algos/cbg_pp.hpp"
@@ -337,6 +338,40 @@ TEST_F(MeasureTest, RefineDoesNotGrowRegion) {
   EXPECT_GE(refined.observations.size(), tp.observations.size());
   // Refinement must not lose the target.
   EXPECT_TRUE(refined.estimate.region.contains(truth));
+}
+
+// Pins every bit of a small testbed's calibration scatter: the simulated
+// RTTs behind it, the great-circle km beside them and the nearest-probe
+// peer order. A change to the latency model's arithmetic or to the order
+// of RNG draws moves the digest.
+TEST(TestbedCalibration, CalibPointDigestPinned) {
+  TestbedConfig cfg;
+  cfg.seed = 60;
+  cfg.constellation.n_anchors = 60;
+  cfg.constellation.n_probes = 60;
+  Testbed bed(cfg);
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  std::size_t points = 0;
+  for (std::size_t id = 0; id < bed.store().size(); ++id) {
+    const auto data = bed.store().data(id);
+    mix(data.size());
+    for (const auto& pt : data) {
+      mix(std::bit_cast<std::uint64_t>(pt.distance_km));
+      mix(std::bit_cast<std::uint64_t>(pt.delay_ms));
+    }
+    points += data.size();
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  EXPECT_EQ(points, 10740u);
+  EXPECT_STREQ(hex, "4475cb86a679c51f");
 }
 
 TEST_F(MeasureTest, ConfigValidation) {

@@ -1,9 +1,14 @@
 // Unit tests for the network simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "geo/geodesy.hpp"
 #include "geo/units.hpp"
 #include "netsim/network.hpp"
@@ -138,6 +143,143 @@ TEST_F(NetsimTest, QualityAffectsAccessDelay) {
   HostId poor = host_at(10.0, 50.3, 0.4);
   HostId peer = host_at(20.0, 60.0, 1.0);
   EXPECT_GT(net.base_rtt_ms(poor, peer), net.base_rtt_ms(good, peer));
+}
+
+// ---- bit-identity of the latency model's geometry ----
+
+// Test-local oracle: the route, hop and RTT expressions of the latency
+// model, with every km recomputed from the host profiles by
+// geo::distance_km and the nearest hub found by a linear distance_km
+// scan. The simulator reads cached unit vectors and access legs instead;
+// the two must agree bit for bit.
+class GeometryOracle {
+ public:
+  GeometryOracle(const world::HubGraph& hubs, const Network& net,
+                 std::uint64_t seed)
+      : hubs_(hubs), net_(net), seed_(seed) {}
+
+  static std::size_t nearest_hub(const world::HubGraph& hubs,
+                                 const geo::LatLon& p) {
+    std::size_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      double d = geo::distance_km(p, hubs.hub(i).location);
+      if (d < best_d) {
+        best_d = d;
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  double route_km(HostId a, HostId b) const {
+    if (a == b) return 0.0;
+    const auto& p = net_.params();
+    const geo::LatLon la = net_.host(a).location, lb = net_.host(b).location;
+    double gc = geo::distance_km(la, lb);
+    std::size_t ha = nearest_hub(hubs_, la), hb = nearest_hub(hubs_, lb);
+    double via_hubs =
+        geo::distance_km(la, hubs_.hub(ha).location) * p.local_inflation +
+        hubs_.route_km(ha, hb) +
+        geo::distance_km(lb, hubs_.hub(hb).location) * p.local_inflation;
+    double best = via_hubs;
+    if (gc <= p.direct_threshold_km)
+      best = std::min(best, gc * p.direct_inflation);
+    return best * pair_inflation(a, b);
+  }
+
+  int hops(HostId a, HostId b) const {
+    if (a == b) return 0;
+    const geo::LatLon la = net_.host(a).location, lb = net_.host(b).location;
+    if (geo::distance_km(la, lb) <= net_.params().direct_threshold_km)
+      return 3;
+    return 2 + hubs_.route_hops(nearest_hub(hubs_, la),
+                                nearest_hub(hubs_, lb));
+  }
+
+  double base_rtt_ms(HostId a, HostId b) const {
+    if (a == b) return 0.05;
+    const auto& p = net_.params();
+    double one_way = route_km(a, b) / p.fibre_speed_km_per_ms +
+                     p.per_hop_ms * hops(a, b);
+    return 2.0 * one_way + access_ms(a) + access_ms(b);
+  }
+
+ private:
+  const world::HubGraph& hubs_;
+  const Network& net_;
+  std::uint64_t seed_;
+
+  double access_ms(HostId h) const {
+    const auto& p = net_.params();
+    return p.access_base_ms +
+           p.access_quality_ms * (1.0 - net_.host(h).net_quality);
+  }
+  double pair_inflation(HostId a, HostId b) const {
+    HostId lo = std::min(a, b), hi = std::max(a, b);
+    SplitMix64 sm(seed_ ^ (static_cast<std::uint64_t>(lo) << 32 | hi) ^
+                  0x9d2c5680u);
+    double u = static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
+    return 1.0 + u * (net_.params().pair_inflation_max - 1.0);
+  }
+};
+
+TEST_F(NetsimTest, CachedGeometryMatchesDistanceKmOracleBitForBit) {
+  const auto& hubs = world::HubGraph::builtin();
+  std::vector<geo::LatLon> at = {
+      {90.0, 0.0},    {-90.0, 0.0},   {90.0, 123.0},  {-90.0, -77.0},
+      {0.0, 180.0},   {0.0, -180.0},  {45.0, 180.0},  {-30.0, -180.0},
+      {48.85, 2.35},  {48.85, 2.35},  {-33.9, 151.2}, {-33.9, 151.2},
+  };
+  for (const auto& h : hubs.hubs()) at.push_back(h.location);
+  // Pairs just under and just over the direct-route threshold.
+  const double t = net.params().direct_threshold_km;
+  const geo::LatLon origin{50.0, 10.0};
+  const geo::LatLon under = geo::destination(origin, 90.0, t - 0.01);
+  const geo::LatLon over = geo::destination(origin, 90.0, t + 0.01);
+  ASSERT_LE(geo::distance_km(origin, under), t);
+  ASSERT_GT(geo::distance_km(origin, over), t);
+  at.insert(at.end(), {origin, under, over});
+  Rng rng(2024);
+  for (int i = 0; i < 40; ++i)
+    at.push_back({rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)});
+
+  std::vector<HostId> ids;
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    HostProfile p;
+    p.location = at[i];
+    p.net_quality = 0.4 + 0.6 * static_cast<double>(i % 7) / 6.0;
+    ids.push_back(net.add_host(p));
+    EXPECT_EQ(hubs.nearest_hub(at[i]), GeometryOracle::nearest_hub(hubs, at[i]))
+        << geo::to_string(at[i]);
+  }
+  GeometryOracle oracle(hubs, net, 7);
+  for (HostId a : ids) {
+    for (HostId b : ids) {
+      EXPECT_EQ(net.route_km(a, b), oracle.route_km(a, b)) << a << "," << b;
+      EXPECT_EQ(net.base_rtt_ms(a, b), oracle.base_rtt_ms(a, b))
+          << a << "," << b;
+      EXPECT_EQ(net.traceroute_hops(a, b).value_or(-1), oracle.hops(a, b))
+          << a << "," << b;
+    }
+  }
+}
+
+TEST(HubGraphNearest, TiesGoToTheLowestIndex) {
+  std::vector<world::Hub> hubs{
+      {"A", {0.0, 20.0}, world::Continent::kEurope, 1.0},
+      {"B", {10.0, 10.0}, world::Continent::kEurope, 1.0},
+      {"C", {10.0, 10.0}, world::Continent::kEurope, 1.0},
+      {"D", {-10.0, 10.0}, world::Continent::kEurope, 1.0},
+  };
+  world::HubGraph g(hubs, {});
+  EXPECT_EQ(g.nearest_hub({10.0, 10.0}), 1u);
+  EXPECT_EQ(g.nearest_hub({11.0, 9.0}), 1u);
+  // These points lie about as far from several hubs; whichever distance
+  // is least, nearest_hub must pick the oracle's first minimum.
+  for (const geo::LatLon p : {geo::LatLon{0.0, 10.0}, geo::LatLon{0.0, 15.0},
+                              geo::LatLon{5.0, 15.0}})
+    EXPECT_EQ(g.nearest_hub(p), GeometryOracle::nearest_hub(g, p));
 }
 
 // ---- proxy sessions ----
