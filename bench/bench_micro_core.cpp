@@ -14,6 +14,7 @@
 #include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
 #include "obs/metrics.hpp"
+#include "oracles.hpp"
 
 using namespace ageo;
 
@@ -131,7 +132,8 @@ static void BM_AccumulateCapMask(benchmark::State& state) {
   for (auto _ : state) {
     std::fill(masks.begin(), masks.end(), 0);
     for (unsigned i = 0; i < caps.size(); ++i)
-      grid::accumulate_cap_mask(g, caps[i], masks, i);
+      grid::detail::plan_for(nullptr, g, caps[i].center)
+          ->accumulate_annulus(0.0, caps[i].radius_km, masks, i);
     benchmark::DoNotOptimize(masks.data());
   }
   state.SetLabel("cell_deg=" + std::to_string(state.range(0) / 100.0));

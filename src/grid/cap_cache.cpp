@@ -35,9 +35,8 @@ CapScanPlan::CapScanPlan(const Grid& g, const geo::LatLon& center,
   row_p_.resize(g.rows());
   row_q_.resize(g.rows());
   for (std::size_t r = 0; r < g.rows(); ++r) {
-    const double latc = geo::deg_to_rad(g.row_lat_south(r) + cell / 2.0);
-    row_p_[r] = sin0 * std::sin(latc);
-    row_q_[r] = cos0 * std::cos(latc);
+    row_p_[r] = sin0 * g.row_sin(r);
+    row_q_[r] = cos0 * g.row_cos(r);
   }
   const double t0 =
       (geo::wrap_longitude(center.lon_deg) + 180.0) / cell - 0.5;
@@ -54,6 +53,11 @@ CapScanPlan::CapScanPlan(const Grid& g, const geo::LatLon& center,
     cos_right_[j] = std::cos((static_cast<double>(j) - frac_) * cell_rad);
     cos_left_[j] = std::cos((static_cast<double>(j) + frac_) * cell_rad);
   }
+}
+
+CapScanPlan::CapScanPlan(const Grid& g, const geo::LatLon& center, Transient)
+    : CapScanPlan(g, center) {
+  transient_ = true;
 }
 
 namespace {
@@ -311,6 +315,7 @@ const std::vector<double>& CapScanPlan::cell_distances_km() const {
 }
 
 CellDistances CapScanPlan::distances() const {
+  if (transient_) return CellDistances(nullptr, nullptr, g_, v_);
   const double* table = cell_distances_km().data();
   return CellDistances(table, domain_ ? domain_->ranks() : nullptr, g_, v_);
 }
@@ -331,15 +336,17 @@ std::size_t CapPlanCache::KeyHash::operator()(const Key& k) const noexcept {
     return h;
   };
   std::size_t h = std::hash<const void*>{}(k.grid);
-  h = mix(h, std::bit_cast<std::uint64_t>(k.cell));
-  h = mix(h, std::bit_cast<std::uint64_t>(k.lat));
-  h = mix(h, std::bit_cast<std::uint64_t>(k.lon));
+  h = mix(h, k.cell);
+  h = mix(h, k.lat);
+  h = mix(h, k.lon);
   return h;
 }
 
 std::shared_ptr<const CapScanPlan> CapPlanCache::plan(
     const Grid& g, const geo::LatLon& center) {
-  const Key key{&g, g.cell_deg(), center.lat_deg, center.lon_deg};
+  const Key key{&g, std::bit_cast<std::uint64_t>(g.cell_deg()),
+                std::bit_cast<std::uint64_t>(center.lat_deg),
+                std::bit_cast<std::uint64_t>(center.lon_deg)};
   std::lock_guard lock(mu_);
   if (auto it = map_.find(key); it != map_.end()) {
     ++stats_.hits;
@@ -369,7 +376,8 @@ std::shared_ptr<const CapScanPlan> detail::plan_for(
     CapPlanCache* cache, const Grid& g, const geo::LatLon& center) {
   if (!cache) {
     AGEO_COUNT("grid.plan.uncached_builds");
-    return std::make_shared<const CapScanPlan>(g, center);
+    return std::shared_ptr<const CapScanPlan>(
+        new CapScanPlan(g, center, CapScanPlan::Transient{}));
   }
   return cache->plan(g, center);
 }

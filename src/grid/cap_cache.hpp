@@ -4,15 +4,21 @@
 // per proxy, at radii that change with every measurement. A CapScanPlan
 // front-loads all the trigonometry that depends only on (grid, center):
 // per-row dot-product components P = sin(lat0)sin(lat_r) and
-// Q = cos(lat0)cos(lat_r), and the cosine of the longitude offset of
-// every column relative to the center. Rasterizing at a given radius is
-// then threshold comparisons and binary searches over those cached
-// cosines — no trig at all — and stays bit-for-bit identical to the
-// naive grid::reference scan in raster.hpp (pinned by
-// raster_equivalence_test). It is the only pruned annulus scanner:
-// callers without a cache (the raster.hpp wrappers, uncached mlat solves)
-// build a transient plan through detail::plan_for and call the same
-// methods.
+// Q = cos(lat0)cos(lat_r) (products of the grid's cached row sines and
+// cosines), and the cosine of the longitude offset of every column
+// relative to the center. Rasterizing at a given radius is then
+// threshold comparisons and binary searches over those cached cosines —
+// no trig at all — and stays bit-for-bit identical to the naive per-cell
+// scan the tests keep as their oracle (pinned by
+// raster_equivalence_test). A plan is also the one way a Gaussian ring
+// reads its per-cell distances (CapScanPlan::distances, used by
+// Field's ring multiply).
+//
+// It is the only pruned annulus scanner: callers without a cache (the
+// raster.hpp wrappers, Field's center overload, uncached mlat solves)
+// get a transient plan from detail::plan_for and call the same methods.
+// A transient plan keeps no distance table: its distances() evaluates
+// every cell on the spot with the table's own expression.
 //
 // CapPlanCache is a small thread-safe LRU of plans keyed by
 // (grid, center), sized for one audit's landmark set; an Auditor owns one
@@ -37,6 +43,21 @@
 namespace ageo::grid {
 
 struct Window;
+class CapScanPlan;
+class CapPlanCache;
+
+namespace detail {
+
+/// The plan for annuli centered at `center` on `g`: `cache`'s when there
+/// is one, otherwise a transient plan built for this caller alone and
+/// counted by the deterministic `grid.plan.uncached_builds` counter (the
+/// audit always passes its cache, so that counter stays 0 there). A
+/// transient plan keeps no distance table (see CapScanPlan::distances).
+std::shared_ptr<const CapScanPlan> plan_for(CapPlanCache* cache,
+                                            const Grid& g,
+                                            const geo::LatLon& center);
+
+}  // namespace detail
 
 /// The cells a distance table covers: one Region's cells on one grid,
 /// ranked in ascending cell order. Immutable after construction and
@@ -68,14 +89,18 @@ class TableDomain {
 /// great-circle distance (km) from the plan's center to cell i, by the
 /// exact geo::arc_distance_km expression the reference ring multiply
 /// uses. A cell the table covers is served from it; any other cell (off
-/// a domain table's domain) is evaluated on the spot with that same
-/// expression, so the value is bit-identical either way.
+/// a domain table's domain, or every cell of a transient plan, which has
+/// no table) is evaluated on the spot with that same expression, so the
+/// value is bit-identical either way.
 class CellDistances {
  public:
   double operator()(std::size_t i) const noexcept {
-    if (rank_ == nullptr) return table_[i];
-    const std::uint32_t r = rank_[i];
-    if (r != TableDomain::kOffDomain) return table_[r];
+    if (rank_ != nullptr) {
+      const std::uint32_t r = rank_[i];
+      if (r != TableDomain::kOffDomain) return table_[r];
+    } else if (table_ != nullptr) {
+      return table_[i];
+    }
     return geo::arc_distance_km(v_, g_->center_vec(i));
   }
 
@@ -85,8 +110,8 @@ class CellDistances {
                 const Grid* g, const geo::Vec3& v) noexcept
       : table_(table), rank_(rank), g_(g), v_(v) {}
 
-  const double* table_;
-  const std::uint32_t* rank_;  ///< null for a full-grid table
+  const double* table_;        ///< null for a transient plan
+  const std::uint32_t* rank_;  ///< null unless a domain table
   const Grid* g_;
   geo::Vec3 v_;
 };
@@ -104,12 +129,13 @@ class CapScanPlan {
   const geo::LatLon& center() const noexcept { return center_; }
 
   /// Set every cell within [inner_km, outer_km] of the center into `out`
-  /// (bitwise-or). Bit-identical to reference::rasterize_ring /
-  /// reference::rasterize_cap on the same annulus. `out` must be attached
-  /// to this plan's grid.
+  /// (bitwise-or). Bit-identical to the naive per-cell scan on the same
+  /// annulus. `out` must be attached to this plan's grid.
   void rasterize_annulus(double inner_km, double outer_km, Region& out) const;
 
-  /// accumulate_cap_mask / accumulate_ring_mask against this plan.
+  /// Add to `masks` (by bitwise-or) bit `bit` (< 64) of every cell within
+  /// [inner_km, outer_km] of the center; `masks` has grid().size()
+  /// entries. The same cells rasterize_annulus sets.
   void accumulate_annulus(double inner_km, double outer_km,
                           std::vector<std::uint64_t>& masks,
                           unsigned bit) const;
@@ -151,8 +177,12 @@ class CapScanPlan {
   /// (call_once).
   const std::vector<double>& cell_distances_km() const;
 
-  /// Lookup over cell_distances_km() (built here if it is not yet),
-  /// indexed by grid cell whether or not the plan has a domain.
+  /// Per-cell distance lookup, indexed by grid cell whether or not the
+  /// plan has a domain. It reads cell_distances_km() (built here if it
+  /// is not yet), except on a transient plan from detail::plan_for,
+  /// which never builds a table: its lookup evaluates every cell on the
+  /// spot with the table's expression, so uncached callers do the same
+  /// trig a table build would, without the table.
   CellDistances distances() const;
 
   /// Bytes held by the distance table: 0 until it is built.
@@ -161,6 +191,12 @@ class CapScanPlan {
   }
 
  private:
+  friend std::shared_ptr<const CapScanPlan> detail::plan_for(
+      CapPlanCache*, const Grid&, const geo::LatLon&);
+  struct Transient {};
+  /// A plan whose distances() keeps no table (detail::plan_for only).
+  CapScanPlan(const Grid& g, const geo::LatLon& center, Transient);
+
   /// How one grid row relates to an annulus being scanned.
   enum class RowClass {
     kOutside,  ///< entirely beyond the outer radius — no cell can pass
@@ -194,6 +230,7 @@ class CapScanPlan {
   /// which is what turns a radius query into two binary searches.
   std::vector<double> cos_right_, cos_left_;
   std::shared_ptr<const TableDomain> domain_;
+  bool transient_ = false;  ///< distances() evaluates every cell
   /// Lazily-built distance table (cell_distances_km).
   mutable std::once_flag dist_once_;
   mutable std::vector<double> dist_km_;
@@ -245,8 +282,10 @@ class CapPlanCache {
     /// by a new Grid the stale entry must at least be for the same
     /// geometry (plans depend only on the cell size, so an
     /// address+cell_deg match serves identical values).
-    double cell;
-    double lat, lon;
+    /// The doubles are kept as their bit patterns, so equality and the
+    /// hash agree: -0.0 and 0.0 are two keys (and two plans).
+    std::uint64_t cell;
+    std::uint64_t lat, lon;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
@@ -261,17 +300,5 @@ class CapPlanCache {
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
   Stats stats_;
 };
-
-namespace detail {
-
-/// The plan for annuli centered at `center` on `g`: `cache`'s when there
-/// is one, otherwise a transient plan built for this caller alone and
-/// counted by the deterministic `grid.plan.uncached_builds` counter (the
-/// audit always passes its cache, so that counter stays 0 there).
-std::shared_ptr<const CapScanPlan> plan_for(CapPlanCache* cache,
-                                            const Grid& g,
-                                            const geo::LatLon& center);
-
-}  // namespace detail
 
 }  // namespace ageo::grid

@@ -6,10 +6,7 @@
 
 #include "common/error.hpp"
 #include "geo/geodesy.hpp"
-#include "geo/units.hpp"
-#include "geo/vec3.hpp"
 #include "grid/cap_cache.hpp"
-#include "grid/raster.hpp"
 #include "grid/scratch.hpp"
 #include "obs/obs.hpp"
 
@@ -58,30 +55,6 @@ double fold_mass(std::size_t n, const std::vector<std::uint32_t>* live,
 
 }  // namespace
 
-namespace reference {
-
-void multiply_gaussian_ring(Field& f, const geo::LatLon& center, double mu_km,
-                            double sigma_km) {
-  ageo::detail::require(f.grid_ != nullptr, "Field: not attached to a grid");
-  ageo::detail::require(sigma_km > 0.0, "Field: sigma must be positive");
-  ageo::detail::require(geo::is_valid(center), "Field: invalid ring center");
-  f.invalidate_caches();
-  std::vector<double>& density = f.density_;
-  const Grid& grid = *f.grid_;
-  const geo::Vec3 v = geo::to_vec3(center);
-  const double inv_2s2 = 1.0 / (2.0 * sigma_km * sigma_km);
-  for (std::size_t i = 0; i < density.size(); ++i) {
-    if (density[i] == 0.0) continue;
-    const geo::Vec3& u = grid.center_vec(i);
-    double ang = std::atan2(v.cross(u).norm(), v.dot(u));
-    double d = geo::kEarthRadiusKm * ang;
-    double r = d - mu_km;
-    density[i] *= std::exp(-r * r * inv_2s2);
-  }
-}
-
-}  // namespace reference
-
 Field::Field(const Grid& g) { rebind(g); }
 
 void Field::rebind(const Grid& g, const Region* mask) {
@@ -121,9 +94,35 @@ void Field::copy_from(const Field& src) {
   mass_valid_ = src.mass_valid_;
 }
 
-template <typename DistF, typename SupportF>
-void Field::multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
-                                   SupportF&& support) {
+void Field::multiply_gaussian_ring(const geo::LatLon& center, double mu_km,
+                                   double sigma_km) {
+  ageo::detail::require(grid_ != nullptr, "Field: not attached to a grid");
+  ageo::detail::require(detail::gaussian_sigma_valid(sigma_km),
+                        "Field: sigma must be finite and positive, with a "
+                        "finite nonzero 1/(2 sigma^2)");
+  ageo::detail::require(std::isfinite(mu_km), "Field: mu must be finite");
+  ageo::detail::require(geo::is_valid(center), "Field: invalid ring center");
+  multiply_gaussian_ring_unchecked(*detail::plan_for(nullptr, *grid_, center),
+                                   mu_km, sigma_km);
+}
+
+void Field::multiply_gaussian_ring(const CapScanPlan& plan, double mu_km,
+                                   double sigma_km) {
+  ageo::detail::require(grid_ != nullptr, "Field: not attached to a grid");
+  ageo::detail::require(&plan.grid() == grid_,
+                  "Field: plan built on a different grid");
+  ageo::detail::require(detail::gaussian_sigma_valid(sigma_km),
+                        "Field: sigma must be finite and positive, with a "
+                        "finite nonzero 1/(2 sigma^2)");
+  ageo::detail::require(std::isfinite(mu_km), "Field: mu must be finite");
+  multiply_gaussian_ring_unchecked(plan, mu_km, sigma_km);
+}
+
+void Field::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
+                                             double mu_km, double sigma_km) {
+  AGEO_COUNT("grid.ring_multiply.plan_served");
+  AGEO_TIMED_NS("grid.ring_multiply_ns", 100.0, 1e9);
+  const CellDistances dist = plan.distances();
   mass_valid_ = false;
   const double inv_2s2 = 1.0 / (2.0 * sigma_km * sigma_km);
   // The reference evaluates exp(-r * r * inv_2s2); computing
@@ -160,7 +159,7 @@ void Field::multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
   const double w = detail::gaussian_support_halfwidth_km(sigma_km);
   Scratch::RegionLease slease = Scratch::region(scratch_, *grid_);
   Region& s = slease.get();
-  support(std::max(0.0, mu_km - w), mu_km + w, s);
+  plan.rasterize_annulus(std::max(0.0, mu_km - w), mu_km + w, s);
   live_.clear();
   live_.reserve(s.count());
   const std::vector<std::uint64_t>& words = s.words();
@@ -191,54 +190,6 @@ void Field::multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
     }
   }
   live_valid_ = true;
-}
-
-void Field::multiply_gaussian_ring(const geo::LatLon& center, double mu_km,
-                                   double sigma_km) {
-  ageo::detail::require(grid_ != nullptr, "Field: not attached to a grid");
-  ageo::detail::require(detail::gaussian_sigma_valid(sigma_km),
-                        "Field: sigma must be finite and positive, with a "
-                        "finite nonzero 1/(2 sigma^2)");
-  ageo::detail::require(std::isfinite(mu_km), "Field: mu must be finite");
-  ageo::detail::require(geo::is_valid(center), "Field: invalid ring center");
-  multiply_gaussian_ring_unchecked(center, mu_km, sigma_km);
-}
-
-void Field::multiply_gaussian_ring(const CapScanPlan& plan, double mu_km,
-                                   double sigma_km) {
-  ageo::detail::require(grid_ != nullptr, "Field: not attached to a grid");
-  ageo::detail::require(&plan.grid() == grid_,
-                  "Field: plan built on a different grid");
-  ageo::detail::require(detail::gaussian_sigma_valid(sigma_km),
-                        "Field: sigma must be finite and positive, with a "
-                        "finite nonzero 1/(2 sigma^2)");
-  ageo::detail::require(std::isfinite(mu_km), "Field: mu must be finite");
-  multiply_gaussian_ring_unchecked(plan, mu_km, sigma_km);
-}
-
-void Field::multiply_gaussian_ring_unchecked(const geo::LatLon& center,
-                                             double mu_km, double sigma_km) {
-  AGEO_COUNT("grid.ring_multiply.trig");
-  AGEO_TIMED_NS("grid.ring_multiply_ns", 100.0, 1e9);
-  const geo::Vec3 v = geo::to_vec3(center);
-  const Grid& g = *grid_;
-  multiply_ring_windowed(
-      mu_km, sigma_km,
-      [&](std::size_t i) { return geo::arc_distance_km(v, g.center_vec(i)); },
-      [&](double inner, double outer, Region& out) {
-        rasterize_ring_into(g, geo::Ring{center, inner, outer}, out);
-      });
-}
-
-void Field::multiply_gaussian_ring_unchecked(const CapScanPlan& plan,
-                                             double mu_km, double sigma_km) {
-  AGEO_COUNT("grid.ring_multiply.plan_served");
-  AGEO_TIMED_NS("grid.ring_multiply_ns", 100.0, 1e9);
-  multiply_ring_windowed(
-      mu_km, sigma_km, plan.distances(),
-      [&](double inner, double outer, Region& out) {
-        plan.rasterize_annulus(inner, outer, out);
-      });
 }
 
 template <bool Uniform>

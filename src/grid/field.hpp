@@ -5,14 +5,16 @@
 // (pointwise product followed by renormalisation). A Field is that density,
 // stored per cell and weighted by cell area when normalising.
 //
-// Ring multiplies take the support-windowed fast path: outside the radius
-// where exp() underflows to exactly +0.0 the product is zeroed wholesale,
-// and inside it only cells that are still alive are visited (the support
-// collapses rapidly as rings accumulate). With a CapScanPlan the per-cell
-// great-circle distances come from a cached table, so a multiply does no
-// trigonometry for the cells the table covers. The original full-grid scan is retained verbatim under
-// grid::reference as the oracle; the fast path is bit-for-bit identical to
-// it (pinned by field_equivalence_test).
+// Every ring multiply runs one body over a CapScanPlan centered on the
+// landmark (cap_cache.hpp): per-cell great-circle distances come from
+// CapScanPlan::distances (a cached table, or on-the-spot trig for a
+// transient plan), and the plan rasterizes the ring's support. Outside
+// the radius where exp() underflows to exactly +0.0 the product is
+// zeroed wholesale, and inside it only cells that are still alive are
+// visited (the support collapses rapidly as rings accumulate). The
+// center overload builds a transient plan. The result is bit-for-bit
+// identical to the original full-grid scan, which the tests keep as
+// their oracle (pinned by field_equivalence_test).
 //
 // Once a field has a live-cell list (after the mask or the first ring),
 // every later pass walks only that list: the ring multiplies,
@@ -34,16 +36,7 @@
 namespace ageo::grid {
 
 class CapScanPlan;
-class Field;
 class Scratch;
-
-namespace reference {
-/// The original full-grid ring multiply: one atan2 + exp per nonzero cell.
-/// This defines the semantics the windowed fast path must reproduce
-/// exactly; tests compare against it. Too slow for production use.
-void multiply_gaussian_ring(Field& f, const geo::LatLon& center, double mu_km,
-                            double sigma_km);
-}  // namespace reference
 
 namespace detail {
 
@@ -104,21 +97,21 @@ class Field {
   /// Multiply in a Gaussian ring likelihood centered on `center`:
   /// L(cell) = exp(-(dist(cell, center) - mu)^2 / (2 sigma^2)).
   /// Requires a finite mu and a sigma passing gaussian_sigma_valid.
+  /// Runs the plan overload below on a transient plan for `center`.
   void multiply_gaussian_ring(const geo::LatLon& center, double mu_km,
                               double sigma_km);
 
-  /// Same, but with per-cell distances served from `plan`'s cached table
-  /// (CapScanPlan::distances: no trig for cells the table covers).
-  /// `plan` must be built on this field's grid and centered on the
-  /// landmark. Bit-identical to the overload above.
+  /// Same, on `plan`, which must be built on this field's grid and
+  /// centered on the landmark: distances come from
+  /// CapScanPlan::distances (no trig for cells a table covers).
+  /// Bit-identical to the overload above.
   void multiply_gaussian_ring(const CapScanPlan& plan, double mu_km,
                               double sigma_km);
 
-  /// Validation-free entry points for callers that have already checked
-  /// the whole constraint list once (mlat::fuse_gaussian_rings); the
-  /// per-ring `require`s above are measurable on the hot path.
-  void multiply_gaussian_ring_unchecked(const geo::LatLon& center,
-                                        double mu_km, double sigma_km);
+  /// The validation-free body both overloads above run, for callers
+  /// that have already checked the whole constraint list once
+  /// (mlat::fuse_gaussian_rings); the per-ring `require`s above are
+  /// measurable on the hot path.
   void multiply_gaussian_ring_unchecked(const CapScanPlan& plan, double mu_km,
                                         double sigma_km);
 
@@ -180,21 +173,10 @@ class Field {
   }
 
  private:
-  friend void reference::multiply_gaussian_ring(Field&, const geo::LatLon&,
-                                                double, double);
-
   void invalidate_caches() noexcept {
     mass_valid_ = false;
     live_valid_ = false;
   }
-
-  /// Core of the windowed multiply; DistF maps cell index -> great-circle
-  /// distance (km) from the ring center, by the exact reference formula.
-  /// SupportF rasterizes the support annulus [inner, outer] into the
-  /// empty Region it is handed (pooled when scratch_ is set).
-  template <typename DistF, typename SupportF>
-  void multiply_ring_windowed(double mu_km, double sigma_km, DistF&& dist,
-                              SupportF&& support);
 
   /// One pass over `mask`'s words shared by apply_mask and the masked
   /// rebind: cells off the mask become +0.0 (a whole word at a time when

@@ -25,6 +25,8 @@ Grid::Grid(double cell_deg) : cell_deg_(cell_deg) {
 
   centers_.resize(size());
   row_area_km2_.resize(rows_);
+  row_sin_.resize(rows_);
+  row_cos_.resize(rows_);
   const double R2 = geo::kEarthRadiusKm * geo::kEarthRadiusKm;
   const double dlon_rad = geo::deg_to_rad(cell_deg_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -32,6 +34,8 @@ Grid::Grid(double cell_deg) : cell_deg_(cell_deg) {
     double n = geo::deg_to_rad(row_lat_north(r));
     row_area_km2_[r] = R2 * dlon_rad * (std::sin(n) - std::sin(s));
     double lat_c = row_lat_south(r) + cell_deg_ / 2.0;
+    row_sin_[r] = std::sin(geo::deg_to_rad(lat_c));
+    row_cos_[r] = std::cos(geo::deg_to_rad(lat_c));
     for (std::size_t c = 0; c < cols_; ++c) {
       double lon_c = -180.0 + (static_cast<double>(c) + 0.5) * cell_deg_;
       centers_[index(r, c)] = geo::to_vec3({lat_c, lon_c});

@@ -6,7 +6,9 @@
 // so summing cell areas gives correct region areas even near the poles.
 //
 // The grid is immutable after construction and precomputes cell centers as
-// unit vectors, making the inner loop of disk rasterization a dot product.
+// unit vectors, making the inner loop of disk rasterization a dot product,
+// and each row's center-latitude sine and cosine, so a scan plan
+// (cap_cache.hpp) pays trig only for its column offsets.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +70,11 @@ class Grid {
     return row_lat_south(row) + cell_deg_;
   }
 
+  /// sin and cos of a row's center latitude:
+  /// std::sin/cos(geo::deg_to_rad(row_lat_south(row) + cell_deg() / 2.0)).
+  double row_sin(std::size_t row) const noexcept { return row_sin_[row]; }
+  double row_cos(std::size_t row) const noexcept { return row_cos_[row]; }
+
   /// Rows whose latitude band intersects [lat_lo, lat_hi]; used to prune
   /// disk rasterization to the cap's latitude band. Returns [first, last)
   /// row indices, clamped to the grid.
@@ -83,6 +90,7 @@ class Grid {
   std::size_t rows_, cols_;
   std::vector<geo::Vec3> centers_;
   std::vector<double> row_area_km2_;
+  std::vector<double> row_sin_, row_cos_;
 };
 
 }  // namespace ageo::grid

@@ -296,13 +296,8 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
   validate_gaussian_rings(g, rings, mask);
   if (mask) posterior.apply_mask(*mask);
   for (const auto& r : rings) {
-    if (cache) {
-      posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, r.center),
-                                                 r.mu_km, r.sigma_km);
-    } else {
-      posterior.multiply_gaussian_ring_unchecked(r.center, r.mu_km,
-                                                 r.sigma_km);
-    }
+    posterior.multiply_gaussian_ring_unchecked(
+        *grid::detail::plan_for(cache, g, r.center), r.mu_km, r.sigma_km);
   }
   posterior.normalize();  // a zero-mass field stays unnormalised (empty)
 }
@@ -370,13 +365,9 @@ void multiply_ring_into(const grid::Grid& g, const GaussianConstraint& ring,
   ageo::detail::require(posterior.grid() == &g,
                         "multiply_ring_into: field grid mismatch");
   validate_gaussian_rings(g, {&ring, 1}, nullptr);
-  if (cache) {
-    posterior.multiply_gaussian_ring_unchecked(*cache->plan(g, ring.center),
-                                               ring.mu_km, ring.sigma_km);
-  } else {
-    posterior.multiply_gaussian_ring_unchecked(ring.center, ring.mu_km,
-                                               ring.sigma_km);
-  }
+  posterior.multiply_gaussian_ring_unchecked(
+      *grid::detail::plan_for(cache, g, ring.center), ring.mu_km,
+      ring.sigma_km);
 }
 
 grid::Field fuse_gaussian_rings(const grid::Grid& g,
@@ -439,140 +430,5 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
       g, rings, mask, cache, scratch, result.region, result.used, refine);
   return result;
 }
-
-namespace reference {
-
-namespace {
-
-/// The three dense passes shared by the disk and ring oracles, applied
-/// to a fully built per-cell coverage vector of `n` constraints.
-SubsetResult dense_passes(const grid::Grid& g, std::size_t n,
-                          const std::vector<std::uint64_t>& cover,
-                          const grid::Region* mask);
-
-}  // namespace
-
-SubsetResult largest_consistent_subset(const grid::Grid& g,
-                                       std::span<const DiskConstraint> disks,
-                                       const grid::Region* mask,
-                                       grid::CapPlanCache* cache) {
-  ageo::detail::require(disks.size() <= 64,
-                  "largest_consistent_subset: at most 64 constraints");
-  if (mask)
-    ageo::detail::require(mask->grid() == &g,
-                    "largest_consistent_subset: mask grid mismatch");
-
-  if (disks.empty()) {
-    SubsetResult result;
-    result.region = grid::Region(g);
-    if (mask)
-      result.region = *mask;
-    else
-      result.region.fill();
-    return result;
-  }
-
-  // Per-cell coverage bitmask (conservatively padded, like
-  // intersect_disks).
-  const double pad = conservative_pad_km(g);
-  std::vector<std::uint64_t> cover(g.size(), 0);
-  for (std::size_t i = 0; i < disks.size(); ++i) {
-    grid::detail::plan_for(cache, g, disks[i].center)
-        ->accumulate_annulus(0.0, disks[i].max_km + pad, cover,
-                             static_cast<unsigned>(i));
-  }
-  return dense_passes(g, disks.size(), cover, mask);
-}
-
-SubsetResult largest_consistent_subset(const grid::Grid& g,
-                                       std::span<const RingConstraint> rings,
-                                       const grid::Region* mask,
-                                       grid::CapPlanCache* cache) {
-  ageo::detail::require(rings.size() <= 64,
-                  "largest_consistent_subset: at most 64 constraints");
-  if (mask)
-    ageo::detail::require(mask->grid() == &g,
-                    "largest_consistent_subset: mask grid mismatch");
-
-  if (rings.empty()) {
-    SubsetResult result;
-    result.region = grid::Region(g);
-    if (mask)
-      result.region = *mask;
-    else
-      result.region.fill();
-    return result;
-  }
-
-  const double pad = conservative_pad_km(g);
-  std::vector<std::uint64_t> cover(g.size(), 0);
-  for (std::size_t i = 0; i < rings.size(); ++i) {
-    ageo::detail::require(rings[i].min_km <= rings[i].max_km,
-                    "largest_consistent_subset: min_km must be <= max_km");
-    const double inner = std::max(0.0, rings[i].min_km - pad);
-    const double outer = rings[i].max_km + pad;
-    grid::detail::plan_for(cache, g, rings[i].center)
-        ->accumulate_annulus(inner, outer, cover, static_cast<unsigned>(i));
-  }
-  return dense_passes(g, rings.size(), cover, mask);
-}
-
-namespace {
-
-SubsetResult dense_passes(const grid::Grid& g, std::size_t n,
-                          const std::vector<std::uint64_t>& cover,
-                          const grid::Region* mask) {
-  SubsetResult result;
-  result.region = grid::Region(g);
-  result.used.assign(n, false);
-
-  // Pass 1: the maximum coverage cardinality among candidate cells.
-  std::size_t best = 0;
-  auto candidate = [&](std::size_t idx) {
-    return mask == nullptr || mask->test(idx);
-  };
-  for (std::size_t idx = 0; idx < cover.size(); ++idx) {
-    if (cover[idx] == 0 || !candidate(idx)) continue;
-    best = std::max(best,
-                    static_cast<std::size_t>(std::popcount(cover[idx])));
-  }
-  result.n_used = best;
-  if (best == 0) return result;
-
-  // Pass 2: distinct maximum-cardinality coverage sets. Collect first and
-  // sort-unique afterwards: near-concentric constraint stacks produce
-  // thousands of winning cells over a handful of distinct sets, and a
-  // linear find per cell made this pass quadratic.
-  std::vector<std::uint64_t> best_masks;
-  for (std::size_t idx = 0; idx < cover.size(); ++idx) {
-    if (!candidate(idx)) continue;
-    if (static_cast<std::size_t>(std::popcount(cover[idx])) != best) continue;
-    best_masks.push_back(cover[idx]);
-  }
-  std::sort(best_masks.begin(), best_masks.end());
-  best_masks.erase(std::unique(best_masks.begin(), best_masks.end()),
-                   best_masks.end());
-
-  // Pass 3: the region is every candidate cell whose coverage contains
-  // some maximum subset; record which constraints participate.
-  for (std::size_t idx = 0; idx < cover.size(); ++idx) {
-    if (!candidate(idx)) continue;
-    for (std::uint64_t m : best_masks) {
-      if ((cover[idx] & m) == m) {
-        result.region.set(idx);
-        break;
-      }
-    }
-  }
-  for (std::uint64_t m : best_masks) {
-    for (std::size_t i = 0; i < n; ++i)
-      if (m & (1ULL << i)) result.used[i] = true;
-  }
-  return result;
-}
-
-}  // namespace
-
-}  // namespace reference
 
 }  // namespace ageo::mlat

@@ -253,23 +253,4 @@ std::size_t largest_consistent_subset_into(
     grid::Scratch* scratch, grid::Region& region, std::vector<bool>& used,
     const RefineContext* refine = nullptr);
 
-namespace reference {
-/// The original full-grid, single-word LCS solver (at most 64
-/// constraints, three dense passes, owned allocations). This defines the
-/// semantics the sparse solver above must reproduce exactly — region,
-/// used vector and n_used — and mlat_equivalence_test pins the two
-/// against each other. Too slow for production use on fine grids.
-SubsetResult largest_consistent_subset(const grid::Grid& g,
-                                       std::span<const DiskConstraint> disks,
-                                       const grid::Region* mask = nullptr,
-                                       grid::CapPlanCache* cache = nullptr);
-
-/// Dense ring oracle, same contract as the disk one (at most 64
-/// constraints); pins the sparse ring engine above.
-SubsetResult largest_consistent_subset(const grid::Grid& g,
-                                       std::span<const RingConstraint> rings,
-                                       const grid::Region* mask = nullptr,
-                                       grid::CapPlanCache* cache = nullptr);
-}  // namespace reference
-
 }  // namespace ageo::mlat

@@ -30,6 +30,7 @@
 #include "grid/region.hpp"
 #include "grid/window.hpp"
 #include "mlat/multilateration.hpp"
+#include "oracles.hpp"
 
 namespace ageo::grid {
 namespace {
@@ -68,9 +69,10 @@ void expect_fields_identical(const Field& got, const Field& want,
   }
 }
 
-/// Runs one ring sequence through every fast path — windowed (no plan),
-/// plan-served, and mlat::fuse_gaussian_rings with and without a shared
-/// cache — and demands bit-identity with the reference scan.
+/// Runs one ring sequence through every fast path — the center overload
+/// (a transient plan), a standalone plan with its full table, and
+/// mlat::fuse_gaussian_rings with and without a shared cache — and
+/// demands bit-identity with the reference scan.
 void expect_equivalent(const Grid& g, const Region* mask,
                        const std::vector<RingSpec>& rings) {
   std::string what = "[";
@@ -620,7 +622,7 @@ std::vector<RingSpec> domain_test_rings() {
   return rings;
 }
 
-enum class DistanceSource { kDomainCache, kFullCache, kTrig };
+enum class DistanceSource { kDomainCache, kFullCache, kTransientPlan };
 
 const char* source_name(DistanceSource s) {
   switch (s) {
@@ -628,8 +630,8 @@ const char* source_name(DistanceSource s) {
       return "domain cache";
     case DistanceSource::kFullCache:
       return "full cache";
-    case DistanceSource::kTrig:
-      return "trig";
+    case DistanceSource::kTransientPlan:
+      return "transient plan";
   }
   return "?";
 }
@@ -647,8 +649,9 @@ void multiply_ring(Field& f, const Grid& g, DistanceSource src,
       f.multiply_gaussian_ring_unchecked(*full_cache.plan(g, r.center),
                                          r.mu_km, r.sigma_km);
       break;
-    case DistanceSource::kTrig:
-      f.multiply_gaussian_ring_unchecked(r.center, r.mu_km, r.sigma_km);
+    case DistanceSource::kTransientPlan:
+      f.multiply_gaussian_ring_unchecked(
+          *detail::plan_for(nullptr, g, r.center), r.mu_km, r.sigma_km);
       break;
   }
 }
@@ -719,12 +722,12 @@ TEST(PlanTableDomain, FieldsBitIdenticalAcrossDistanceSources) {
 
   for (const auto& [mask, mask_name] : masks) {
     std::vector<FieldSnapshot> want;
-    Field trig;
-    trig.rebind(g, mask);
+    Field transient;
+    transient.rebind(g, mask);
     for (const RingSpec& r : rings) {
-      multiply_ring(trig, g, DistanceSource::kTrig, domain_cache, full_cache,
-                    r);
-      want.push_back(snapshot(trig));
+      multiply_ring(transient, g, DistanceSource::kTransientPlan, domain_cache,
+                    full_cache, r);
+      want.push_back(snapshot(transient));
     }
     if (!mask) {
       // The first ring's support reaches past the domain, so the domain
@@ -743,6 +746,30 @@ TEST(PlanTableDomain, FieldsBitIdenticalAcrossDistanceSources) {
         EXPECT_TRUE(snapshot(f) == want[k])
             << what << ": Field after ring " << k;
       }
+    }
+  }
+}
+
+TEST(PlanTableDomain, TransientPlansServeTrigDistancesWithoutATable) {
+  // Poles, both sides of the antimeridian and a mid-latitude center.
+  const geo::LatLon centers[] = {{90.0, 0.0},   {-90.0, 0.0}, {10.0, 180.0},
+                                 {-20.0, -180.0}, {48.0, 11.0}};
+  for (const double cell : {2.0, 1.0}) {
+    Grid g(cell);
+    CapPlanCache cache(8);
+    for (const geo::LatLon& c : centers) {
+      const auto plan = detail::plan_for(nullptr, g, c);
+      const CellDistances dist = plan->distances();
+      const std::vector<double>& table = cache.plan(g, c)->cell_distances_km();
+      const geo::Vec3 v = geo::to_vec3(c);
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        const std::uint64_t got = std::bit_cast<std::uint64_t>(dist(i));
+        ASSERT_EQ(got, std::bit_cast<std::uint64_t>(
+                           geo::arc_distance_km(v, g.center_vec(i))))
+            << "cell " << i << " on the " << cell << " degree grid";
+        ASSERT_EQ(got, std::bit_cast<std::uint64_t>(table[i])) << "cell " << i;
+      }
+      EXPECT_EQ(plan->distance_table_bytes(), 0u);
     }
   }
 }

@@ -1,6 +1,7 @@
 // Unit tests for the grid module: raster, regions, fields, scratch arenas.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "common/error.hpp"
 #include "geo/geodesy.hpp"
 #include "geo/units.hpp"
+#include "grid/cap_cache.hpp"
 #include "grid/field.hpp"
 #include "grid/grid.hpp"
 #include "grid/raster.hpp"
@@ -65,6 +67,21 @@ TEST(Grid, CellAtEdges) {
   EXPECT_LT(g.cell_at({0.0, 180.0}), g.size());
   // North pole is in the top row.
   EXPECT_EQ(g.row_of(g.cell_at({90.0, 0.0})), g.rows() - 1);
+}
+
+TEST(Grid, RowTrigMatchesThePlanExpressionBitForBit) {
+  for (const double cell : {0.25, 1.0, 2.0}) {
+    Grid g(cell);
+    for (std::size_t r = 0; r < g.rows(); ++r) {
+      const double latc = geo::deg_to_rad(g.row_lat_south(r) + cell / 2.0);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.row_sin(r)),
+                std::bit_cast<std::uint64_t>(std::sin(latc)))
+          << "row " << r << " of the " << cell << " degree grid";
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.row_cos(r)),
+                std::bit_cast<std::uint64_t>(std::cos(latc)))
+          << "row " << r << " of the " << cell << " degree grid";
+    }
+  }
 }
 
 TEST(Grid, RowsInLatBand) {
@@ -233,15 +250,34 @@ TEST(Raster, LatBand) {
 TEST(Raster, AccumulateMask) {
   Grid g(2.0);
   std::vector<std::uint64_t> masks(g.size(), 0);
-  accumulate_cap_mask(g, geo::Cap{{0.0, 0.0}, 400.0}, masks, 0);
-  accumulate_cap_mask(g, geo::Cap{{0.0, 2.0}, 400.0}, masks, 1);
+  detail::plan_for(nullptr, g, {0.0, 0.0})
+      ->accumulate_annulus(0.0, 400.0, masks, 0);
+  detail::plan_for(nullptr, g, {0.0, 2.0})
+      ->accumulate_annulus(0.0, 400.0, masks, 1);
   std::size_t center_cell = g.cell_at({0.0, 1.0});
   EXPECT_EQ(masks[center_cell], 0b11u);
-  EXPECT_THROW(accumulate_cap_mask(g, geo::Cap{{0, 0}, 10.0}, masks, 64),
+  const auto plan = detail::plan_for(nullptr, g, {0.0, 0.0});
+  EXPECT_THROW(plan->accumulate_annulus(0.0, 10.0, masks, 64),
                InvalidArgument);
   std::vector<std::uint64_t> wrong(3, 0);
-  EXPECT_THROW(accumulate_cap_mask(g, geo::Cap{{0, 0}, 10.0}, wrong, 0),
+  EXPECT_THROW(plan->accumulate_annulus(0.0, 10.0, wrong, 0),
                InvalidArgument);
+}
+
+TEST(CapPlanCache, SignedZeroCentersAreDistinctKeys) {
+  // Key equality compares the same bit patterns the hash mixes, so 0.0
+  // and -0.0 are two keys, each found again on its next lookup.
+  Grid g(2.0);
+  CapPlanCache cache(8);
+  const geo::LatLon plus{0.0, 0.0}, minus{0.0, -0.0};
+  const auto a = cache.plan(g, plus);
+  const auto b = cache.plan(g, minus);
+  EXPECT_EQ(cache.plan(g, plus), a);
+  EXPECT_EQ(cache.plan(g, minus), b);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(Field, UniformNormalize) {

@@ -33,6 +33,7 @@
 #include "mlat/refine.hpp"
 #include "netsim/network.hpp"
 #include "world/hubs.hpp"
+#include "oracles.hpp"
 
 namespace ageo::mlat {
 namespace {

@@ -8,6 +8,7 @@
 #include "grid/cap_cache.hpp"
 #include "grid/raster.hpp"
 #include "mlat/multilateration.hpp"
+#include "oracles.hpp"
 
 namespace ageo::mlat {
 namespace {

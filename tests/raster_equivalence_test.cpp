@@ -20,6 +20,7 @@
 #include "grid/grid.hpp"
 #include "grid/raster.hpp"
 #include "grid/region.hpp"
+#include "oracles.hpp"
 
 namespace ageo::grid {
 namespace {
@@ -152,7 +153,8 @@ TEST(RasterEquivalence, AccumulateMasksMatchRegions) {
   std::vector<Region> want;
   for (unsigned bit = 0; bit < 16; ++bit) {
     geo::Cap cap{{lat(rng), lon(rng)}, radius(rng)};
-    accumulate_cap_mask(g, cap, masks, bit);
+    detail::plan_for(nullptr, g, cap.center)
+        ->accumulate_annulus(0.0, cap.radius_km, masks, bit);
     want.push_back(reference::rasterize_cap(g, cap));
   }
   for (std::size_t i = 0; i < g.size(); ++i) {

@@ -17,6 +17,7 @@
 #include "measure/testbed.hpp"
 #include "measure/tools.hpp"
 #include "world/fleet.hpp"
+#include "oracles.hpp"
 
 namespace ageo {
 namespace {
