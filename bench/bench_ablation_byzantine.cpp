@@ -48,22 +48,11 @@ double median(std::vector<double> xs) {
   return xs[xs.size() / 2];
 }
 
-assess::AuditAlgorithm algo_from_name(const std::string& name) {
-  if (name == "spotter") return assess::AuditAlgorithm::kSpotter;
-  if (name == "hybrid") return assess::AuditAlgorithm::kHybrid;
-  return assess::AuditAlgorithm::kCbgPlusPlus;
-}
-
-int threads_from_env() {
-  if (const char* t = std::getenv("AGEO_THREADS")) {
-    int v = std::atoi(t);
-    if (v >= 0) return v;
-  }
-  return 0;
-}
-
 CellResult run_cell(const std::string& algo, const std::string& strategy,
                     double fraction, double scale) {
+  assess::AuditConfig cfg;
+  cfg.threads = bench::threads_from_env(0);
+  cfg.algorithm = assess::parse_algorithm(algo);
   auto bed = bench::standard_testbed(scale);
   auto fleet = bench::standard_fleet(bed->world(), scale);
 
@@ -78,9 +67,6 @@ CellResult run_cell(const std::string& algo, const std::string& strategy,
                                              fraction, strategy, 2018, fake);
   }
 
-  assess::AuditConfig cfg;
-  cfg.threads = threads_from_env();
-  cfg.algorithm = algo_from_name(algo);
   assess::Auditor auditor(*bed, cfg);
   auto report = auditor.run(fleet);
 

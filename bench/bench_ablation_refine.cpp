@@ -41,12 +41,6 @@ struct CellResult {
   std::uint64_t lcs_fallbacks = 0;  // mlat.refine.lcs_fallbacks
 };
 
-assess::AuditAlgorithm algo_from_name(const std::string& name) {
-  if (name == "spotter") return assess::AuditAlgorithm::kSpotter;
-  if (name == "hybrid") return assess::AuditAlgorithm::kHybrid;
-  return assess::AuditAlgorithm::kCbgPlusPlus;
-}
-
 std::uint64_t counter(const obs::Snapshot& snap, const char* name) {
   for (const auto& c : snap.counters)
     if (c.name == name) return c.value;
@@ -55,17 +49,13 @@ std::uint64_t counter(const obs::Snapshot& snap, const char* name) {
 
 CellResult run_cell(const std::string& algo, const std::string& schedule,
                     double scale, assess::AuditReport* report_out) {
-  auto bed = bench::standard_testbed(scale);
-  auto fleet = bench::standard_fleet(bed->world(), scale);
-
   assess::AuditConfig cfg;
   cfg.grid_cell_deg = kGridDeg;
   cfg.refine = mlat::RefineSchedule::parse(schedule);
-  cfg.algorithm = algo_from_name(algo);
-  if (const char* t = std::getenv("AGEO_THREADS")) {
-    int v = std::atoi(t);
-    if (v >= 0) cfg.threads = v;
-  }
+  cfg.algorithm = assess::parse_algorithm(algo);
+  cfg.threads = bench::threads_from_env(cfg.threads);
+  auto bed = bench::standard_testbed(scale);
+  auto fleet = bench::standard_fleet(bed->world(), scale);
   assess::Auditor auditor(*bed, cfg);
   const std::uint64_t empty0 =
       counter(obs::Registry::global().snapshot(), "mlat.refine.coarse_empty");

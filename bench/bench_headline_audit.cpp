@@ -45,12 +45,6 @@ struct PerfCell {
   bool identical_to_flat = true;
 };
 
-assess::AuditAlgorithm algo_from_name(const std::string& name) {
-  if (name == "spotter") return assess::AuditAlgorithm::kSpotter;
-  if (name == "hybrid") return assess::AuditAlgorithm::kHybrid;
-  return assess::AuditAlgorithm::kCbgPlusPlus;
-}
-
 // One timed audit cell. Builds a fresh testbed from the standard seed
 // (audits perturb the testbed, and identical configs must see identical
 // worlds) and times only the audit proper. Deliberately ignores
@@ -64,7 +58,7 @@ PerfCell run_perf_cell(std::string label, double scale, double grid_deg,
   cfg.grid_cell_deg = grid_deg;
   cfg.refine = mlat::RefineSchedule::parse(schedule);
   cfg.threads = threads;
-  cfg.algorithm = algo_from_name(bench::audit_algorithm_name());
+  cfg.algorithm = bench::algorithm_from_env();
   assess::Auditor auditor(*bed, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   auto report = auditor.run(fleet);
@@ -136,7 +130,8 @@ void write_refine_json(const std::string& path, double scale,
     return;
   }
   out << "{\n  \"scale\": " << scale << ",\n  \"algorithm\": \""
-      << bench::audit_algorithm_name() << "\",\n  \"thread_scaling\": [\n";
+      << assess::to_string(bench::algorithm_from_env())
+      << "\",\n  \"thread_scaling\": [\n";
   append_perf_cells(out, threads_curve);
   out << "  ],\n  \"refinement\": [\n";
   append_perf_cells(out, refine_curve);
@@ -170,7 +165,8 @@ int main() {
   }
 
   const auto& rows = bundle.report.rows;
-  std::printf("algorithm: %s\n", bench::audit_algorithm_name().c_str());
+  std::printf("algorithm: %s\n",
+              assess::to_string(bench::algorithm_from_env()));
   std::printf("telemetry: %s\n",
               obs::metrics_enabled() ? "enabled" : "disabled");
   std::printf("setup (testbed+calibration): %.0f ms, audit: %.0f ms "

@@ -77,7 +77,8 @@ int main() {
   }
   const double scale = bench::scale_from_env();
 
-  std::printf("algorithm: %s\n", bench::audit_algorithm_name().c_str());
+  std::printf("algorithm: %s\n",
+              assess::to_string(bench::algorithm_from_env()));
   std::printf("scale: %.3f, repeat: %d\n", scale, repeat);
 
   // Off first: the gated number must not be warmed by journal
@@ -122,7 +123,8 @@ int main() {
       return 1;
     }
     out << "{\n  \"scale\": " << scale << ",\n  \"repeat\": " << repeat
-        << ",\n  \"algorithm\": \"" << bench::audit_algorithm_name()
+        << ",\n  \"algorithm\": \""
+        << assess::to_string(bench::algorithm_from_env())
         << "\",\n  \"proxies\": " << on.proxies
         << ",\n  \"ms_per_proxy_min_off\": " << off.ms_per_proxy()
         << ",\n  \"ms_per_proxy_min_on\": " << on.ms_per_proxy()

@@ -17,7 +17,8 @@
 //     drops below AGEO_SERVE_AB_MIN (default 5).
 //
 // AGEO_SCALE shrinks everything; AGEO_THREADS sets the worker count;
-// AGEO_AUDIT_ALGO picks cbgpp (default) or spotter;
+// AGEO_AUDIT_ALGO picks cbgpp (default), spotter or hybrid; garbage in
+// any of the three exits 2 before anything is built;
 // AGEO_SERVE_FLOOR_PPS, when set, gates sustained throughput;
 // AGEO_BENCH_JSON_SERVICE=FILE records every row as BENCH_service.json.
 #include <algorithm>
@@ -70,14 +71,6 @@ PoolScaleResult bench_pool_scale(double scale) {
   res.rank_ms = ms_since(t0);
   res.ranked = picks.size();
   return res;
-}
-
-assess::AuditAlgorithm algo_from_env() {
-  if (const char* a = std::getenv("AGEO_AUDIT_ALGO")) {
-    if (!std::strcmp(a, "spotter")) return assess::AuditAlgorithm::kSpotter;
-    if (!std::strcmp(a, "hybrid")) return assess::AuditAlgorithm::kHybrid;
-  }
-  return assess::AuditAlgorithm::kCbgPlusPlus;
 }
 
 struct AbResult {
@@ -158,18 +151,17 @@ AbResult bench_incremental_ab(const assess::AuditConfig& cfg,
 int main() {
   obs::set_metrics_enabled(true);
   const double scale = bench::scale_from_env();
-  int threads = 1;
-  if (const char* t = std::getenv("AGEO_THREADS")) threads = std::atoi(t);
+  const int threads = bench::threads_from_env(1);
 
   serve::ServiceConfig cfg;
-  cfg.audit.algorithm = algo_from_env();
+  cfg.audit.algorithm = bench::algorithm_from_env();
   cfg.audit.threads = threads;
   cfg.round_quota = 32;
   cfg.probes_per_round = 4;
   cfg.solver_budget = 64;
   cfg.max_pending = 128;
 
-  std::printf("algorithm: %s\n", bench::audit_algorithm_name().c_str());
+  std::printf("algorithm: %s\n", assess::to_string(cfg.audit.algorithm));
   std::printf("scale: %.3f, threads: %d\n", scale, threads);
 
   // --- pool scale ---
@@ -252,7 +244,7 @@ int main() {
       return 1;
     }
     out << "{\n  \"scale\": " << scale << ",\n  \"threads\": " << threads
-        << ",\n  \"algorithm\": \"" << bench::audit_algorithm_name()
+        << ",\n  \"algorithm\": \"" << assess::to_string(cfg.audit.algorithm)
         << "\",\n  \"pool\": {\"entries\": " << ps.entries
         << ", \"admits_per_sec\": " << admits_per_sec
         << ", \"rank_ms\": " << ps.rank_ms << "}"

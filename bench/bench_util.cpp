@@ -1,20 +1,61 @@
 #include "bench_util.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace ageo::bench {
 
-double scale_from_env() {
-  if (const char* s = std::getenv("AGEO_SCALE")) {
-    double v = std::atof(s);
-    if (v > 0.0 && v <= 4.0) return v;
+namespace {
+/// `parse(text)` of environment variable `var`, or `fallback` when it is
+/// unset or empty. `parse` throws InvalidArgument on garbage, which exits
+/// 2 with the variable named.
+template <class T, class Parse>
+T knob(const char* var, T fallback, Parse parse) {
+  const char* text = std::getenv(var);
+  if (!text || !*text) return fallback;
+  try {
+    return parse(text);
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "%s: %s\n", var, e.what());
+    std::exit(2);
   }
-  return 1.0;
+}
+}  // namespace
+
+double scale_from_env() {
+  return knob("AGEO_SCALE", 1.0, [](const char* text) {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (*end != '\0' || !(v > 0.0 && v <= 4.0))
+      throw InvalidArgument("'" + std::string(text) +
+                            "' is not a scale in (0, 4]");
+    return v;
+  });
+}
+
+int threads_from_env(int fallback) {
+  return knob("AGEO_THREADS", fallback, [](const char* text) {
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v < 0 ||
+        v > std::numeric_limits<int>::max())
+      throw InvalidArgument("'" + std::string(text) +
+                            "' is not a thread count in [0, 2147483647]");
+    return static_cast<int>(v);
+  });
+}
+
+assess::AuditAlgorithm algorithm_from_env() {
+  return knob("AGEO_AUDIT_ALGO", assess::AuditAlgorithm::kCbgPlusPlus,
+              assess::parse_algorithm);
 }
 
 std::unique_ptr<measure::Testbed> standard_testbed(double scale) {
@@ -33,43 +74,16 @@ world::Fleet standard_fleet(const world::WorldModel& w, double scale) {
   return world::generate_fleet(w, specs, 2018);
 }
 
-namespace {
-assess::AuditAlgorithm audit_algorithm_from_env() {
-  if (const char* a = std::getenv("AGEO_AUDIT_ALGO")) {
-    const std::string s(a);
-    if (s == "spotter") return assess::AuditAlgorithm::kSpotter;
-    if (s == "hybrid") return assess::AuditAlgorithm::kHybrid;
-  }
-  return assess::AuditAlgorithm::kCbgPlusPlus;
-}
-}  // namespace
-
-std::string audit_algorithm_name() {
-  switch (audit_algorithm_from_env()) {
-    case assess::AuditAlgorithm::kSpotter:
-      return "spotter";
-    case assess::AuditAlgorithm::kHybrid:
-      return "hybrid";
-    case assess::AuditAlgorithm::kCbgPlusPlus:
-      break;
-  }
-  return "cbg++";
-}
-
 AuditBundle run_standard_audit(double scale, int threads,
                                const assess::AuditConfig& base) {
-  if (const char* t = std::getenv("AGEO_THREADS")) {
-    int v = std::atoi(t);
-    if (v >= 0) threads = v;
-  }
+  assess::AuditConfig cfg = base;
+  cfg.threads = threads_from_env(threads);
+  cfg.algorithm = algorithm_from_env();
   AuditBundle bundle;
   auto t0 = std::chrono::steady_clock::now();
   bundle.bed = standard_testbed(scale);
   bundle.fleet = standard_fleet(bundle.bed->world(), scale);
   auto t1 = std::chrono::steady_clock::now();
-  assess::AuditConfig cfg = base;
-  cfg.threads = threads;
-  cfg.algorithm = audit_algorithm_from_env();
   assess::Auditor auditor(*bundle.bed, cfg);
   bundle.report = auditor.run(bundle.fleet);
   auto t2 = std::chrono::steady_clock::now();

@@ -18,8 +18,14 @@
 
 namespace ageo::bench {
 
-/// Workload scale factor from AGEO_SCALE (default 1.0 = paper scale).
+/// Workload knobs, parsed strictly: a value that does not parse or is out
+/// of range prints the variable's name and exits 2; unset or empty gives
+/// the default. AGEO_SCALE: scale in (0, 4] (default 1.0 = paper scale).
 double scale_from_env();
+/// AGEO_THREADS: worker threads in [0, 2147483647]; `fallback` if unset.
+int threads_from_env(int fallback);
+/// AGEO_AUDIT_ALGO: an assess::parse_algorithm name (default cbgpp).
+assess::AuditAlgorithm algorithm_from_env();
 
 /// The standard testbed: 250 anchors + 800 probes (paper Fig. 3 scale),
 /// seed 2018.
@@ -41,16 +47,11 @@ struct AuditBundle {
 /// Full §6 audit: testbed + fleet + geolocation pipeline over every
 /// proxy. `threads` is forwarded to AuditConfig::threads (0 = hardware
 /// concurrency, 1 = serial); AGEO_THREADS in the environment overrides.
-/// The algorithm defaults to CBG++; set AGEO_AUDIT_ALGO to `cbgpp`,
-/// `spotter` or `hybrid` to audit with a different geolocator. `base`
-/// seeds the rest of the AuditConfig (grid resolution, refinement
-/// schedule, ...); threads and algorithm are overridden as above.
+/// The algorithm comes from algorithm_from_env(). `base` seeds the rest
+/// of the AuditConfig (grid resolution, refinement schedule, ...);
+/// threads and algorithm are overridden as above.
 AuditBundle run_standard_audit(double scale = 1.0, int threads = 1,
                                const assess::AuditConfig& base = {});
-
-/// Human-readable name of the algorithm `run_standard_audit` will use
-/// (after applying the AGEO_AUDIT_ALGO override).
-std::string audit_algorithm_name();
 
 /// Per-crowd-host measurement result for the §5 validation experiments.
 struct CrowdMeasurement {

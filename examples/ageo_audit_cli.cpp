@@ -1,6 +1,6 @@
 // ageo_audit_cli: the full audit as a command-line tool.
 //
-//   ageo_audit_cli [--scale F] [--seed N] [--grid DEG] [--grid-deg DEG]
+//   ageo_audit_cli [--scale F] [--seed N] [--grid DEG]
 //                  [--refine SCHED] [--threads N] [--algo NAME]
 //                  [--serve] [--rounds N]
 //                  [--json FILE] [--ground-truth] [--metrics FILE|-]
@@ -18,6 +18,10 @@
 // serve::AuditService: the same fleet is admitted into the sharded
 // pool, bootstrapped, then streamed through --rounds re-audit rounds
 // of incremental memoised localization before the report is rendered.
+//
+// The flags fill one assess::AuditConfig (or serve::ServiceConfig), whose
+// validate() refuses a bad value before the testbed is built: its
+// InvalidArgument, which names the config field, exits 2.
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -36,6 +40,7 @@
 #include "assess/audit.hpp"
 #include "assess/explain.hpp"
 #include "assess/report.hpp"
+#include "common/error.hpp"
 #include "measure/testbed.hpp"
 #include "netsim/adversary.hpp"
 #include "serve/service.hpp"
@@ -50,16 +55,16 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--scale F] [--seed N] [--grid DEG] "
-               "[--grid-deg DEG] [--threads N] [--algo NAME]\n"
-               "       [--json FILE] [--ground-truth] [--metrics FILE|-] "
-               "[--trace FILE]\n"
+               "[--refine SCHED] [--threads N] [--algo NAME]\n"
+               "       [--serve] [--rounds N] [--json FILE] [--ground-truth] "
+               "[--metrics FILE|-]\n"
+               "       [--trace FILE] [--journal FILE] [--explain N] "
+               "[--attackers FRAC] [--attack NAME]\n"
                "  --scale F         fleet/constellation scale factor "
                "(default 0.25; 1.0 = paper scale)\n"
                "  --seed N          master seed (default 2018)\n"
                "  --grid DEG        analysis grid cell size (default 1.0; "
-               "must divide 180 evenly)\n"
-               "  --grid-deg DEG    like --grid, restricted to the "
-               "calibrated resolutions: 0.25, 0.5, 1.0, 2.0\n"
+               "must divide 180 and 360 evenly)\n"
                "  --refine SCHED    coarse-to-fine refinement schedule: "
                "comma-separated cell sizes\n"
                "                    coarser than the grid (e.g. 2.0,0.5), "
@@ -97,9 +102,9 @@ void usage(const char* argv0) {
 }
 
 // Strict numeric parsing. std::atof maps garbage to 0.0 silently, which
-// used to turn a typo like "--grid-deg 0,5" into an opaque usage dump
-// (or worse, an uncaught Grid exception later); require the whole token
-// to parse and name the offending flag.
+// used to turn a typo like "--grid 0,5" into an opaque usage dump (or
+// worse, an uncaught Grid exception later); require the whole token to
+// parse and name the offending flag.
 double parse_double(const char* flag, const char* text) {
   char* end = nullptr;
   const double v = std::strtod(text, &end);
@@ -183,18 +188,6 @@ int main(int argc, char** argv) {
           parse_int("--seed", need_value("--seed")));
     } else if (!std::strcmp(argv[i], "--grid")) {
       grid_deg = parse_double("--grid", need_value("--grid"));
-    } else if (!std::strcmp(argv[i], "--grid-deg")) {
-      const char* text = need_value("--grid-deg");
-      grid_deg = parse_double("--grid-deg", text);
-      if (grid_deg != 0.25 && grid_deg != 0.5 && grid_deg != 1.0 &&
-          grid_deg != 2.0) {
-        std::fprintf(stderr,
-                     "--grid-deg: '%s' is not a calibrated resolution; "
-                     "expected one of 0.25, 0.5, 1.0, 2.0 "
-                     "(use --grid for arbitrary cell sizes)\n",
-                     text);
-        return 2;
-      }
     } else if (!std::strcmp(argv[i], "--refine")) {
       refine_spec = need_value("--refine");
     } else if (!std::strcmp(argv[i], "--threads")) {
@@ -248,25 +241,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--scale must be in (0, 4], got %g\n", scale);
     return 2;
   }
-  if (!(grid_deg > 0.0 && grid_deg <= 30.0) ||
-      std::llround(180.0 / grid_deg) * grid_deg != 180.0 ||
-      std::llround(360.0 / grid_deg) * grid_deg != 360.0) {
-    std::fprintf(stderr,
-                 "--grid: %g does not evenly divide the 180x360 degree "
-                 "globe (try 0.25, 0.5, 1.0, or 2.0)\n",
-                 grid_deg);
-    return 2;
-  }
-  // In double: the cell count of a tiny cell size overflows any integer.
-  if (const double cells =
-          std::round(180.0 / grid_deg) * std::round(360.0 / grid_deg);
-      cells > static_cast<double>(grid::Grid::kMaxCells)) {
-    std::fprintf(stderr,
-                 "--grid: %g makes %.0f cells, beyond the 32-bit cell index "
-                 "(at most %zu)\n",
-                 grid_deg, cells, grid::Grid::kMaxCells);
-    return 2;
-  }
   if (rounds < 0) {
     std::fprintf(stderr, "--rounds must be >= 0, got %lld\n", rounds);
     return 2;
@@ -276,18 +250,31 @@ int main(int argc, char** argv) {
                  attackers);
     return 2;
   }
-  mlat::RefineSchedule refine;
+  assess::AuditConfig ac;
+  serve::ServiceConfig sc;
   try {
-    refine = refine_spec == "auto"
-                 ? mlat::RefineSchedule::recommended(grid_deg)
-                 : mlat::RefineSchedule::parse(refine_spec);
-    // Surface schedule/grid mismatches (e.g. a level finer than the
-    // grid) here with the flag named, not as an exception from deep
-    // inside Auditor construction.
-    if (refine.enabled()) mlat::RefineContext probe{grid::Grid(grid_deg), refine};
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "--refine: invalid schedule '%s': %s\n",
-                 refine_spec.c_str(), e.what());
+    ac.grid_cell_deg = grid_deg;
+    ac.refine = refine_spec == "auto"
+                    ? mlat::RefineSchedule::recommended(grid_deg)
+                    : mlat::RefineSchedule::parse(refine_spec);
+    ac.algorithm = assess::parse_algorithm(algo);
+    ac.seed = seed + 1;
+    ac.threads = threads;
+    if (serve_mode) {
+      sc.audit = ac;
+      // The service assesses per proxy; the batch pipeline's cross-proxy
+      // AS-grouping join does not apply to a streaming pool.
+      sc.audit.use_as_grouping = false;
+      sc.round_quota = 32;
+      sc.probes_per_round = 4;
+      sc.solver_budget = 64;
+      sc.max_pending = 128;
+      sc.validate();
+    } else {
+      ac.validate();
+    }
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
   if (!netsim::profile_for_strategy(attack, geo::LatLon{0.0, 0.0})) {
@@ -319,19 +306,6 @@ int main(int argc, char** argv) {
   if (!journal_path.empty() || !explain_ids.empty())
     obs::set_journal_enabled(true);
 
-  assess::AuditConfig ac;
-  if (algo == "cbgpp") {
-    ac.algorithm = assess::AuditAlgorithm::kCbgPlusPlus;
-  } else if (algo == "spotter") {
-    ac.algorithm = assess::AuditAlgorithm::kSpotter;
-  } else if (algo == "hybrid") {
-    ac.algorithm = assess::AuditAlgorithm::kHybrid;
-  } else {
-    std::fprintf(stderr, "unknown --algo: %s\n", algo.c_str());
-    usage(argv[0]);
-    return 2;
-  }
-
   measure::TestbedConfig tb;
   tb.seed = seed;
   tb.constellation.n_anchors =
@@ -362,26 +336,13 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "auditing %zu proxies...\n", fleet.hosts.size());
 
-  ac.grid_cell_deg = grid_deg;
-  ac.refine = refine;
-  if (refine.enabled())
+  if (ac.refine.enabled())
     std::fprintf(stderr, "refinement schedule: %s -> %g\n",
-                 refine.to_string().c_str(), grid_deg);
-  ac.seed = seed + 1;
-  ac.threads = threads;
+                 ac.refine.to_string().c_str(), grid_deg);
   assess::AuditReport report;
   std::uint64_t serve_epoch = 0;
   serve::ServiceStats serve_stats;
   if (serve_mode) {
-    serve::ServiceConfig sc;
-    sc.audit = ac;
-    // The service assesses per proxy; the batch pipeline's cross-proxy
-    // AS-grouping join does not apply to a streaming pool.
-    sc.audit.use_as_grouping = false;
-    sc.round_quota = 32;
-    sc.probes_per_round = 4;
-    sc.solver_budget = 64;
-    sc.max_pending = 128;
     while (sc.shards * sc.shard_capacity < fleet.hosts.size())
       sc.shard_capacity *= 2;
     serve::AuditService service(bed, sc);

@@ -1,5 +1,6 @@
-# Runs ageo_audit_cli with ARGS (a ;-list) and passes only when it exits
-# with code 2 and its stderr matches the regular expression EXPECT.
+# Runs CLI (ageo_audit_cli, or any command) with ARGS (a ;-list) and
+# passes only when it exits with code 2 and its stderr matches the
+# regular expression EXPECT.
 #   cmake -DCLI=<path> -DARGS=<a;b> -DEXPECT=<regex> -P cli_reject_check.cmake
 execute_process(COMMAND ${CLI} ${ARGS}
                 RESULT_VARIABLE rc

@@ -1,12 +1,19 @@
 #include "algos/iclab.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace ageo::algos {
 
+void IclabOptions::validate() const {
+  detail::require(std::isfinite(speed_limit_km_per_ms) &&
+                      speed_limit_km_per_ms > 0.0,
+                  "iclab.speed_limit_km_per_ms must be finite and > 0");
+}
+
 IclabChecker::IclabChecker(IclabOptions options) : options_(options) {
-  detail::require(options_.speed_limit_km_per_ms > 0.0,
-                  "IclabChecker: speed limit must be positive");
+  options_.validate();
 }
 
 namespace {

@@ -17,6 +17,10 @@ namespace ageo::algos {
 struct IclabOptions {
   /// "Speed of internet" limit, km/ms.
   double speed_limit_km_per_ms = 153.0;
+
+  /// The limit must be finite and > 0 (+inf would accept every claim).
+  /// Throws InvalidArgument naming `iclab.speed_limit_km_per_ms`.
+  void validate() const;
 };
 
 class IclabChecker {

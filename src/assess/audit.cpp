@@ -19,6 +19,56 @@
 
 namespace ageo::assess {
 
+namespace {
+constexpr std::pair<AuditAlgorithm, const char*> kAlgorithmNames[] = {
+    {AuditAlgorithm::kCbgPlusPlus, "cbgpp"},
+    {AuditAlgorithm::kSpotter, "spotter"},
+    {AuditAlgorithm::kHybrid, "hybrid"},
+};
+}  // namespace
+
+AuditAlgorithm parse_algorithm(std::string_view name) {
+  for (const auto& [a, n] : kAlgorithmNames)
+    if (n == name) return a;
+  throw InvalidArgument("algorithm: unknown name '" + std::string(name) +
+                        "' (expected cbgpp, spotter or hybrid)");
+}
+
+const char* to_string(AuditAlgorithm a) noexcept {
+  for (const auto& [alg, n] : kAlgorithmNames)
+    if (alg == a) return n;
+  return "unknown";
+}
+
+const AuditConfig& AuditConfig::validate() const {
+  // Comparisons are written so that NaN fails them.
+  const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
+  grid::Grid::validate_cell_deg(grid_cell_deg, "grid_cell_deg");
+  detail::require(geo::is_valid(client_location),
+                  "AuditConfig: client_location must be a finite latitude "
+                  "in [-90, 90] and a finite longitude");
+  two_phase.validate();
+  campaign.validate();
+  detail::require(self_ping_samples > 0,
+                  "AuditConfig: self_ping_samples must be > 0");
+  detail::require(eta_samples > 0, "AuditConfig: eta_samples must be > 0");
+  refine.validate(grid_cell_deg);
+  detail::require(spotter_credible_mass > 0.0 && spotter_credible_mass <= 1.0,
+                  "AuditConfig: spotter_credible_mass must be in (0, 1]");
+  iclab.validate();
+  detail::require(in_unit(byzantine_min_agreement),
+                  "AuditConfig: byzantine_min_agreement must be in [0, 1]");
+  detail::require(byzantine_min_constraints > 0,
+                  "AuditConfig: byzantine_min_constraints must be >= 1");
+  detail::require(in_unit(suspicion_min_score),
+                  "AuditConfig: suspicion_min_score must be in [0, 1]");
+  detail::require(suspicion_min_solves > 0,
+                  "AuditConfig: suspicion_min_solves must be >= 1");
+  drift.validate();
+  detail::require(threads >= 0, "AuditConfig: threads must be >= 0");
+  return *this;
+}
+
 std::unique_ptr<algos::Geolocator> make_geolocator(const AuditConfig& c) {
   switch (c.algorithm) {
     case AuditAlgorithm::kSpotter:
@@ -54,26 +104,6 @@ std::string ladder_string(const algos::LocateProvenance& prov) {
   return out;
 }
 
-const AuditConfig& validated(const AuditConfig& c) {
-  // Comparisons are written so that NaN fails them.
-  const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
-  detail::require(c.threads >= 0, "AuditConfig: threads must be >= 0");
-  detail::require(c.eta_samples > 0, "AuditConfig: eta_samples must be > 0");
-  detail::require(c.self_ping_samples > 0,
-                  "AuditConfig: self_ping_samples must be > 0");
-  detail::require(geo::is_valid(c.client_location),
-                  "AuditConfig: client_location must be a finite latitude "
-                  "in [-90, 90] and a finite longitude");
-  detail::require(
-      c.spotter_credible_mass > 0.0 && c.spotter_credible_mass <= 1.0,
-      "AuditConfig: spotter_credible_mass must be in (0, 1]");
-  detail::require(in_unit(c.byzantine_min_agreement),
-                  "AuditConfig: byzantine_min_agreement must be in [0, 1]");
-  detail::require(in_unit(c.suspicion_min_score),
-                  "AuditConfig: suspicion_min_score must be in [0, 1]");
-  return c;
-}
-
 double elapsed_us(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
@@ -83,8 +113,8 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
-    : bed_(&bed),
-      config_(validated(config)),
+    : config_(config.validate()),
+      bed_(&bed),
       grid_(std::make_shared<grid::Grid>(config.grid_cell_deg)),
       mask_(bed.world().plausibility_mask(*grid_)),
       raster_(bed.world().country_raster(*grid_)),
@@ -105,7 +135,7 @@ Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
       iclab_(config.iclab) {
   locator_->set_plan_cache(&plan_cache_);
   if (config_.refine.enabled()) {
-    refine_ctx_.emplace(*grid_, config_.refine);  // validates the schedule
+    refine_ctx_.emplace(*grid_, config_.refine);
     refine_ctx_->prepare_mask(mask_);
     locator_->set_refine(&*refine_ctx_);
   }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "algos/cbg_pp.hpp"
@@ -33,6 +34,12 @@ namespace ageo::assess {
 /// cross-algorithm audits. All three share the Auditor's per-landmark
 /// plan cache (rasterization geometry and, for Spotter, distance tables).
 enum class AuditAlgorithm { kCbgPlusPlus, kSpotter, kHybrid };
+
+/// The algorithm names of the CLI's --algo and the benches'
+/// AGEO_AUDIT_ALGO: "cbgpp", "spotter", "hybrid". parse_algorithm throws
+/// InvalidArgument naming `algorithm` for any other text.
+AuditAlgorithm parse_algorithm(std::string_view name);
+const char* to_string(AuditAlgorithm a) noexcept;
 
 struct AuditConfig {
   double grid_cell_deg = 1.0;
@@ -94,6 +101,15 @@ struct AuditConfig {
   /// (seed xor host-index)-derived RNG streams and network lane, and
   /// every fold runs in index order.
   int threads = 1;
+
+  /// Every rule on the fields above, arithmetic only (nothing is built):
+  /// the Grid cell-size rule on grid_cell_deg, the refine schedule
+  /// against it, the nested two_phase, campaign, iclab and drift rules,
+  /// a valid client_location, threads >= 0, sample and evidence counts
+  /// >= 1, spotter_credible_mass in (0, 1] and the Byzantine fractions
+  /// in [0, 1]. Throws InvalidArgument naming the field; returns *this
+  /// so a constructor can validate in its first member initializer.
+  const AuditConfig& validate() const;
 };
 
 /// Build the geolocator an AuditConfig selects (plan cache and refine
@@ -195,8 +211,8 @@ struct AuditReport {
 /// implementation from its bootstrap, streaming rounds and restore.
 class Auditor {
  public:
-  /// Throws InvalidArgument, naming the field, for threads < 0 or
-  /// eta_samples / self_ping_samples < 1, before anything is built.
+  /// Throws InvalidArgument, naming the field, when `config` fails
+  /// AuditConfig::validate, before anything is built.
   Auditor(measure::Testbed& bed, AuditConfig config = {});
 
   /// Audit every host of the fleet: register → eta → warm → campaign →
@@ -279,8 +295,8 @@ class Auditor {
   void summarize(AuditReport& report) const;
 
  private:
+  AuditConfig config_;  // first: validated before any member is built
   measure::Testbed* bed_;
-  AuditConfig config_;
   std::shared_ptr<grid::Grid> grid_;
   grid::Region mask_;
   world::CountryRaster raster_;

@@ -2,24 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 #include "geo/units.hpp"
 
 namespace ageo::grid {
 
+void Grid::validate_cell_deg(double cell_deg, std::string_view field) {
+  const auto reject = [&](const std::string& why) {
+    char value[32];
+    std::snprintf(value, sizeof value, "%g", cell_deg);
+    throw InvalidArgument(std::string(field) + ": " + value + " " + why);
+  };
+  // Comparisons are written so that NaN fails them.
+  if (!(cell_deg > 0.0 && cell_deg <= 30.0))
+    reject("is not in (0, 30] degrees");
+  const double rows_f = 180.0 / cell_deg;
+  const double cols_f = 360.0 / cell_deg;
+  if (!(std::abs(rows_f - std::round(rows_f)) < 1e-9 &&
+        std::abs(cols_f - std::round(cols_f)) < 1e-9))
+    reject("does not divide 180 and 360 exactly");
+  // In double: the cell count of a tiny cell size overflows any integer.
+  const double cells = std::round(rows_f) * std::round(cols_f);
+  if (cells > static_cast<double>(kMaxCells)) {
+    char count[32];
+    std::snprintf(count, sizeof count, "%.0f", cells);
+    reject(std::string("makes ") + count +
+           " cells, beyond the 32-bit cell index");
+  }
+}
+
 Grid::Grid(double cell_deg) : cell_deg_(cell_deg) {
-  detail::require(cell_deg > 0.0 && cell_deg <= 30.0,
-                  "Grid: cell size must be in (0, 30] degrees");
-  double rows_f = 180.0 / cell_deg;
-  double cols_f = 360.0 / cell_deg;
-  detail::require(std::abs(rows_f - std::round(rows_f)) < 1e-9 &&
-                      std::abs(cols_f - std::round(cols_f)) < 1e-9,
-                  "Grid: cell size must divide 180 and 360 exactly");
-  detail::require(std::round(rows_f) * std::round(cols_f) <=
-                      static_cast<double>(kMaxCells),
-                  "Grid: cell size too small for the 32-bit cell index");
+  validate_cell_deg(cell_deg, "Grid cell_deg");
+  const double rows_f = 180.0 / cell_deg;
+  const double cols_f = 360.0 / cell_deg;
   rows_ = static_cast<std::size_t>(std::llround(rows_f));
   cols_ = static_cast<std::size_t>(std::llround(cols_f));
 

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,11 +32,16 @@ class Grid {
   /// uint32 (the Field live list and the scan plans' table rank map).
   static constexpr std::size_t kMaxCells = 0xffffffffULL;
 
-  /// `cell_deg` is the angular size of a cell side in degrees; it must be
-  /// positive and no larger than 30, and must divide 180 and 360 exactly
-  /// (to keep areas exact). The grid may hold at most kMaxCells cells.
-  /// Throws InvalidArgument otherwise, before allocating anything.
+  /// `cell_deg` is the angular size of a cell side in degrees; it must
+  /// pass validate_cell_deg. Throws InvalidArgument otherwise, before
+  /// allocating anything.
   explicit Grid(double cell_deg);
+
+  /// The cell-size rule, arithmetic only: positive and no larger than 30,
+  /// dividing 180 and 360 exactly (to keep areas exact), and at most
+  /// kMaxCells cells. Throws InvalidArgument whose message starts with
+  /// `field` (the config field the value came from).
+  static void validate_cell_deg(double cell_deg, std::string_view field);
 
   double cell_deg() const noexcept { return cell_deg_; }
   std::size_t rows() const noexcept { return rows_; }

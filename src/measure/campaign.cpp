@@ -10,35 +10,39 @@
 
 namespace ageo::measure {
 
-namespace {
-void check_config(const CampaignConfig& c) {
-  detail::require(c.retry.max_attempts > 0,
-                  "CampaignEngine: max_attempts must be > 0");
-  detail::require(c.retry.backoff_base_rounds >= 0,
-                  "CampaignEngine: backoff_base_rounds must be >= 0");
-  detail::require(c.retry.backoff_factor >= 1.0,
-                  "CampaignEngine: backoff_factor must be >= 1");
-  detail::require(c.retry.backoff_cap_rounds >= c.retry.backoff_base_rounds,
-                  "CampaignEngine: backoff cap below base");
-  detail::require(c.retry.campaign_retry_budget >= 0,
-                  "CampaignEngine: retry budget must be >= 0");
-  detail::require(c.tunnel.failure_streak_for_check > 0,
-                  "CampaignEngine: failure_streak_for_check must be > 0");
-  detail::require(c.tunnel.reconnect_attempts >= 0,
-                  "CampaignEngine: reconnect_attempts must be >= 0");
-  detail::require(c.tunnel.reconnect_wait_rounds >= 0,
-                  "CampaignEngine: reconnect_wait_rounds must be >= 0");
-  detail::require(c.tunnel.rtt_drift_tolerance >= 1.0,
-                  "CampaignEngine: rtt_drift_tolerance must be >= 1");
-  detail::require(c.tunnel.self_ping_samples > 0,
-                  "CampaignEngine: self_ping_samples must be > 0");
+void CampaignConfig::validate() const {
+  // Comparisons are written so that NaN fails them.
+  detail::require(retry.max_attempts > 0,
+                  "campaign.retry.max_attempts must be > 0");
+  detail::require(retry.backoff_base_rounds >= 0,
+                  "campaign.retry.backoff_base_rounds must be >= 0");
+  detail::require(retry.backoff_factor >= 1.0 &&
+                      std::isfinite(retry.backoff_factor),
+                  "campaign.retry.backoff_factor must be finite and >= 1");
+  detail::require(retry.backoff_cap_rounds >= retry.backoff_base_rounds,
+                  "campaign.retry.backoff_cap_rounds must be >= "
+                  "backoff_base_rounds");
+  detail::require(retry.campaign_retry_budget >= 0,
+                  "campaign.retry.campaign_retry_budget must be >= 0");
+  breaker.validate();
+  detail::require(tunnel.failure_streak_for_check > 0,
+                  "campaign.tunnel.failure_streak_for_check must be > 0");
+  detail::require(tunnel.reconnect_attempts >= 0,
+                  "campaign.tunnel.reconnect_attempts must be >= 0");
+  detail::require(tunnel.reconnect_wait_rounds >= 0,
+                  "campaign.tunnel.reconnect_wait_rounds must be >= 0");
+  detail::require(tunnel.rtt_drift_tolerance >= 1.0 &&
+                      std::isfinite(tunnel.rtt_drift_tolerance),
+                  "campaign.tunnel.rtt_drift_tolerance must be finite and "
+                  ">= 1");
+  detail::require(tunnel.self_ping_samples > 0,
+                  "campaign.tunnel.self_ping_samples must be > 0");
 }
-}  // namespace
 
 CampaignEngine::CampaignEngine(RichProbeFn probe, CampaignConfig config,
                                BreakerBoard* shared_board)
     : probe_(std::move(probe)), config_(config) {
-  check_config(config_);
+  config_.validate();
   detail::require(static_cast<bool>(probe_),
                   "CampaignEngine: probe must be callable");
   if (shared_board) {
@@ -206,9 +210,7 @@ TwoPhaseResult two_phase_measure(const Testbed& bed, CampaignEngine& engine,
                                  Rng& rng, const TwoPhaseConfig& cfg) {
   AGEO_SPAN("measure", "two_phase.campaign");
   AGEO_COUNT("measure.two_phase.campaign_runs");
-  detail::require(cfg.anchors_per_continent > 0 && cfg.phase2_landmarks > 0 &&
-                      cfg.attempts > 0,
-                  "two_phase_measure: invalid config");
+  cfg.validate();
   TwoPhaseResult result;
   const auto& landmarks = bed.landmarks();
 

@@ -40,6 +40,13 @@ struct CampaignConfig {
   RetryPolicy retry;
   BreakerPolicy breaker;
   TunnelPolicy tunnel;
+
+  /// The retry, breaker and tunnel rules: counts of tries, thresholds
+  /// and samples >= 1, rounds and budgets >= 0, backoff_cap_rounds >=
+  /// backoff_base_rounds, backoff_factor and rtt_drift_tolerance finite
+  /// and >= 1. Throws InvalidArgument naming the field (as
+  /// `campaign.<policy>.<field>`, its path in assess::AuditConfig).
+  void validate() const;
 };
 
 /// One campaign's fault machinery around one probe. Construct per

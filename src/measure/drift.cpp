@@ -3,12 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/error.hpp"
+
 namespace ageo::measure {
+
+void DriftConfig::validate() const {
+  // Comparisons are written so that NaN fails them.
+  detail::require(ewma_alpha > 0.0 && ewma_alpha <= 1.0,
+                  "drift.ewma_alpha must be in (0, 1]");
+  detail::require(std::isfinite(deflate_ms) && deflate_ms > 0.0,
+                  "drift.deflate_ms must be finite and > 0");
+  detail::require(std::isfinite(inflate_ms) && inflate_ms > 0.0,
+                  "drift.inflate_ms must be finite and > 0");
+  detail::require(min_samples > 0, "drift.min_samples must be >= 1");
+}
 
 DriftWatchdog::DriftWatchdog(std::size_t n_landmarks, DriftConfig cfg)
     : cfg_(cfg), entries_(n_landmarks) {
-  if (!(cfg_.ewma_alpha > 0.0) || cfg_.ewma_alpha > 1.0)
-    cfg_.ewma_alpha = 0.25;
+  cfg_.validate();
 }
 
 void DriftWatchdog::observe(std::size_t landmark_id,

@@ -45,6 +45,11 @@ struct DriftConfig {
   double inflate_ms = 150.0;
   /// No verdict before this many samples (EWMA still warming up).
   std::uint64_t min_samples = 8;
+
+  /// ewma_alpha in (0, 1], both thresholds finite and > 0, min_samples
+  /// >= 1. Throws InvalidArgument naming the field (as `drift.<field>`,
+  /// its path in assess::AuditConfig).
+  void validate() const;
 };
 
 /// One landmark's running drift state.
@@ -59,6 +64,7 @@ struct DriftEntry {
 
 class DriftWatchdog {
  public:
+  /// Throws InvalidArgument when `cfg` fails DriftConfig::validate.
   explicit DriftWatchdog(std::size_t n_landmarks, DriftConfig cfg = {});
 
   /// Fold one residual into the landmark's EWMA. Out-of-range ids and

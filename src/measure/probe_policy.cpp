@@ -82,11 +82,15 @@ void publish_campaign_stats([[maybe_unused]] const CampaignStats& stats) {
   AGEO_COUNT("measure.campaign.published");
 }
 
+void BreakerPolicy::validate() const {
+  detail::require(failure_threshold > 0,
+                  "campaign.breaker.failure_threshold must be > 0");
+  detail::require(cooldown_rounds > 0,
+                  "campaign.breaker.cooldown_rounds must be > 0");
+}
+
 BreakerBoard::BreakerBoard(BreakerPolicy policy) : policy_(policy) {
-  detail::require(policy_.failure_threshold > 0,
-                  "BreakerBoard: failure_threshold must be > 0");
-  detail::require(policy_.cooldown_rounds > 0,
-                  "BreakerBoard: cooldown_rounds must be > 0");
+  policy_.validate();
 }
 
 bool BreakerBoard::allows(std::size_t landmark_id) const {

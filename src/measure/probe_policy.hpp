@@ -78,6 +78,10 @@ struct BreakerPolicy {
   int failure_threshold = 3;
   /// Rounds an open breaker waits before allowing a half-open re-probe.
   int cooldown_rounds = 8;
+
+  /// Both fields must be >= 1. Throws InvalidArgument naming the field
+  /// (as `campaign.breaker.<field>`, its path in assess::AuditConfig).
+  void validate() const;
 };
 
 /// Everything a campaign observed, aggregated. Rides on TwoPhaseResult

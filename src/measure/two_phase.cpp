@@ -29,6 +29,14 @@ std::optional<double> min_probe(const ProbeFn& probe, std::size_t id,
 }
 }  // namespace
 
+void TwoPhaseConfig::validate() const {
+  detail::require(anchors_per_continent > 0,
+                  "two_phase.anchors_per_continent must be > 0");
+  detail::require(phase2_landmarks > 0,
+                  "two_phase.phase2_landmarks must be > 0");
+  detail::require(attempts > 0, "two_phase.attempts must be > 0");
+}
+
 std::vector<std::size_t> continent_landmarks(const Testbed& bed,
                                              world::Continent continent) {
   const auto& landmarks = bed.landmarks();
@@ -42,9 +50,7 @@ TwoPhaseResult two_phase_measure(const Testbed& bed, const ProbeFn& probe,
                                  Rng& rng, const TwoPhaseConfig& cfg) {
   AGEO_SPAN("measure", "two_phase");
   AGEO_COUNT("measure.two_phase.runs");
-  detail::require(cfg.anchors_per_continent > 0 && cfg.phase2_landmarks > 0 &&
-                      cfg.attempts > 0,
-                  "two_phase_measure: invalid config");
+  cfg.validate();
   TwoPhaseResult result;
   const auto& landmarks = bed.landmarks();
 

@@ -24,6 +24,10 @@ struct TwoPhaseConfig {
   int phase2_landmarks = 25;
   /// Probes per landmark; the minimum is kept.
   int attempts = 3;
+
+  /// Every field must be >= 1. Throws InvalidArgument naming the field
+  /// (as `two_phase.<field>`, its path in assess::AuditConfig).
+  void validate() const;
 };
 
 struct TwoPhaseResult {

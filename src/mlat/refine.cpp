@@ -121,7 +121,7 @@ RefineSchedule RefineSchedule::parse(std::string_view spec) {
     ageo::detail::require(
         !str.empty() && end == str.c_str() + str.size() && std::isfinite(v) &&
             v > 0.0,
-        "RefineSchedule: levels must be positive cell sizes in degrees "
+        "refine: levels must be positive cell sizes in degrees "
         "(e.g. \"2.0,0.5\")");
     s.levels.push_back(v);
     if (sep == std::string_view::npos) break;
@@ -155,33 +155,38 @@ std::string RefineSchedule::to_string() const {
   return out;
 }
 
+void RefineSchedule::validate(double fine_cell_deg) const {
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    const double lvl = levels[i];
+    grid::Grid::validate_cell_deg(lvl, "refine level");
+    ageo::detail::require(lvl > fine_cell_deg,
+                          "refine: every level must be coarser than the "
+                          "analysis grid (grid_cell_deg)");
+    if (i > 0) {
+      ageo::detail::require(lvl < levels[i - 1],
+                            "refine: levels must be strictly descending "
+                            "(coarsest first)");
+      const double ratio = levels[i - 1] / lvl;
+      ageo::detail::require(std::abs(ratio - std::round(ratio)) < 1e-9,
+                            "refine: adjacent levels must have an exact "
+                            "integer cell-size ratio");
+    }
+  }
+  if (!enabled()) return;
+  const double last = levels.back() / fine_cell_deg;
+  ageo::detail::require(std::abs(last - std::round(last)) < 1e-9,
+                        "refine: the finest level must be an exact integer "
+                        "multiple of the analysis cell size (grid_cell_deg)");
+}
+
 RefineContext::RefineContext(const grid::Grid& fine, RefineSchedule schedule)
     : fine_(&fine), sched_(std::move(schedule)) {
   ageo::detail::require(sched_.enabled(),
                         "RefineContext: schedule has no levels");
-  double prev = 0.0;
-  for (const double lvl : sched_.levels) {
-    ageo::detail::require(std::isfinite(lvl) && lvl > fine.cell_deg(),
-                          "RefineContext: every level must be coarser than "
-                          "the analysis grid");
-    if (prev > 0.0) {
-      ageo::detail::require(lvl < prev,
-                            "RefineContext: levels must be strictly "
-                            "descending (coarsest first)");
-      const double ratio = prev / lvl;
-      ageo::detail::require(std::abs(ratio - std::round(ratio)) < 1e-9,
-                            "RefineContext: adjacent levels must have an "
-                            "exact integer cell-size ratio");
-    }
-    prev = lvl;
-  }
-  const double last = sched_.levels.back() / fine.cell_deg();
-  ageo::detail::require(std::abs(last - std::round(last)) < 1e-9,
-                        "RefineContext: the finest level must be an exact "
-                        "integer multiple of the analysis cell size");
+  sched_.validate(fine.cell_deg());
   grids_.reserve(sched_.levels.size());
   for (const double lvl : sched_.levels)
-    grids_.push_back(std::make_unique<grid::Grid>(lvl));  // validates divisor
+    grids_.push_back(std::make_unique<grid::Grid>(lvl));
 }
 
 void RefineContext::prepare_mask(const grid::Region& fine_mask) {

@@ -81,9 +81,16 @@ struct RefineSchedule {
 
   /// Parse "2.0,0.5" (or "2.0:0.5") into a schedule; "", "off" and
   /// "none" give a disabled schedule. Throws InvalidArgument on
-  /// malformed input. Ordering and divisibility are validated later,
-  /// against the fine grid, by the RefineContext constructor.
+  /// malformed input. Ordering and divisibility are checked against the
+  /// fine grid by validate().
   static RefineSchedule parse(std::string_view spec);
+
+  /// The schedule rule against a fine cell size, arithmetic only (no
+  /// grid is built): every level a valid Grid cell size, strictly
+  /// coarser than `fine_cell_deg`, levels strictly descending, every
+  /// adjacent ratio (and the last-level-to-fine ratio) an exact integer.
+  /// A disabled schedule passes. Throws InvalidArgument naming `refine`.
+  void validate(double fine_cell_deg) const;
 
   /// The canonical ladder for a given fine resolution: every level of
   /// {2.0, 0.5} strictly coarser than `fine_cell_deg` with an exact
@@ -102,10 +109,8 @@ struct RefineSchedule {
 /// number of worker threads.
 class RefineContext {
  public:
-  /// Validates the schedule against `fine`: levels strictly descending,
-  /// strictly coarser than the fine grid, every adjacent ratio (and the
-  /// last-level-to-fine ratio) an exact integer. The schedule must be
-  /// enabled. `fine` must outlive the context.
+  /// Validates the schedule against `fine` (RefineSchedule::validate);
+  /// the schedule must be enabled. `fine` must outlive the context.
   RefineContext(const grid::Grid& fine, RefineSchedule schedule);
 
   RefineContext(const RefineContext&) = delete;

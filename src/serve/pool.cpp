@@ -28,10 +28,15 @@ std::optional<assess::Verdict> VerdictRing::latest() const noexcept {
   return at(n_ - 1);
 }
 
+void ProxyPool::validate(std::size_t shards, std::size_t shard_capacity) {
+  detail::require(shards > 0, "ProxyPool: shards must be >= 1");
+  detail::require(shard_capacity > 0,
+                  "ProxyPool: shard_capacity must be >= 1");
+}
+
 ProxyPool::ProxyPool(std::size_t shards, std::size_t shard_capacity)
     : shards_(shards), shard_capacity_(shard_capacity) {
-  detail::require(shards > 0 && shard_capacity > 0,
-                  "ProxyPool: shards and shard_capacity must be positive");
+  validate(shards, shard_capacity);
 }
 
 std::size_t ProxyPool::shard_load(std::size_t s) const {

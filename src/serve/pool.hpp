@@ -143,7 +143,12 @@ struct SchedulerWeights {
 
 class ProxyPool {
  public:
+  /// Throws InvalidArgument when the geometry fails validate.
   ProxyPool(std::size_t shards, std::size_t shard_capacity);
+
+  /// The pool-geometry rule: both counts >= 1. Throws InvalidArgument
+  /// naming the field (`shards` or `shard_capacity`, as in ServiceConfig).
+  static void validate(std::size_t shards, std::size_t shard_capacity);
 
   std::size_t shards() const noexcept { return shards_.size(); }
   std::size_t shard_capacity() const noexcept { return shard_capacity_; }

@@ -34,28 +34,33 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// `bed`, once `config`'s scheduler weights are known finite. A NaN or
-/// infinite weight makes its verdict class's scores NaN, and the
-/// comparators of ProxyPool::rank lose strict weak ordering on NaN.
-/// Runs in the first member initializer, so nothing is built on a bad
-/// config.
-measure::Testbed* checked_testbed(measure::Testbed& bed,
-                                  const ServiceConfig& config) {
-  const SchedulerWeights& w = config.weights;
-  detail::require(std::isfinite(w.credible),
-                  "AuditService: weights.credible must be finite");
-  detail::require(std::isfinite(w.uncertain),
-                  "AuditService: weights.uncertain must be finite");
-  detail::require(std::isfinite(w.false_),
-                  "AuditService: weights.false_ must be finite");
-  return &bed;
-}
-
 }  // namespace
 
+const ServiceConfig& ServiceConfig::validate() const {
+  audit.validate();
+  ProxyPool::validate(shards, shard_capacity);
+  detail::require(verdict_history > 0,
+                  "ServiceConfig: verdict_history must be >= 1");
+  detail::require(round_quota > 0, "ServiceConfig: round_quota must be >= 1");
+  detail::require(probes_per_round > 0,
+                  "ServiceConfig: probes_per_round must be >= 1");
+  detail::require(probe_attempts >= 0,
+                  "ServiceConfig: probe_attempts must be >= 0");
+  detail::require(solver_budget > 0,
+                  "ServiceConfig: solver_budget must be >= 1");
+  detail::require(max_pending > 0, "ServiceConfig: max_pending must be >= 1");
+  detail::require(std::isfinite(weights.credible),
+                  "ServiceConfig: weights.credible must be finite");
+  detail::require(std::isfinite(weights.uncertain),
+                  "ServiceConfig: weights.uncertain must be finite");
+  detail::require(std::isfinite(weights.false_),
+                  "ServiceConfig: weights.false_ must be finite");
+  return *this;
+}
+
 AuditService::AuditService(measure::Testbed& bed, ServiceConfig config)
-    : bed_(checked_testbed(bed, config)),
-      config_(config),
+    : config_(config.validate()),
+      bed_(&bed),
       auditor_(bed, config.audit),
       pool_(config.shards, config.shard_capacity) {}
 

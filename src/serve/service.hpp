@@ -66,6 +66,16 @@ struct ServiceConfig {
   /// entries (backpressure).
   std::size_t max_pending = 64;
   SchedulerWeights weights;
+
+  /// audit.validate(), then the service's own rules: pool geometry
+  /// (ProxyPool::validate), verdict_history, round_quota,
+  /// probes_per_round, solver_budget and max_pending >= 1,
+  /// probe_attempts >= 0, and finite scheduler weights (a NaN weight
+  /// makes its verdict class's scores NaN, and ProxyPool::rank's
+  /// comparators lose strict weak ordering). Throws InvalidArgument
+  /// naming the field; returns *this so a constructor can validate in
+  /// its first member initializer.
+  const ServiceConfig& validate() const;
 };
 
 /// Cumulative service counters (also exported as serve.* metrics; this
@@ -98,6 +108,8 @@ struct ServiceReport : assess::AuditReport {
 
 class AuditService {
  public:
+  /// Throws InvalidArgument when `config` fails ServiceConfig::validate,
+  /// before anything is built.
   AuditService(measure::Testbed& bed, ServiceConfig config = {});
 
   /// Admit every fleet host into the pool (metadata only). Host i gets
@@ -157,8 +169,8 @@ class AuditService {
     std::uint64_t reconnects = 0;
   };
 
+  ServiceConfig config_;  // first: validated before any member is built
   measure::Testbed* bed_;
-  ServiceConfig config_;
   /// Runs every pipeline stage and owns the grid, mask, country caches,
   /// plan cache, geolocator and refine context.
   assess::Auditor auditor_;

@@ -4,6 +4,8 @@
 // known linear delay model so each estimator's behaviour is predictable.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "algos/cbg.hpp"
 #include "algos/cbg_pp.hpp"
 #include "algos/geolocator.hpp"
@@ -441,9 +443,13 @@ TEST_F(IclabTest, Validation) {
   IclabChecker checker;
   grid::Region empty(g);
   EXPECT_THROW(checker.accepts(empty, observe(11)), InvalidArgument);
-  IclabOptions bad;
-  bad.speed_limit_km_per_ms = 0.0;
-  EXPECT_THROW(IclabChecker{bad}, InvalidArgument);
+  // A +inf or NaN limit would accept every claim.
+  for (double limit : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    IclabOptions bad;
+    bad.speed_limit_km_per_ms = limit;
+    EXPECT_THROW(IclabChecker{bad}, InvalidArgument) << limit;
+  }
 }
 
 // Property sweep: CBG++ covers the truth across many observation seeds

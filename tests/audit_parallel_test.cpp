@@ -8,12 +8,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "assess/audit.hpp"
 #include "assess/explain.hpp"
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "measure/testbed.hpp"
 #include "netsim/adversary.hpp"
@@ -554,6 +558,31 @@ TEST(DriftWatchdog, AsymmetricThresholdsAndWarmup) {
   dog.observe(99, 1.0);
   dog.observe(0, std::nan(""));
   EXPECT_EQ(dog.entries()[0].samples, 4u);
+}
+
+TEST(DriftWatchdog, ConstructorRejectsBadConfig) {
+  // A bad alpha must not be swapped for a default, and a NaN threshold
+  // would never flag: the constructor throws, naming the field.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  using D = measure::DriftConfig;
+  const std::pair<const char*, void (*)(D&)> cases[] = {
+      {"drift.ewma_alpha", [](D& d) { d.ewma_alpha = kNaN; }},
+      {"drift.ewma_alpha", [](D& d) { d.ewma_alpha = 0.0; }},
+      {"drift.ewma_alpha", [](D& d) { d.ewma_alpha = 1.5; }},
+      {"drift.deflate_ms", [](D& d) { d.deflate_ms = kNaN; }},
+      {"drift.inflate_ms", [](D& d) { d.inflate_ms = kNaN; }},
+  };
+  for (const auto& [field, apply] : cases) {
+    measure::DriftConfig cfg;
+    apply(cfg);
+    try {
+      measure::DriftWatchdog dog(4, cfg);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- verdict provenance journal ----

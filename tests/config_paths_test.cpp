@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "assess/audit.hpp"
@@ -73,48 +74,147 @@ TEST_F(ConfigTest, DisambiguationStagesCanBeDisabled) {
 }
 
 TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
-  // Each bad field fails in the constructor, before the testbed's
+  // Every numeric field of AuditConfig, nested ones included, fails
+  // AuditConfig::validate in the constructor, before the testbed's
   // network gains a host, with a message that names the field. The
   // credible mass is checked under the default CBG++ algorithm too.
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  using C = assess::AuditConfig;
   struct Case {
     const char* field;
-    void (*apply)(assess::AuditConfig&);
+    void (*apply)(C&);
   };
   const Case cases[] = {
-      {"threads", [](assess::AuditConfig& c) { c.threads = -3; }},
-      {"threads", [](assess::AuditConfig& c) { c.threads = -1; }},
-      {"eta_samples", [](assess::AuditConfig& c) { c.eta_samples = 0; }},
-      {"eta_samples", [](assess::AuditConfig& c) { c.eta_samples = -2; }},
-      {"self_ping_samples",
-       [](assess::AuditConfig& c) { c.self_ping_samples = 0; }},
-      {"self_ping_samples",
-       [](assess::AuditConfig& c) { c.self_ping_samples = -1; }},
-      {"client_location",
-       [](assess::AuditConfig& c) { c.client_location.lat_deg = kNaN; }},
-      {"client_location",
-       [](assess::AuditConfig& c) { c.client_location.lat_deg = 91.0; }},
-      {"client_location",
-       [](assess::AuditConfig& c) { c.client_location.lon_deg = kInf; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = kNaN; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = kInf; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = -1.0; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 0.0; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 45.0; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 0.7; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 0.001; }},
+      {"client_location", [](C& c) { c.client_location.lat_deg = kNaN; }},
+      {"client_location", [](C& c) { c.client_location.lat_deg = 91.0; }},
+      {"client_location", [](C& c) { c.client_location.lat_deg = -kInf; }},
+      {"client_location", [](C& c) { c.client_location.lon_deg = kInf; }},
+      {"client_location", [](C& c) { c.client_location.lon_deg = kNaN; }},
+      {"two_phase.anchors_per_continent",
+       [](C& c) { c.two_phase.anchors_per_continent = 0; }},
+      {"two_phase.anchors_per_continent",
+       [](C& c) { c.two_phase.anchors_per_continent = -1; }},
+      {"two_phase.phase2_landmarks",
+       [](C& c) { c.two_phase.phase2_landmarks = 0; }},
+      {"two_phase.phase2_landmarks",
+       [](C& c) { c.two_phase.phase2_landmarks = -5; }},
+      {"two_phase.attempts", [](C& c) { c.two_phase.attempts = 0; }},
+      {"two_phase.attempts", [](C& c) { c.two_phase.attempts = -1; }},
+      {"campaign.retry.max_attempts",
+       [](C& c) { c.campaign.retry.max_attempts = 0; }},
+      {"campaign.retry.max_attempts",
+       [](C& c) { c.campaign.retry.max_attempts = -2; }},
+      {"campaign.retry.backoff_base_rounds",
+       [](C& c) { c.campaign.retry.backoff_base_rounds = -1; }},
+      {"campaign.retry.backoff_factor",
+       [](C& c) { c.campaign.retry.backoff_factor = kNaN; }},
+      {"campaign.retry.backoff_factor",
+       [](C& c) { c.campaign.retry.backoff_factor = kInf; }},
+      {"campaign.retry.backoff_factor",
+       [](C& c) { c.campaign.retry.backoff_factor = -kInf; }},
+      {"campaign.retry.backoff_factor",
+       [](C& c) { c.campaign.retry.backoff_factor = 0.5; }},
+      {"campaign.retry.backoff_cap_rounds",
+       [](C& c) { c.campaign.retry.backoff_cap_rounds = -1; }},
+      {"campaign.retry.backoff_cap_rounds",
+       [](C& c) { c.campaign.retry.backoff_cap_rounds = 0; }},
+      {"campaign.retry.campaign_retry_budget",
+       [](C& c) { c.campaign.retry.campaign_retry_budget = -1; }},
+      {"campaign.breaker.failure_threshold",
+       [](C& c) { c.campaign.breaker.failure_threshold = 0; }},
+      {"campaign.breaker.failure_threshold",
+       [](C& c) { c.campaign.breaker.failure_threshold = -1; }},
+      {"campaign.breaker.cooldown_rounds",
+       [](C& c) { c.campaign.breaker.cooldown_rounds = 0; }},
+      {"campaign.breaker.cooldown_rounds",
+       [](C& c) { c.campaign.breaker.cooldown_rounds = -8; }},
+      {"campaign.tunnel.failure_streak_for_check",
+       [](C& c) { c.campaign.tunnel.failure_streak_for_check = 0; }},
+      {"campaign.tunnel.failure_streak_for_check",
+       [](C& c) { c.campaign.tunnel.failure_streak_for_check = -1; }},
+      {"campaign.tunnel.reconnect_attempts",
+       [](C& c) { c.campaign.tunnel.reconnect_attempts = -1; }},
+      {"campaign.tunnel.reconnect_wait_rounds",
+       [](C& c) { c.campaign.tunnel.reconnect_wait_rounds = -1; }},
+      {"campaign.tunnel.rtt_drift_tolerance",
+       [](C& c) { c.campaign.tunnel.rtt_drift_tolerance = kNaN; }},
+      {"campaign.tunnel.rtt_drift_tolerance",
+       [](C& c) { c.campaign.tunnel.rtt_drift_tolerance = kInf; }},
+      {"campaign.tunnel.rtt_drift_tolerance",
+       [](C& c) { c.campaign.tunnel.rtt_drift_tolerance = -kInf; }},
+      {"campaign.tunnel.rtt_drift_tolerance",
+       [](C& c) { c.campaign.tunnel.rtt_drift_tolerance = 0.9; }},
+      {"campaign.tunnel.self_ping_samples",
+       [](C& c) { c.campaign.tunnel.self_ping_samples = 0; }},
+      {"campaign.tunnel.self_ping_samples",
+       [](C& c) { c.campaign.tunnel.self_ping_samples = -1; }},
+      {"self_ping_samples", [](C& c) { c.self_ping_samples = 0; }},
+      {"self_ping_samples", [](C& c) { c.self_ping_samples = -1; }},
+      {"eta_samples", [](C& c) { c.eta_samples = 0; }},
+      {"eta_samples", [](C& c) { c.eta_samples = -2; }},
+      {"refine", [](C& c) { c.refine.levels = {kNaN}; }},
+      {"refine", [](C& c) { c.refine.levels = {kInf}; }},
+      {"refine", [](C& c) { c.refine.levels = {-2.0}; }},
+      {"refine", [](C& c) { c.refine.levels = {0.5}; }},      // finer
+      {"refine", [](C& c) { c.refine.levels = {2.0, 4.0}; }}, // ascending
+      {"refine", [](C& c) { c.refine.levels = {5.0, 2.0}; }}, // ratio 2.5
+      {"refine", [](C& c) { c.refine.levels = {2.5}; }},      // 2.5 / 1
       {"spotter_credible_mass",
-       [](assess::AuditConfig& c) { c.spotter_credible_mass = 2.0; }},
+       [](C& c) { c.spotter_credible_mass = 2.0; }},
       {"spotter_credible_mass",
-       [](assess::AuditConfig& c) { c.spotter_credible_mass = 0.0; }},
+       [](C& c) { c.spotter_credible_mass = 0.0; }},
       {"spotter_credible_mass",
-       [](assess::AuditConfig& c) { c.spotter_credible_mass = kNaN; }},
+       [](C& c) { c.spotter_credible_mass = -0.5; }},
+      {"spotter_credible_mass",
+       [](C& c) { c.spotter_credible_mass = kNaN; }},
+      {"spotter_credible_mass",
+       [](C& c) { c.spotter_credible_mass = kInf; }},
+      {"iclab.speed_limit_km_per_ms",
+       [](C& c) { c.iclab.speed_limit_km_per_ms = kNaN; }},
+      {"iclab.speed_limit_km_per_ms",
+       [](C& c) { c.iclab.speed_limit_km_per_ms = kInf; }},
+      {"iclab.speed_limit_km_per_ms",
+       [](C& c) { c.iclab.speed_limit_km_per_ms = 0.0; }},
+      {"iclab.speed_limit_km_per_ms",
+       [](C& c) { c.iclab.speed_limit_km_per_ms = -153.0; }},
       {"byzantine_min_agreement",
-       [](assess::AuditConfig& c) { c.byzantine_min_agreement = kNaN; }},
+       [](C& c) { c.byzantine_min_agreement = kNaN; }},
       {"byzantine_min_agreement",
-       [](assess::AuditConfig& c) { c.byzantine_min_agreement = -0.1; }},
+       [](C& c) { c.byzantine_min_agreement = -0.1; }},
       {"byzantine_min_agreement",
-       [](assess::AuditConfig& c) { c.byzantine_min_agreement = 1.5; }},
-      {"suspicion_min_score",
-       [](assess::AuditConfig& c) { c.suspicion_min_score = kNaN; }},
-      {"suspicion_min_score",
-       [](assess::AuditConfig& c) { c.suspicion_min_score = kInf; }},
-      {"suspicion_min_score",
-       [](assess::AuditConfig& c) { c.suspicion_min_score = -1.0; }},
+       [](C& c) { c.byzantine_min_agreement = 1.5; }},
+      {"byzantine_min_agreement",
+       [](C& c) { c.byzantine_min_agreement = kInf; }},
+      {"byzantine_min_constraints",
+       [](C& c) { c.byzantine_min_constraints = 0; }},
+      {"suspicion_min_score", [](C& c) { c.suspicion_min_score = kNaN; }},
+      {"suspicion_min_score", [](C& c) { c.suspicion_min_score = kInf; }},
+      {"suspicion_min_score", [](C& c) { c.suspicion_min_score = -1.0; }},
+      {"suspicion_min_solves", [](C& c) { c.suspicion_min_solves = 0; }},
+      {"drift.ewma_alpha", [](C& c) { c.drift.ewma_alpha = kNaN; }},
+      {"drift.ewma_alpha", [](C& c) { c.drift.ewma_alpha = kInf; }},
+      {"drift.ewma_alpha", [](C& c) { c.drift.ewma_alpha = 0.0; }},
+      {"drift.ewma_alpha", [](C& c) { c.drift.ewma_alpha = -0.25; }},
+      {"drift.ewma_alpha", [](C& c) { c.drift.ewma_alpha = 1.5; }},
+      {"drift.deflate_ms", [](C& c) { c.drift.deflate_ms = kNaN; }},
+      {"drift.deflate_ms", [](C& c) { c.drift.deflate_ms = kInf; }},
+      {"drift.deflate_ms", [](C& c) { c.drift.deflate_ms = 0.0; }},
+      {"drift.deflate_ms", [](C& c) { c.drift.deflate_ms = -5.0; }},
+      {"drift.inflate_ms", [](C& c) { c.drift.inflate_ms = kNaN; }},
+      {"drift.inflate_ms", [](C& c) { c.drift.inflate_ms = -kInf; }},
+      {"drift.inflate_ms", [](C& c) { c.drift.inflate_ms = 0.0; }},
+      {"drift.inflate_ms", [](C& c) { c.drift.inflate_ms = -150.0; }},
+      {"drift.min_samples", [](C& c) { c.drift.min_samples = 0; }},
+      {"threads", [](C& c) { c.threads = -3; }},
+      {"threads", [](C& c) { c.threads = -1; }},
   };
   const auto expect_rejects = [](const char* field, auto&& construct) {
     try {
@@ -143,37 +243,89 @@ TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
   edge.self_ping_samples = 1;
   edge.spotter_credible_mass = 1.0;
   edge.byzantine_min_agreement = 0.0;
+  edge.byzantine_min_constraints = 1;
   edge.suspicion_min_score = 1.0;
+  edge.suspicion_min_solves = 1;
   edge.client_location = {-90.0, 180.0};
+  edge.two_phase = {1, 1, 1};
+  edge.campaign.retry.max_attempts = 1;
+  edge.campaign.retry.backoff_base_rounds = 0;
+  edge.campaign.retry.backoff_factor = 1.0;
+  edge.campaign.retry.backoff_cap_rounds = 0;
+  edge.campaign.retry.campaign_retry_budget = 0;
+  edge.campaign.breaker = {1, 1};
+  edge.campaign.tunnel = {1, 0, 0, 1.0, 1};
+  edge.refine.levels = {4.0, 2.0};
+  edge.iclab.speed_limit_km_per_ms = std::numeric_limits<double>::max();
+  edge.drift.ewma_alpha = 1.0;
+  edge.drift.deflate_ms = std::numeric_limits<double>::denorm_min();
+  edge.drift.inflate_ms = std::numeric_limits<double>::max();
+  edge.drift.min_samples = 1;
   EXPECT_NO_THROW(assess::Auditor(*bed_, edge));
+  EXPECT_NO_THROW(assess::Auditor(*bed_, [] {
+    assess::AuditConfig coarsest;
+    coarsest.grid_cell_deg = 30.0;
+    return coarsest;
+  }()));
+  // So do the configs of the end-to-end benchmark: defaults plus the
+  // algorithm, grid, refine schedule, threads, seed and (for the
+  // service) the streaming round settings. Checked without building
+  // their grids.
+  for (const auto& [algo, grid_deg, refine] :
+       {std::tuple{assess::AuditAlgorithm::kCbgPlusPlus, 1.0, "off"},
+        std::tuple{assess::AuditAlgorithm::kCbgPlusPlus, 0.25, "2.0,0.5"},
+        std::tuple{assess::AuditAlgorithm::kSpotter, 1.0, "off"}}) {
+    serve::ServiceConfig bench;
+    bench.audit.algorithm = algo;
+    bench.audit.grid_cell_deg = grid_deg;
+    bench.audit.refine = mlat::RefineSchedule::parse(refine);
+    bench.audit.threads = 4;
+    bench.audit.seed = 0x9e3779b97f4a7c15ULL;
+    bench.round_quota = 32;
+    bench.probes_per_round = 4;
+    bench.solver_budget = 64;
+    bench.max_pending = 128;
+    EXPECT_NO_THROW(bench.validate()) << grid_deg << " " << refine;
+    EXPECT_NO_THROW(bench.audit.validate());
+  }
 }
 
 TEST_F(ConfigTest, ServiceRejectsNonFiniteSchedulerWeights) {
-  // A NaN weight would make every score of its verdict class NaN, and
-  // the re-audit ranking's sort would lose strict weak ordering. Each
-  // non-finite weight fails in the constructor, before the testbed's
-  // network gains a host, with a message that names the field.
+  // Every numeric field of ServiceConfig outside `audit` (covered
+  // above) fails ServiceConfig::validate in the constructor, before the
+  // testbed's network gains a host, with a message that names the
+  // field. A NaN weight would make every score of its verdict class
+  // NaN, and the re-audit ranking's sort would lose strict weak
+  // ordering.
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  using S = serve::ServiceConfig;
   struct Case {
     const char* field;
-    void (*apply)(serve::SchedulerWeights&);
+    void (*apply)(S&);
   };
   const Case cases[] = {
-      {"weights.credible", [](serve::SchedulerWeights& w) { w.credible = kNaN; }},
-      {"weights.credible", [](serve::SchedulerWeights& w) { w.credible = kInf; }},
-      {"weights.uncertain",
-       [](serve::SchedulerWeights& w) { w.uncertain = kNaN; }},
-      {"weights.uncertain",
-       [](serve::SchedulerWeights& w) { w.uncertain = -kInf; }},
-      {"weights.false_", [](serve::SchedulerWeights& w) { w.false_ = kNaN; }},
-      {"weights.false_", [](serve::SchedulerWeights& w) { w.false_ = kInf; }},
+      {"shards", [](S& s) { s.shards = 0; }},
+      {"shard_capacity", [](S& s) { s.shard_capacity = 0; }},
+      {"verdict_history", [](S& s) { s.verdict_history = 0; }},
+      {"round_quota", [](S& s) { s.round_quota = 0; }},
+      {"probes_per_round", [](S& s) { s.probes_per_round = 0; }},
+      {"probes_per_round", [](S& s) { s.probes_per_round = -4; }},
+      {"probe_attempts", [](S& s) { s.probe_attempts = -1; }},
+      {"solver_budget", [](S& s) { s.solver_budget = 0; }},
+      {"max_pending", [](S& s) { s.max_pending = 0; }},
+      {"weights.credible", [](S& s) { s.weights.credible = kNaN; }},
+      {"weights.credible", [](S& s) { s.weights.credible = kInf; }},
+      {"weights.uncertain", [](S& s) { s.weights.uncertain = kNaN; }},
+      {"weights.uncertain", [](S& s) { s.weights.uncertain = -kInf; }},
+      {"weights.false_", [](S& s) { s.weights.false_ = kNaN; }},
+      {"weights.false_", [](S& s) { s.weights.false_ = kInf; }},
   };
   const std::size_t hosts = bed_->net().host_count();
   for (const Case& c : cases) {
     SCOPED_TRACE(c.field);
     serve::ServiceConfig service;
-    c.apply(service.weights);
+    c.apply(service);
     try {
       serve::AuditService s(*bed_, service);
       ADD_FAILURE() << c.field << " was accepted";
@@ -183,8 +335,13 @@ TEST_F(ConfigTest, ServiceRejectsNonFiniteSchedulerWeights) {
     }
     EXPECT_EQ(bed_->net().host_count(), hosts);
   }
-  // Finite weights stay accepted, zero and negative included.
+  // The boundary values stay accepted; finite weights too, zero and
+  // negative included.
   serve::ServiceConfig edge;
+  edge.shards = edge.shard_capacity = edge.verdict_history = 1;
+  edge.round_quota = edge.solver_budget = edge.max_pending = 1;
+  edge.probes_per_round = 1;
+  edge.probe_attempts = 0;
   edge.weights = {0.0, -1.0, 1e300};
   EXPECT_NO_THROW(serve::AuditService(*bed_, edge));
 }
