@@ -151,10 +151,7 @@ int main() {
   }
   // AGEO_BENCH_REPEAT=N reruns the audit and reports the minimum — the
   // stable statistic for regression gating on shared CI machines.
-  int repeat = 1;
-  if (const char* r = std::getenv("AGEO_BENCH_REPEAT")) {
-    repeat = std::max(1, std::atoi(r));
-  }
+  const int repeat = bench::repeat_from_env();
 
   const double scale = bench::scale_from_env();
   auto bundle = bench::run_standard_audit(scale);

@@ -71,10 +71,7 @@ int main() {
     if (!std::strcmp(f, "on")) obs::set_metrics_enabled(true);
     if (!std::strcmp(f, "off")) obs::set_metrics_enabled(false);
   }
-  int repeat = 1;
-  if (const char* r = std::getenv("AGEO_BENCH_REPEAT")) {
-    repeat = std::max(1, std::atoi(r));
-  }
+  const int repeat = bench::repeat_from_env();
   const double scale = bench::scale_from_env();
 
   std::printf("algorithm: %s\n",

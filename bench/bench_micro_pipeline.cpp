@@ -92,7 +92,7 @@ static void BM_FullLocate(benchmark::State& state) {
 }
 BENCHMARK(BM_FullLocate)->Arg(200)->Arg(100)->Arg(50);
 
-// Spotter's full locate (fuse_gaussian_rings + credible region) through a
+// Spotter's full locate (ring multiplies + credible region) through a
 // warm CapPlanCache — the steady-state cost of the probability-field
 // pipeline per proxy. Compare against a second instance without a cache
 // by toggling range(1).

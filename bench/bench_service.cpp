@@ -17,9 +17,9 @@
 //     drops below AGEO_SERVE_AB_MIN (default 5).
 //
 // AGEO_SCALE shrinks everything; AGEO_THREADS sets the worker count;
-// AGEO_AUDIT_ALGO picks cbgpp (default), spotter or hybrid; garbage in
-// any of the three exits 2 before anything is built;
-// AGEO_SERVE_FLOOR_PPS, when set, gates sustained throughput;
+// AGEO_AUDIT_ALGO picks cbgpp (default), spotter or hybrid;
+// AGEO_SERVE_FLOOR_PPS, when set, gates sustained throughput; garbage
+// in any of these five knobs exits 2 before anything is built;
 // AGEO_BENCH_JSON_SERVICE=FILE records every row as BENCH_service.json.
 #include <algorithm>
 #include <chrono>
@@ -57,8 +57,7 @@ PoolScaleResult bench_pool_scale(double scale) {
   PoolScaleResult res;
   res.entries = std::max<std::size_t>(
       4096, static_cast<std::size_t>(1048576.0 * scale));
-  const std::size_t shards = 64;
-  serve::ProxyPool pool(shards, (res.entries + shards - 1) / shards);
+  serve::ProxyPool pool;
   world::ProxyHost host;
   host.provider = "bench";
   auto t0 = Clock::now();
@@ -156,6 +155,15 @@ int main() {
   serve::ServiceConfig cfg;
   cfg.audit.algorithm = bench::algorithm_from_env();
   cfg.audit.threads = threads;
+  // Default floor per algorithm: CBG++'s one-more-disk update skips the
+  // whole constraint re-rasterization (≥5x); Spotter's one-more-ring
+  // multiply still pays the posterior normalization and credible-mass
+  // extraction every step, so its honest floor is lower.
+  const double ab_min = bench::floor_from_env(
+      "AGEO_SERVE_AB_MIN",
+      cfg.audit.algorithm == assess::AuditAlgorithm::kSpotter ? 2.0 : 5.0);
+  // Unset (0) gates nothing: throughput is never negative.
+  const double floor_pps = bench::floor_from_env("AGEO_SERVE_FLOOR_PPS", 0.0);
   cfg.round_quota = 32;
   cfg.probes_per_round = 4;
   cfg.solver_budget = 64;
@@ -275,27 +283,17 @@ int main() {
                          "full-solve oracle\n");
     return 1;
   }
-  // Default floor per algorithm: CBG++'s one-more-disk update skips the
-  // whole constraint re-rasterization (≥5x); Spotter's one-more-ring
-  // multiply still pays the posterior normalization and credible-mass
-  // extraction every step, so its honest floor is lower.
-  double ab_min =
-      cfg.audit.algorithm == assess::AuditAlgorithm::kSpotter ? 2.0 : 5.0;
-  if (const char* m = std::getenv("AGEO_SERVE_AB_MIN")) ab_min = std::atof(m);
   if (ab.steps > 0 && ab.avg_incremental_us > 0.0 && ab.speedup < ab_min) {
     std::fprintf(stderr,
                  "FAIL: incremental speedup %.2f below floor %.2f\n",
                  ab.speedup, ab_min);
     return 1;
   }
-  if (const char* floor = std::getenv("AGEO_SERVE_FLOOR_PPS")) {
-    const double f = std::atof(floor);
-    if (sustained_pps < f) {
-      std::fprintf(stderr,
-                   "FAIL: sustained %.1f proxies/sec below floor %.1f\n",
-                   sustained_pps, f);
-      return 1;
-    }
+  if (sustained_pps < floor_pps) {
+    std::fprintf(stderr,
+                 "FAIL: sustained %.1f proxies/sec below floor %.1f\n",
+                 sustained_pps, floor_pps);
+    return 1;
   }
   return 0;
 }

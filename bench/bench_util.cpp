@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -27,6 +29,19 @@ T knob(const char* var, T fallback, Parse parse) {
     std::exit(2);
   }
 }
+
+/// `text` as an int in [lo, 2147483647]; otherwise throws
+/// InvalidArgument "'<text>' is not <what> in [<lo>, 2147483647]".
+int int_at_least(const char* text, int lo, const char* what) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < lo ||
+      v > std::numeric_limits<int>::max())
+    throw InvalidArgument("'" + std::string(text) + "' is not " + what +
+                          " in [" + std::to_string(lo) + ", 2147483647]");
+  return static_cast<int>(v);
+}
 }  // namespace
 
 double scale_from_env() {
@@ -42,20 +57,30 @@ double scale_from_env() {
 
 int threads_from_env(int fallback) {
   return knob("AGEO_THREADS", fallback, [](const char* text) {
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE || v < 0 ||
-        v > std::numeric_limits<int>::max())
-      throw InvalidArgument("'" + std::string(text) +
-                            "' is not a thread count in [0, 2147483647]");
-    return static_cast<int>(v);
+    return int_at_least(text, 0, "a thread count");
   });
 }
 
 assess::AuditAlgorithm algorithm_from_env() {
   return knob("AGEO_AUDIT_ALGO", assess::AuditAlgorithm::kCbgPlusPlus,
               assess::parse_algorithm);
+}
+
+int repeat_from_env() {
+  return knob("AGEO_BENCH_REPEAT", 1, [](const char* text) {
+    return int_at_least(text, 1, "a repeat count");
+  });
+}
+
+double floor_from_env(const char* var, double fallback) {
+  return knob(var, fallback, [](const char* text) {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (*end != '\0' || !(v >= 0.0 && std::isfinite(v)))
+      throw InvalidArgument("'" + std::string(text) +
+                            "' is not a finite number >= 0");
+    return v;
+  });
 }
 
 std::unique_ptr<measure::Testbed> standard_testbed(double scale) {

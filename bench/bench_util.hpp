@@ -26,6 +26,11 @@ double scale_from_env();
 int threads_from_env(int fallback);
 /// AGEO_AUDIT_ALGO: an assess::parse_algorithm name (default cbgpp).
 assess::AuditAlgorithm algorithm_from_env();
+/// AGEO_BENCH_REPEAT: audit repeats in [1, 2147483647] (default 1).
+int repeat_from_env();
+/// A gate floor read from `var` (AGEO_SERVE_AB_MIN,
+/// AGEO_SERVE_FLOOR_PPS): a finite number >= 0; `fallback` if unset.
+double floor_from_env(const char* var, double fallback);
 
 /// The standard testbed: 250 anchors + 800 probes (paper Fig. 3 scale),
 /// seed 2018.

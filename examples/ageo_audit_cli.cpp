@@ -15,8 +15,8 @@
 // rendered from that journal (--explain, repeatable).
 //
 // --serve swaps the one-shot batch Auditor for the always-on
-// serve::AuditService: the same fleet is admitted into the sharded
-// pool, bootstrapped, then streamed through --rounds re-audit rounds
+// serve::AuditService: the same fleet is admitted into its pool,
+// bootstrapped, then streamed through --rounds re-audit rounds
 // of incremental memoised localization before the report is rendered.
 //
 // The flags fill one assess::AuditConfig (or serve::ServiceConfig), whose
@@ -343,8 +343,6 @@ int main(int argc, char** argv) {
   std::uint64_t serve_epoch = 0;
   serve::ServiceStats serve_stats;
   if (serve_mode) {
-    while (sc.shards * sc.shard_capacity < fleet.hosts.size())
-      sc.shard_capacity *= 2;
     serve::AuditService service(bed, sc);
     service.admit(fleet);
     service.bootstrap();

@@ -56,16 +56,16 @@ int main() {
   grid::Grid g(1.0);
   grid::Region mask = bed.world().plausibility_mask(g);
   algos::CbgPlusPlusGeolocator locator;
-  auto detail = locator.locate_detailed(g, bed.store(), tp.observations,
-                                        &mask);
-  const auto& region = detail.estimate.region;
+  const algos::GeoEstimate est =
+      locator.locate(g, bed.store(), tp.observations, &mask);
+  const auto& region = est.region;
 
   std::printf("prediction region: %.0f km^2 over %zu cells\n",
               region.area_km2(), region.count());
   std::printf("  baseline subset: %zu disks, bestline subset: %zu disks, "
               "%zu discarded\n",
-              detail.baseline_subset_size, detail.bestline_subset_size,
-              detail.disks_discarded_by_baseline);
+              est.prov.baseline_subset, est.constraints_used,
+              est.prov.discarded_by_baseline);
   if (auto c = region.centroid()) {
     std::printf("  centroid: %s (%.0f km from the true location)\n",
                 geo::to_string(*c).c_str(),

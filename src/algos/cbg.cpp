@@ -4,10 +4,10 @@
 
 namespace ageo::algos {
 
-GeoEstimate CbgGeolocator::locate(const grid::Grid& g,
-                                  const calib::CalibrationStore& store,
-                                  std::span<const Observation> observations,
-                                  const grid::Region* mask) const {
+GeoEstimate CbgGeolocator::solve(
+    const grid::Grid& g, const calib::CalibrationStore& store,
+    std::span<const Observation> observations, const grid::Region* mask,
+    std::unique_ptr<LocatorMemo>* /*memo*/) const {
   validate(store, observations);
   std::vector<mlat::DiskConstraint> disks;
   disks.reserve(observations.size());

@@ -11,10 +11,11 @@ class CbgGeolocator final : public Geolocator {
  public:
   std::string_view name() const noexcept override { return "CBG"; }
 
-  GeoEstimate locate(const grid::Grid& g,
-                     const calib::CalibrationStore& store,
-                     std::span<const Observation> observations,
-                     const grid::Region* mask = nullptr) const override;
+ private:
+  GeoEstimate solve(const grid::Grid& g, const calib::CalibrationStore& store,
+                    std::span<const Observation> observations,
+                    const grid::Region* mask,
+                    std::unique_ptr<LocatorMemo>* memo) const override;
 };
 
 }  // namespace ageo::algos

@@ -91,37 +91,14 @@ void fold_max_dots(const grid::Grid& g, const grid::Region& base,
 CbgPlusPlusGeolocator::CbgPlusPlusGeolocator(CbgPlusPlusOptions options)
     : options_(options) {}
 
-GeoEstimate CbgPlusPlusGeolocator::locate(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
-  return solve(g, store, observations, mask, nullptr).estimate;
-}
-
-CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::locate_detailed(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
-  return solve(g, store, observations, mask, nullptr);
-}
-
-std::unique_ptr<LocatorMemo> CbgPlusPlusGeolocator::locate_memo(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations, const grid::Region* mask,
-    GeoEstimate& out) const {
-  std::unique_ptr<LocatorMemo> memo;
-  out = solve(g, store, observations, mask, &memo).estimate;
-  return memo;
-}
-
-CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
+GeoEstimate CbgPlusPlusGeolocator::solve(
     const grid::Grid& g, const calib::CalibrationStore& store,
     std::span<const Observation> observations, const grid::Region* mask,
     std::unique_ptr<LocatorMemo>* memo) const {
   AGEO_SPAN("algos", "cbg_pp.locate");
   AGEO_COUNT("algos.cbg_pp.locates");
   validate(store, observations);
-  Detail detail;
+  GeoEstimate est;
   grid::Scratch* scratch = &grid::Scratch::tls();
   // The memo resumes fused plan intersections, so it needs the cache
   // and subset semantics. A refined solve returns the flat regions bit
@@ -156,18 +133,16 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
   };
 
   if (!options_.use_subset_filter) {
-    detail.estimate = GeoEstimate{mlat::intersect_disks(
-        g, bestline, mask, plan_cache_, scratch, refine_)};
-    detail.bestline_subset_size = n;
-    detail.baseline_subset_size = n;
+    est.region = mlat::intersect_disks(g, bestline, mask, plan_cache_,
+                                       scratch, refine_);
     // Plain-CBG mode has no subset semantics: every constraint is
     // demanded, none is ever excluded.
-    detail.estimate.constraints_total = n;
-    detail.estimate.constraints_used = n;
-    detail.estimate.used.assign(n, true);
-    detail.estimate.prov.baseline_subset = n;
-    ladder.stamp(detail.estimate);
-    return detail;
+    est.constraints_total = n;
+    est.constraints_used = n;
+    est.used.assign(n, true);
+    est.prov.baseline_subset = n;
+    ladder.stamp(est);
+    return est;
   }
 
   // Stage 1: baseline region — largest consistent subset of the
@@ -176,7 +151,7 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
   auto base_lease = grid::Scratch::region(scratch, g);
   grid::Region& base_region = base_lease.get();
   std::vector<bool> base_used;
-  detail.baseline_subset_size = subset(baseline, base_region, base_used);
+  est.prov.baseline_subset = subset(baseline, base_region, base_used);
 
   // Stage 2: drop bestline disks that do not overlap the baseline region
   // (an empty baseline region filters nothing).
@@ -198,54 +173,50 @@ CbgPlusPlusGeolocator::Detail CbgPlusPlusGeolocator::solve(
       retained.push_back(d);
       retained_idx.push_back(i);
     } else {
-      ++detail.disks_discarded_by_baseline;
+      ++est.prov.discarded_by_baseline;
     }
   }
 
   // Stage 3: bestline region — largest consistent subset of the rest.
   // The subset engine takes any number of constraints (multi-word
   // coverage masks), so a full 250-anchor scan runs through it directly.
-  mlat::SubsetResult bestr{grid::Region(g), {}, 0};
-  bestr.n_used = subset(retained, bestr.region, bestr.used);
-  detail.bestline_subset_size = bestr.n_used;
-  detail.estimate = GeoEstimate{std::move(bestr.region)};
+  est.region = grid::Region(g);
+  std::vector<bool> best_used;
+  est.constraints_used = subset(retained, est.region, best_used);
   // Byzantine diagnostics: a landmark participates iff its disk survived
   // the baseline filter AND joined the winning coalition; the margin is
   // therefore baseline discards plus subset exclusions.
-  detail.estimate.constraints_total = n;
-  detail.estimate.constraints_used = bestr.n_used;
-  detail.estimate.used.assign(n, false);
+  est.constraints_total = n;
+  est.used.assign(n, false);
   for (std::size_t j = 0; j < retained_idx.size(); ++j)
-    if (bestr.used[j]) detail.estimate.used[retained_idx[j]] = true;
-  detail.estimate.prov.baseline_subset = detail.baseline_subset_size;
-  detail.estimate.prov.discarded_by_baseline =
-      detail.disks_discarded_by_baseline;
-  ladder.stamp(detail.estimate);
+    if (best_used[j]) est.used[retained_idx[j]] = true;
+  ladder.stamp(est);
 
-  if (!capture) return detail;
+  if (!capture) return est;
   // Resumable only on the all-used fast path of both subset solves
   // (zero retained disks included): then each region is the plain
   // intersection of its disks, which locate_update can extend one disk
   // at a time. Otherwise the general coverage sweep ran — no resumable
   // shape.
-  if (detail.baseline_subset_size != n || bestr.n_used != retained.size()) {
+  if (est.prov.baseline_subset != n ||
+      est.constraints_used != retained.size()) {
     AGEO_COUNT("algos.cbg_pp.memo_fallbacks");
-    return detail;
+    return est;
   }
   auto m = std::make_unique<CbgMemo>();
   m->grid = &g;
   m->mask = mask;
   m->baseline = base_region;
-  m->bestline = detail.estimate.region;
+  m->bestline = est.region;
   m->base_win = window_of(g, m->baseline);
   m->best_win = window_of(g, m->bestline);
   m->retained.assign(n, 0);
   for (std::size_t i : retained_idx) m->retained[i] = 1;
   m->n_retained = retained.size();
-  m->discarded = detail.disks_discarded_by_baseline;
+  m->discarded = est.prov.discarded_by_baseline;
   m->best_disks = std::move(bestline);
   *memo = std::move(m);
-  return detail;
+  return est;
 }
 
 bool CbgPlusPlusGeolocator::locate_update(

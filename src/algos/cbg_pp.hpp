@@ -34,26 +34,6 @@ class CbgPlusPlusGeolocator final : public Geolocator {
 
   std::string_view name() const noexcept override { return "CBG++"; }
 
-  GeoEstimate locate(const grid::Grid& g,
-                     const calib::CalibrationStore& store,
-                     std::span<const Observation> observations,
-                     const grid::Region* mask = nullptr) const override;
-
-  /// locate() plus resumable state for the streaming service: the same
-  /// three-stage solve, which also hands back the baseline/bestline
-  /// regions and per-disk retention verdicts when both subset solves
-  /// took the all-used fast path (every baseline disk and every retained
-  /// bestline disk in the coalition), so locate_update can absorb one
-  /// more observation with two fused annulus intersects instead of 2k.
-  /// A refined solve returns the flat regions bit for bit, so it captures
-  /// the same memo. Returns null — with `out` still correct — for
-  /// ablation configs (no subset filter), cache-less locators, or
-  /// campaigns whose constraints were already mutually inconsistent.
-  std::unique_ptr<LocatorMemo> locate_memo(
-      const grid::Grid& g, const calib::CalibrationStore& store,
-      std::span<const Observation> observations, const grid::Region* mask,
-      GeoEstimate& out) const override;
-
   /// Intersect the appended observations' disks into the cached state.
   /// Bit-identical to locate() on the full list because regions are
   /// bitsets of order-independent per-cell membership predicates, and
@@ -71,18 +51,6 @@ class CbgPlusPlusGeolocator final : public Geolocator {
                      std::size_t n_prev, const grid::Region* mask,
                      GeoEstimate& out) const override;
 
-  /// Detailed result for diagnostics and tests.
-  struct Detail {
-    GeoEstimate estimate;
-    std::size_t baseline_subset_size = 0;
-    std::size_t bestline_subset_size = 0;
-    std::size_t disks_discarded_by_baseline = 0;
-  };
-  Detail locate_detailed(const grid::Grid& g,
-                         const calib::CalibrationStore& store,
-                         std::span<const Observation> observations,
-                         const grid::Region* mask = nullptr) const;
-
   /// Reuse per-landmark rasterization plans from `cache` (not owned; may
   /// be null to disable). Results are identical with or without a cache;
   /// CapPlanCache is internally synchronized, so a shared locator stays
@@ -99,15 +67,20 @@ class CbgPlusPlusGeolocator final : public Geolocator {
   }
 
  private:
-  /// The one three-stage body behind locate, locate_detailed and
-  /// locate_memo. With a non-null `memo` it also captures resumable
-  /// state when the solve is memoisable (plan cache, subset filter) and
-  /// both subset solves took the all-used fast path; `*memo` stays null
-  /// otherwise.
-  Detail solve(const grid::Grid& g, const calib::CalibrationStore& store,
-               std::span<const Observation> observations,
-               const grid::Region* mask,
-               std::unique_ptr<LocatorMemo>* memo) const;
+  /// The three-stage solve. With a non-null `memo` it also hands back
+  /// resumable state for the streaming service: the baseline/bestline
+  /// regions and per-disk retention verdicts, when both subset solves
+  /// took the all-used fast path (every baseline disk and every retained
+  /// bestline disk in the coalition), so locate_update can absorb one
+  /// more observation with two fused annulus intersects instead of 2k.
+  /// A refined solve returns the flat regions bit for bit, so it
+  /// captures the same memo. `*memo` stays null for ablation configs (no
+  /// subset filter), cache-less locators, or campaigns whose constraints
+  /// were already mutually inconsistent.
+  GeoEstimate solve(const grid::Grid& g, const calib::CalibrationStore& store,
+                    std::span<const Observation> observations,
+                    const grid::Region* mask,
+                    std::unique_ptr<LocatorMemo>* memo) const override;
 
   CbgPlusPlusOptions options_;
   grid::CapPlanCache* plan_cache_ = nullptr;

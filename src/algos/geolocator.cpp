@@ -49,14 +49,6 @@ void LadderRecorder::stamp(GeoEstimate& est) const {
 
 LocatorMemo::~LocatorMemo() = default;
 
-std::unique_ptr<LocatorMemo> Geolocator::locate_memo(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations, const grid::Region* mask,
-    GeoEstimate& out) const {
-  out = locate(g, store, observations, mask);
-  return nullptr;
-}
-
 bool Geolocator::locate_update(LocatorMemo& /*memo*/, const grid::Grid& /*g*/,
                                const calib::CalibrationStore& /*store*/,
                                std::span<const Observation> /*observations*/,

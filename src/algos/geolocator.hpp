@@ -154,22 +154,26 @@ class Geolocator {
   /// Estimate the target's location. `mask` (usually the world's
   /// plausibility mask: land between 60 S and 85 N, paper §3) clips the
   /// prediction when non-null. Requires store.fitted().
-  virtual GeoEstimate locate(const grid::Grid& g,
-                             const calib::CalibrationStore& store,
-                             std::span<const Observation> observations,
-                             const grid::Region* mask = nullptr) const = 0;
+  GeoEstimate locate(const grid::Grid& g, const calib::CalibrationStore& store,
+                     std::span<const Observation> observations,
+                     const grid::Region* mask = nullptr) const {
+    return solve(g, store, observations, mask, nullptr);
+  }
 
   /// Full solve that ALSO captures resumable solver state: `out` gets
   /// exactly locate()'s estimate, and the returned memo — when the
   /// algorithm supports incremental updates under the current
   /// configuration — can absorb appended observations via
-  /// locate_update. The default runs locate() and returns null (no
-  /// incremental path); a null return is always legal, so callers
-  /// treat the memo as a pure cache.
-  virtual std::unique_ptr<LocatorMemo> locate_memo(
+  /// locate_update. A null return is always legal (no incremental
+  /// path), so callers treat the memo as a pure cache.
+  std::unique_ptr<LocatorMemo> locate_memo(
       const grid::Grid& g, const calib::CalibrationStore& store,
       std::span<const Observation> observations, const grid::Region* mask,
-      GeoEstimate& out) const;
+      GeoEstimate& out) const {
+    std::unique_ptr<LocatorMemo> memo;
+    out = solve(g, store, observations, mask, &memo);
+    return memo;
+  }
 
   /// Incremental re-solve: `observations` is the proxy's FULL list, of
   /// which [n_prev, size) were appended since the memo last saw it (the
@@ -203,6 +207,16 @@ class Geolocator {
   virtual void set_refine(const mlat::RefineContext* /*ctx*/) noexcept {}
 
  protected:
+  /// The one solve body of each locator, behind locate and locate_memo.
+  /// With a null `memo` it is a plain solve. With a non-null `memo` it
+  /// may also capture resumable state into `*memo` (which arrives null
+  /// and may stay null); the estimate is the same either way.
+  virtual GeoEstimate solve(const grid::Grid& g,
+                            const calib::CalibrationStore& store,
+                            std::span<const Observation> observations,
+                            const grid::Region* mask,
+                            std::unique_ptr<LocatorMemo>* memo) const = 0;
+
   /// Shared precondition checks for implementations.
   static void validate(const calib::CalibrationStore& store,
                        std::span<const Observation> observations);

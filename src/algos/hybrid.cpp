@@ -13,10 +13,10 @@ HybridGeolocator::HybridGeolocator(double n_sigma, bool robust_subset)
   detail::require(n_sigma > 0.0, "HybridGeolocator: n_sigma must be > 0");
 }
 
-GeoEstimate HybridGeolocator::locate(
+GeoEstimate HybridGeolocator::solve(
     const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
+    std::span<const Observation> observations, const grid::Region* mask,
+    std::unique_ptr<LocatorMemo>* /*memo*/) const {
   validate(store, observations);
   const auto& model = store.spotter();
   std::vector<mlat::RingConstraint> rings;

@@ -22,11 +22,6 @@ class HybridGeolocator final : public Geolocator {
 
   std::string_view name() const noexcept override { return "Hybrid"; }
 
-  GeoEstimate locate(const grid::Grid& g,
-                     const calib::CalibrationStore& store,
-                     std::span<const Observation> observations,
-                     const grid::Region* mask = nullptr) const override;
-
   /// Reuse per-landmark rasterization plans from `cache` for the ring
   /// intersection (not owned; null disables). Results are identical.
   void set_plan_cache(grid::CapPlanCache* cache) noexcept override {
@@ -40,6 +35,11 @@ class HybridGeolocator final : public Geolocator {
   }
 
  private:
+  GeoEstimate solve(const grid::Grid& g, const calib::CalibrationStore& store,
+                    std::span<const Observation> observations,
+                    const grid::Region* mask,
+                    std::unique_ptr<LocatorMemo>* memo) const override;
+
   double n_sigma_;
   bool robust_subset_;
   grid::CapPlanCache* plan_cache_ = nullptr;

@@ -32,10 +32,10 @@ double octant_height_ms(const calib::CalibrationStore& store,
   return std::max(0.0, min_slack / 2.0);
 }
 
-GeoEstimate FullOctantGeolocator::locate(
+GeoEstimate FullOctantGeolocator::solve(
     const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
+    std::span<const Observation> observations, const grid::Region* mask,
+    std::unique_ptr<LocatorMemo>* /*memo*/) const {
   validate(store, observations);
   std::vector<mlat::RingConstraint> rings;
   rings.reserve(observations.size());

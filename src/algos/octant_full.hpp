@@ -27,10 +27,11 @@ class FullOctantGeolocator final : public Geolocator {
  public:
   std::string_view name() const noexcept override { return "Octant"; }
 
-  GeoEstimate locate(const grid::Grid& g,
-                     const calib::CalibrationStore& store,
-                     std::span<const Observation> observations,
-                     const grid::Region* mask = nullptr) const override;
+ private:
+  GeoEstimate solve(const grid::Grid& g, const calib::CalibrationStore& store,
+                    std::span<const Observation> observations,
+                    const grid::Region* mask,
+                    std::unique_ptr<LocatorMemo>* memo) const override;
 };
 
 }  // namespace ageo::algos

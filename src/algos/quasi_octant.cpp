@@ -4,10 +4,10 @@
 
 namespace ageo::algos {
 
-GeoEstimate QuasiOctantGeolocator::locate(
+GeoEstimate QuasiOctantGeolocator::solve(
     const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
+    std::span<const Observation> observations, const grid::Region* mask,
+    std::unique_ptr<LocatorMemo>* /*memo*/) const {
   validate(store, observations);
   std::vector<mlat::RingConstraint> rings;
   rings.reserve(observations.size());

@@ -23,10 +23,10 @@ std::size_t ShortestPingGeolocator::fastest_landmark(
   return best;
 }
 
-GeoEstimate ShortestPingGeolocator::locate(
+GeoEstimate ShortestPingGeolocator::solve(
     const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
+    std::span<const Observation> observations, const grid::Region* mask,
+    std::unique_ptr<LocatorMemo>* /*memo*/) const {
   validate(store, observations);
   const Observation& winner = observations[fastest_landmark(observations)];
   grid::Region r(g);

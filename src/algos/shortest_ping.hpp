@@ -19,17 +19,17 @@ class ShortestPingGeolocator final : public Geolocator {
 
   std::string_view name() const noexcept override { return "Shortest-Ping"; }
 
-  GeoEstimate locate(const grid::Grid& g,
-                     const calib::CalibrationStore& store,
-                     std::span<const Observation> observations,
-                     const grid::Region* mask = nullptr) const override;
-
   /// The winning landmark of the last-constructed constraint is exposed
   /// via this helper for diagnostics.
   static std::size_t fastest_landmark(
       std::span<const Observation> observations);
 
  private:
+  GeoEstimate solve(const grid::Grid& g, const calib::CalibrationStore& store,
+                    std::span<const Observation> observations,
+                    const grid::Region* mask,
+                    std::unique_ptr<LocatorMemo>* memo) const override;
+
   double radius_km_;
 };
 

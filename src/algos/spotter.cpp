@@ -50,55 +50,49 @@ std::vector<mlat::GaussianConstraint> rings_of(
 
 SpotterGeolocator::SpotterGeolocator(double credible_mass)
     : credible_mass_(credible_mass) {
-  detail::require(credible_mass > 0.0 && credible_mass <= 1.0,
-                  "SpotterGeolocator: credible mass must be in (0, 1]");
+  grid::detail::require_credible_mass(credible_mass,
+                                      "SpotterGeolocator: credible mass");
 }
 
-GeoEstimate SpotterGeolocator::locate(
+GeoEstimate SpotterGeolocator::solve(
     const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations,
-    const grid::Region* mask) const {
+    std::span<const Observation> observations, const grid::Region* mask,
+    std::unique_ptr<LocatorMemo>* memo) const {
   AGEO_SPAN("algos", "spotter.locate");
   AGEO_COUNT("algos.spotter.locates");
   validate(store, observations);
   const LadderRecorder ladder(refine_, g, mask);
-  GeoEstimate est{mlat::spotter_credible(g, rings_of(store, observations),
-                                         credible_mass_, mask, plan_cache_,
-                                         &grid::Scratch::tls(), refine_)};
-  ladder.stamp(est);
-  return est;
-}
-
-std::unique_ptr<LocatorMemo> SpotterGeolocator::locate_memo(
-    const grid::Grid& g, const calib::CalibrationStore& store,
-    std::span<const Observation> observations, const grid::Region* mask,
-    GeoEstimate& out) const {
-  AGEO_COUNT("algos.spotter.memo_captures");
-  validate(store, observations);
-  const LadderRecorder ladder(refine_, g, mask);
   const std::vector<mlat::GaussianConstraint> rings =
       rings_of(store, observations);
-  // The product starts from the same region as locate's posterior: the
-  // mask clipped to every ring's hard support. A cell off the start is
-  // zero in the mask-started product and stays zero under every later
-  // ring, so updates extend that product bit for bit.
   grid::Scratch* scratch = &grid::Scratch::tls();
   auto seed = grid::Scratch::region(scratch, g);
   mlat::spotter_start(g, rings, mask, plan_cache_, scratch, refine_,
                       seed.get());
-  auto memo = std::make_unique<SpotterMemo>();
-  memo->grid = &g;
-  memo->mask = mask;
-  memo->product.rebind(g, &seed.get());
-  for (const auto& ring : rings) {
-    mlat::multiply_ring_into(g, ring, plan_cache_, memo->product);
-    ++memo->n_rings;
+  GeoEstimate est;
+  if (memo == nullptr) {
+    // Pooled posterior, already holding the start region from the pass
+    // that resets it; only the credible region escapes.
+    auto posterior = grid::Scratch::field(scratch, g, &seed.get());
+    mlat::multiply_rings_into(g, rings, plan_cache_, posterior.get());
+    posterior.get().normalize();  // a zero-mass field stays as it is
+    est.region = posterior.get().credible_region(credible_mass_);
+  } else {
+    AGEO_COUNT("algos.spotter.memo_captures");
+    auto m = std::make_unique<SpotterMemo>();
+    m->grid = &g;
+    m->mask = mask;
+    // The product borrows this thread's arena for the call only: the
+    // memo may be updated later from another worker.
+    m->product.set_scratch(scratch);
+    m->product.rebind(g, &seed.get());
+    mlat::multiply_rings_into(g, rings, plan_cache_, m->product);
+    m->product.set_scratch(nullptr);
+    m->n_rings = rings.size();
+    est.region = m->estimate(credible_mass_);
+    *memo = std::move(m);
   }
-  // Normalise a copy: the running product must stay unnormalised so the
-  // next update appends to the same factor sequence the oracle fuses.
-  out = GeoEstimate{memo->estimate(credible_mass_)};
-  ladder.stamp(out);
-  return memo;
+  ladder.stamp(est);
+  return est;
 }
 
 bool SpotterGeolocator::locate_update(
@@ -117,10 +111,9 @@ bool SpotterGeolocator::locate_update(
                   "Spotter locate_update: no new observations");
   AGEO_COUNT("algos.spotter.memo_updates");
   validate(store, observations);
-  for (const auto& ring : rings_of(store, observations.subspan(n_prev))) {
-    mlat::multiply_ring_into(g, ring, plan_cache_, memo->product);
-    ++memo->n_rings;
-  }
+  mlat::multiply_rings_into(g, rings_of(store, observations.subspan(n_prev)),
+                            plan_cache_, memo->product);
+  memo->n_rings = observations.size();
   out = GeoEstimate{memo->estimate(credible_mass_)};
   out.prov.incremental = true;
   return true;

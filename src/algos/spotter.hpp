@@ -14,27 +14,10 @@ class SpotterGeolocator final : public Geolocator {
 
   std::string_view name() const noexcept override { return "Spotter"; }
 
-  GeoEstimate locate(const grid::Grid& g,
-                     const calib::CalibrationStore& store,
-                     std::span<const Observation> observations,
-                     const grid::Region* mask = nullptr) const override;
-
-  /// Full solve + resumable posterior for the streaming service: the
-  /// memo keeps the UNnormalised ring product, started from the same
-  /// region as locate() (mlat::spotter_start: the mask clipped to every
-  /// captured ring's hard support), so an appended observation
-  /// multiplies exactly one more ring into it. A cell off the start is
-  /// zero in the mask-started product and stays zero under more rings,
-  /// so the memo is exact, refined or flat.
-  std::unique_ptr<LocatorMemo> locate_memo(
-      const grid::Grid& g, const calib::CalibrationStore& store,
-      std::span<const Observation> observations, const grid::Region* mask,
-      GeoEstimate& out) const override;
-
   /// Multiply the appended observations' rings into the cached product
   /// (in observation order), then normalise a copy and cut the credible
-  /// region. Per-cell factor order matches a from-scratch fuse of the
-  /// full ring list, so the posterior — and the region cut from it — is
+  /// region. Per-cell factor order matches a full solve of the whole
+  /// ring list, so the posterior — and the region cut from it — is
   /// bit-identical to locate(). Never leaves the fast path: a zero-mass
   /// product stays zero under further multiplies, exactly like the
   /// oracle's. Throws InvalidArgument when `g` or `mask` is not the
@@ -60,6 +43,20 @@ class SpotterGeolocator final : public Geolocator {
   }
 
  private:
+  /// The one Spotter solve: the posterior starts from
+  /// mlat::spotter_start's region (the mask, or the ladder's seed,
+  /// clipped to every ring's hard support) and takes every ring's
+  /// multiply. Without a memo the posterior is a pooled field, normalised
+  /// in place. With one it is the memo's UNnormalised product, so an
+  /// appended observation multiplies exactly one more ring into it, and
+  /// each estimate normalises a copy. A cell off the start is zero in
+  /// the mask-started product and stays zero under more rings, so the
+  /// memo is exact, refined or flat.
+  GeoEstimate solve(const grid::Grid& g, const calib::CalibrationStore& store,
+                    std::span<const Observation> observations,
+                    const grid::Region* mask,
+                    std::unique_ptr<LocatorMemo>* memo) const override;
+
   double credible_mass_;
   grid::CapPlanCache* plan_cache_ = nullptr;
   const mlat::RefineContext* refine_ = nullptr;

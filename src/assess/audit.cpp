@@ -13,6 +13,7 @@
 #include "geo/geodesy.hpp"
 #include "geo/units.hpp"
 #include "geo/vec3.hpp"
+#include "grid/field.hpp"
 #include "grid/scratch.hpp"
 #include "obs/journal.hpp"
 #include "obs/obs.hpp"
@@ -53,8 +54,8 @@ const AuditConfig& AuditConfig::validate() const {
                   "AuditConfig: self_ping_samples must be > 0");
   detail::require(eta_samples > 0, "AuditConfig: eta_samples must be > 0");
   refine.validate(grid_cell_deg);
-  detail::require(spotter_credible_mass > 0.0 && spotter_credible_mass <= 1.0,
-                  "AuditConfig: spotter_credible_mass must be in (0, 1]");
+  grid::detail::require_credible_mass(spotter_credible_mass,
+                                      "AuditConfig: spotter_credible_mass");
   iclab.validate();
   detail::require(in_unit(byzantine_min_agreement),
                   "AuditConfig: byzantine_min_agreement must be in [0, 1]");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/error.hpp"
 #include "geo/geodesy.hpp"
@@ -25,6 +26,11 @@ bool gaussian_sigma_valid(double sigma_km) noexcept {
   const double inv_2s2 = 1.0 / (2.0 * sigma_km * sigma_km);
   return std::isfinite(sigma_km) && sigma_km > 0.0 &&
          std::isfinite(inv_2s2) && inv_2s2 != 0.0;
+}
+
+void require_credible_mass(double mass, const char* what) {
+  if (!(mass > 0.0 && mass <= 1.0))
+    throw InvalidArgument(std::string(what) + " must be in (0, 1]");
 }
 
 }  // namespace detail
@@ -258,8 +264,7 @@ bool Field::normalize() noexcept {
 
 Region Field::credible_region(double mass) const {
   ageo::detail::require(grid_ != nullptr, "Field: not attached to a grid");
-  ageo::detail::require(mass > 0.0 && mass <= 1.0,
-                  "Field: credible mass must be in (0, 1]");
+  detail::require_credible_mass(mass, "Field: credible mass");
   Region out(*grid_);
   const double total = total_mass();
   if (!(total > 0.0)) return out;

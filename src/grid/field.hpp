@@ -76,6 +76,12 @@ double gaussian_support_halfwidth_km(double sigma_km) noexcept;
 /// the support bounds mu +- W finite.
 bool gaussian_sigma_valid(double sigma_km) noexcept;
 
+/// The credible-mass rule: a mass in (0, 1] (NaN fails). Throws
+/// InvalidArgument "<what> must be in (0, 1]" otherwise. One rule for
+/// Field::credible_region, algos::SpotterGeolocator and
+/// assess::AuditConfig::validate.
+void require_credible_mass(double mass, const char* what);
+
 }  // namespace detail
 
 class Field {
@@ -110,7 +116,7 @@ class Field {
 
   /// The validation-free body both overloads above run, for callers
   /// that have already checked the whole constraint list once
-  /// (mlat::fuse_gaussian_rings); the per-ring `require`s above are
+  /// (mlat::multiply_rings_into); the per-ring `require`s above are
   /// measurable on the hot path.
   void multiply_gaussian_ring_unchecked(const CapScanPlan& plan, double mu_km,
                                         double sigma_km);

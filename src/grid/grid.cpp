@@ -31,7 +31,7 @@ void Grid::validate_cell_deg(double cell_deg, std::string_view field) {
     char count[32];
     std::snprintf(count, sizeof count, "%.0f", cells);
     reject(std::string("makes ") + count +
-           " cells, beyond the 32-bit cell index");
+           " cells, above the 33554432-cell memory ceiling");
   }
 }
 

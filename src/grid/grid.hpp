@@ -28,9 +28,14 @@ namespace ageo::grid {
 /// their grid; the grid must outlive them.
 class Grid {
  public:
-  /// Largest cell count a grid may have: cell indices are stored as
-  /// uint32 (the Field live list and the scan plans' table rank map).
-  static constexpr std::size_t kMaxCells = 0xffffffffULL;
+  /// Largest cell count a grid may have, 2^25 = 33,554,432: a memory
+  /// ceiling. Every cell costs a 24-byte center vector up front (805 MB
+  /// at the ceiling) and 8 bytes in each posterior Field, so 0.05 degrees
+  /// (25,920,000 cells) still fits, while 0.01 degrees (648,000,000
+  /// cells, about 15 GB of centers) fails before allocating anything.
+  /// It also keeps every cell index inside the uint32 the Field live
+  /// list and the scan plans' table rank map store.
+  static constexpr std::size_t kMaxCells = std::size_t{1} << 25;
 
   /// `cell_deg` is the angular size of a cell side in degrees; it must
   /// pass validate_cell_deg. Throws InvalidArgument otherwise, before

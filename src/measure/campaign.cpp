@@ -171,10 +171,11 @@ ProbeReply CampaignEngine::probe(std::size_t landmark_id) {
     ++retries_used_;
     ++stats_.retries;
     advance_rounds(backoff);
-    backoff = std::min(
-        config_.retry.backoff_cap_rounds,
-        static_cast<int>(
-            std::ceil(backoff * config_.retry.backoff_factor)));
+    // Capped in double before the cast: a large factor would overflow
+    // int otherwise.
+    backoff = static_cast<int>(
+        std::min(static_cast<double>(config_.retry.backoff_cap_rounds),
+                 std::ceil(backoff * config_.retry.backoff_factor)));
     r = raw_probe(landmark_id);
     if (!retryable(r.outcome)) return r;
   }

@@ -282,26 +282,6 @@ void validate_gaussian_rings(const grid::Grid& g,
   }
 }
 
-void fuse_gaussian_rings_into(const grid::Grid& g,
-                              std::span<const GaussianConstraint> rings,
-                              grid::Field& posterior,
-                              const grid::Region* mask,
-                              grid::CapPlanCache* cache) {
-  AGEO_SPAN("mlat", "fuse_gaussian_rings");
-  AGEO_COUNTER_ADD("mlat.gaussian_constraints", rings.size());
-  ageo::detail::require(posterior.grid() == &g,
-                        "fuse_gaussian_rings_into: field grid mismatch");
-  // Validate the list once; the per-ring multiplies below run unchecked
-  // so the hot path does no per-call argument vetting.
-  validate_gaussian_rings(g, rings, mask);
-  if (mask) posterior.apply_mask(*mask);
-  for (const auto& r : rings) {
-    posterior.multiply_gaussian_ring_unchecked(
-        *grid::detail::plan_for(cache, g, r.center), r.mu_km, r.sigma_km);
-  }
-  posterior.normalize();  // a zero-mass field stays unnormalised (empty)
-}
-
 void spotter_start(const grid::Grid& g,
                    std::span<const GaussianConstraint> rings,
                    const grid::Region* mask, grid::CapPlanCache* cache,
@@ -330,23 +310,6 @@ void spotter_start(const grid::Grid& g,
             static_cast<double>(seed.count()), 1.0, 1e7);
 }
 
-grid::Region spotter_credible(const grid::Grid& g,
-                              std::span<const GaussianConstraint> rings,
-                              double credible_mass, const grid::Region* mask,
-                              grid::CapPlanCache* cache,
-                              grid::Scratch* scratch,
-                              const RefineContext* refine) {
-  // Pooled posterior: the Field (and its internal temporaries, via the
-  // attached arena) comes from the scratch pool, already holding the
-  // start region in the same pass that resets it; only the credible
-  // region escapes.
-  auto seed = grid::Scratch::region(scratch, g);
-  spotter_start(g, rings, mask, cache, scratch, refine, seed.get());
-  auto posterior = grid::Scratch::field(scratch, g, &seed.get());
-  fuse_gaussian_rings_into(g, rings, posterior.get(), nullptr, cache);
-  return posterior.get().credible_region(credible_mass);
-}
-
 bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
                          grid::CapPlanCache& cache, grid::Region& region,
                          const grid::Window& win, grid::Scratch* scratch) {
@@ -359,29 +322,20 @@ bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
                                               scratch, region);
 }
 
-void multiply_ring_into(const grid::Grid& g, const GaussianConstraint& ring,
-                        grid::CapPlanCache* cache, grid::Field& posterior) {
-  AGEO_COUNT("mlat.incremental.ring_multiplies");
+void multiply_rings_into(const grid::Grid& g,
+                         std::span<const GaussianConstraint> rings,
+                         grid::CapPlanCache* cache, grid::Field& posterior) {
+  AGEO_SPAN("mlat", "multiply_rings");
+  AGEO_COUNTER_ADD("mlat.gaussian_constraints", rings.size());
   ageo::detail::require(posterior.grid() == &g,
-                        "multiply_ring_into: field grid mismatch");
-  validate_gaussian_rings(g, {&ring, 1}, nullptr);
-  posterior.multiply_gaussian_ring_unchecked(
-      *grid::detail::plan_for(cache, g, ring.center), ring.mu_km,
-      ring.sigma_km);
-}
-
-grid::Field fuse_gaussian_rings(const grid::Grid& g,
-                                std::span<const GaussianConstraint> rings,
-                                const grid::Region* mask,
-                                grid::CapPlanCache* cache,
-                                grid::Scratch* scratch) {
-  grid::Field field(g);
-  // Pool the internal temporaries; the returned Field itself escapes, so
-  // the arena binding must not escape with it.
-  field.set_scratch(scratch);
-  fuse_gaussian_rings_into(g, rings, field, mask, cache);
-  field.set_scratch(nullptr);
-  return field;
+                        "multiply_rings_into: field grid mismatch");
+  // Validate the list once; the per-ring multiplies below run unchecked
+  // so the hot path does no per-call argument vetting.
+  validate_gaussian_rings(g, rings, nullptr);
+  for (const auto& r : rings) {
+    posterior.multiply_gaussian_ring_unchecked(
+        *grid::detail::plan_for(cache, g, r.center), r.mu_km, r.sigma_km);
+  }
 }
 
 std::size_t largest_consistent_subset_into(

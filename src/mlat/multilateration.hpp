@@ -20,11 +20,12 @@
 // ladder. Spotter runs the same kernel on its rings' hard supports to
 // find the region its posterior starts from (spotter_start).
 //
-// Every entry point takes an optional grid::Scratch arena. With an arena
-// the intersections AND plan row spans directly into the running region
-// (no temporary Region), and coverage planes and posterior fields come
-// from thread-local pools; what escapes to the caller, and the per-solve
-// constraint list, are heap-allocated. A null arena degrades to plain
+// Every region entry point takes an optional grid::Scratch arena. With
+// an arena the intersections AND plan row spans directly into the
+// running region (no temporary Region), and coverage planes come from
+// thread-local pools; what escapes to the caller, and the per-solve
+// constraint list, are heap-allocated. multiply_rings_into uses the
+// arena its Field carries. A null arena degrades to plain
 // per-call allocations with bit-identical results (pinned by
 // mlat_equivalence_test).
 #pragma once
@@ -90,40 +91,14 @@ grid::Region intersect_rings(const grid::Grid& g,
                              grid::Scratch* scratch = nullptr,
                              const RefineContext* refine = nullptr);
 
-/// The one check of a Gaussian ring list, shared by every Spotter entry
-/// point (fuse_gaussian_rings_into, multiply_ring_into and
-/// spotter_start): each center valid, each mu finite, each sigma finite
-/// and positive with a finite, nonzero 1/(2 sigma^2), and `mask`, when
-/// non-null, on `g`. Throws InvalidArgument.
+/// The one check of a Gaussian ring list, shared by the Spotter entry
+/// points (spotter_start and multiply_rings_into): each center valid,
+/// each mu finite, each sigma finite and positive with a finite, nonzero
+/// 1/(2 sigma^2), and `mask`, when non-null, on `g`. Throws
+/// InvalidArgument.
 void validate_gaussian_rings(const grid::Grid& g,
                              std::span<const GaussianConstraint> rings,
                              const grid::Region* mask);
-
-/// Bayesian fusion of Gaussian rings (Spotter). The returned field is
-/// normalised unless the total mass is zero. Validates the whole
-/// constraint list once up front, then runs the per-ring multiplies
-/// unchecked on the windowed fast path. `cache`, when non-null, serves
-/// per-landmark distance tables so the multiplies do zero trig; results
-/// are bit-identical either way. `scratch` pools the support-annulus
-/// temporaries (the returned Field itself is a fresh allocation — keep a
-/// pooled posterior with fuse_gaussian_rings_into instead).
-grid::Field fuse_gaussian_rings(const grid::Grid& g,
-                                std::span<const GaussianConstraint> rings,
-                                const grid::Region* mask = nullptr,
-                                grid::CapPlanCache* cache = nullptr,
-                                grid::Scratch* scratch = nullptr);
-
-/// Allocation-free variant: fuse into `posterior`, which must be a fresh
-/// uniform (all-ones) field on `g` — typically a pooled one from
-/// grid::Scratch::field, which also threads the arena through the
-/// field's internal temporaries. Same bits as fuse_gaussian_rings. A
-/// posterior that already is the masked start (Scratch::field(arena, g,
-/// mask)) is fused with `mask` null: the mask is in, in one pass.
-void fuse_gaussian_rings_into(const grid::Grid& g,
-                              std::span<const GaussianConstraint> rings,
-                              grid::Field& posterior,
-                              const grid::Region* mask = nullptr,
-                              grid::CapPlanCache* cache = nullptr);
 
 /// The region a Spotter posterior starts from, written into `seed`, an
 /// empty region on `g`: `mask` (null: the whole grid) intersected with
@@ -133,39 +108,41 @@ void fuse_gaussian_rings_into(const grid::Grid& g,
 /// `refine`'s ladder seed inside its window when it applies to
 /// (g, mask). Same bits either way. Every cell off the start is one the
 /// mask-started ring chain zeroes, and stays zero under more rings, so a
-/// posterior started from it (fused now or extended ring by ring later)
-/// has the bits of fuse_gaussian_rings(g, rings, mask). `seed` stays
-/// all-zero when the supports share no cell. Validates the ring list.
+/// posterior started from it (multiplied now or extended ring by ring
+/// later) has the bits of the mask-started fuse of the same rings.
+/// `seed` stays all-zero when the supports share no cell. Validates the
+/// ring list.
 void spotter_start(const grid::Grid& g,
                    std::span<const GaussianConstraint> rings,
                    const grid::Region* mask, grid::CapPlanCache* cache,
                    grid::Scratch* scratch, const RefineContext* refine,
                    grid::Region& seed);
 
-/// The Spotter solve: the credible region at `credible_mass` of the
-/// Gaussian-ring posterior fused from spotter_start's region. Bit for
-/// bit the cut of fuse_gaussian_rings(g, rings, mask) with or without a
-/// ladder.
-grid::Region spotter_credible(const grid::Grid& g,
-                              std::span<const GaussianConstraint> rings,
-                              double credible_mass,
-                              const grid::Region* mask = nullptr,
-                              grid::CapPlanCache* cache = nullptr,
-                              grid::Scratch* scratch = nullptr,
-                              const RefineContext* refine = nullptr);
+/// Multiply Gaussian rings, in list order, into `posterior` (a field on
+/// `g`), leaving it UNnormalised. The list is validated once
+/// (validate_gaussian_rings) and the multiplies then run unchecked.
+/// `cache`, when non-null, serves per-landmark distance tables so the
+/// multiplies do zero trig; results are bit-identical either way.
+///
+/// This is the Spotter solve's one ring loop: a full solve multiplies
+/// every ring into a field started from spotter_start's region, and the
+/// streaming service (src/serve) multiplies just the appended rings into
+/// a cached product. Both give the same bits, because each cell's
+/// product gets the same factors in the same observation order
+/// (floating-point multiplication is deterministic per cell for a fixed
+/// factor order); the caller normalises a copy per estimate.
+void multiply_rings_into(const grid::Grid& g,
+                         std::span<const GaussianConstraint> rings,
+                         grid::CapPlanCache* cache, grid::Field& posterior);
 
-// ---- incremental (streaming) entry points ----
+// ---- incremental (streaming) entry point ----
 //
 // The always-on audit service (src/serve) re-localizes a proxy after
 // every streamed observation. Re-running the full constraint solve per
-// observation costs O(k) plan intersects; these two primitives apply
-// exactly ONE new constraint to cached solver state instead, with bits
-// identical to re-running the batch because both operations commute
-// with the cached prefix: a region intersect ANDs per-cell membership
-// values computed independently of the region's contents, and a ring
-// multiply appends one factor to each cell's product in observation
-// order (floating-point multiplication is deterministic per cell for a
-// fixed factor order).
+// observation costs O(k) plan intersects; this primitive applies exactly
+// ONE new disk to cached solver state instead, with bits identical to
+// re-running the batch because a region intersect ANDs per-cell
+// membership values computed independently of the region's contents.
 
 /// AND one more conservatively-padded disk into `region`, whose set bits
 /// all lie in `win`'s row band, with the one intersect kernel: the
@@ -181,15 +158,6 @@ bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
                          grid::CapPlanCache& cache, grid::Region& region,
                          const grid::Window& win,
                          grid::Scratch* scratch = nullptr);
-
-/// Multiply one more Gaussian ring into the running UNnormalised
-/// posterior product (validated by validate_gaussian_rings, as
-/// fuse_gaussian_rings_into vets its whole list). The caller keeps the
-/// product unnormalised across updates and normalises a copy per
-/// estimate, so the cell-wise factor order — and therefore every bit of
-/// the posterior — matches a from-scratch fuse of the full ring list.
-void multiply_ring_into(const grid::Grid& g, const GaussianConstraint& ring,
-                        grid::CapPlanCache* cache, grid::Field& posterior);
 
 struct SubsetResult {
   grid::Region region;

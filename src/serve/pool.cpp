@@ -28,36 +28,10 @@ std::optional<assess::Verdict> VerdictRing::latest() const noexcept {
   return at(n_ - 1);
 }
 
-void ProxyPool::validate(std::size_t shards, std::size_t shard_capacity) {
-  detail::require(shards > 0, "ProxyPool: shards must be >= 1");
-  detail::require(shard_capacity > 0,
-                  "ProxyPool: shard_capacity must be >= 1");
-}
-
-ProxyPool::ProxyPool(std::size_t shards, std::size_t shard_capacity)
-    : shards_(shards), shard_capacity_(shard_capacity) {
-  validate(shards, shard_capacity);
-}
-
-std::size_t ProxyPool::shard_load(std::size_t s) const {
-  detail::require(s < shards_.size(), "ProxyPool::shard_load: bad shard");
-  std::size_t n = 0;
-  for (const ProxyEntry& e : shards_[s])
-    if (e.status != EntryStatus::kEmpty) ++n;
-  return n;
-}
-
 ProxyEntry& ProxyPool::admit(std::size_t id, const world::ProxyHost& host,
                              std::size_t history_capacity) {
-  const std::size_t shard = id % shards_.size();
-  const std::size_t slot = id / shards_.size();
-  detail::require(slot < shard_capacity_, "ProxyPool::admit: shard full");
-  std::vector<ProxyEntry>& sh = shards_[shard];
-  if (sh.size() <= slot) {
-    if (sh.capacity() < shard_capacity_) sh.reserve(shard_capacity_);
-    sh.resize(slot + 1);
-  }
-  ProxyEntry& e = sh[slot];
+  if (entries_.size() <= id) entries_.resize(id + 1);
+  ProxyEntry& e = entries_[id];
   detail::require(e.status == EntryStatus::kEmpty,
                   "ProxyPool::admit: id already admitted");
   e.id = id;
@@ -65,16 +39,13 @@ ProxyEntry& ProxyPool::admit(std::size_t id, const world::ProxyHost& host,
   e.status = EntryStatus::kAdmitted;
   e.history = VerdictRing(history_capacity);
   ++size_;
-  probed_ids_ = std::max(probed_ids_, id + 1);
   AGEO_COUNT("serve.pool.admits");
   return e;
 }
 
 ProxyEntry* ProxyPool::find(std::size_t id) noexcept {
-  const std::size_t shard = id % shards_.size();
-  const std::size_t slot = id / shards_.size();
-  if (slot >= shards_[shard].size()) return nullptr;
-  ProxyEntry& e = shards_[shard][slot];
+  if (id >= entries_.size()) return nullptr;
+  ProxyEntry& e = entries_[id];
   return e.status == EntryStatus::kEmpty ? nullptr : &e;
 }
 
@@ -95,7 +66,7 @@ std::vector<std::size_t> ProxyPool::rank(const SchedulerWeights& w,
   // retained candidate sits at slot 0 and is displaced by any strictly
   // better one. "Better" = higher score, lower id on ties, so the
   // result is a pure function of pool state — no hashing, no ordering
-  // dependence on shard layout.
+  // dependence on the scan order.
   auto worse = [](const Scored& a, const Scored& b) noexcept {
     if (a.score != b.score) return a.score < b.score;
     return a.id > b.id;
@@ -110,26 +81,22 @@ std::vector<std::size_t> ProxyPool::rank(const SchedulerWeights& w,
   std::vector<Scored> heap;
   heap.reserve(quota);
   std::size_t scanned = 0;
-  for (const std::vector<ProxyEntry>& sh : shards_) {
-    for (const ProxyEntry& e : sh) {
-      if (e.status == EntryStatus::kEmpty ||
-          e.status == EntryStatus::kRetired)
-        continue;
-      if (e.status == EntryStatus::kAdmitted && !include_admitted) continue;
-      ++scanned;
-      const double stale =
-          static_cast<double>(static_cast<std::int64_t>(epoch) -
-                              e.last_solve_epoch);
-      if (stale <= 0.0) continue;  // already solved this epoch
-      const Scored s{w.of(e.history.latest()) * stale, e.id};
-      if (heap.size() < quota) {
-        heap.push_back(s);
-        std::push_heap(heap.begin(), heap.end(), heap_comp);
-      } else if (!heap.empty() && worse(heap.front(), s)) {
-        std::pop_heap(heap.begin(), heap.end(), heap_comp);
-        heap.back() = s;
-        std::push_heap(heap.begin(), heap.end(), heap_comp);
-      }
+  for (const ProxyEntry& e : entries_) {
+    if (e.status == EntryStatus::kEmpty || e.status == EntryStatus::kRetired)
+      continue;
+    if (e.status == EntryStatus::kAdmitted && !include_admitted) continue;
+    ++scanned;
+    const double stale = static_cast<double>(
+        static_cast<std::int64_t>(epoch) - e.last_solve_epoch);
+    if (stale <= 0.0) continue;  // already solved this epoch
+    const Scored s{w.of(e.history.latest()) * stale, e.id};
+    if (heap.size() < quota) {
+      heap.push_back(s);
+      std::push_heap(heap.begin(), heap.end(), heap_comp);
+    } else if (!heap.empty() && worse(heap.front(), s)) {
+      std::pop_heap(heap.begin(), heap.end(), heap_comp);
+      heap.back() = s;
+      std::push_heap(heap.begin(), heap.end(), heap_comp);
     }
   }
   AGEO_COUNTER_ADD("serve.sched.scanned", scanned);

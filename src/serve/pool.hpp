@@ -1,18 +1,14 @@
-// Sharded proxy pool for the always-on audit service.
+// Proxy pool for the always-on audit service.
 //
 // The service tracks up to millions of proxies, but at any moment only a
 // scheduled handful is being probed or re-solved. The pool therefore
 // splits each proxy in two: a small always-resident ProxyEntry (identity,
-// claim metadata, health counters, verdict history, staleness) living in
-// a fixed-capacity shard, and a heap-allocated ActiveState (tunnel
+// claim metadata, health counters, verdict history, staleness) in one
+// vector indexed by id, and a heap-allocated ActiveState (tunnel
 // session, observation list, cached solver memo, latest verdict row)
 // attached only once the proxy has been bootstrapped. Scheduler sweeps
 // touch nothing but the cold entries, so ranking a million-entry pool is
 // a pure metadata scan.
-//
-// Sharding is round-robin by id — shard = id % shards, slot = id /
-// shards — so a fleet admitted in id order fills every shard evenly and
-// any entry is found with two divisions, no hashing, no probing.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +25,10 @@
 
 namespace ageo::serve {
 
-/// Lifecycle of one pool entry. kEmpty marks a never-admitted slot
-/// (shards pre-grow in slot order); kAdmitted entries carry metadata
-/// only; kActive entries own an ActiveState; kRetired entries are kept
-/// for their history but never scheduled again.
+/// Lifecycle of one pool entry. kEmpty marks a never-admitted id below
+/// the largest admitted one; kAdmitted entries carry metadata only;
+/// kActive entries own an ActiveState; kRetired entries are kept for
+/// their history but never scheduled again.
 enum class EntryStatus : std::uint8_t {
   kEmpty = 0,
   kAdmitted = 1,
@@ -143,24 +139,10 @@ struct SchedulerWeights {
 
 class ProxyPool {
  public:
-  /// Throws InvalidArgument when the geometry fails validate.
-  ProxyPool(std::size_t shards, std::size_t shard_capacity);
-
-  /// The pool-geometry rule: both counts >= 1. Throws InvalidArgument
-  /// naming the field (`shards` or `shard_capacity`, as in ServiceConfig).
-  static void validate(std::size_t shards, std::size_t shard_capacity);
-
-  std::size_t shards() const noexcept { return shards_.size(); }
-  std::size_t shard_capacity() const noexcept { return shard_capacity_; }
-  std::size_t capacity() const noexcept {
-    return shards_.size() * shard_capacity_;
-  }
   std::size_t size() const noexcept { return size_; }
-  /// Entries currently resident in one shard (diagnostics).
-  std::size_t shard_load(std::size_t s) const;
 
-  /// Admit one proxy (metadata only). Ids must be unique; the target
-  /// shard must have a free slot. Returns the resident entry.
+  /// Admit one proxy (metadata only). Ids must be unique. Returns the
+  /// resident entry; a reference stays valid until the next admit.
   ProxyEntry& admit(std::size_t id, const world::ProxyHost& host,
                     std::size_t history_capacity);
 
@@ -170,13 +152,13 @@ class ProxyPool {
   /// Visit every resident entry in ascending id order.
   template <typename F>
   void for_each(F&& f) {
-    for (std::size_t id = 0; id < probed_ids_; ++id)
-      if (ProxyEntry* e = find(id)) f(*e);
+    for (ProxyEntry& e : entries_)
+      if (e.status != EntryStatus::kEmpty) f(e);
   }
   template <typename F>
   void for_each(F&& f) const {
-    for (std::size_t id = 0; id < probed_ids_; ++id)
-      if (const ProxyEntry* e = find(id)) f(*e);
+    for (const ProxyEntry& e : entries_)
+      if (e.status != EntryStatus::kEmpty) f(e);
   }
 
   /// The re-audit schedule: ids of the up-to-`quota` highest-scoring
@@ -190,11 +172,10 @@ class ProxyPool {
                                 bool include_admitted) const;
 
  private:
-  std::vector<std::vector<ProxyEntry>> shards_;
-  std::size_t shard_capacity_ = 0;
+  /// Entry `id` at index `id`; never-admitted ids below the largest
+  /// admitted one are kEmpty.
+  std::vector<ProxyEntry> entries_;
   std::size_t size_ = 0;
-  /// One past the largest admitted id (bounds for_each scans).
-  std::size_t probed_ids_ = 0;
 };
 
 }  // namespace ageo::serve

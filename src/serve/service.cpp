@@ -38,7 +38,6 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
 
 const ServiceConfig& ServiceConfig::validate() const {
   audit.validate();
-  ProxyPool::validate(shards, shard_capacity);
   detail::require(verdict_history > 0,
                   "ServiceConfig: verdict_history must be >= 1");
   detail::require(round_quota > 0, "ServiceConfig: round_quota must be >= 1");
@@ -61,8 +60,7 @@ const ServiceConfig& ServiceConfig::validate() const {
 AuditService::AuditService(measure::Testbed& bed, ServiceConfig config)
     : config_(config.validate()),
       bed_(&bed),
-      auditor_(bed, config.audit),
-      pool_(config.shards, config.shard_capacity) {}
+      auditor_(bed, config.audit) {}
 
 void AuditService::open_tunnel(ProxyEntry& e) {
   detail::require(e.state == nullptr,

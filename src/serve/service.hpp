@@ -1,6 +1,6 @@
 // The always-on audit service (DESIGN.md §15).
 //
-// A long-lived owner of a sharded proxy pool, fed by streaming probe
+// A long-lived owner of a proxy pool, fed by streaming probe
 // rounds instead of one-shot batch audits. Lifecycle:
 //
 //   admit(fleet)   — metadata into the pool; nothing touches the network
@@ -46,9 +46,6 @@ struct ServiceConfig {
   /// over a whole batch report.
   assess::AuditConfig audit;
 
-  // --- pool geometry ---
-  std::size_t shards = 8;
-  std::size_t shard_capacity = 4096;
   /// Verdicts retained per proxy (ring).
   std::size_t verdict_history = 8;
 
@@ -67,9 +64,8 @@ struct ServiceConfig {
   std::size_t max_pending = 64;
   SchedulerWeights weights;
 
-  /// audit.validate(), then the service's own rules: pool geometry
-  /// (ProxyPool::validate), verdict_history, round_quota,
-  /// probes_per_round, solver_budget and max_pending >= 1,
+  /// audit.validate(), then the service's own rules: verdict_history,
+  /// round_quota, probes_per_round, solver_budget and max_pending >= 1,
   /// probe_attempts >= 0, and finite scheduler weights (a NaN weight
   /// makes its verdict class's scores NaN, and ProxyPool::rank's
   /// comparators lose strict weak ordering). Throws InvalidArgument

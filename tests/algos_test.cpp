@@ -154,8 +154,7 @@ TEST_F(AlgosTest, CbgPlusPlusSurvivesUnderestimate) {
   auto est_pp = pp.locate(g, store, obs);
   ASSERT_FALSE(est_pp.empty());
   EXPECT_TRUE(est_pp.region.contains(truth));  // CBG++ recovers (§5.1)
-  auto detail = pp.locate_detailed(g, store, obs);
-  EXPECT_LT(detail.bestline_subset_size, obs.size());
+  EXPECT_LT(est_pp.constraints_used, obs.size());
 }
 
 TEST_F(AlgosTest, ForgedRttDefeatsEvenCbgPlusPlus) {
@@ -198,32 +197,29 @@ TEST_F(AlgosTest, CbgPlusPlusMemoSolveMatchesLocate) {
   bool resumed = false;
   for (const auto& c : cbgpp_cases()) {
     const std::size_t n = c.obs.size();
-    const auto detail = pp.locate_detailed(g, store, c.obs);
+    const GeoEstimate ref = pp.locate(g, store, c.obs);
     // Each case exercises the path its name says.
     const std::string name = c.name;
     if (name == "consistent") {
-      EXPECT_EQ(detail.bestline_subset_size, n) << name;
+      EXPECT_EQ(ref.constraints_used, n) << name;
     } else if (name == "baseline_empty") {
-      EXPECT_LT(detail.baseline_subset_size, n) << name;
+      EXPECT_LT(ref.prov.baseline_subset, n) << name;
     } else if (name == "stage2_discards") {
-      EXPECT_EQ(detail.baseline_subset_size, n) << name;
-      EXPECT_GT(detail.disks_discarded_by_baseline, 0u) << name;
-      EXPECT_EQ(detail.bestline_subset_size,
-                n - detail.disks_discarded_by_baseline)
+      EXPECT_EQ(ref.prov.baseline_subset, n) << name;
+      EXPECT_GT(ref.prov.discarded_by_baseline, 0u) << name;
+      EXPECT_EQ(ref.constraints_used, n - ref.prov.discarded_by_baseline)
           << name;
     } else {
-      EXPECT_EQ(detail.baseline_subset_size, n) << name;
-      EXPECT_LT(detail.bestline_subset_size,
-                n - detail.disks_discarded_by_baseline)
+      EXPECT_EQ(ref.prov.baseline_subset, n) << name;
+      EXPECT_LT(ref.constraints_used, n - ref.prov.discarded_by_baseline)
           << name;
     }
     const bool fast_path =
-        detail.baseline_subset_size == n &&
-        detail.bestline_subset_size == n - detail.disks_discarded_by_baseline;
+        ref.prov.baseline_subset == n &&
+        ref.constraints_used == n - ref.prov.discarded_by_baseline;
     EXPECT_EQ(fast_path, name == "consistent" || name == "stage2_discards")
         << name;
 
-    const GeoEstimate ref = pp.locate(g, store, c.obs);
     GeoEstimate est;
     const auto memo = pp.locate_memo(g, store, c.obs, nullptr, est);
     EXPECT_EQ(memo != nullptr, fast_path) << name;
@@ -282,25 +278,20 @@ TEST_F(AlgosTest, CbgPlusPlusRefinedMatchesFlat) {
     for (const auto& c : cbgpp_cases()) {
       for (const grid::Region* m :
            {static_cast<const grid::Region*>(nullptr), &mask}) {
-        const auto want = flat.locate_detailed(g, store, c.obs, m);
-        const auto got = refined.locate_detailed(g, store, c.obs, m);
+        const GeoEstimate want = flat.locate(g, store, c.obs, m);
+        const GeoEstimate got = refined.locate(g, store, c.obs, m);
         const std::string where =
             std::string(sched) + " " + c.name + (m ? " masked" : "");
-        EXPECT_TRUE(got.estimate.prov.refined) << where;
-        EXPECT_EQ(want.estimate.region.words(), got.estimate.region.words())
+        EXPECT_TRUE(got.prov.refined) << where;
+        EXPECT_EQ(want.region.words(), got.region.words()) << where;
+        EXPECT_EQ(want.used, got.used) << where;
+        EXPECT_EQ(want.constraints_used, got.constraints_used) << where;
+        EXPECT_EQ(want.prov.baseline_subset, got.prov.baseline_subset)
             << where;
-        EXPECT_EQ(want.estimate.used, got.estimate.used) << where;
-        EXPECT_EQ(want.estimate.constraints_used,
-                  got.estimate.constraints_used)
+        EXPECT_EQ(want.prov.discarded_by_baseline,
+                  got.prov.discarded_by_baseline)
             << where;
-        EXPECT_EQ(want.baseline_subset_size, got.baseline_subset_size)
-            << where;
-        EXPECT_EQ(want.bestline_subset_size, got.bestline_subset_size)
-            << where;
-        EXPECT_EQ(want.disks_discarded_by_baseline,
-                  got.disks_discarded_by_baseline)
-            << where;
-        saw_discards |= got.disks_discarded_by_baseline > 0;
+        saw_discards |= got.prov.discarded_by_baseline > 0;
         // A refined solve hands out a memo exactly where the flat one
         // does, and resuming it gives the flat locate's answer.
         const std::size_t n = c.obs.size();
@@ -315,10 +306,10 @@ TEST_F(AlgosTest, CbgPlusPlusRefinedMatchesFlat) {
         if (memo &&
             refined.locate_update(*memo, g, store, all, n - 1, m, upd)) {
           ++resumed;
-          EXPECT_EQ(want.estimate.region.words(), upd.region.words())
+          EXPECT_EQ(want.region.words(), upd.region.words())
               << where;
-          EXPECT_EQ(want.estimate.used, upd.used) << where;
-          EXPECT_EQ(want.estimate.constraints_used, upd.constraints_used)
+          EXPECT_EQ(want.used, upd.used) << where;
+          EXPECT_EQ(want.constraints_used, upd.constraints_used)
               << where;
         }
       }

@@ -242,6 +242,20 @@ TEST(CampaignEngine, RetriesTransientFailuresWithBackoff) {
   EXPECT_GT(engine.stats().rounds, 0u);  // backoff advanced rounds
 }
 
+TEST(CampaignEngine, HugeBackoffFactorHitsTheCap) {
+  // ceil(backoff * factor) is far beyond int here; the schedule must
+  // still be 1 round, then the 8-round cap for each later retry.
+  ProbeFn dead = [](std::size_t) { return std::nullopt; };
+  CampaignConfig cfg;
+  cfg.retry.max_attempts = 4;
+  cfg.retry.backoff_factor = 1e10;
+  cfg.retry.campaign_retry_budget = 10;
+  CampaignEngine engine(dead, cfg);
+  EXPECT_EQ(engine.probe(0).outcome, ProbeOutcome::kRetryExhausted);
+  EXPECT_EQ(engine.stats().retries, 3u);
+  EXPECT_EQ(engine.stats().rounds, 1u + 8u + 8u);
+}
+
 TEST(CampaignEngine, RetryExhaustionAndBudget) {
   ProbeFn dead = [](std::size_t) { return std::nullopt; };
   CampaignConfig cfg;

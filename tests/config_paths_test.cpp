@@ -93,6 +93,7 @@ TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
       {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 45.0; }},
       {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 0.7; }},
       {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 0.001; }},
+      {"grid_cell_deg", [](C& c) { c.grid_cell_deg = 0.01; }},
       {"client_location", [](C& c) { c.client_location.lat_deg = kNaN; }},
       {"client_location", [](C& c) { c.client_location.lat_deg = 91.0; }},
       {"client_location", [](C& c) { c.client_location.lat_deg = -kInf; }},
@@ -288,6 +289,13 @@ TEST_F(ConfigTest, AuditorRejectsBadWorkerAndSampleCounts) {
     EXPECT_NO_THROW(bench.validate()) << grid_deg << " " << refine;
     EXPECT_NO_THROW(bench.audit.validate());
   }
+  // The grid's memory ceiling, checked without building a grid: 0.05
+  // degrees (25,920,000 cells) passes, 0.0192 (175,781,250) does not.
+  assess::AuditConfig fine;
+  fine.grid_cell_deg = 0.05;
+  EXPECT_NO_THROW(fine.validate());
+  fine.grid_cell_deg = 0.0192;
+  expect_rejects("grid_cell_deg", [&] { fine.validate(); });
 }
 
 TEST_F(ConfigTest, ServiceRejectsNonFiniteSchedulerWeights) {
@@ -305,8 +313,6 @@ TEST_F(ConfigTest, ServiceRejectsNonFiniteSchedulerWeights) {
     void (*apply)(S&);
   };
   const Case cases[] = {
-      {"shards", [](S& s) { s.shards = 0; }},
-      {"shard_capacity", [](S& s) { s.shard_capacity = 0; }},
       {"verdict_history", [](S& s) { s.verdict_history = 0; }},
       {"round_quota", [](S& s) { s.round_quota = 0; }},
       {"probes_per_round", [](S& s) { s.probes_per_round = 0; }},
@@ -338,7 +344,7 @@ TEST_F(ConfigTest, ServiceRejectsNonFiniteSchedulerWeights) {
   // The boundary values stay accepted; finite weights too, zero and
   // negative included.
   serve::ServiceConfig edge;
-  edge.shards = edge.shard_capacity = edge.verdict_history = 1;
+  edge.verdict_history = 1;
   edge.round_quota = edge.solver_budget = edge.max_pending = 1;
   edge.probes_per_round = 1;
   edge.probe_attempts = 0;

@@ -71,7 +71,7 @@ void expect_fields_identical(const Field& got, const Field& want,
 
 /// Runs one ring sequence through every fast path — the center overload
 /// (a transient plan), a standalone plan with its full table, and
-/// mlat::fuse_gaussian_rings with and without a shared cache — and
+/// the mask-started fuse with and without a shared cache — and
 /// demands bit-identity with the reference scan.
 void expect_equivalent(const Grid& g, const Region* mask,
                        const std::vector<RingSpec>& rings) {
@@ -105,10 +105,13 @@ void expect_equivalent(const Grid& g, const Region* mask,
     constraints.push_back({r.center, r.mu_km, r.sigma_km});
   Field want_norm = want;
   want_norm.normalize();
-  Field fused = mlat::fuse_gaussian_rings(g, constraints, mask);
+  Field fused = mlat::reference::fuse_gaussian_rings(g, constraints, mask);
   expect_fields_identical(fused, want_norm, "fused " + what);
   CapPlanCache cache(64);
-  Field fused_cached = mlat::fuse_gaussian_rings(g, constraints, mask, &cache);
+  Field fused_cached(g);
+  if (mask) fused_cached.apply_mask(*mask);
+  mlat::multiply_rings_into(g, constraints, &cache, fused_cached);
+  fused_cached.normalize();
   expect_fields_identical(fused_cached, want_norm, "fused+cache " + what);
 }
 

@@ -613,18 +613,24 @@ TEST(ArenaInvariance, FuseGaussianRings) {
   grid::CapPlanCache cache(64);
   grid::Scratch* arena = &grid::Scratch::tls();
 
-  grid::Field oracle = fuse_gaussian_rings(g, rings, &mask);
+  grid::Field oracle = reference::fuse_gaussian_rings(g, rings, &mask);
   const grid::Region cr_oracle = oracle.credible_region(0.95);
   for (grid::CapPlanCache* pc :
        {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
     for (grid::Scratch* sc : {static_cast<grid::Scratch*>(nullptr), arena}) {
-      grid::Field f = fuse_gaussian_rings(g, rings, &mask, pc, sc);
+      grid::Field f(g);
+      f.set_scratch(sc);
+      f.apply_mask(mask);
+      multiply_rings_into(g, rings, pc, f);
+      f.normalize();
       EXPECT_EQ(cr_oracle.words(), f.credible_region(0.95).words())
           << "cache=" << (pc != nullptr) << " arena=" << (sc != nullptr);
+      f.set_scratch(nullptr);
 
-      // The pooled sibling: a leased Field filled in place.
-      auto lease = grid::Scratch::field(sc, g);
-      fuse_gaussian_rings_into(g, rings, lease.get(), &mask, pc);
+      // The pooled sibling: a leased Field, masked as it is acquired.
+      auto lease = grid::Scratch::field(sc, g, &mask);
+      multiply_rings_into(g, rings, pc, lease.get());
+      lease.get().normalize();
       EXPECT_EQ(cr_oracle.words(),
                 lease.get().credible_region(0.95).words())
           << "pooled, cache=" << (pc != nullptr)

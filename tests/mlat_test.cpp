@@ -147,19 +147,24 @@ TEST(MlatTest, GaussianRingsRejectNonFiniteParameters) {
   };
   for (grid::CapPlanCache* pc : {static_cast<grid::CapPlanCache*>(nullptr),
                                  &cache}) {
-    EXPECT_NO_THROW(spotter_credible(g, {&good, 1}, 0.9, nullptr, pc));
+    grid::Region seed(g);
+    EXPECT_NO_THROW(
+        spotter_start(g, {&good, 1}, nullptr, pc, nullptr, nullptr, seed));
     for (const GaussianConstraint& b : bad) {
       const std::vector<GaussianConstraint> rings{good, b};
-      EXPECT_THROW(spotter_credible(g, rings, 0.9, nullptr, pc),
+      grid::Region s(g);
+      EXPECT_THROW(spotter_start(g, rings, nullptr, pc, nullptr, nullptr, s),
                    InvalidArgument)
           << b.mu_km << " " << b.sigma_km;
+      // The list is vetted before any multiply: the good ring is not in
+      // either (a multiplied field would hold a live list).
       grid::Field f(g);
-      EXPECT_THROW(fuse_gaussian_rings_into(g, rings, f, nullptr, pc),
-                   InvalidArgument)
+      EXPECT_THROW(multiply_rings_into(g, rings, pc, f), InvalidArgument)
           << b.mu_km << " " << b.sigma_km;
+      EXPECT_EQ(f.live_cells(), nullptr);
       grid::Field h(g);
-      multiply_ring_into(g, good, pc, h);
-      EXPECT_THROW(multiply_ring_into(g, b, pc, h), InvalidArgument)
+      multiply_rings_into(g, {&good, 1}, pc, h);
+      EXPECT_THROW(multiply_rings_into(g, {&b, 1}, pc, h), InvalidArgument)
           << b.mu_km << " " << b.sigma_km;
       grid::Field k(g);
       EXPECT_THROW(k.multiply_gaussian_ring(b.center, b.mu_km, b.sigma_km),
@@ -177,7 +182,7 @@ TEST(Gaussian, PosteriorPeaksAtTruth) {
   std::vector<GaussianConstraint> rings;
   for (const auto& lm : landmarks)
     rings.push_back({lm, geo::distance_km(lm, truth), 150.0});
-  grid::Field f = fuse_gaussian_rings(g, rings);
+  grid::Field f = reference::fuse_gaussian_rings(g, rings);
   auto mode = f.mode();
   ASSERT_TRUE(mode.has_value());
   EXPECT_LT(geo::distance_km(g.center(*mode), truth), 300.0);
@@ -189,7 +194,7 @@ TEST(Gaussian, MaskZeroesOutside) {
   grid::Grid g(2.0);
   grid::Region mask = grid::rasterize_lat_band(g, -30.0, 30.0);
   std::vector<GaussianConstraint> rings{{{0.0, 0.0}, 1000.0, 300.0}};
-  grid::Field f = fuse_gaussian_rings(g, rings, &mask);
+  grid::Field f = reference::fuse_gaussian_rings(g, rings, &mask);
   grid::Region cr = f.credible_region(0.99);
   cr.for_each_cell([&](std::size_t idx) {
     EXPECT_LE(std::abs(g.center(idx).lat_deg), 30.0);

@@ -211,4 +211,15 @@ SubsetResult dense_passes(const grid::Grid& g, std::size_t n,
 
 }  // namespace
 
+grid::Field fuse_gaussian_rings(const grid::Grid& g,
+                                std::span<const GaussianConstraint> rings,
+                                const grid::Region* mask) {
+  grid::Field field(g);
+  if (mask) field.apply_mask(*mask);
+  for (const auto& r : rings)
+    field.multiply_gaussian_ring(r.center, r.mu_km, r.sigma_km);
+  field.normalize();  // a zero-mass field stays unnormalised (empty)
+  return field;
+}
+
 }  // namespace ageo::mlat::reference

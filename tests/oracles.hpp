@@ -50,4 +50,13 @@ SubsetResult largest_consistent_subset(const grid::Grid& g,
                                        const grid::Region* mask = nullptr,
                                        grid::CapPlanCache* cache = nullptr);
 
+/// The mask-started Spotter posterior: a uniform field on `g`, clipped
+/// to `mask` when non-null, times every ring in list order (each on a
+/// transient plan), normalised unless its mass is zero. A Spotter solve
+/// starts from the smaller spotter_start region and reads cached
+/// distance tables, and must reproduce these bits exactly.
+grid::Field fuse_gaussian_rings(const grid::Grid& g,
+                                std::span<const GaussianConstraint> rings,
+                                const grid::Region* mask = nullptr);
+
 }  // namespace ageo::mlat::reference

@@ -23,6 +23,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,12 +38,42 @@
 #include "mlat/detail.hpp"
 #include "mlat/multilateration.hpp"
 #include "mlat/refine.hpp"
+#include "oracles.hpp"
 
 namespace ageo::mlat {
 namespace {
 
 geo::LatLon random_point(Rng& rng) {
   return {rng.uniform(-85.0, 85.0), rng.uniform(-180.0, 180.0)};
+}
+
+/// The Spotter solve at the mlat level, as algos::SpotterGeolocator runs
+/// it without a memo: a pooled posterior started from spotter_start's
+/// region takes every ring, is normalised and cut at `mass`.
+grid::Region spotter_cut(const grid::Grid& g,
+                         std::span<const GaussianConstraint> rings,
+                         double mass, const grid::Region* mask,
+                         grid::CapPlanCache* cache, grid::Scratch* scratch,
+                         const RefineContext* refine = nullptr) {
+  auto seed = grid::Scratch::region(scratch, g);
+  spotter_start(g, rings, mask, cache, scratch, refine, seed.get());
+  auto posterior = grid::Scratch::field(scratch, g, &seed.get());
+  multiply_rings_into(g, rings, cache, posterior.get());
+  posterior.get().normalize();
+  return posterior.get().credible_region(mass);
+}
+
+/// The mask-started posterior with its rings served through `cache`:
+/// the reference fuse's start and arithmetic, cached tables' distances.
+grid::Field masked_posterior(const grid::Grid& g,
+                             std::span<const GaussianConstraint> rings,
+                             const grid::Region* mask,
+                             grid::CapPlanCache* cache) {
+  grid::Field f(g);
+  if (mask) f.apply_mask(*mask);
+  multiply_rings_into(g, rings, cache, f);
+  f.normalize();
+  return f;
 }
 
 std::vector<DiskConstraint> clustered_disks(Rng& rng, std::size_t n,
@@ -529,13 +560,13 @@ TEST(RefinedSpotter, CredibleRegionMatchesFlatPosterior) {
       }
       for (const grid::Region* m :
            {static_cast<const grid::Region*>(nullptr), &mask}) {
-        const grid::Field flat = fuse_gaussian_rings(fine, rings, m);
+        const grid::Field flat = reference::fuse_gaussian_rings(fine, rings, m);
         for (const double mass : {0.95, 1.0}) {
           const grid::Region flat_cr = flat.credible_region(mass);
           for (grid::CapPlanCache* pc :
                {static_cast<grid::CapPlanCache*>(nullptr), &cache}) {
             const grid::Region refined =
-                spotter_credible(fine, rings, mass, m, pc, arena, &ctx);
+                spotter_cut(fine, rings, mass, m, pc, arena, &ctx);
             ASSERT_EQ(flat_cr.words(), refined.words())
                 << sched << " iter=" << iter << " mass=" << mass
                 << " cache=" << (pc != nullptr) << " mask=" << (m != nullptr);
@@ -552,10 +583,10 @@ TEST(RefinedSpotter, ZeroMassPosteriorGivesEmptyRegionLikeFlat) {
   // Disjoint supports: the posterior is identically zero.
   const std::vector<GaussianConstraint> rings = {
       {{40.0, -100.0}, 500.0, 30.0}, {{-30.0, 120.0}, 500.0, 30.0}};
-  const grid::Field flat = fuse_gaussian_rings(fine, rings);
+  const grid::Field flat = reference::fuse_gaussian_rings(fine, rings);
   const grid::Region flat_cr = flat.credible_region(0.95);
   const grid::Region refined =
-      spotter_credible(fine, rings, 0.95, nullptr, nullptr, nullptr, &ctx);
+      spotter_cut(fine, rings, 0.95, nullptr, nullptr, nullptr, &ctx);
   EXPECT_TRUE(refined.empty());
   EXPECT_EQ(flat_cr.words(), refined.words());
 }
@@ -637,7 +668,7 @@ TEST(SpotterStart, HoldsTheMaskStartedPosteriorBitForBit) {
         const std::string where = "iter=" + std::to_string(iter) +
                                   " mask=" + std::to_string(m != nullptr) +
                                   " cache=" + std::to_string(pc != nullptr);
-        const grid::Field oracle = fuse_gaussian_rings(g, rings, m, pc);
+        const grid::Field oracle = masked_posterior(g, rings, m, pc);
         grid::Region seed(g);
         spotter_start(g, rings, m, pc, arena, nullptr, seed);
         if (m) {
@@ -650,7 +681,8 @@ TEST(SpotterStart, HoldsTheMaskStartedPosteriorBitForBit) {
 
         grid::Field p;
         p.rebind(g, &seed);
-        fuse_gaussian_rings_into(g, rings, p, nullptr, pc);
+        multiply_rings_into(g, rings, pc, p);
+        p.normalize();
         ASSERT_EQ(field_bits(oracle), field_bits(p)) << where;
         ASSERT_NE(oracle.live_cells(), nullptr) << where;
         ASSERT_NE(p.live_cells(), nullptr) << where;
@@ -662,7 +694,7 @@ TEST(SpotterStart, HoldsTheMaskStartedPosteriorBitForBit) {
           const grid::Region cut = oracle.credible_region(mass);
           EXPECT_EQ(cut.words(), p.credible_region(mass).words()) << where;
           EXPECT_EQ(cut.words(),
-                    spotter_credible(g, rings, mass, m, pc, arena).words())
+                    spotter_cut(g, rings, mass, m, pc, arena).words())
               << where;
         }
         zero_mass += oracle.total_mass() == 0.0;
@@ -839,12 +871,10 @@ TEST(RefinedEquivalenceEnv, ScheduleFromEnvironmentOnQuarterDegreeGrid) {
       gauss.push_back(
           {lm, geo::distance_km(lm, target), rng.uniform(50.0, 200.0)});
     }
-    const grid::Field flat_field =
-        fuse_gaussian_rings(fine, gauss, &mask, &cache, arena);
-    EXPECT_EQ(
-        flat_field.credible_region(0.95).words(),
-        spotter_credible(fine, gauss, 0.95, &mask, &cache, arena, &ctx)
-            .words())
+    const grid::Field flat_field = masked_posterior(fine, gauss, &mask, &cache);
+    EXPECT_EQ(flat_field.credible_region(0.95).words(),
+              spotter_cut(fine, gauss, 0.95, &mask, &cache, arena, &ctx)
+                  .words())
         << iter;
   }
 }

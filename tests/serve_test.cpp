@@ -188,16 +188,10 @@ TEST(VerdictRing, PushWrapAndLatest) {
 }
 
 TEST(ProxyPool, AdmitFindAndShardBalance) {
-  serve::ProxyPool pool(4, 4);
-  EXPECT_EQ(pool.capacity(), 16u);
+  serve::ProxyPool pool;
   world::ProxyHost host;
   for (std::size_t id = 0; id < 10; ++id) pool.admit(id, host, 4);
   EXPECT_EQ(pool.size(), 10u);
-  // Round-robin by id: ids 0..9 over 4 shards load 3,3,2,2.
-  EXPECT_EQ(pool.shard_load(0), 3u);
-  EXPECT_EQ(pool.shard_load(1), 3u);
-  EXPECT_EQ(pool.shard_load(2), 2u);
-  EXPECT_EQ(pool.shard_load(3), 2u);
   for (std::size_t id = 0; id < 10; ++id) {
     const serve::ProxyEntry* e = pool.find(id);
     ASSERT_NE(e, nullptr);
@@ -206,18 +200,23 @@ TEST(ProxyPool, AdmitFindAndShardBalance) {
   }
   EXPECT_EQ(pool.find(10), nullptr);
   EXPECT_EQ(pool.find(9999), nullptr);
-  // Duplicate admits and overflowing a shard both throw.
+  // Duplicate admits throw.
   EXPECT_THROW(pool.admit(3, host, 4), ageo::InvalidArgument);
-  EXPECT_THROW(pool.admit(16, host, 4), ageo::InvalidArgument);
   // for_each visits in ascending id order.
   std::vector<std::size_t> seen;
   pool.for_each([&](serve::ProxyEntry& e) { seen.push_back(e.id); });
   ASSERT_EQ(seen.size(), 10u);
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  // An id past a gap: the ids in between stay unadmitted.
+  pool.admit(16, host, 4);
+  EXPECT_EQ(pool.size(), 11u);
+  EXPECT_EQ(pool.find(12), nullptr);
+  ASSERT_NE(pool.find(16), nullptr);
+  EXPECT_EQ(pool.find(16)->id, 16u);
 }
 
 TEST(ProxyPool, RankPrioritizesStaleAndUncertain) {
-  serve::ProxyPool pool(2, 8);
+  serve::ProxyPool pool;
   world::ProxyHost host;
   for (std::size_t id = 0; id < 8; ++id) {
     serve::ProxyEntry& e = pool.admit(id, host, 4);
@@ -258,13 +257,13 @@ TEST(ProxyPool, RankQuotaKeepsHighestScores) {
   // Regression: with more candidates than quota the selection heap must
   // evict its WORST retained candidate, not its best — high scorers
   // arriving after the heap fills have to displace low ones.
-  serve::ProxyPool pool(2, 16);
+  serve::ProxyPool pool;
   world::ProxyHost host;
   for (std::size_t id = 0; id < 12; ++id) {
     serve::ProxyEntry& e = pool.admit(id, host, 4);
     e.status = serve::EntryStatus::kActive;
     // Staleness grows with id, so the best candidates are admitted (and
-    // scanned) last within each shard.
+    // scanned) last.
     e.last_solve_epoch = static_cast<std::int64_t>(11 - id);
     e.history.push(assess::Verdict::kCredible);
   }
