@@ -188,24 +188,14 @@ int main() {
   std::set<world::CountryId> claimed_countries;
   for (const auto& r : rows) claimed_countries.insert(r.claimed);
 
-  std::size_t credible = 0, uncertain = 0, false_ = 0;
+  const assess::VerdictTally tally = assess::tally_verdicts(rows);
   std::size_t false_other_continent = 0, uncertain_same_continent = 0;
   for (const auto& r : rows) {
-    switch (r.verdict_final) {
-      case assess::Verdict::kCredible:
-        ++credible;
-        break;
-      case assess::Verdict::kUncertain:
-        ++uncertain;
-        if (r.continent_verdict != assess::Verdict::kFalse)
-          ++uncertain_same_continent;
-        break;
-      case assess::Verdict::kFalse:
-        ++false_;
-        if (r.continent_verdict == assess::Verdict::kFalse)
-          ++false_other_continent;
-        break;
-    }
+    const bool other_continent = r.continent_verdict == assess::Verdict::kFalse;
+    if (r.verdict_final == assess::Verdict::kUncertain && !other_continent)
+      ++uncertain_same_continent;
+    if (r.verdict_final == assess::Verdict::kFalse && other_continent)
+      ++false_other_continent;
   }
   const double n = static_cast<double>(rows.size());
 
@@ -216,18 +206,18 @@ int main() {
   std::printf("eta (paper: 0.49, R^2>0.99):             %.3f (R^2 %.3f)\n\n",
               bundle.report.eta.eta, bundle.report.eta.r_squared);
   std::printf("credible   (paper:  989, 44%%):          %5zu (%4.1f%%)\n",
-              credible, 100.0 * credible / n);
+              tally.credible, 100.0 * tally.credible / n);
   std::printf("uncertain  (paper:  642, 28%%):          %5zu (%4.1f%%)\n",
-              uncertain, 100.0 * uncertain / n);
+              tally.uncertain, 100.0 * tally.uncertain / n);
   std::printf("false      (paper:  638, 28%%):          %5zu (%4.1f%%)\n",
-              false_, 100.0 * false_ / n);
+              tally.false_, 100.0 * tally.false_ / n);
   std::printf("false on another continent (paper: 401): %5zu\n",
               false_other_continent);
   std::printf("uncertain on the same continent (462):   %5zu\n\n",
               uncertain_same_continent);
 
-  double generous = 100.0 * (credible + uncertain) / n;
-  double strict = 100.0 * credible / n;
+  double generous = 100.0 * (tally.credible + tally.uncertain) / n;
+  double strict = 100.0 * tally.credible / n;
   std::printf("at most where they say (generous; paper <= 70%%): %.0f%%\n",
               generous);
   std::printf("confidently confirmed (strict; paper ~50%%):      %.0f%%\n",
@@ -235,8 +225,8 @@ int main() {
   std::printf("\nheadline shape check — 'at least one third of all the "
               "servers are not in their advertised country': %s "
               "(false = %.0f%%)\n",
-              false_ >= rows.size() / 3 ? "PASS" : "FAIL",
-              100.0 * false_ / n);
+              tally.false_ >= rows.size() / 3 ? "PASS" : "FAIL",
+              100.0 * tally.false_ / n);
 
   // ---- Localization perf: thread scaling + coarse-to-fine refinement ----
   if (const char* p = std::getenv("AGEO_PERF_SECTION"))

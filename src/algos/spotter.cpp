@@ -66,14 +66,12 @@ GeoEstimate SpotterGeolocator::solve(
       rings_of(store, observations);
   grid::Scratch* scratch = &grid::Scratch::tls();
   auto seed = grid::Scratch::region(scratch, g);
-  mlat::spotter_start(g, rings, mask, plan_cache_, scratch, refine_,
-                      seed.get());
   GeoEstimate est;
   if (memo == nullptr) {
-    // Pooled posterior, already holding the start region from the pass
-    // that resets it; only the credible region escapes.
-    auto posterior = grid::Scratch::field(scratch, g, &seed.get());
-    mlat::multiply_rings_into(g, rings, plan_cache_, posterior.get());
+    // Pooled posterior; only the credible region escapes.
+    auto posterior = grid::Scratch::field(scratch);
+    mlat::spotter_start(g, rings, mask, plan_cache_, scratch, refine_,
+                        seed.get(), posterior.get());
     posterior.get().normalize();  // a zero-mass field stays as it is
     est.region = posterior.get().credible_region(credible_mass_);
   } else {
@@ -84,8 +82,8 @@ GeoEstimate SpotterGeolocator::solve(
     // The product borrows this thread's arena for the call only: the
     // memo may be updated later from another worker.
     m->product.set_scratch(scratch);
-    m->product.rebind(g, &seed.get());
-    mlat::multiply_rings_into(g, rings, plan_cache_, m->product);
+    mlat::spotter_start(g, rings, mask, plan_cache_, scratch, refine_,
+                        seed.get(), m->product);
     m->product.set_scratch(nullptr);
     m->n_rings = rings.size();
     est.region = m->estimate(credible_mass_);

@@ -131,7 +131,6 @@ Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
                       512, bed.landmarks().size() *
                                (1 + config.refine.levels.size())),
                   mask_),
-      run_board_(config.campaign.breaker),
       locator_(make_geolocator(config)),
       iclab_(config.iclab) {
   locator_->set_plan_cache(&plan_cache_);
@@ -268,10 +267,9 @@ void Auditor::warm_countries(std::span<const world::CountryId> ids) {
 world::Continent Auditor::measure_proxy(ProxyAuditRow& row,
                                         measure::ProxyProber& prober,
                                         netsim::Lane& lane,
-                                        measure::BreakerBoard* board,
                                         std::uint32_t* jseq) const {
-  measure::CampaignEngine engine(prober.as_rich_probe_fn(), config_.campaign,
-                                 board);
+  // A fresh engine owns a fresh breaker board: campaigns share no state.
+  measure::CampaignEngine engine(prober.as_rich_probe_fn(), config_.campaign);
   engine.set_round_hook(
       [this, lane = &lane] { bed_->net().advance_round(1, lane); });
   engine.attach_tunnel(prober);
@@ -310,8 +308,67 @@ world::Continent Auditor::measure_proxy(ProxyAuditRow& row,
   return tp.continent;
 }
 
-void Auditor::record_estimate(ProxyAuditRow& row, algos::GeoEstimate est,
-                              std::uint32_t* jseq) const {
+void Auditor::campaign_pass(std::span<ProxySlot> slots, double eta) {
+  // Every campaign is self-contained: its own RNG streams and network
+  // lane (both derived from seed xor host index) and its own breaker
+  // board, so threads=1 and threads=N produce bit-identical rows. The
+  // per-proxy journal cursors need no synchronization: exactly one
+  // worker touches a slot, and the (proxy, seq) merge key makes the
+  // collected journal thread-count independent.
+  const bool timing = obs::metrics_enabled() || obs::journal_runtime_on();
+  parallel_for(slots.size(), config_.threads, [&](std::size_t k) {
+    AGEO_SPAN("assess", "audit.proxy");
+    AGEO_TIMED_US("assess.audit.proxy_us", 10.0, 1e8);
+    std::chrono::steady_clock::time_point t0;
+    if (timing) t0 = std::chrono::steady_clock::now();
+    ProxySlot& slot = slots[k];
+    netsim::Lane lane =
+        bed_->net().make_lane(proxy_seed(config_.seed, slot.row->host_index));
+    slot.session->set_lane(&lane);
+    std::optional<measure::ProxyProber> local;
+    std::optional<measure::ProxyProber>& prober =
+        slot.prober ? *slot.prober : local;
+    prober.emplace(*bed_, *slot.session, eta, config_.self_ping_samples);
+    slot.continent = measure_proxy(*slot.row, *prober, lane, slot.jseq);
+    slot.session->set_lane(nullptr);  // the lane dies with this task
+    if (timing) slot.wall_us += elapsed_us(t0);
+  });
+}
+
+void Auditor::solve_pass(std::span<ProxySlot> slots) {
+  // Warm the country caches first; the workers below only read them.
+  std::vector<world::CountryId> claimed;
+  claimed.reserve(slots.size());
+  for (const ProxySlot& slot : slots) claimed.push_back(slot.row->claimed);
+  warm_countries(claimed);
+  // Each row's solve depends only on its own observations.
+  const bool timing = obs::metrics_enabled() || obs::journal_runtime_on();
+  parallel_for(slots.size(), config_.threads, [&](std::size_t k) {
+    std::chrono::steady_clock::time_point t0;
+    if (timing) t0 = std::chrono::steady_clock::now();
+    ProxySlot& slot = slots[k];
+    solve_row(*slot.row, slot.memo, slot.jseq);
+    if (timing) slot.wall_us += elapsed_us(t0);
+  });
+}
+
+void Auditor::solve_row(ProxyAuditRow& row,
+                        std::unique_ptr<algos::LocatorMemo>* memo,
+                        std::uint32_t* jseq) {
+  algos::GeoEstimate est;
+  if (!row.observations.empty()) {
+    AGEO_SPAN("assess", "audit.locate");
+    if (memo)
+      *memo = locator_->locate_memo(*grid_, bed_->store(), row.observations,
+                                    &mask_, est);
+    else
+      est = locator_->locate(*grid_, bed_->store(), row.observations, &mask_);
+  }
+  fill_and_assess(row, std::move(est), jseq);
+}
+
+void Auditor::fill_and_assess(ProxyAuditRow& row, algos::GeoEstimate est,
+                              std::uint32_t* jseq) {
   const bool solved = !row.observations.empty();
   if (!solved) est.region = grid::Region(*grid_);
   row.region = std::move(est.region);
@@ -324,46 +381,46 @@ void Auditor::record_estimate(ProxyAuditRow& row, algos::GeoEstimate est,
   // coalition means somebody — landmarks or the proxy — lied.
   row.byzantine = row.constraints_total >= config_.byzantine_min_constraints &&
                   row.agreement() < config_.byzantine_min_agreement;
-  if (!jseq || !solved) return;
   const std::size_t pid = row.host_index;
-  for (std::size_t j = 0; j < row.observations.size(); ++j) {
-    const algos::Observation& ob = row.observations[j];
-    obs::Event(pid, (*jseq)++, obs::Scope::kVerdict, "constraint")
-        .num("idx", j)
-        .num("landmark", ob.landmark_id)
-        .real("lat", ob.landmark.lat_deg)
-        .real("lon", ob.landmark.lon_deg)
-        .real("delay_ms", ob.one_way_delay_ms)
-        .flag("used", j < row.landmark_used.size()
-                          ? static_cast<bool>(row.landmark_used[j])
-                          : true)
+  if (jseq && solved) {
+    for (std::size_t j = 0; j < row.observations.size(); ++j) {
+      const algos::Observation& ob = row.observations[j];
+      obs::Event(pid, (*jseq)++, obs::Scope::kVerdict, "constraint")
+          .num("idx", j)
+          .num("landmark", ob.landmark_id)
+          .real("lat", ob.landmark.lat_deg)
+          .real("lon", ob.landmark.lon_deg)
+          .real("delay_ms", ob.one_way_delay_ms)
+          .flag("used", j < row.landmark_used.size()
+                            ? static_cast<bool>(row.landmark_used[j])
+                            : true)
+          .emit();
+    }
+    // Subset facts are execution-schedule invariant (refined and memoised
+    // solves are pinned bit-identical to flat ones), so the lcs event is
+    // kVerdict; the path actually taken is kSchedule by nature.
+    obs::Event(pid, (*jseq)++, obs::Scope::kVerdict, "lcs")
+        .num("total", row.constraints_total)
+        .num("used", row.constraints_used)
+        .num("baseline_subset", est.prov.baseline_subset)
+        .num("discarded_by_baseline", est.prov.discarded_by_baseline)
+        .real("agreement", row.agreement())
+        .num("margin", row.constraints_total - row.constraints_used)
+        .flag("byzantine", row.byzantine)
+        .emit();
+    obs::Event(pid, (*jseq)++, obs::Scope::kSchedule, "refine")
+        .flag("refined", est.prov.refined)
+        .num("levels", est.prov.ladder.size())
+        .text("ladder", ladder_string(est.prov))
         .emit();
   }
-  // Subset facts are execution-schedule invariant (refined and memoised
-  // solves are pinned bit-identical to flat ones), so the lcs event is
-  // kVerdict; the path actually taken is kSchedule by nature.
-  obs::Event(pid, (*jseq)++, obs::Scope::kVerdict, "lcs")
-      .num("total", row.constraints_total)
-      .num("used", row.constraints_used)
-      .num("baseline_subset", est.prov.baseline_subset)
-      .num("discarded_by_baseline", est.prov.discarded_by_baseline)
-      .real("agreement", row.agreement())
-      .num("margin", row.constraints_total - row.constraints_used)
-      .flag("byzantine", row.byzantine)
-      .emit();
-  obs::Event(pid, (*jseq)++, obs::Scope::kSchedule, "refine")
-      .flag("refined", est.prov.refined)
-      .num("levels", est.prov.ladder.size())
-      .text("ladder", ladder_string(est.prov))
-      .emit();
-}
 
-void Auditor::assess_row(ProxyAuditRow& row, std::uint32_t* jseq) {
+  AGEO_SPAN("assess", "audit.assess");
   ClaimAssessment base =
       assess_claim(bed_->world(), raster_, row.region, row.claimed);
   row.verdict_raw = base.country;
   row.continent_verdict = base.continent;
-  row.empty_prediction = base.empty_prediction || row.observations.empty();
+  row.empty_prediction = base.empty_prediction || !solved;
   row.candidates = base.covered_countries;
   if (config_.use_data_centers) {
     Disambiguated d = disambiguate_by_data_centers(bed_->world(), row.region,
@@ -386,10 +443,10 @@ void Auditor::assess_row(ProxyAuditRow& row, std::uint32_t* jseq) {
     row.nearest_landmark_km = best;
   }
   row.iclab_accepted =
-      !row.observations.empty() &&
+      solved &&
       iclab_.accepts(row.observations, country_landmark_km(row.claimed));
   if (jseq) {
-    obs::Event ev(row.host_index, (*jseq)++, obs::Scope::kVerdict, "assess");
+    obs::Event ev(pid, (*jseq)++, obs::Scope::kVerdict, "assess");
     ev.text("verdict_raw", to_string(row.verdict_raw))
         .text("verdict_dc", to_string(row.verdict_dc))
         .text("continent", to_string(row.continent_verdict))
@@ -491,123 +548,52 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   }
   AGEO_GAUGE_SET("assess.audit.eta", report.eta.eta);
 
-  // Warm the country caches before the per-proxy fan-out; the workers
-  // below only read them.
-  {
-    std::vector<world::CountryId> claimed;
-    claimed.reserve(n);
-    for (const auto& h : fleet.hosts) claimed.push_back(h.claimed_country);
-    warm_countries(claimed);
-  }
-
-  // Per-proxy fan-out. Every campaign is self-contained: its own RNG
-  // streams and network lane (both derived from seed xor host index),
-  // its own breaker board. A proxy's row therefore depends only on its
-  // host index, never on scheduling — threads=1 and threads=N produce
-  // bit-identical reports, and the serial path IS the parallel path run
-  // on one worker.
-  //
-  // Verdict provenance journal (obs/journal.hpp). Each proxy gets its
-  // own event sequence counter; the phases are barrier-separated and
-  // exactly one worker touches a proxy within a phase, so the counters
-  // need no synchronization, and the (proxy, seq) merge key makes the
-  // collected journal thread-count independent.
+  // The two passes, barrier-separated. The slots keep no prober and
+  // capture no memo: the batch audit holds nothing per proxy beyond its
+  // row once a pass is done.
   const bool journal = obs::journal_runtime_on();
   std::vector<std::uint32_t> jseq(journal ? n : 0, 0);
-  const auto cursor = [&](std::size_t i) -> std::uint32_t* {
-    return journal ? &jseq[i] : nullptr;
-  };
-  // Wall-clock verdict latency per proxy, accumulated across the three
-  // phases. Clocks are read only when telemetry wants them, so the
-  // runtime-off path stays free.
-  const bool timing = obs::metrics_enabled() || journal;
-  std::vector<double> lat_us(timing ? n : 0, 0.0);
-
-  std::vector<ProxyAuditRow> rows(n);
-  std::vector<measure::BreakerBoard> boards(
-      n, measure::BreakerBoard(config_.campaign.breaker));
-  std::vector<netsim::Lane> lanes;
-  lanes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    lanes.push_back(bed_->net().make_lane(proxy_seed(config_.seed, i)));
-
-  // Phase A: measurement campaigns.
-  parallel_for(n, config_.threads, [&](std::size_t i) {
-    AGEO_SPAN("assess", "audit.proxy");
-    AGEO_TIMED_US("assess.audit.proxy_us", 10.0, 1e8);
-    std::chrono::steady_clock::time_point t0;
-    if (timing) t0 = std::chrono::steady_clock::now();
-    rows[i] = new_row(i, fleet.hosts[i]);
-    sessions[i].set_lane(&lanes[i]);
-    measure::ProxyProber prober(*bed_, sessions[i], report.eta.eta,
-                                config_.self_ping_samples);
-    measure_proxy(rows[i], prober, lanes[i], &boards[i], cursor(i));
-    if (timing) lat_us[i] = elapsed_us(t0);
-  });
-
-  // Phase B: localization, one locate() per proxy. Each row's solve
-  // depends only on its own observations.
-  parallel_for(n, config_.threads, [&](std::size_t i) {
-    AGEO_SPAN("assess", "audit.locate");
-    std::chrono::steady_clock::time_point t0;
-    if (timing) t0 = std::chrono::steady_clock::now();
-    ProxyAuditRow& row = rows[i];
-    algos::GeoEstimate est;
-    if (!row.observations.empty())
-      est = locator_->locate(*grid_, bed_->store(), row.observations, &mask_);
-    record_estimate(row, std::move(est), cursor(i));
-    if (timing) lat_us[i] += elapsed_us(t0);
-  });
-
-  // Phase C: per-proxy claim assessment and disambiguation (read-only
-  // shared state, warmed above).
-  parallel_for(n, config_.threads, [&](std::size_t i) {
-    AGEO_SPAN("assess", "audit.assess");
-    std::chrono::steady_clock::time_point t0;
-    if (timing) t0 = std::chrono::steady_clock::now();
-    assess_row(rows[i], cursor(i));
-    if (timing) lat_us[i] += elapsed_us(t0);
-  });
-
-  // Deterministic joins: fold per-proxy breaker boards in host-index
-  // order, regardless of which worker ran what.
-  measure::BreakerBoard merged(config_.campaign.breaker);
+  report.rows.reserve(n);
+  std::vector<ProxySlot> slots(n);
   for (std::size_t i = 0; i < n; ++i) {
-    merged.merge(boards[i]);
-    sessions[i].set_lane(nullptr);  // lanes die with this scope
+    report.rows.push_back(new_row(i, fleet.hosts[i]));
+    slots[i].row = &report.rows[i];
+    slots[i].session = &sessions[i];
+    if (journal) slots[i].jseq = &jseq[i];
   }
-  run_board_ = std::move(merged);
-  report.rows = std::move(rows);
+  campaign_pass(slots, report.eta.eta);
+  solve_pass(slots);
+
   if (config_.use_as_grouping) apply_as_grouping(report.rows, fleet);
   summarize(report);
 
   // Serial epilogue: verdict tallies and run-level gauges, then the
   // run's telemetry snapshot. Everything here is counted exactly once
   // from the joining thread, so it is deterministic by construction.
+  const VerdictTally tally = tally_verdicts(report.rows);
   if (obs::metrics_enabled()) {
-    for (const auto& row : report.rows) {
-      switch (row.verdict_final) {
-        case Verdict::kCredible:
-          AGEO_COUNT("assess.audit.verdict_credible");
-          break;
-        case Verdict::kUncertain:
-          AGEO_COUNT("assess.audit.verdict_uncertain");
-          break;
-        case Verdict::kFalse:
-          AGEO_COUNT("assess.audit.verdict_false");
-          break;
-      }
-      if (row.empty_prediction) AGEO_COUNT("assess.audit.empty_predictions");
-      if (row.tunnel_flagged) AGEO_COUNT("assess.audit.tunnel_flagged_rows");
-      if (row.byzantine) AGEO_COUNT("assess.audit.byzantine_rows");
+    if (tally.credible)
+      AGEO_COUNTER_ADD("assess.audit.verdict_credible", tally.credible);
+    if (tally.uncertain)
+      AGEO_COUNTER_ADD("assess.audit.verdict_uncertain", tally.uncertain);
+    if (tally.false_)
+      AGEO_COUNTER_ADD("assess.audit.verdict_false", tally.false_);
+    if (tally.empty_predictions)
+      AGEO_COUNTER_ADD("assess.audit.empty_predictions",
+                       tally.empty_predictions);
+    if (tally.tunnel_flagged)
+      AGEO_COUNTER_ADD("assess.audit.tunnel_flagged_rows",
+                       tally.tunnel_flagged);
+    if (tally.byzantine)
+      AGEO_COUNTER_ADD("assess.audit.byzantine_rows", tally.byzantine);
+    for ([[maybe_unused]] const auto& row : report.rows)
       AGEO_HIST("assess.audit.region_area_km2", row.area_km2, 1e3, 1e9);
-    }
     // SLO view of per-proxy verdict latency (campaign + locate +
     // assess). Wall-clock by nature, so it lives outside determinism
     // diffs; the exporters surface p50/p90/p99 from the histogram.
-    for ([[maybe_unused]] const auto& row : report.rows)
-      AGEO_HIST_WALL("assess.audit.verdict_latency_us",
-                     lat_us[row.host_index], 10.0, 1e8);
+    for ([[maybe_unused]] const ProxySlot& slot : slots)
+      AGEO_HIST_WALL("assess.audit.verdict_latency_us", slot.wall_us, 10.0,
+                     1e8);
     {
       std::uint64_t drift_samples = 0;
       double max_abs_ewma = 0.0;
@@ -646,11 +632,10 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   // Run events carry the kRunEvent sentinel so they sort after every
   // proxy's stream in the merged JSONL.
   if (journal) {
-    for (const auto& row : report.rows) {
-      std::uint32_t& sq = jseq[row.host_index];
-      journal_verdict(row, sq);
-      obs::Event(row.host_index, sq++, obs::Scope::kWall, "latency")
-          .real("verdict_us", lat_us[row.host_index])
+    for (std::size_t i = 0; i < n; ++i) {
+      journal_verdict(report.rows[i], jseq[i]);
+      obs::Event(i, jseq[i]++, obs::Scope::kWall, "latency")
+          .real("verdict_us", slots[i].wall_us)
           .emit();
     }
     std::uint32_t rseq = 0;
@@ -674,24 +659,13 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
           .real("max_ms", e.max_ms)
           .emit();
     }
-    std::uint64_t credible = 0, uncertain = 0, false_ = 0, empty = 0,
-                  byz = 0;
-    for (const auto& row : report.rows) {
-      switch (row.verdict_final) {
-        case Verdict::kCredible: ++credible; break;
-        case Verdict::kUncertain: ++uncertain; break;
-        case Verdict::kFalse: ++false_; break;
-      }
-      if (row.empty_prediction) ++empty;
-      if (row.byzantine) ++byz;
-    }
     obs::Event(obs::kRunEvent, rseq++, obs::Scope::kVerdict, "summary")
         .num("proxies", report.rows.size())
-        .num("credible", credible)
-        .num("uncertain", uncertain)
-        .num("false", false_)
-        .num("empty_predictions", empty)
-        .num("byzantine", byz)
+        .num("credible", tally.credible)
+        .num("uncertain", tally.uncertain)
+        .num("false", tally.false_)
+        .num("empty_predictions", tally.empty_predictions)
+        .num("byzantine", tally.byzantine)
         .num("suspicious_landmarks", report.suspicious_landmarks.size())
         .emit();
   }
@@ -744,6 +718,21 @@ void Auditor::apply_as_grouping(std::vector<ProxyAuditRow>& rows,
       }
     }
   }
+}
+
+VerdictTally tally_verdicts(std::span<const ProxyAuditRow> rows) {
+  VerdictTally t;
+  for (const auto& r : rows) {
+    switch (r.verdict_final) {
+      case Verdict::kCredible: ++t.credible; break;
+      case Verdict::kUncertain: ++t.uncertain; break;
+      case Verdict::kFalse: ++t.false_; break;
+    }
+    t.empty_predictions += r.empty_prediction;
+    t.byzantine += r.byzantine;
+    t.tunnel_flagged += r.tunnel_flagged;
+  }
+  return t;
 }
 
 AssessmentBreakdown breakdown(std::span<const ProxyAuditRow> rows,

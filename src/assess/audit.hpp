@@ -47,9 +47,8 @@ struct AuditConfig {
   geo::LatLon client_location{50.11, 8.68};
   measure::TwoPhaseConfig two_phase;
   /// Fault policies for the per-proxy measurement campaigns. Each proxy
-  /// campaign runs against its own breaker board (so campaigns stay
-  /// independent under the parallel fan-out); the per-proxy boards are
-  /// folded into one run board at the end (Auditor::run_board).
+  /// campaign runs against its own breaker board, so campaigns stay
+  /// independent under the parallel fan-out.
   measure::CampaignConfig campaign;
   /// Tunnel self-pings per proxy and pings of each kind per proxy for
   /// eta; the Auditor rejects values below 1.
@@ -206,18 +205,19 @@ struct AuditReport {
   std::vector<std::size_t> suspicious_landmarks;
 };
 
-/// The §6 audit pipeline. run() audits a fleet once; the stages it runs
-/// are public so the always-on service (src/serve) drives the same
-/// implementation from its bootstrap, streaming rounds and restore.
+/// The §6 audit pipeline. Its per-proxy work is two passes over
+/// caller-owned slots, campaign_pass then solve_pass: run() drives both
+/// over a fleet, and the always-on service (src/serve) drives them from
+/// its bootstrap (both) and restore (the solve pass).
 class Auditor {
  public:
   /// Throws InvalidArgument, naming the field, when `config` fails
   /// AuditConfig::validate, before anything is built.
   Auditor(measure::Testbed& bed, AuditConfig config = {});
 
-  /// Audit every host of the fleet: register → eta → warm → campaign →
-  /// locate → assess, then the batch-only AS//24 grouping join and the
-  /// run-level ledgers.
+  /// Audit every host of the fleet: register → eta → campaign pass →
+  /// solve pass, then the batch-only AS//24 grouping join, the run-level
+  /// ledgers and the verdict journal events.
   AuditReport run(const world::Fleet& fleet);
 
   const grid::Grid& grid() const noexcept { return *grid_; }
@@ -242,15 +242,11 @@ class Auditor {
   /// ICLab checker's table overload.
   std::span<const double> country_landmark_km(world::CountryId id);
 
-  /// Merged breaker state of the last run(): every proxy's per-campaign
-  /// board folded in host-index order (see BreakerBoard::merge).
-  const measure::BreakerBoard& run_board() const noexcept {
-    return run_board_;
-  }
-
-  // ---- pipeline stages ----
-  // Journaling stages take the proxy's event-sequence cursor; null means
-  // the stage emits nothing.
+  /// Build the country caches for these claimed countries: the regions
+  /// in one serial raster pass, then each missing landmark table in its
+  /// own task on the config's workers. Call from one thread, before any
+  /// fan-out that assesses them.
+  void warm_countries(std::span<const world::CountryId> ids);
 
   /// Register the measurement client on the simulated network. The
   /// network deals host ids (and per-host RNG streams) in registration
@@ -262,31 +258,45 @@ class Auditor {
   /// A fresh row carrying host `index`'s identity and claim.
   ProxyAuditRow new_row(std::size_t index,
                         const world::ProxyHost& host) const;
-  /// Build the country caches for these claimed countries: the regions
-  /// in one serial raster pass, then each missing landmark table in its
-  /// own task on the config's workers. Call from one thread, before any
-  /// fan-out that assesses them.
-  void warm_countries(std::span<const world::CountryId> ids);
-  /// Campaign stage: the two-phase measurement of `row`'s proxy through
-  /// `prober`, whose session rides `lane`. Fills the row's observations,
-  /// campaign stats and tunnel flag, publishes the stats, journals the
-  /// campaign event, and returns the continent phase 1 settled on.
-  world::Continent measure_proxy(ProxyAuditRow& row,
-                                 measure::ProxyProber& prober,
-                                 netsim::Lane& lane,
-                                 measure::BreakerBoard* board,
-                                 std::uint32_t* jseq) const;
-  /// Locate stage, row side: move a solve of `row.observations` into the
-  /// row (region, constraint counts, used mask, Byzantine flag) and
-  /// journal its constraint, lcs and refine events. A row without
-  /// observations gets an empty region and journals nothing.
-  void record_estimate(ProxyAuditRow& row, algos::GeoEstimate est,
-                       std::uint32_t* jseq) const;
-  /// Assess stage: classify the claim against the row's region, narrow
-  /// it with data centers, and fill area, centroid, nearest landmark and
-  /// the ICLab check; journals the assess event. Leaves verdict_final ==
-  /// verdict_dc. The claimed country must be warm.
-  void assess_row(ProxyAuditRow& row, std::uint32_t* jseq);
+
+  // ---- the per-proxy passes ----
+
+  /// One proxy's place in a pass; the caller owns the row and all the
+  /// slot points at. Null `prober`, `memo` or `jseq`: keep no prober
+  /// after the campaign, solve with locate instead of capturing a memo
+  /// with locate_memo, journal nothing. The campaign pass writes
+  /// `continent` (phase 1's pick); both passes add to `wall_us` while
+  /// metrics or the journal are on.
+  struct ProxySlot {
+    ProxyAuditRow* row = nullptr;
+    netsim::ProxySession* session = nullptr;
+    std::optional<measure::ProxyProber>* prober = nullptr;
+    std::unique_ptr<algos::LocatorMemo>* memo = nullptr;
+    std::uint32_t* jseq = nullptr;
+    world::Continent continent = world::Continent::kEurope;
+    double wall_us = 0.0;
+  };
+
+  /// Per slot, on the config's workers: a lane seeded by
+  /// proxy_seed(seed, row->host_index), a prober on the slot's session
+  /// at fleet-wide `eta`, and the two-phase campaign (observations,
+  /// campaign stats, tunnel flag, campaign event). Thread-count
+  /// independent: a row depends only on its host index.
+  void campaign_pass(std::span<ProxySlot> slots, double eta);
+  /// Warm the rows' claimed countries, then solve_row per slot on the
+  /// config's workers.
+  void solve_pass(std::span<ProxySlot> slots);
+  /// Locate `row.observations` (locate_memo into `*memo` when non-null;
+  /// no solve without observations), then fill_and_assess. The claimed
+  /// country must be warm.
+  void solve_row(ProxyAuditRow& row, std::unique_ptr<algos::LocatorMemo>* memo,
+                 std::uint32_t* jseq);
+  /// Fill the row from a solve of `row.observations` (region, counts,
+  /// used mask, Byzantine flag) and assess it (claim, data centers, area,
+  /// centroid, nearest landmark, ICLab), journaling the constraint, lcs,
+  /// refine and assess events. Leaves verdict_final == verdict_dc.
+  void fill_and_assess(ProxyAuditRow& row, algos::GeoEstimate est,
+                       std::uint32_t* jseq);
   /// Journal the row's final verdict event.
   void journal_verdict(const ProxyAuditRow& row, std::uint32_t& jseq) const;
   /// Report stage: grid, plan-cache counters, campaign totals, and the
@@ -306,7 +316,6 @@ class Auditor {
   /// internally synchronized, persists across runs. Its table domain is
   /// mask_, so it must be declared after it.
   grid::CapPlanCache plan_cache_;
-  measure::BreakerBoard run_board_;
   /// Built from config_.algorithm; shared (const) across the worker
   /// threads, with per-landmark geometry served by plan_cache_.
   std::unique_ptr<algos::Geolocator> locator_;
@@ -316,9 +325,26 @@ class Auditor {
   std::optional<mlat::RefineContext> refine_ctx_;
   algos::IclabChecker iclab_;
 
+  /// campaign_pass's per-proxy body; returns phase 1's continent.
+  world::Continent measure_proxy(ProxyAuditRow& row,
+                                 measure::ProxyProber& prober,
+                                 netsim::Lane& lane,
+                                 std::uint32_t* jseq) const;
   void apply_as_grouping(std::vector<ProxyAuditRow>& rows,
                          const world::Fleet& fleet) const;
 };
+
+/// Final-verdict tallies: the batch verdict counters and summary event
+/// and the service's serve_summary event all count through this.
+struct VerdictTally {
+  std::size_t credible = 0;
+  std::size_t uncertain = 0;
+  std::size_t false_ = 0;
+  std::size_t empty_predictions = 0;
+  std::size_t byzantine = 0;
+  std::size_t tunnel_flagged = 0;
+};
+VerdictTally tally_verdicts(std::span<const ProxyAuditRow> rows);
 
 // ---- aggregation helpers used by the figure benches ----
 

@@ -116,8 +116,8 @@ class Field {
 
   /// The validation-free body both overloads above run, for callers
   /// that have already checked the whole constraint list once
-  /// (mlat::multiply_rings_into); the per-ring `require`s above are
-  /// measurable on the hot path.
+  /// (mlat::multiply_rings_into, mlat::spotter_start); the per-ring
+  /// `require`s above are measurable on the hot path.
   void multiply_gaussian_ring_unchecked(const CapScanPlan& plan, double mu_km,
                                         double sigma_km);
 

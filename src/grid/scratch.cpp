@@ -232,9 +232,14 @@ Scratch::RegionLease Scratch::region(Scratch* arena, const Grid& g) {
 
 Scratch::FieldLease Scratch::field(Scratch* arena, const Grid& g,
                                    const Region* mask) {
+  FieldLease lease = field(arena);
+  lease.get().rebind(g, mask);
+  return lease;
+}
+
+Scratch::FieldLease Scratch::field(Scratch* arena) {
   AGEO_COUNT("mlat.scratch.field_acquires");
   FieldLease lease = acquire<Field>(arena);
-  lease.get().rebind(g, mask);
   lease.get().set_scratch(arena);
   return lease;
 }

@@ -138,6 +138,10 @@ class Scratch {
   /// temporaries.
   static FieldLease field(Scratch* arena, const Grid& g,
                           const Region* mask = nullptr);
+  /// A field in no particular state, for a caller that rebinds it
+  /// before use (mlat::spotter_start): the same lease minus the reset
+  /// pass.
+  static FieldLease field(Scratch* arena);
   /// Empty index vector with warm capacity (band lists, sort
   /// permutations, credible-region orderings).
   static IndexLease indices(Scratch* arena);

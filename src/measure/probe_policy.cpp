@@ -1,7 +1,5 @@
 #include "measure/probe_policy.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 
@@ -135,26 +133,6 @@ bool BreakerBoard::record_failure(std::size_t landmark_id) {
 
 void BreakerBoard::record_success(std::size_t landmark_id) {
   entries_.erase(landmark_id);
-}
-
-void BreakerBoard::merge(const BreakerBoard& other) {
-  clock_ = std::max(clock_, other.clock_);
-  for (const auto& [id, theirs] : other.entries_) {
-    auto [it, inserted] = entries_.emplace(id, theirs);
-    if (inserted) continue;
-    Entry& ours = it->second;
-    if (theirs.open && !ours.open) {
-      ours = theirs;
-    } else if (theirs.open && ours.open) {
-      ours.open_until = std::max(ours.open_until, theirs.open_until);
-      ours.consecutive_failures =
-          std::max(ours.consecutive_failures, theirs.consecutive_failures);
-    } else if (!theirs.open && !ours.open) {
-      ours.consecutive_failures =
-          std::max(ours.consecutive_failures, theirs.consecutive_failures);
-    }
-    // theirs closed / ours open: ours already the more broken state.
-  }
 }
 
 void BreakerBoard::drop(std::size_t landmark_id) {

@@ -6,7 +6,7 @@
 // that into nullopt; this header gives every probe a structured outcome,
 // a retry policy with capped exponential backoff and a per-campaign
 // budget, and a per-landmark circuit breaker whose state can outlive one
-// campaign (one breaker board per Auditor::run).
+// campaign (a board shared across CampaignEngines).
 #pragma once
 
 #include <cstdint>
@@ -120,9 +120,9 @@ struct CampaignStats {
 void publish_campaign_stats(const CampaignStats& stats);
 
 /// Per-landmark circuit-breaker state plus the probe-round clock. One
-/// board can be shared by every campaign of an Auditor::run, so a
-/// landmark that went dark during proxy #3 is not hammered again for
-/// proxies #4..#2269 until its cooldown elapses.
+/// board can be shared by several campaigns (CampaignEngine's
+/// shared_board), so a landmark that went dark during proxy #3 is not
+/// hammered again for proxies #4..#2269 until its cooldown elapses.
 class BreakerBoard {
  public:
   explicit BreakerBoard(BreakerPolicy policy = {});
@@ -147,15 +147,6 @@ class BreakerBoard {
   bool record_failure(std::size_t landmark_id);
   /// Record a measured probe: closes the breaker, forgets the landmark.
   void record_success(std::size_t landmark_id);
-
-  /// Fold another board's state into this one: the clock advances to the
-  /// later of the two, and per landmark the MORE BROKEN state wins (open
-  /// beats closed; among open entries the later half-open deadline wins;
-  /// among closed ones the higher failure streak). Merging is commutative
-  /// and associative up to those maxima, so folding per-worker boards in
-  /// any order yields one deterministic run board — the parallel audit
-  /// merges its per-proxy boards through here at the join barrier.
-  void merge(const BreakerBoard& other);
 
   /// Forget one landmark (e.g. decommissioned by the landmark service).
   void drop(std::size_t landmark_id);

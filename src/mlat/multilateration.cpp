@@ -282,12 +282,29 @@ void validate_gaussian_rings(const grid::Grid& g,
   }
 }
 
+namespace {
+
+/// The one ring loop, over a list its caller has validated.
+void multiply_valid_rings(const grid::Grid& g,
+                          std::span<const GaussianConstraint> rings,
+                          grid::CapPlanCache* cache, grid::Field& posterior) {
+  AGEO_SPAN("mlat", "multiply_rings");
+  AGEO_COUNTER_ADD("mlat.gaussian_constraints", rings.size());
+  for (const auto& r : rings) {
+    posterior.multiply_gaussian_ring_unchecked(
+        *grid::detail::plan_for(cache, g, r.center), r.mu_km, r.sigma_km);
+  }
+}
+
+}  // namespace
+
 void spotter_start(const grid::Grid& g,
                    std::span<const GaussianConstraint> rings,
                    const grid::Region* mask, grid::CapPlanCache* cache,
                    grid::Scratch* scratch, const RefineContext* refine,
-                   grid::Region& seed) {
-  // The kernel reads every ring's support, so vet the list before it.
+                   grid::Region& seed, grid::Field& posterior) {
+  // The kernel reads every ring's support, so vet the list before it;
+  // the multiplies below then run unchecked.
   validate_gaussian_rings(g, rings, mask);
   const RefineContext* ladder = ladder_for(refine, g, mask);
   if (ladder) AGEO_COUNT("mlat.refine.solves");
@@ -308,6 +325,8 @@ void spotter_start(const grid::Grid& g,
   // Per solve too: does start size explain the Spotter locate tail?
   AGEO_HIST("mlat.spotter.start_cells_per_solve",
             static_cast<double>(seed.count()), 1.0, 1e7);
+  posterior.rebind(g, &seed);
+  multiply_valid_rings(g, rings, cache, posterior);
 }
 
 bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
@@ -325,17 +344,12 @@ bool intersect_disk_into(const grid::Grid& g, const DiskConstraint& disk,
 void multiply_rings_into(const grid::Grid& g,
                          std::span<const GaussianConstraint> rings,
                          grid::CapPlanCache* cache, grid::Field& posterior) {
-  AGEO_SPAN("mlat", "multiply_rings");
-  AGEO_COUNTER_ADD("mlat.gaussian_constraints", rings.size());
   ageo::detail::require(posterior.grid() == &g,
                         "multiply_rings_into: field grid mismatch");
-  // Validate the list once; the per-ring multiplies below run unchecked
-  // so the hot path does no per-call argument vetting.
+  // Validate the list once; the per-ring multiplies run unchecked so the
+  // hot path does no per-call argument vetting.
   validate_gaussian_rings(g, rings, nullptr);
-  for (const auto& r : rings) {
-    posterior.multiply_gaussian_ring_unchecked(
-        *grid::detail::plan_for(cache, g, r.center), r.mu_km, r.sigma_km);
-  }
+  multiply_valid_rings(g, rings, cache, posterior);
 }
 
 std::size_t largest_consistent_subset_into(

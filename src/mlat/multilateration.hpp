@@ -100,8 +100,9 @@ void validate_gaussian_rings(const grid::Grid& g,
                              std::span<const GaussianConstraint> rings,
                              const grid::Region* mask);
 
-/// The region a Spotter posterior starts from, written into `seed`, an
-/// empty region on `g`: `mask` (null: the whole grid) intersected with
+/// The Spotter posterior before normalisation. Writes the region it
+/// starts from into `seed`, an empty region on `g`: `mask` (null: the
+/// whole grid) intersected with
 /// every ring's hard support annulus [mu - W, mu + W], W =
 /// grid::detail::gaussian_support_halfwidth_km(sigma), by the one
 /// intersect kernel — from the mask over the full window, or from
@@ -110,13 +111,15 @@ void validate_gaussian_rings(const grid::Grid& g,
 /// mask-started ring chain zeroes, and stays zero under more rings, so a
 /// posterior started from it (multiplied now or extended ring by ring
 /// later) has the bits of the mask-started fuse of the same rings.
-/// `seed` stays all-zero when the supports share no cell. Validates the
-/// ring list.
+/// `seed` stays all-zero when the supports share no cell. Then rebinds
+/// `posterior` (any field) to `seed` and multiplies every ring into it,
+/// in list order, as multiply_rings_into does. The ring list is
+/// validated once, before anything is written.
 void spotter_start(const grid::Grid& g,
                    std::span<const GaussianConstraint> rings,
                    const grid::Region* mask, grid::CapPlanCache* cache,
                    grid::Scratch* scratch, const RefineContext* refine,
-                   grid::Region& seed);
+                   grid::Region& seed, grid::Field& posterior);
 
 /// Multiply Gaussian rings, in list order, into `posterior` (a field on
 /// `g`), leaving it UNnormalised. The list is validated once
@@ -124,10 +127,10 @@ void spotter_start(const grid::Grid& g,
 /// `cache`, when non-null, serves per-landmark distance tables so the
 /// multiplies do zero trig; results are bit-identical either way.
 ///
-/// This is the Spotter solve's one ring loop: a full solve multiplies
-/// every ring into a field started from spotter_start's region, and the
-/// streaming service (src/serve) multiplies just the appended rings into
-/// a cached product. Both give the same bits, because each cell's
+/// It shares the Spotter solve's one ring loop with spotter_start: a full
+/// solve multiplies every ring there, and the streaming service
+/// (src/serve) multiplies just the appended rings into a cached product
+/// here. Both give the same bits, because each cell's
 /// product gets the same factors in the same observation order
 /// (floating-point multiplication is deterministic per cell for a fixed
 /// factor order); the caller normalises a copy per estimate.

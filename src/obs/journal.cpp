@@ -9,7 +9,7 @@
 #include <mutex>
 #include <system_error>
 
-#include "obs/metrics.hpp"  // format_double
+#include "obs/metrics.hpp"  // format_double, detail::write_export
 
 namespace ageo::obs {
 
@@ -391,13 +391,8 @@ struct JournalEnv {
   // leaked singleton, so collect_journal() is still safe here.
   ~JournalEnv() {
     if (path.empty()) return;
-    const std::string text = journal_to_jsonl(collect_journal());
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "obs: cannot write journal to %s\n", path.c_str());
-    }
+    detail::write_export(path, journal_to_jsonl(collect_journal()),
+                         "journal");
   }
 };
 

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -517,6 +518,26 @@ std::string Snapshot::to_json(bool include_wall_clock) const {
 
 // ---- environment hookup ----
 
+bool detail::write_export(const std::string& path, std::string_view text,
+                          const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  const char* failed = f ? nullptr : "open";
+  int err = errno;
+  if (f && std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
+    failed = "write";
+    err = errno;
+  }
+  // A full disk often shows only here, when the buffered tail is flushed.
+  if (f && std::fclose(f) != 0 && !failed) {
+    failed = "close";
+    err = errno;
+  }
+  if (failed)
+    std::fprintf(stderr, "obs: cannot write %s to %s: %s failed (%s)\n", what,
+                 path.c_str(), failed, std::strerror(err));
+  return !failed;
+}
+
 namespace {
 
 struct MetricsEnv {
@@ -541,13 +562,7 @@ struct MetricsEnv {
       std::fwrite(text.data(), 1, text.size(), stdout);
       return;
     }
-    if (std::FILE* f = std::fopen(export_path.c_str(), "w")) {
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "obs: cannot write metrics snapshot to %s\n",
-                   export_path.c_str());
-    }
+    detail::write_export(export_path, text, "metrics snapshot");
   }
 };
 

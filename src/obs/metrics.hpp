@@ -233,4 +233,14 @@ class ScopedTimer {
 /// precision in 1..17 whose %.*g output parses back bit-identically).
 std::string format_double(double v);
 
+namespace detail {
+
+/// The AGEO_METRICS/AGEO_TRACE/AGEO_JOURNAL file writer: `text` to
+/// `path`. A failed open, short write or failed close (where a full disk
+/// shows) is reported on stderr, naming `what`; returns success.
+bool write_export(const std::string& path, std::string_view text,
+                  const char* what);
+
+}  // namespace detail
+
 }  // namespace ageo::obs

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 
-#include "obs/metrics.hpp"  // format_double
+#include "obs/metrics.hpp"  // format_double, detail::write_export
 
 namespace ageo::obs {
 
@@ -186,15 +185,6 @@ std::string trace_to_jsonl(const TraceDump& dump) {
 
 namespace {
 
-void write_file(const std::string& p, const std::string& text) {
-  if (std::FILE* f = std::fopen(p.c_str(), "w")) {
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "obs: cannot write trace to %s\n", p.c_str());
-  }
-}
-
 struct TraceEnv {
   std::string path;
 
@@ -212,8 +202,8 @@ struct TraceEnv {
   ~TraceEnv() {
     if (path.empty()) return;
     const TraceDump dump = collect_trace();
-    write_file(path, trace_to_chrome_json(dump));
-    write_file(path + ".jsonl", trace_to_jsonl(dump));
+    detail::write_export(path, trace_to_chrome_json(dump), "trace");
+    detail::write_export(path + ".jsonl", trace_to_jsonl(dump), "trace");
   }
 };
 

@@ -20,9 +20,8 @@ namespace {
 /// scheduled, in what order, or on how many worker threads ran them.
 /// Restore determinism hangs on this: a resumed service regenerates the
 /// exact lane a continued original would have used. Streaming epochs
-/// count from 1; bootstrap (epoch 0) uses the batch Auditor's own
-/// campaign lane seed, which is what makes bootstrap rows bit-identical
-/// to Auditor::run on the same fleet.
+/// count from 1; bootstrap (epoch 0) runs the Auditor's campaign pass,
+/// whose lane seed proxy_seed(seed, id) is this function at epoch 0.
 std::uint64_t round_lane_seed(std::uint64_t seed, std::size_t id,
                               std::uint64_t epoch) {
   return assess::proxy_seed(seed, id) + epoch * 0xd1b54a32d192ed03ULL;
@@ -75,12 +74,18 @@ void AuditService::open_tunnel(ProxyEntry& e) {
   e.state->row = auditor_.new_row(e.id, e.host);
 }
 
-void AuditService::warm_countries(std::span<const std::size_t> ids) {
-  std::vector<world::CountryId> claimed;
-  claimed.reserve(ids.size());
-  for (std::size_t id : ids)
-    claimed.push_back(pool_.find(id)->host.claimed_country);
-  auditor_.warm_countries(claimed);
+std::vector<assess::Auditor::ProxySlot> AuditService::slots_of(
+    std::span<const std::size_t> ids, bool journal) {
+  std::vector<assess::Auditor::ProxySlot> slots(ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ActiveState& st = *pool_.find(ids[k])->state;
+    slots[k].row = &st.row;
+    slots[k].session = &st.session;
+    slots[k].prober = &st.prober;
+    slots[k].memo = &st.memo;
+    if (journal) slots[k].jseq = &st.jseq;
+  }
+  return slots;
 }
 
 std::size_t AuditService::admit(const world::Fleet& fleet) {
@@ -124,93 +129,42 @@ void AuditService::bootstrap(std::size_t limit) {
     AGEO_GAUGE_SET("serve.eta", eta_.eta);
   }
 
-  warm_countries(ids);
   AGEO_GAUGE_SET("serve.plan_cache_capacity",
                  static_cast<double>(auditor_.plan_cache().capacity()));
 
+  // The batch audit's two passes, with the entries' prober and memo
+  // slots: the prober stays with the entry (the streaming rounds keep
+  // measuring through it) and every solve captures a memo.
   const bool journal = obs::journal_runtime_on();
-  const std::size_t n = ids.size();
-  std::vector<netsim::Lane> lanes;
-  lanes.reserve(n);
-  for (std::size_t id : ids)
-    lanes.push_back(
-        bed_->net().make_lane(round_lane_seed(config_.audit.seed, id, 0)));
-
-  // Campaign stage, per entry. The prober stays with the entry: the
-  // streaming rounds keep measuring through it.
-  parallel_for(n, config_.audit.threads, [&](std::size_t k) {
-    AGEO_SPAN("serve", "bootstrap.campaign");
-    ActiveState& st = *pool_.find(ids[k])->state;
-    st.session.set_lane(&lanes[k]);
-    st.prober.emplace(*bed_, st.session, eta_.eta,
-                      config_.audit.self_ping_samples);
-    st.continent =
-        auditor_.measure_proxy(st.row, *st.prober, lanes[k], nullptr,
-                               journal ? &st.jseq : nullptr);
-    st.session.set_lane(nullptr);
-    st.probe_pool = measure::continent_landmarks(*bed_, st.continent);
-    st.observations = st.row.observations;
-    st.observed.assign(bed_->landmarks().size(), false);
-    for (const auto& ob : st.observations) st.observed[ob.landmark_id] = true;
-  });
-
-  solve_and_assess(ids, journal);
+  std::vector<assess::Auditor::ProxySlot> slots = slots_of(ids, journal);
+  auditor_.campaign_pass(slots, eta_.eta);
+  auditor_.solve_pass(slots);
 
   std::size_t solved = 0;
-  for (std::size_t id : ids) {
-    ProxyEntry& e = *pool_.find(id);
-    e.history.push(e.state->row.verdict_final);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ProxyEntry& e = *pool_.find(ids[k]);
+    ActiveState& st = *e.state;
+    if (journal) auditor_.journal_verdict(st.row, st.jseq);
+    st.continent = slots[k].continent;
+    st.probe_pool = measure::continent_landmarks(*bed_, st.continent);
+    st.observations = st.row.observations;
+    st.memo_solved = st.observations.size();
+    st.observed.assign(bed_->landmarks().size(), false);
+    for (const auto& ob : st.observations) st.observed[ob.landmark_id] = true;
+    e.history.push(st.row.verdict_final);
     e.last_solve_epoch = 0;
     e.status = EntryStatus::kActive;
-    solved += !e.state->observations.empty();
+    solved += !st.observations.empty();
   }
-  stats_.solves += n;
+  stats_.solves += ids.size();
   stats_.full_resolves += solved;
-  AGEO_COUNTER_ADD("serve.bootstrap.proxies", n);
+  AGEO_COUNTER_ADD("serve.bootstrap.proxies", ids.size());
   AGEO_COUNTER_ADD("serve.full_resolves", solved);
   std::size_t active = 0;
   pool_.for_each(
       [&](ProxyEntry& e) { active += e.status == EntryStatus::kActive; });
   AGEO_GAUGE_SET("serve.pool.active", static_cast<double>(active));
   bootstrapped_ = true;
-}
-
-void AuditService::locate_and_assess(ActiveState& st, std::uint32_t* jseq,
-                                     SolveOutcome& out) {
-  algos::GeoEstimate est;
-  if (!st.observations.empty()) {
-    const algos::Geolocator& loc = auditor_.locator();
-    const grid::Grid& g = auditor_.grid();
-    const grid::Region* mask = &auditor_.plausibility_mask();
-    if (st.memo && !st.needs_full &&
-        st.observations.size() > st.memo_solved) {
-      out.incremental = loc.locate_update(*st.memo, g, bed_->store(),
-                                          st.observations, st.memo_solved,
-                                          mask, est);
-      out.fell_back = !out.incremental;
-    }
-    if (!out.incremental)
-      st.memo = loc.locate_memo(g, bed_->store(), st.observations, mask, est);
-  }
-  // A refresh that edited the solved prefix is absorbed by a full solve,
-  // so the flag is consumed either way.
-  st.memo_solved = st.observations.size();
-  st.needs_full = false;
-  st.row.observations = st.observations;
-  auditor_.record_estimate(st.row, std::move(est), jseq);
-  auditor_.assess_row(st.row, jseq);
-}
-
-void AuditService::solve_and_assess(std::span<const std::size_t> ids,
-                                    bool journal) {
-  parallel_for(ids.size(), config_.audit.threads, [&](std::size_t k) {
-    AGEO_SPAN("serve", "solve_and_assess");
-    ActiveState& st = *pool_.find(ids[k])->state;
-    std::uint32_t* jseq = journal ? &st.jseq : nullptr;
-    SolveOutcome out;
-    locate_and_assess(st, jseq, out);
-    if (jseq) auditor_.journal_verdict(st.row, *jseq);
-  });
 }
 
 AuditService::ProbeTally AuditService::probe_entry(ProxyEntry& e,
@@ -304,7 +258,21 @@ AuditService::SolveOutcome AuditService::solve_entry(ProxyEntry& e) {
   if (timing) t0 = std::chrono::steady_clock::now();
 
   const std::optional<assess::Verdict> prev = e.history.latest();
-  locate_and_assess(st, nullptr, out);
+  st.row.observations = st.observations;
+  if (st.memo && !st.needs_full && st.observations.size() > st.memo_solved) {
+    algos::GeoEstimate est;
+    out.incremental = auditor_.locator().locate_update(
+        *st.memo, auditor_.grid(), bed_->store(), st.observations,
+        st.memo_solved, &auditor_.plausibility_mask(), est);
+    out.fell_back = !out.incremental;
+    if (out.incremental)
+      auditor_.fill_and_assess(st.row, std::move(est), nullptr);
+  }
+  // A refresh that edited the solved prefix is absorbed by a full solve,
+  // so the flag is consumed either way.
+  if (!out.incremental) auditor_.solve_row(st.row, &st.memo, nullptr);
+  st.memo_solved = st.observations.size();
+  st.needs_full = false;
   const assess::ProxyAuditRow& row = st.row;
   out.verdict_changed = prev && *prev != row.verdict_final;
   e.history.push(row.verdict_final);
@@ -449,21 +417,14 @@ ServiceReport AuditService::report() {
     r.telemetry = obs::Registry::global().snapshot();
 
   if (obs::journal_runtime_on()) {
-    std::uint64_t credible = 0, uncertain = 0, false_ = 0;
-    for (const auto& row : r.rows) {
-      switch (row.verdict_final) {
-        case assess::Verdict::kCredible: ++credible; break;
-        case assess::Verdict::kUncertain: ++uncertain; break;
-        case assess::Verdict::kFalse: ++false_; break;
-      }
-    }
+    const assess::VerdictTally tally = assess::tally_verdicts(r.rows);
     obs::Event(obs::kRunEvent, run_jseq_++, obs::Scope::kVerdict,
                "serve_summary")
         .num("epoch", epoch_)
         .num("proxies", r.rows.size())
-        .num("credible", credible)
-        .num("uncertain", uncertain)
-        .num("false", false_)
+        .num("credible", tally.credible)
+        .num("uncertain", tally.uncertain)
+        .num("false", tally.false_)
         .num("incremental_updates", stats_.incremental_updates)
         .num("full_resolves", stats_.full_resolves)
         .num("suspicious_landmarks", r.suspicious_landmarks.size())
@@ -587,7 +548,6 @@ void AuditService::restore(const EpochSnapshot& snap) {
     st.probe_pool = measure::continent_landmarks(*bed_, st.continent);
     st.pool_cursor = es.pool_cursor;
     st.refresh_cursor = es.refresh_cursor;
-    st.needs_full = es.needs_full;
     st.queued = es.queued;
     st.jseq = es.jseq;
     st.observed.assign(bed_->landmarks().size(), false);
@@ -598,6 +558,10 @@ void AuditService::restore(const EpochSnapshot& snap) {
                                  ob.one_way_delay_ms});
       st.observed[ob.landmark_id] = true;
     }
+    st.row.observations = st.observations;
+    // The solve pass below rebuilds the memo from every observation, so
+    // a snapshotted needs_full is spent: the memo covers them all.
+    st.memo_solved = st.observations.size();
     e.last_solve_epoch = es.last_solve_epoch;
     e.probe_failures = es.probe_failures;
     e.tunnel_drops = es.tunnel_drops;
@@ -608,17 +572,18 @@ void AuditService::restore(const EpochSnapshot& snap) {
   }
   pending_.assign(snap.pending.begin(), snap.pending.end());
 
-  warm_countries(ids);
   AGEO_GAUGE_SET("serve.plan_cache_capacity",
                  static_cast<double>(auditor_.plan_cache().capacity()));
 
-  // Rebuild regions, verdicts, and solver memos by re-solving — they
+  // Rebuild regions, verdicts, and solver memos by the solve pass — they
   // are deterministic functions of the observations, so the restored
   // rows are bit-identical to the snapshotted run's. History and
   // last_solve_epoch came from the snapshot and are NOT touched here,
   // and nothing is journaled per entry: the snapshotted run already
   // journaled these verdicts.
-  solve_and_assess(ids, /*journal=*/false);
+  std::vector<assess::Auditor::ProxySlot> slots =
+      slots_of(ids, /*journal=*/false);
+  auditor_.solve_pass(slots);
   AGEO_COUNTER_ADD("serve.restore.resolves", ids.size());
 
   if (obs::journal_runtime_on()) {

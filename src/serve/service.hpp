@@ -4,10 +4,11 @@
 // rounds instead of one-shot batch audits. Lifecycle:
 //
 //   admit(fleet)   — metadata into the pool; nothing touches the network
-//   bootstrap()    — the batch Auditor's stages, run through the
-//                    service's own assess::Auditor: per-proxy two-phase
-//                    campaigns, localization (capturing a solver memo
-//                    per proxy), claim assessment
+//   bootstrap()    — the batch audit's two passes, run by the service's
+//                    own assess::Auditor: the campaign pass (keeping
+//                    each proxy's prober) and the solve pass (capturing
+//                    a solver memo per proxy), so bootstrap rows are
+//                    Auditor::run's rows
 //   run_round()*N  — the streaming steady state: a staleness x verdict-
 //                    confidence scheduler picks proxies, each probes a
 //                    few more continent landmarks through its tunnel,
@@ -40,7 +41,7 @@
 namespace ageo::serve {
 
 struct ServiceConfig {
-  /// Configuration of the assess::Auditor whose stages the service runs
+  /// Configuration of the assess::Auditor whose passes the service runs
   /// (grid, algorithm, campaign policies, Byzantine thresholds,
   /// threads). use_as_grouping is ignored: AS//24 grouping is a join
   /// over a whole batch report.
@@ -167,7 +168,7 @@ class AuditService {
 
   ServiceConfig config_;  // first: validated before any member is built
   measure::Testbed* bed_;
-  /// Runs every pipeline stage and owns the grid, mask, country caches,
+  /// Runs both per-proxy passes and owns the grid, mask, country caches,
   /// plan cache, geolocator and refine context.
   assess::Auditor auditor_;
 
@@ -184,22 +185,19 @@ class AuditService {
   /// (serial, id order — network registration order is part of the
   /// deterministic contract).
   void open_tunnel(ProxyEntry& e);
-  void warm_countries(std::span<const std::size_t> ids);
+  /// The Auditor pass slots of these active entries: their rows,
+  /// tunnels, probers and memos, and their journal cursors when
+  /// `journal`.
+  std::vector<assess::Auditor::ProxySlot> slots_of(
+      std::span<const std::size_t> ids, bool journal);
   /// Probe one scheduled entry for this round (own lane, own cursors).
   ProbeTally probe_entry(ProxyEntry& e, netsim::Lane& lane);
-  /// The locate and assess stages for one entry: an incremental memo
-  /// update when the memo can absorb the appended observations,
-  /// otherwise a full solve capturing a fresh memo; then the Auditor's
-  /// row fill and claim assessment, journaled through `jseq` when
-  /// non-null.
-  void locate_and_assess(ActiveState& st, std::uint32_t* jseq,
-                         SolveOutcome& out);
-  /// Streaming re-solve of one entry; returns what happened for the
-  /// serial stats fold.
+  /// Streaming re-solve of one entry: an incremental memo update when
+  /// the memo can absorb the appended observations, then the Auditor's
+  /// row fill and assessment; otherwise the Auditor's full solve_row,
+  /// capturing a fresh memo. Returns what happened for the serial stats
+  /// fold.
   SolveOutcome solve_entry(ProxyEntry& e);
-  /// Full solve and assessment of `ids` in parallel — shared by
-  /// bootstrap (journaled) and restore (not journaled).
-  void solve_and_assess(std::span<const std::size_t> ids, bool journal);
   /// Throw unless `snap` can be restored onto this service as is.
   void check_snapshot(const EpochSnapshot& snap) const;
 };

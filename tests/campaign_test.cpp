@@ -100,48 +100,6 @@ TEST(ProbePolicy, BoardDropAndPrune) {
   EXPECT_TRUE(board.tracked(3));
 }
 
-TEST(ProbePolicy, BoardMergeTakesTheMoreBrokenState) {
-  BreakerPolicy pol;
-  pol.failure_threshold = 3;
-  pol.cooldown_rounds = 8;
-
-  BreakerBoard a(pol), b(pol);
-  a.tick(5);
-  b.tick(2);
-  // Landmark 1: open in b only. Landmark 2: closed with failures on both
-  // sides — max streak wins. Landmark 3: open on both — later deadline
-  // wins. Landmark 4: a-only entry survives untouched.
-  for (int i = 0; i < 3; ++i) b.record_failure(1);  // open until b clock 10
-  a.record_failure(2);
-  a.record_failure(2);
-  b.record_failure(2);
-  for (int i = 0; i < 3; ++i) a.record_failure(3);  // open until a clock 13
-  for (int i = 0; i < 3; ++i) b.record_failure(3);  // open until b clock 10
-  a.record_failure(4);
-
-  a.merge(b);
-  EXPECT_EQ(a.clock(), 5u);  // max of the two clocks
-  EXPECT_TRUE(a.is_open(1));
-  EXPECT_TRUE(a.tracked(2));
-  EXPECT_FALSE(a.is_open(2));
-  a.record_failure(2);  // streak was max(2, 1) = 2; one more opens it
-  EXPECT_TRUE(a.is_open(2));
-  EXPECT_TRUE(a.is_open(3));
-  a.tick(8);  // clock 13: a's own (later) deadline for 3 has arrived
-  EXPECT_TRUE(a.in_half_open(3));
-  EXPECT_TRUE(a.tracked(4));
-
-  // Merge order does not change the outcome (commutative maxima).
-  BreakerBoard c(pol), d(pol);
-  for (int i = 0; i < 3; ++i) c.record_failure(7);
-  d.record_failure(7);
-  BreakerBoard cd = c, dc = d;
-  cd.merge(d);
-  dc.merge(c);
-  EXPECT_EQ(cd.is_open(7), dc.is_open(7));
-  EXPECT_EQ(cd.open_count(), dc.open_count());
-}
-
 TEST(ProbePolicy, StatsMergeAndEquality) {
   CampaignStats a, b;
   a.ok = 3;

@@ -148,16 +148,20 @@ TEST(MlatTest, GaussianRingsRejectNonFiniteParameters) {
   for (grid::CapPlanCache* pc : {static_cast<grid::CapPlanCache*>(nullptr),
                                  &cache}) {
     grid::Region seed(g);
-    EXPECT_NO_THROW(
-        spotter_start(g, {&good, 1}, nullptr, pc, nullptr, nullptr, seed));
+    grid::Field posterior;
+    EXPECT_NO_THROW(spotter_start(g, {&good, 1}, nullptr, pc, nullptr,
+                                  nullptr, seed, posterior));
     for (const GaussianConstraint& b : bad) {
       const std::vector<GaussianConstraint> rings{good, b};
       grid::Region s(g);
-      EXPECT_THROW(spotter_start(g, rings, nullptr, pc, nullptr, nullptr, s),
-                   InvalidArgument)
+      grid::Field p(g);
+      EXPECT_THROW(
+          spotter_start(g, rings, nullptr, pc, nullptr, nullptr, s, p),
+          InvalidArgument)
           << b.mu_km << " " << b.sigma_km;
       // The list is vetted before any multiply: the good ring is not in
-      // either (a multiplied field would hold a live list).
+      // either field (a multiplied field would hold a live list).
+      EXPECT_EQ(p.live_cells(), nullptr);
       grid::Field f(g);
       EXPECT_THROW(multiply_rings_into(g, rings, pc, f), InvalidArgument)
           << b.mu_km << " " << b.sigma_km;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -301,6 +302,43 @@ TEST(ObsExport, JsonIsBalanced) {
   EXPECT_EQ(brackets, 0);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+}
+
+TEST(ObsExport, WriteExportReportsAFailedOpen) {
+  namespace fs = std::filesystem;
+  const std::string text = "ageo_obs_test_export 1\n";
+  // A path in a missing directory fails at open, with the path named.
+  const fs::path missing =
+      fs::temp_directory_path() / "ageo_obs_test_no_such_dir" / "out.prom";
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(obs::detail::write_export(missing.string(), text,
+                                         "metrics snapshot"));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("obs: cannot write metrics snapshot to " +
+                     missing.string() + ": open failed"),
+            std::string::npos)
+      << err;
+
+  // A writable path gets the whole text and no message.
+  const fs::path ok = fs::temp_directory_path() / "ageo_obs_test_export.prom";
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(obs::detail::write_export(ok.string(), text, "trace"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(fs::file_size(ok), text.size());
+  fs::remove(ok);
+}
+
+TEST(ObsExport, WriteExportReportsAFullDiskAtClose) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this system";
+  // /dev/full accepts the open and the buffered write; the full disk
+  // shows only when fclose flushes the tail.
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(obs::detail::write_export("/dev/full", "x\n", "journal"));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("obs: cannot write journal to /dev/full: close failed"),
+            std::string::npos)
+      << err;
 }
 
 TEST(ObsExport, FormatDoubleRoundTrips) {

@@ -24,6 +24,7 @@
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "world/fleet.hpp"
+#include "refine_hook.hpp"
 
 using namespace ageo;
 
@@ -63,8 +64,14 @@ serve::ServiceConfig service_config(int threads) {
   // shared audit config so batch-oracle comparisons see the same
   // verdict_final semantics.
   cfg.audit.use_as_grouping = false;
+  cfg.audit.refine = test::refine_schedule_from_env(cfg.audit.grid_cell_deg);
   return cfg;
 }
+
+/// The audit algorithms the bootstrap mirror tests run over.
+constexpr assess::AuditAlgorithm kAlgorithms[] = {
+    assess::AuditAlgorithm::kCbgPlusPlus, assess::AuditAlgorithm::kSpotter,
+    assess::AuditAlgorithm::kHybrid};
 
 /// CI matrix hook: AGEO_SERVE_ROUNDS overrides how many streaming
 /// rounds the invariance tests run (the ctest serve entry cranks it up;
@@ -288,32 +295,37 @@ TEST(ProxyPool, RankQuotaKeepsHighestScores) {
 // ---- bootstrap: the batch Auditor is the oracle ----
 
 TEST(AuditService, BootstrapBitIdenticalToBatchAuditor) {
-  // The service's bootstrap runs Auditor::run's stages with the same
-  // seeds, so on the same fleet every row field the service produces
-  // must match the batch report bit for bit (AS-grouping off on both:
-  // the service's streaming assessment has no cross-proxy join).
-  measure::Testbed bed_batch(small_bed_config());
-  measure::Testbed bed_serve(small_bed_config());
-  auto fleet = small_fleet(bed_batch.world());
+  // Bootstrap runs the batch Auditor's two passes with the same seeds,
+  // so on the same fleet every row field the service produces must match
+  // the batch report bit for bit (AS-grouping off on both: the service's
+  // streaming assessment has no cross-proxy join). Per algorithm: the
+  // batch solve is locate, the bootstrap's captures a memo.
+  for (const assess::AuditAlgorithm algo : kAlgorithms) {
+    SCOPED_TRACE(assess::to_string(algo));
+    measure::Testbed bed_batch(small_bed_config());
+    measure::Testbed bed_serve(small_bed_config());
+    auto fleet = small_fleet(bed_batch.world());
 
-  serve::ServiceConfig cfg = service_config(2);
-  assess::Auditor auditor(bed_batch, cfg.audit);
-  auto batch = auditor.run(fleet);
+    serve::ServiceConfig cfg = service_config(2);
+    cfg.audit.algorithm = algo;
+    assess::Auditor auditor(bed_batch, cfg.audit);
+    auto batch = auditor.run(fleet);
 
-  serve::AuditService service(bed_serve, cfg);
-  EXPECT_EQ(service.admit(fleet), fleet.hosts.size());
-  service.bootstrap();
-  auto rep = service.report();
+    serve::AuditService service(bed_serve, cfg);
+    EXPECT_EQ(service.admit(fleet), fleet.hosts.size());
+    service.bootstrap();
+    auto rep = service.report();
 
-  EXPECT_EQ(rep.epoch, 0u);
-  EXPECT_EQ(rep.eta.eta, batch.eta.eta);
-  EXPECT_EQ(rep.eta.n_proxies, batch.eta.n_proxies);
-  expect_rows_identical(rep.rows, batch.rows, /*with_campaign=*/true);
-  EXPECT_EQ(rep.suspicion, batch.suspicion);
-  EXPECT_EQ(rep.suspicious_landmarks, batch.suspicious_landmarks);
-  EXPECT_EQ(rep.drift, batch.drift);
-  EXPECT_EQ(rep.drift_flagged, batch.drift_flagged);
-  EXPECT_EQ(rep.stats.solves, fleet.hosts.size());
+    EXPECT_EQ(rep.epoch, 0u);
+    EXPECT_EQ(rep.eta.eta, batch.eta.eta);
+    EXPECT_EQ(rep.eta.n_proxies, batch.eta.n_proxies);
+    expect_rows_identical(rep.rows, batch.rows, /*with_campaign=*/true);
+    EXPECT_EQ(rep.suspicion, batch.suspicion);
+    EXPECT_EQ(rep.suspicious_landmarks, batch.suspicious_landmarks);
+    EXPECT_EQ(rep.drift, batch.drift);
+    EXPECT_EQ(rep.drift_flagged, batch.drift_flagged);
+    EXPECT_EQ(rep.stats.solves, fleet.hosts.size());
+  }
 }
 
 namespace {
@@ -352,26 +364,30 @@ std::string proxy_verdict_view(obs::JournalDump dump) {
 
 TEST(AuditService, BootstrapJournalMatchesBatchAuditor) {
   if (!journal_compiled_in()) GTEST_SKIP() << "observability compiled out";
-  // One pipeline: bootstrap and the batch audit run the same stages, so
+  // One pipeline: bootstrap and the batch audit run the same passes, so
   // every proxy's verdict-scope provenance is byte-identical, whatever
-  // the thread count.
-  std::string batch_view;
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const serve::ServiceConfig cfg = service_config(threads);
-    const std::string batch = proxy_verdict_view(journal_of([&](auto& bed) {
-      assess::Auditor auditor(bed, cfg.audit);
-      (void)auditor.run(small_fleet(bed.world()));
-    }));
-    const std::string boot = proxy_verdict_view(journal_of([&](auto& bed) {
-      serve::AuditService service(bed, cfg);
-      service.admit(small_fleet(bed.world()));
-      service.bootstrap();
-    }));
-    ASSERT_FALSE(batch.empty());
-    EXPECT_EQ(batch, boot);
-    if (batch_view.empty()) batch_view = batch;
-    EXPECT_EQ(batch, batch_view);
+  // the algorithm and the thread count.
+  for (const assess::AuditAlgorithm algo : kAlgorithms) {
+    std::string batch_view;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(assess::to_string(algo)) + " threads " +
+                   std::to_string(threads));
+      serve::ServiceConfig cfg = service_config(threads);
+      cfg.audit.algorithm = algo;
+      const std::string batch = proxy_verdict_view(journal_of([&](auto& bed) {
+        assess::Auditor auditor(bed, cfg.audit);
+        (void)auditor.run(small_fleet(bed.world()));
+      }));
+      const std::string boot = proxy_verdict_view(journal_of([&](auto& bed) {
+        serve::AuditService service(bed, cfg);
+        service.admit(small_fleet(bed.world()));
+        service.bootstrap();
+      }));
+      ASSERT_FALSE(batch.empty());
+      EXPECT_EQ(batch, boot);
+      if (batch_view.empty()) batch_view = batch;
+      EXPECT_EQ(batch, batch_view);
+    }
   }
 }
 
