@@ -105,6 +105,21 @@ std::string ladder_string(const algos::LocateProvenance& prov) {
   return out;
 }
 
+/// The calibration model families an audit reads: the drift watchdog's
+/// plain CBG bestlines plus the algorithm's own.
+unsigned audit_families(const AuditConfig& c) {
+  using Store = calib::CalibrationStore;
+  switch (c.algorithm) {
+    case AuditAlgorithm::kSpotter:
+    case AuditAlgorithm::kHybrid:
+      return Store::kCbg | Store::kSpotter;
+    case AuditAlgorithm::kCbgPlusPlus:
+      break;
+  }
+  return c.cbg_pp.use_slowline ? Store::kCbg | Store::kCbgSlowline
+                               : Store::kCbg;
+}
+
 double elapsed_us(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
@@ -133,6 +148,7 @@ Auditor::Auditor(measure::Testbed& bed, AuditConfig config)
                   mask_),
       locator_(make_geolocator(config)),
       iclab_(config.iclab) {
+  bed.store().fit(audit_families(config_), config_.threads);
   locator_->set_plan_cache(&plan_cache_);
   if (config_.refine.enabled()) {
     refine_ctx_.emplace(*grid_, config_.refine);
@@ -227,7 +243,7 @@ ProxyAuditRow Auditor::new_row(std::size_t index,
 }
 
 void Auditor::warm_countries(std::span<const world::CountryId> ids) {
-  AGEO_SPAN("assess", "audit.warm_countries");
+  AGEO_STAGE_SPAN("assess", "audit.warm_countries");
   // All missing regions are built in ONE raster pass (the lazy path pays
   // a full-grid scan per country); per-country bits are identical either
   // way, since both set exactly the raster-match cells plus the capital.
@@ -523,7 +539,7 @@ void Auditor::summarize(AuditReport& report) const {
 }
 
 AuditReport Auditor::run(const world::Fleet& fleet) {
-  AGEO_SPAN("assess", "audit.run");
+  AGEO_STAGE_SPAN("assess", "audit.run");
   AGEO_COUNT("assess.audit.runs");
   AGEO_COUNTER_ADD("assess.audit.proxies", fleet.hosts.size());
   const std::size_t n = fleet.hosts.size();
@@ -531,7 +547,7 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
 
   std::vector<netsim::ProxySession> sessions;
   {
-    AGEO_SPAN("assess", "audit.register");
+    AGEO_STAGE_SPAN("assess", "audit.register");
     const netsim::HostId client = register_client();
     sessions.reserve(n);
     for (const auto& h : fleet.hosts)
@@ -542,7 +558,7 @@ AuditReport Auditor::run(const world::Fleet& fleet) {
   // run serially on the network's default lane, before any fan-out; the
   // bootstrap refits run on the workers.
   {
-    AGEO_SPAN("assess", "audit.estimate_eta");
+    AGEO_STAGE_SPAN("assess", "audit.estimate_eta");
     report.eta = measure::estimate_eta(sessions, config_.eta_samples,
                                        config_.threads);
   }

@@ -212,7 +212,10 @@ struct AuditReport {
 class Auditor {
  public:
   /// Throws InvalidArgument, naming the field, when `config` fails
-  /// AuditConfig::validate, before anything is built.
+  /// AuditConfig::validate, before anything is built. Fits the
+  /// calibration families the audit reads (plain CBG for the drift
+  /// watchdog, plus the algorithm's own) on the config's workers, so no
+  /// run pays for a fit and no family it never reads is fitted.
   Auditor(measure::Testbed& bed, AuditConfig config = {});
 
   /// Audit every host of the fleet: register → eta → campaign pass →

@@ -1,6 +1,12 @@
 // Testbed: world + network + landmark constellation + calibration, wired
 // together the way the paper's measurement server wires RIPE Atlas
 // (§4.1). Examples, tests and benches build one of these and go.
+//
+// Construction samples every landmark's calibration scatter (the
+// minimum of `calibration_samples` pings per pair, drawn serially on
+// the network's default lane) and seals it in the store; it fits no
+// model. Each model family fits on its first read, or up front when an
+// Auditor asks for the families its audit reads.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +65,9 @@ class Testbed {
     return net_.add_host(profile);
   }
 
-  /// Refit every calibration model on fresh ping samples — the paper's
-  /// sliding two-week window (§4.1). Landmark ids stay stable.
+  /// Resample the calibration scatter — the paper's sliding two-week
+  /// window (§4.1) — and discard every fitted model; each family refits
+  /// from the new data on its next read. Landmark ids stay stable.
   void recalibrate();
 
  private:

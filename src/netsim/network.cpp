@@ -295,16 +295,31 @@ double Network::base_rtt_ms(HostId a, HostId b) const {
   return 2.0 * one_way + access_ms(a) + access_ms(b);
 }
 
-double Network::sample_rtt_ms(HostId a, HostId b, Lane* lane) {
-  double rtt = base_rtt_ms(a, b);
-  if (a == b) return rtt;
-  Rng& rng = (lane ? *lane : default_lane_).rng_;
-  double congestion_mean = params_.congestion_scale * path_congestion(a, b);
+double Network::queued_rtt_ms(double base, double congestion_mean,
+                              Rng& rng) const {
+  double rtt = base;
   if (congestion_mean > 0.0) rtt += rng.exponential(congestion_mean);
   if (rng.chance(params_.spike_probability))
     rtt += rng.lognormal(params_.spike_mu, params_.spike_sigma);
   rtt += std::abs(rng.normal(0.0, params_.jitter_ms));
   return rtt;
+}
+
+double Network::sample_rtt_ms(HostId a, HostId b, Lane* lane) {
+  return min_sample_rtt_ms(a, b, 1, lane);
+}
+
+double Network::min_sample_rtt_ms(HostId a, HostId b, int k, Lane* lane) {
+  detail::require(k >= 1, "Network::min_sample_rtt_ms: k must be >= 1");
+  const double base = base_rtt_ms(a, b);
+  if (a == b) return base;
+  Rng& rng = (lane ? *lane : default_lane_).rng_;
+  const double congestion_mean =
+      params_.congestion_scale * path_congestion(a, b);
+  double best = queued_rtt_ms(base, congestion_mean, rng);
+  for (int s = 1; s < k; ++s)
+    best = std::min(best, queued_rtt_ms(base, congestion_mean, rng));
+  return best;
 }
 
 std::optional<double> Network::icmp_ping_ms(HostId from, HostId to,

@@ -149,6 +149,11 @@ class Network {
   /// One measured raw path RTT, ms (>= base, plus queueing and jitter).
   /// Queueing/jitter draws come from `lane` (default lane when null).
   double sample_rtt_ms(HostId a, HostId b, Lane* lane = nullptr);
+  /// The minimum of `k` >= 1 sample_rtt_ms(a, b, lane) calls, bit for
+  /// bit and with the same draws in the same order, but with the pair's
+  /// deterministic floor (base RTT and congestion mean) computed once
+  /// instead of k times.
+  double min_sample_rtt_ms(HostId a, HostId b, int k, Lane* lane = nullptr);
 
   /// ICMP echo; nullopt if the target ignores pings.
   std::optional<double> icmp_ping_ms(HostId from, HostId to,
@@ -243,6 +248,9 @@ class Network {
   double access_ms(HostId h) const;
   double pair_inflation(HostId a, HostId b) const;
   double path_congestion(HostId a, HostId b) const;
+  /// One sample over a pair a != b: `base` (base_rtt_ms) plus the
+  /// queueing, spike and jitter draws from `rng`, in that order.
+  double queued_rtt_ms(double base, double congestion_mean, Rng& rng) const;
   /// Great-circle km between two hosts, from the cached vectors.
   double gc_km(HostId a, HostId b) const;
   /// route_km of a pair a != b whose great-circle km is `gc`, so callers

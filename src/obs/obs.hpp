@@ -15,6 +15,8 @@
 //   AGEO_TIMED_NS("grid.ring_multiply_ns", lo, hi);// RAII span timer, ns
 //   AGEO_TIMED_US("assess.proxy_us", lo, hi);      // RAII span timer, µs
 //   AGEO_SPAN("audit", "proxy");                   // RAII trace span
+//   AGEO_STAGE_SPAN("assess", "audit.run");        // span kept off the
+//                                                  // wrapping ring
 //
 // Names must be string literals. Timer histograms are registered as
 // Clock::kWallClock automatically; AGEO_HIST is for values derived from
@@ -131,6 +133,10 @@
 #define AGEO_SPAN(cat_lit, name_lit)                                         \
   ::ageo::obs::Span AGEO_OBS_CAT(ageo_obs_span_, __LINE__)(cat_lit, name_lit)
 
+#define AGEO_STAGE_SPAN(cat_lit, name_lit)                                   \
+  ::ageo::obs::Span AGEO_OBS_CAT(ageo_obs_span_, __LINE__)(                  \
+      cat_lit, name_lit, ::ageo::obs::SpanStore::kStage)
+
 #else  // AGEO_OBS_ENABLED == 0
 
 #define AGEO_COUNTER_ADD(name_lit, n) ((void)0)
@@ -144,5 +150,6 @@
 #define AGEO_TIMED_NS(name_lit, lo_, hi_) ((void)0)
 #define AGEO_TIMED_US(name_lit, lo_, hi_) ((void)0)
 #define AGEO_SPAN(cat_lit, name_lit) ((void)0)
+#define AGEO_STAGE_SPAN(cat_lit, name_lit) ((void)0)
 
 #endif  // AGEO_OBS_ENABLED

@@ -54,6 +54,10 @@ struct TraceState {
   std::vector<std::unique_ptr<RingBuffer>> buffers;
   std::vector<RingBuffer*> free_buffers;
   std::uint32_t next_tid = 0;
+  // The stage store: append-only up to kStageCapacity, never wraps.
+  std::mutex stage_mu;
+  std::vector<TraceEvent> stage_events;
+  std::uint64_t stage_dropped = 0;
 };
 
 TraceState& state() {
@@ -108,17 +112,28 @@ void set_tracing_enabled(bool on) noexcept {
   g_tracing_enabled.store(on, std::memory_order_relaxed);
 }
 
-Span::Span(const char* cat, const char* name) noexcept {
+Span::Span(const char* cat, const char* name, SpanStore store) noexcept {
   if (!tracing_enabled()) return;
   cat_ = cat;
   name_ = name;
   start_ns_ = now_ns();
+  store_ = store;
 }
 
 Span::~Span() {
   if (!cat_) return;
   RingBuffer& buf = my_buffer();
-  buf.push({cat_, name_, start_ns_, now_ns() - start_ns_, buf.tid});
+  const TraceEvent e{cat_, name_, start_ns_, now_ns() - start_ns_, buf.tid};
+  if (store_ == SpanStore::kRing) {
+    buf.push(e);
+    return;
+  }
+  TraceState& s = state();
+  std::lock_guard lock(s.stage_mu);
+  if (s.stage_events.size() < kStageCapacity)
+    s.stage_events.push_back(e);
+  else
+    ++s.stage_dropped;
 }
 
 TraceDump collect_trace() {
@@ -129,6 +144,12 @@ TraceDump collect_trace() {
     std::lock_guard buf_lock(b->mu);
     dump.events.insert(dump.events.end(), b->events.begin(), b->events.end());
     dump.dropped += b->total - b->events.size();
+  }
+  {
+    std::lock_guard stage_lock(s.stage_mu);
+    dump.events.insert(dump.events.end(), s.stage_events.begin(),
+                       s.stage_events.end());
+    dump.dropped += s.stage_dropped;
   }
   std::sort(dump.events.begin(), dump.events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
@@ -147,6 +168,9 @@ void reset_trace() {
     b->next = 0;
     b->total = 0;
   }
+  std::lock_guard stage_lock(s.stage_mu);
+  s.stage_events.clear();
+  s.stage_dropped = 0;
 }
 
 std::string trace_to_chrome_json(const TraceDump& dump) {

@@ -7,6 +7,13 @@
 // are fixed-size per thread — when one wraps, the oldest events are
 // silently dropped and a drop counter remembers how many.
 //
+// Stage spans (SpanStore::kStage, AGEO_STAGE_SPAN) mark the few
+// once-per-run stages a time ledger is built from: setup, registration,
+// eta, country warm-up, bootstrap. They go to one process-wide store
+// that never wraps, so a run's per-proxy spans cannot push them out; it
+// keeps its first kStageCapacity events and counts any later ones as
+// dropped.
+//
 // Export formats:
 //  - Chrome trace_event JSON ("ph":"X" complete events, ts/dur in µs):
 //    open in chrome://tracing or https://ui.perfetto.dev.
@@ -20,6 +27,7 @@
 // site when disabled.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,12 +46,20 @@ struct TraceEvent {
   std::uint32_t tid = 0;  ///< small sequential id, stable per thread
 };
 
+/// Where a finished span is kept: the calling thread's ring, or the
+/// stage store (see the header comment).
+enum class SpanStore : std::uint8_t { kRing, kStage };
+
+/// Events the stage store keeps before it counts the rest as dropped.
+inline constexpr std::size_t kStageCapacity = 4096;
+
 /// RAII span. Does nothing (not even a clock read) when tracing is off
 /// at construction; a span open across an enable/disable toggle records
 /// iff tracing was on when it opened.
 class Span {
  public:
-  Span(const char* cat, const char* name) noexcept;
+  Span(const char* cat, const char* name,
+       SpanStore store = SpanStore::kRing) noexcept;
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -52,10 +68,12 @@ class Span {
   const char* cat_ = nullptr;  ///< nullptr ⇒ disarmed
   const char* name_ = nullptr;
   std::uint64_t start_ns_ = 0;
+  SpanStore store_ = SpanStore::kRing;
 };
 
-/// Copy every buffered event out (all threads, start-time order) and
-/// how many were dropped to ring wraparound. Thread-safe.
+/// Copy every buffered event out (all threads' rings and the stage
+/// store, start-time order) and how many were dropped to ring
+/// wraparound or a full stage store. Thread-safe.
 struct TraceDump {
   std::vector<TraceEvent> events;
   std::uint64_t dropped = 0;

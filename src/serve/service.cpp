@@ -98,7 +98,7 @@ std::size_t AuditService::admit(const world::Fleet& fleet) {
 }
 
 void AuditService::bootstrap(std::size_t limit) {
-  AGEO_SPAN("serve", "bootstrap");
+  AGEO_STAGE_SPAN("serve", "bootstrap");
   AGEO_COUNT("serve.bootstraps");
 
   // Activation list: admitted entries in id order, truncated to limit.
@@ -123,7 +123,7 @@ void AuditService::bootstrap(std::size_t limit) {
     sessions.reserve(ids.size());
     for (std::size_t id : ids)
       sessions.push_back(pool_.find(id)->state->session);
-    AGEO_SPAN("serve", "bootstrap.estimate_eta");
+    AGEO_STAGE_SPAN("serve", "bootstrap.estimate_eta");
     eta_ = measure::estimate_eta(sessions, config_.audit.eta_samples,
                                  config_.audit.threads);
     AGEO_GAUGE_SET("serve.eta", eta_.eta);

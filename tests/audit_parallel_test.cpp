@@ -290,6 +290,59 @@ TEST(ParallelAudit, RefinedAuditBitIdenticalToFlatAcrossAlgorithmsAndThreads) {
   }
 }
 
+TEST(ParallelAudit, AuditorFitsOnlyTheCalibrationFamiliesItsAuditReads) {
+  // The constructor fits the drift watchdog's plain CBG plus the
+  // algorithm's own family, once; the run then reads only those.
+#if AGEO_OBS_ENABLED
+  const bool prev = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const auto fits = [] {
+    std::vector<std::uint64_t> n;
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    for (const char* family : {"calib.family_fits.cbg",
+                               "calib.family_fits.cbg_slowline",
+                               "calib.family_fits.octant",
+                               "calib.family_fits.spotter"}) {
+      std::uint64_t v = 0;
+      for (const auto& c : snap.counters)
+        if (c.name == family) v = c.value;
+      n.push_back(v);
+    }
+    return n;
+  };
+  struct Case {
+    AuditAlgorithm algorithm;
+    bool use_slowline;
+    std::vector<std::uint64_t> want;  // cbg, slowline, octant, spotter
+  };
+  for (const Case& c : {Case{AuditAlgorithm::kCbgPlusPlus, true, {1, 1, 0, 0}},
+                        Case{AuditAlgorithm::kCbgPlusPlus, false, {1, 0, 0, 0}},
+                        Case{AuditAlgorithm::kSpotter, true, {1, 0, 0, 1}},
+                        Case{AuditAlgorithm::kHybrid, true, {1, 0, 0, 1}}}) {
+    SCOPED_TRACE(std::string(to_string(c.algorithm)) +
+                 (c.use_slowline ? "" : " without slowline"));
+    measure::Testbed bed(small_bed_config());
+    auto fleet = small_fleet(bed.world());
+    fleet.hosts.resize(4);
+    AuditConfig cfg = audit_config(2);
+    cfg.algorithm = c.algorithm;
+    cfg.cbg_pp.use_slowline = c.use_slowline;
+    const std::vector<std::uint64_t> before = fits();
+    Auditor auditor(bed, cfg);
+    std::vector<std::uint64_t> built = fits();
+    (void)auditor.run(fleet);
+    const std::vector<std::uint64_t> ran = fits();
+    for (std::size_t f = 0; f < built.size(); ++f) built[f] -= before[f];
+    EXPECT_EQ(built, c.want);
+    for (std::size_t f = 0; f < ran.size(); ++f)
+      EXPECT_EQ(ran[f] - before[f], c.want[f]) << f;
+  }
+  obs::set_metrics_enabled(prev);
+#else
+  GTEST_SKIP() << "needs the obs counters (AGEO_OBS=ON)";
+#endif
+}
+
 TEST(ParallelAudit, RefinedSteadyStateGridAllocationsAreZero) {
   // The zero-allocation claim extends to the windowed path: coarse
   // regions, window bookkeeping, the ladder's sort keys and the refined

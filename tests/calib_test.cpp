@@ -1,7 +1,11 @@
 // Unit tests for the calibration module.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "calib/cbg_model.hpp"
 #include "calib/octant_model.hpp"
@@ -233,6 +237,165 @@ TEST(Store, FitAllAndAccess) {
   // Slowline model is never slower than the slowline.
   EXPECT_GE(store.cbg_slowline(id0).speed_km_per_ms(),
             geo::kSlowlineSpeedKmPerMs - 1e-9);
+}
+
+// ---- lazily fitted families ----
+
+void expect_same(const CbgModel& a, const CbgModel& b) {
+  EXPECT_EQ(a.calibrated(), b.calibrated());
+  EXPECT_EQ(a.slope_ms_per_km(), b.slope_ms_per_km());
+  EXPECT_EQ(a.intercept_ms(), b.intercept_ms());
+}
+
+void expect_same(const OctantModel& a, const OctantModel& b) {
+  EXPECT_EQ(a.calibrated(), b.calibrated());
+  EXPECT_TRUE(
+      std::ranges::equal(a.max_curve().knots(), b.max_curve().knots()));
+  EXPECT_TRUE(
+      std::ranges::equal(a.min_curve().knots(), b.min_curve().knots()));
+  EXPECT_EQ(a.max_cutoff_ms(), b.max_cutoff_ms());
+  EXPECT_EQ(a.min_cutoff_ms(), b.min_cutoff_ms());
+  for (double t : {0.5, 5.0, 40.0, 150.0}) {
+    EXPECT_EQ(a.max_distance_km(t), b.max_distance_km(t)) << t;
+    EXPECT_EQ(a.min_distance_km(t), b.min_distance_km(t)) << t;
+  }
+}
+
+void expect_same(const SpotterModel& a, const SpotterModel& b) {
+  EXPECT_EQ(a.calibrated(), b.calibrated());
+  EXPECT_EQ(a.mu_poly().coeffs, b.mu_poly().coeffs);
+  EXPECT_EQ(a.sigma_poly().coeffs, b.sigma_poly().coeffs);
+  for (double t : {0.5, 5.0, 40.0, 150.0}) {
+    EXPECT_EQ(a.mu_km(t), b.mu_km(t)) << t;
+    EXPECT_EQ(a.sigma_km(t), b.sigma_km(t)) << t;
+  }
+}
+
+/// Landmarks of every size the fits treat differently: calibrated ones,
+/// an empty one (no CBG fit), and one- and two-point ones (no octant
+/// hull).
+std::vector<CalibData> mixed_landmarks() {
+  return {synth_scatter(100.0, 1.0, 300, 31), {}, {{800.0, 9.0}},
+          synth_scatter(90.0, 3.0, 2, 32), synth_scatter(120.0, 2.0, 3, 33),
+          synth_scatter(80.0, 4.0, 200, 34)};
+}
+
+CalibrationStore sealed_store(const std::vector<CalibData>& landmarks) {
+  CalibrationStore store;
+  for (const CalibData& d : landmarks) store.add_landmark(d);
+  store.fit_all();
+  return store;
+}
+
+constexpr unsigned kAllFamilies =
+    CalibrationStore::kCbg | CalibrationStore::kCbgSlowline |
+    CalibrationStore::kOctant | CalibrationStore::kSpotter;
+
+/// Every family of `got` equals a direct fit on the store's own data.
+void expect_direct_fits(const CalibrationStore& got) {
+  CbgOptions plain, slow;
+  slow.enforce_slowline = true;
+  CalibData pooled;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto d = got.data(i);
+    pooled.insert(pooled.end(), d.begin(), d.end());
+    expect_same(got.cbg(i),
+                d.empty() ? CbgModel{} : fit_cbg_bestline(d, plain));
+    expect_same(got.cbg_slowline(i),
+                d.empty() ? CbgModel{} : fit_cbg_bestline(d, slow));
+    expect_same(got.octant(i), d.size() < 3 ? OctantModel{} : fit_octant(d));
+  }
+  expect_same(got.spotter(), pooled.size() < 2 * 40u ? SpotterModel{}
+                                                     : fit_spotter(pooled));
+}
+
+TEST(StoreLazy, EachFamilyEqualsADirectFit) {
+  const CalibrationStore store = sealed_store(mixed_landmarks());
+  expect_direct_fits(store);
+  // The empty and short landmarks kept their uncalibrated models.
+  EXPECT_FALSE(store.cbg(1).calibrated());
+  EXPECT_TRUE(store.cbg(2).calibrated());
+  EXPECT_FALSE(store.octant(3).calibrated());
+  EXPECT_TRUE(store.octant(4).calibrated());
+  EXPECT_TRUE(store.spotter().calibrated());
+}
+
+TEST(StoreLazy, PooledDataBelowTwiceTheBinsKeepsTheUncalibratedSpotter) {
+  // 79 pooled points against 2 x 40 bins.
+  const CalibrationStore store = sealed_store(
+      {synth_scatter(100.0, 1.0, 50, 35), synth_scatter(90.0, 2.0, 29, 36)});
+  EXPECT_FALSE(store.spotter().calibrated());
+  expect_direct_fits(store);
+}
+
+TEST(StoreLazy, FitOnOneThreadEqualsFitOnFour) {
+  std::vector<CalibData> landmarks = mixed_landmarks();
+  for (std::uint64_t seed = 40; seed < 80; ++seed)
+    landmarks.push_back(synth_scatter(95.0, 2.0, 60, seed));
+  const CalibrationStore one = sealed_store(landmarks);
+  const CalibrationStore four = sealed_store(landmarks);
+  one.fit(kAllFamilies, 1);
+  four.fit(kAllFamilies, 4);
+  for (std::size_t i = 0; i < landmarks.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same(one.cbg(i), four.cbg(i));
+    expect_same(one.cbg_slowline(i), four.cbg_slowline(i));
+    expect_same(one.octant(i), four.octant(i));
+  }
+  expect_same(one.spotter(), four.spotter());
+  expect_direct_fits(four);
+}
+
+TEST(StoreLazy, ConcurrentFirstReadsAgree) {
+  std::vector<CalibData> landmarks = mixed_landmarks();
+  for (std::uint64_t seed = 80; seed < 100; ++seed)
+    landmarks.push_back(synth_scatter(95.0, 2.0, 60, seed));
+  const CalibrationStore store = sealed_store(landmarks);
+  const CalibrationStore reference = sealed_store(landmarks);
+  reference.fit(kAllFamilies);
+  // Eight threads released at once, each reading every family (one of
+  // them through fit() on workers of its own) before any has fitted.
+  constexpr int kThreads = 8;
+  std::latch go(kThreads);
+  std::vector<std::jthread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      go.arrive_and_wait();
+      if (t == 0) store.fit(kAllFamilies, 2);
+      for (std::size_t k = 0; k < landmarks.size(); ++k) {
+        const std::size_t i = (k + static_cast<std::size_t>(t)) %
+                              landmarks.size();
+        (void)store.cbg(i);
+        (void)store.cbg_slowline(i);
+        (void)store.octant(i);
+      }
+      (void)store.spotter();
+    });
+  }
+  threads.clear();  // join
+  for (std::size_t i = 0; i < landmarks.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same(store.cbg(i), reference.cbg(i));
+    expect_same(store.cbg_slowline(i), reference.cbg_slowline(i));
+    expect_same(store.octant(i), reference.octant(i));
+  }
+  expect_same(store.spotter(), reference.spotter());
+}
+
+TEST(StoreLazy, AddLandmarkDiscardsTheFitsAndFitAllRefits) {
+  CalibrationStore store = sealed_store(mixed_landmarks());
+  const CbgModel before = store.cbg(0);
+  EXPECT_THROW(store.fit(1u << 4), InvalidArgument);  // no such family
+  store.add_landmark(synth_scatter(150.0, 0.5, 100, 37));
+  EXPECT_FALSE(store.fitted());
+  EXPECT_THROW(store.cbg(0), InvalidArgument);
+  EXPECT_THROW(store.spotter(), InvalidArgument);
+  EXPECT_THROW(store.fit(CalibrationStore::kOctant), InvalidArgument);
+  store.fit_all();
+  expect_same(store.cbg(0), before);
+  EXPECT_TRUE(store.cbg(6).calibrated());
+  expect_direct_fits(store);
 }
 
 // Property: for any noise level and seed, the bestline is feasible and

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "algos/cbg_pp.hpp"
 #include "common/error.hpp"
@@ -372,6 +373,32 @@ TEST(TestbedCalibration, CalibPointDigestPinned) {
                 static_cast<unsigned long long>(h));
   EXPECT_EQ(points, 10740u);
   EXPECT_STREQ(hex, "4475cb86a679c51f");
+}
+
+TEST(TestbedCalibration, RecalibrateRefitsFromTheNewData) {
+  TestbedConfig cfg;
+  cfg.seed = 61;
+  cfg.constellation.n_anchors = 40;
+  cfg.constellation.n_probes = 40;
+  Testbed bed(cfg);
+  std::vector<double> old_delays;
+  for (const auto& pt : bed.store().data(0)) old_delays.push_back(pt.delay_ms);
+  (void)bed.store().cbg_slowline(0);  // fit the old data's family
+  bed.recalibrate();
+  ASSERT_TRUE(bed.store().fitted());
+  std::vector<double> new_delays;
+  for (const auto& pt : bed.store().data(0)) new_delays.push_back(pt.delay_ms);
+  EXPECT_NE(new_delays, old_delays);  // fresh samples
+  calib::CbgOptions slow;
+  slow.enforce_slowline = true;
+  for (std::size_t id = 0; id < bed.store().size(); ++id) {
+    const auto data = bed.store().data(id);
+    if (data.empty()) continue;
+    const calib::CbgModel want = calib::fit_cbg_bestline(data, slow);
+    const calib::CbgModel& got = bed.store().cbg_slowline(id);
+    EXPECT_EQ(got.slope_ms_per_km(), want.slope_ms_per_km()) << id;
+    EXPECT_EQ(got.intercept_ms(), want.intercept_ms()) << id;
+  }
 }
 
 TEST_F(MeasureTest, ConfigValidation) {

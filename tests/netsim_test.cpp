@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -501,6 +502,50 @@ TEST_F(NetsimTest, LaneRoundClockAndRateLimitAreIndependent) {
   net.set_outage_window(h, 2, 4);
   EXPECT_FALSE(net.host_up(h, &lane));  // lane round 3: inside [2, 4)
   EXPECT_TRUE(net.host_up(h));          // default round 0: before it
+}
+
+// Twin-network oracle for the calibration sampler: two networks built
+// identically, one drawing min_sample_rtt_ms(k), the other k separate
+// sample_rtt_ms calls folded with std::min. The minimum and the draw
+// after it must match bit for bit on the default lane and on a lane, so
+// the sampler consumes exactly the k samples' draws in the same order.
+TEST(NetsimMinSample, MatchesTheMinimumOfKSamplesAndTheNextDraw) {
+  Network fast(world::HubGraph::builtin(), 31);
+  Network slow(world::HubGraph::builtin(), 31);
+  std::vector<HostId> hosts;
+  for (const geo::LatLon at : {geo::LatLon{40.7, -74.0},
+                               geo::LatLon{34.05, -118.24},
+                               geo::LatLon{51.5, -0.1}}) {
+    HostProfile p;
+    p.location = at;
+    p.net_quality = 0.6;
+    hosts.push_back(fast.add_host(p));
+    ASSERT_EQ(slow.add_host(p), hosts.back());
+  }
+  Lane fast_lane = fast.make_lane(77), slow_lane = slow.make_lane(77);
+  for (Lane* lane : {static_cast<Lane*>(nullptr), &fast_lane}) {
+    Lane* twin = lane ? &slow_lane : nullptr;
+    for (int k : {1, 3, 5}) {
+      // Pairs (0,1), (1,2) and (2,2): the last is a == b.
+      for (std::size_t i = 0; i < hosts.size(); ++i) {
+        const HostId a = hosts[i];
+        const HostId b = hosts[std::min(i + 1, hosts.size() - 1)];
+        const double got = fast.min_sample_rtt_ms(a, b, k, lane);
+        double want = slow.sample_rtt_ms(a, b, twin);
+        for (int s = 1; s < k; ++s)
+          want = std::min(want, slow.sample_rtt_ms(a, b, twin));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "k=" << k << " pair " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      fast.sample_rtt_ms(hosts[0], hosts[1], lane)),
+                  std::bit_cast<std::uint64_t>(
+                      slow.sample_rtt_ms(hosts[0], hosts[1], twin)))
+            << "next draw after k=" << k << " pair " << i;
+      }
+    }
+  }
+  EXPECT_THROW(fast.min_sample_rtt_ms(hosts[0], hosts[1], 0), InvalidArgument);
 }
 
 TEST_F(ProxyTest, SessionLaneRoutesMeasurements) {

@@ -441,6 +441,39 @@ TEST(ObsTrace, MultiThreadedSpansAllRecorded) {
   EXPECT_EQ(dump.dropped, 0u);
 }
 
+TEST(ObsTrace, StageSpansSurviveRingWraparound) {
+  obs::reset_trace();
+  obs::set_tracing_enabled(true);
+  { obs::Span stage("test", "stage", obs::SpanStore::kStage); }
+  // One more than the per-thread ring holds (16,384), plus 100: the
+  // ring drops its 100 oldest events, none of which is the stage span.
+  constexpr int kFiller = (1 << 14) + 100;
+  for (int i = 0; i < kFiller; ++i) obs::Span span("test", "filler");
+  auto dump = obs::collect_trace();
+  EXPECT_EQ(dump.dropped, 100u);
+  const auto count = [](const obs::TraceDump& d, std::string_view name) {
+    return std::count_if(d.events.begin(), d.events.end(),
+                         [&](const obs::TraceEvent& e) {
+                           return std::string_view(e.name) == name;
+                         });
+  };
+  EXPECT_EQ(count(dump, "stage"), 1);
+  EXPECT_EQ(count(dump, "filler"), 1 << 14);
+
+  // The stage store never wraps: past its capacity it keeps its first
+  // events and counts the rest as dropped.
+  obs::reset_trace();
+  for (std::size_t i = 0; i < obs::kStageCapacity + 5; ++i)
+    obs::Span stage("test", "stage", obs::SpanStore::kStage);
+  obs::set_tracing_enabled(false);
+  dump = obs::collect_trace();
+  EXPECT_EQ(dump.dropped, 5u);
+  EXPECT_EQ(count(dump, "stage"),
+            static_cast<std::ptrdiff_t>(obs::kStageCapacity));
+  obs::reset_trace();
+  EXPECT_TRUE(obs::collect_trace().events.empty());
+}
+
 // ---- histogram quantiles ----
 
 TEST(ObsQuantile, EmptyAndExtremeQuantiles) {
